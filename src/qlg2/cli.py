@@ -55,6 +55,9 @@ def _cmd_verify(args):
         print(f"unknown check id {args.check!r}; known ids: all, {known}",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.degree_cap < 1:
+        print("require degree_cap >= 1", file=sys.stderr)
+        return EXIT_USAGE
     ctx = Context(seed=args.seed, degree_cap=args.degree_cap)
     ids = sorted(CHECKS) if args.check == "all" else [args.check]
     results = run_suite(ids, ctx)

@@ -33,6 +33,10 @@ from . import pbw
 _Q = Q_SC
 
 
+class GradingError(RuntimeError):
+    """An operator entry on Lambda breaks the degree grading it must have."""
+
+
 def _qp(n):
     return q_power(n)
 
@@ -509,7 +513,9 @@ class ExteriorModule:
                 if not g[c][r]:
                     continue
                 # adjoint of a degree-raising block picks up kappa_{deg(c)}
-                assert DEGREES[c] == DEGREES[r] + 1
+                if DEGREES[c] != DEGREES[r] + 1:
+                    raise GradingError(
+                        f"gamma({i}) entry [{c}][{r}] does not raise degree by one")
                 val = g[c][r] * gh[c] / gh[r]
                 m[r][c] = kappa(DEGREES[c]) * val
         return ModuleOperator(m)

@@ -5,15 +5,22 @@ single deformation variable.  The base variable is v = q^(1/2) rather than q
 itself, because the fundamental representation involves half-integer powers
 of q; every formula written in q embeds via q = v**2.
 
-A Scalar is a reduced fraction of Laurent polynomials,
+A Scalar is a reduced fraction of integer Laurent polynomials,
 
-    value = v**shift * num(v) / den(v),
+    value = v**shift * num(v) / (cont * den(v)),
 
-kept canonical at all times: num and den are polynomials over Q with nonzero
-constant term, den is monic, and gcd(num, den) = 1.  Zero is represented as
-num = ().  With this normalization, equality of values is structural
-equality of the three fields, so "x == y" and "x - y is zero" agree
-bit for bit.
+kept canonical at all times: num and den are tuples of int with nonzero
+constant and leading terms; den is primitive (its coefficients have gcd 1)
+with a positive leading coefficient; cont >= 1 is an int coprime to the
+content of num; and gcd(num, den) = 1 in Q[v].  Zero is represented as
+num = ().  This form is unique, so equality of values is structural equality
+of the four fields, and "x == y" and "x - y is zero" agree bit for bit.
+
+Reduction uses the primitive polynomial remainder sequence over Z (Collins,
+J. ACM 14, 1967) and exact integer division, so no rational number appears
+in the inner loops.  `canon_str` prints the same monic-over-Q form as a
+Fraction-coefficient representation would: numerator and denominator
+divided by the leading coefficient of cont * den.
 
 KScalar extends Scalar by three commuting symbols kappa_1, kappa_2, kappa_3
 (the formal ratios of the graded inner-product constants) truncated at total
@@ -23,9 +30,7 @@ degree two, which is all the Dirac-square computation ever produces.
 from __future__ import annotations
 
 from fractions import Fraction
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from math import gcd, lcm
 
 
 class PoleError(ZeroDivisionError):
@@ -36,8 +41,12 @@ class KappaDegreeError(ValueError):
     """Total degree in the kappa symbols exceeds the structural cap of 2."""
 
 
+class InexactDivisionError(ArithmeticError):
+    """An exact division in Z[v] left a nonzero remainder."""
+
+
 # ---------------------------------------------------------------------------
-# dense polynomials over Q: tuples of Fraction, index = exponent, no trailing
+# dense polynomials over Z: tuples of int, index = exponent, no trailing
 # zeros, () is the zero polynomial
 # ---------------------------------------------------------------------------
 
@@ -61,54 +70,114 @@ def _pneg(a):
     return tuple(-c for c in a)
 
 
+def _pscale(a, k):
+    return a if k == 1 else tuple(k * c for c in a)
+
+
 def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [_F0] * (len(a) + len(b) - 1)
+    # a, b nonzero with nonzero leading terms, so the product needs no trim
+    if len(a) == 1:
+        return _pscale(b, a[0])
+    if len(b) == 1:
+        return _pscale(a, b[0])
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return _trim(out)
+                out[i + j] += ca * cb
+    return tuple(out)
 
 
-def _pdivmod(a, b):
-    # long division over Q; b nonzero
+def _prim(a):
+    """Primitive part of nonzero a, with a positive leading coefficient."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else tuple(c // g for c in a)
+
+
+def _prem(a, b):
+    """A nonzero rational multiple of the remainder of a by b, in Z[v].
+
+    Each step scales the running remainder by lc(b)/gcd(lead, lc(b)) only,
+    which is 1 whenever lc(b) divides the leading coefficient.
+    """
     r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [_F0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1 - db, -1, -1):
-        c = r[i + db] / lb
-        if c:
-            q[i] = c
-            for j, cb in enumerate(b):
-                r[i + j] -= c * cb
-    return _trim(q), _trim(r)
+    db = len(b) - 1
+    lb = b[-1]
+    while len(r) > db:
+        c = r.pop()
+        if not c:
+            continue
+        i = len(r) - db
+        q, m = divmod(c, lb)
+        if m:
+            g = gcd(c, lb)
+            k = lb // g
+            r = [k * x for x in r]
+            q = c // g
+        for j in range(db):
+            r[i + j] -= q * b[j]
+    return _trim(r)
 
 
 def _pgcd(a, b):
-    # monic gcd over Q
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a and a[-1] != 1:
-        lc = a[-1]
-        a = tuple(c / lc for c in a)
-    return a
+    """gcd of a and b in Z[v], primitive with a positive leading coefficient.
+
+    Both arguments have degree >= 1.  Primitive remainder sequence: every
+    remainder is replaced by its primitive part, which keeps coefficients
+    from growing across steps.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _prim(a), _prim(b)
+    while True:
+        r = _prem(a, b)
+        if not r:
+            return b
+        if len(r) == 1:
+            return (1,)
+        a, b = b, _prim(r)
 
 
-def _pquo(a, b):
-    q, r = _pdivmod(a, b)
-    assert not r, "inexact polynomial division"
-    return q
+def _pexquo(a, b):
+    """a / b in Z[v]; raises InexactDivisionError unless b divides a.
+
+    Exact over Z whenever b is primitive and divides a in Q[v] (Gauss).
+    """
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[i + db], lb)
+        if m:
+            raise InexactDivisionError("inexact polynomial division")
+        if c:
+            q[i] = c
+            for j in range(db):
+                r[i + j] -= c * b[j]
+    if not q or any(r[:db]):
+        raise InexactDivisionError("inexact polynomial division")
+    return tuple(q)
+
+
+def _cancel(n, d):
+    """Divide n and d by their gcd; d stays primitive with lc > 0."""
+    if len(n) > 1 and len(d) > 1:
+        g = _pgcd(n, d)
+        if len(g) > 1:
+            return _pexquo(n, g), _pexquo(d, g)
+    return n, d
 
 
 class Scalar:
-    __slots__ = ("_n", "_d", "_s", "_h")
+    __slots__ = ("_n", "_c", "_d", "_s", "_h")
 
-    def __init__(self, n, d, s):
+    def __init__(self, n, c, d, s):
         # trusted canonical inputs only; use the factory functions below
         self._n = n
+        self._c = c
         self._d = d
         self._s = s
         self._h = None
@@ -116,11 +185,13 @@ class Scalar:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _make(num, den, shift):
+    def _make(num, c, den, shift, reduce=False):
+        """Canonical v**shift * num / (c * den).
+
+        den is primitive with lc > 0 and a nonzero constant term, and c >= 1;
+        unless `reduce` is set, gcd(num, den) = 1 already.
+        """
         num = _trim(num)
-        den = _trim(den)
-        if not den:
-            raise ZeroDivisionError("scalar with zero denominator")
         if not num:
             return ZERO
         i = 0
@@ -129,27 +200,14 @@ class Scalar:
         if i:
             shift += i
             num = num[i:]
-        j = 0
-        while not den[j]:
-            j += 1
-        if j:
-            shift -= j
-            den = den[j:]
-        if len(den) == 1:
-            if den[0] != 1:
-                c = den[0]
-                num = tuple(x / c for x in num)
-            den = (_F1,)
-        else:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pquo(num, g)
-                den = _pquo(den, g)
-            lc = den[-1]
-            if lc != 1:
-                num = tuple(x / lc for x in num)
-                den = tuple(x / lc for x in den)
-        return Scalar(num, den, shift)
+        if reduce:
+            num, den = _cancel(num, den)
+        if c != 1:
+            g = gcd(c, *num)
+            if g != 1:
+                c //= g
+                num = tuple(x // g for x in num)
+        return Scalar(num, c, den, shift)
 
     # -- predicates ---------------------------------------------------------
 
@@ -160,7 +218,7 @@ class Scalar:
     @property
     def is_polynomial(self):
         """True when the denominator is trivial (value in Z[v, v^-1] over Q)."""
-        return self._d == (_F1,)
+        return self._d == (1,)
 
     def __bool__(self):
         return bool(self._n)
@@ -184,19 +242,30 @@ class Scalar:
         if not o._n:
             return self
         s = min(self._s, o._s)
-        n1 = (_F0,) * (self._s - s) + self._n
-        n2 = (_F0,) * (o._s - s) + o._n
-        if self._d == o._d:
-            return Scalar._make(_padd(n1, n2), self._d, s)
-        num = _padd(_pmul(n1, o._d), _pmul(n2, self._d))
-        return Scalar._make(num, _pmul(self._d, o._d), s)
+        n1 = (0,) * (self._s - s) + self._n
+        n2 = (0,) * (o._s - s) + o._n
+        c1, c2 = self._c, o._c
+        if c1 == c2:
+            c = c1
+        else:
+            g = gcd(c1, c2)
+            c = c1 // g * c2
+            n1 = _pscale(n1, c2 // g)
+            n2 = _pscale(n2, c1 // g)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return Scalar._make(_padd(n1, n2), c, d1, s, True)
+        num = _padd(_pmul(n1, d2), _pmul(n2, d1))
+        # a sum with a Laurent polynomial is already reduced
+        return Scalar._make(num, c, _pmul(d1, d2), s,
+                            len(d1) > 1 and len(d2) > 1)
 
     __radd__ = __add__
 
     def __neg__(self):
         if not self._n:
             return self
-        return Scalar(_pneg(self._n), self._d, self._s)
+        return Scalar(_pneg(self._n), self._c, self._d, self._s)
 
     def __sub__(self, other):
         o = Scalar._coerce(other)
@@ -216,27 +285,25 @@ class Scalar:
             return NotImplemented
         if not self._n or not o._n:
             return ZERO
-        n1, d1 = self._n, self._d
-        n2, d2 = o._n, o._d
         # cross-reduce so the product of reduced fractions is reduced
-        if len(d2) > 1:
-            g = _pgcd(n1, d2)
-            if len(g) > 1:
-                n1 = _pquo(n1, g)
-                d2 = _pquo(d2, g)
-        if len(d1) > 1:
-            g = _pgcd(n2, d1)
-            if len(g) > 1:
-                n2 = _pquo(n2, g)
-                d1 = _pquo(d1, g)
-        return Scalar._make(_pmul(n1, n2), _pmul(d1, d2), self._s + o._s)
+        n1, d2 = _cancel(self._n, o._d)
+        n2, d1 = _cancel(o._n, self._d)
+        return Scalar._make(_pmul(n1, n2), self._c * o._c, _pmul(d1, d2),
+                            self._s + o._s)
 
     __rmul__ = __mul__
 
     def inv(self):
         if not self._n:
             raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar._make(self._d, self._n, -self._s)
+        # num = k * den' with den' primitive, lc > 0; k is coprime to c
+        n = self._n
+        k = gcd(*n)
+        if n[-1] < 0:
+            k = -k
+        num = _pscale(self._d, self._c if k > 0 else -self._c)
+        den = n if k == 1 else tuple(x // k for x in n)
+        return Scalar(num, abs(k), den, -self._s)
 
     def __truediv__(self, other):
         o = Scalar._coerce(other)
@@ -270,11 +337,12 @@ class Scalar:
         o = Scalar._coerce(other)
         if o is None:
             return NotImplemented
-        return self._n == o._n and self._d == o._d and self._s == o._s
+        return (self._n == o._n and self._d == o._d and self._c == o._c
+                and self._s == o._s)
 
     def __hash__(self):
         if self._h is None:
-            self._h = hash((self._n, self._d, self._s))
+            self._h = hash((self._n, self._c, self._d, self._s))
         return self._h
 
     # -- evaluation ---------------------------------------------------------
@@ -283,29 +351,50 @@ class Scalar:
         """Exact value at v = v0 (a Fraction); raises PoleError at poles."""
         v0 = Fraction(v0)
         if not self._n:
-            return _F0
-        den = _F0
-        for c in reversed(self._d):
-            den = den * v0 + c
-        if den == 0:
+            return Fraction(0)
+        p, q = v0.numerator, v0.denominator
+
+        def horner(cs):
+            # q**deg * cs(p/q)
+            acc, qk = 0, 1
+            for c in reversed(cs):
+                acc = acc * p + c * qk
+                qk *= q
+            return acc
+
+        den = horner(self._d)
+        if not den:
             raise PoleError(f"denominator vanishes at v = {v0}")
-        num = _F0
-        for c in reversed(self._n):
-            num = num * v0 + c
-        return num * v0 ** self._s / den
+        num = horner(self._n)
+        den *= self._c
+        # v0**s * q**(deg d - deg n) moves to whichever side keeps exponents >= 0
+        e = len(self._d) - len(self._n)
+        for base, k in ((p, self._s), (q, e - self._s)):
+            if k > 0:
+                num *= base ** k
+            elif k < 0:
+                den *= base ** -k
+        if not den:
+            raise PoleError(f"v^{self._s} has a pole at v = {v0}")
+        return Fraction(num, den)
 
     # -- formatting ---------------------------------------------------------
 
     def canon_str(self):
-        """Canonical string form; equal scalars stringify identically."""
+        """Canonical string form; equal scalars stringify identically.
+
+        Printed monic over Q: both sides divided by the leading coefficient
+        of c * den.
+        """
         if not self._n:
             return "0"
 
-        def poly_str(cs, shift):
+        def poly_str(cs, shift, scale):
             parts = []
-            for e, c in enumerate(cs):
-                if not c:
+            for e, x in enumerate(cs):
+                if not x:
                     continue
+                c = Fraction(x, scale)
                 k = e + shift
                 if k == 0:
                     parts.append(f"{c}")
@@ -317,17 +406,18 @@ class Scalar:
                     parts.append(f"{c}*v^{k}")
             return " + ".join(parts).replace("+ -", "- ")
 
-        num = poly_str(self._n, self._s)
-        if self._d == (_F1,):
+        lc = self._d[-1]
+        num = poly_str(self._n, self._s, self._c * lc)
+        if self._d == (1,):
             return num
-        return f"({num}) / ({poly_str(self._d, 0)})"
+        return f"({num}) / ({poly_str(self._d, 0, lc)})"
 
     def __repr__(self):
         return self.canon_str()
 
 
-ZERO = Scalar((), (_F1,), 0)
-ONE = Scalar((_F1,), (_F1,), 0)
+ZERO = Scalar((), 1, (1,), 0)
+ONE = Scalar((1,), 1, (1,), 0)
 
 
 def scalar(c):
@@ -335,17 +425,17 @@ def scalar(c):
     c = Fraction(c)
     if not c:
         return ZERO
-    return Scalar((c,), (_F1,), 0)
+    return Scalar((c.numerator,), c.denominator, (1,), 0)
 
 
 def v_power(k):
     """v**k."""
-    return Scalar((_F1,), (_F1,), k)
+    return Scalar((1,), 1, (1,), k)
 
 
 def q_power(k):
     """q**k = v**(2k)."""
-    return Scalar((_F1,), (_F1,), 2 * k)
+    return Scalar((1,), 1, (1,), 2 * k)
 
 
 def laurent_v(coeffs):
@@ -354,10 +444,12 @@ def laurent_v(coeffs):
         return ZERO
     lo = min(coeffs)
     hi = max(coeffs)
-    cs = [_F0] * (hi - lo + 1)
+    cs = [Fraction(0)] * (hi - lo + 1)
     for e, c in coeffs.items():
         cs[e - lo] += Fraction(c)
-    return Scalar._make(tuple(cs), (_F1,), lo)
+    den = lcm(*(c.denominator for c in cs))
+    return Scalar._make([c.numerator * (den // c.denominator) for c in cs],
+                        den, (1,), lo)
 
 
 def laurent_q(coeffs):

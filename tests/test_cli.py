@@ -129,3 +129,21 @@ def test_spectrum_rejects_bad_v(capsys):
                      "--shell-max", "5"]) == cli.EXIT_USAGE
     assert cli.main(["spectrum", "--v-num", "1", "--v-den", "2",
                      "--shell-max", "0"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("check", ["prop-casimir-clifford", "lem-f-vanish"])
+def test_degree_cap_below_one_is_usage_error(cap, check, capsys):
+    rc = cli.main(["verify", "--check", check, "--degree-cap", cap])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr()
+    assert "degree_cap" in err.err
+    assert "Traceback" not in err.err
+    assert err.out == ""
+
+
+def test_degree_cap_one_is_accepted(tmp_path):
+    out = tmp_path / "r.md"
+    rc = cli.main(["verify", "--check", "lem-f-vanish", "--degree-cap", "1",
+                   "--out", str(out)])
+    assert rc == cli.EXIT_PASS

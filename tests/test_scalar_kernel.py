@@ -1,0 +1,193 @@
+"""Differential tests of the integer-coefficient Scalar kernel.
+
+Random rational functions are built as pairs of {exponent: Fraction}
+Laurent polynomials.  Every field operation on the Scalars is compared with
+plain Fraction arithmetic on the values of those pairs at random rational
+points, so the oracle shares no code with the kernel.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from qlg2.scalar import (
+    BR2, ONE, Q_SC, ZERO, InexactDivisionError, Scalar, _pexquo, laurent_q,
+    laurent_v, q_binomial, q_factorial, q_number, scalar, v_power,
+)
+
+
+def _dmul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _dval(p, x):
+    return sum((c * x ** e for e, c in p.items()), Fraction(0))
+
+
+def _rand_laurent(rng, terms, lo=-4, hi=4):
+    p = {}
+    for _ in range(terms):
+        e = rng.randint(lo, hi)
+        p[e] = p.get(e, 0) + Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return {e: c for e, c in p.items() if c}
+
+
+def rand_rational(rng):
+    """(Scalar, num dict, den dict) for a random rational function.
+
+    Covers negative and non-unit leading coefficients, negative shifts,
+    denominators with integer content and common factors that cancel.
+    """
+    num = _rand_laurent(rng, rng.randint(1, 4))
+    den = {}
+    while not den:
+        den = _rand_laurent(rng, rng.randint(1, 3), -3, 3)
+    if rng.random() < 0.5:
+        k = rng.choice((2, 3, 6, -4, 10))
+        den = {e: k * c for e, c in den.items()}
+    if rng.random() < 0.4:
+        common = {}
+        while not common:
+            common = {e: Fraction(rng.randint(-4, 4))
+                      for e in rng.sample(range(-1, 4), 2)}
+            common = {e: c for e, c in common.items() if c}
+        num, den = _dmul(num, common), _dmul(den, common)
+    return laurent_v(num) / laurent_v(den), num, den
+
+
+def _points(rng, pairs, n=3):
+    """n random nonzero rationals that are no pole of any oracle pair."""
+    out = []
+    while len(out) < n:
+        x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        if all(_dval(den, x) for _, den in pairs):
+            out.append(x)
+    return out
+
+
+def _check_canonical(s):
+    n, c, d = s._n, s._c, s._d
+    if not n:
+        return
+    assert n[0] and n[-1] and d[0] and d[-1] > 0
+    assert gcd(*d) == 1
+    assert c >= 1 and gcd(c, *n) == 1
+    assert all(isinstance(x, int) for x in n + d)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_field_ops_match_fraction_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        (a, an, ad), (b, bn, bd) = rand_rational(rng), rand_rational(rng)
+        results = {
+            "add": a + b, "sub": a - b, "mul": a * b, "neg": -a,
+            "pow2": a ** 2, "pow3": a ** 3,
+        }
+        if not b.is_zero:
+            results["div"] = a / b
+            results["rdiv"] = 5 / b
+            results["inv"] = b.inv()
+            results["powm2"] = b ** -2
+        for s in results.values():
+            _check_canonical(s)
+        for x in _points(rng, ((an, ad), (bn, bd))):
+            av = _dval(an, x) / _dval(ad, x)
+            bv = _dval(bn, x) / _dval(bd, x)
+            assert a.evaluate(x) == av
+            want = {
+                "add": av + bv, "sub": av - bv, "mul": av * bv, "neg": -av,
+                "pow2": av ** 2, "pow3": av ** 3,
+            }
+            if bv:
+                want.update(div=av / bv, rdiv=5 / bv, inv=1 / bv,
+                            powm2=bv ** -2)
+            for op, s in results.items():
+                if op in want:
+                    assert s.evaluate(x) == want[op], op
+
+
+def test_equal_values_by_different_routes_are_identical():
+    rng = random.Random(41)
+    for _ in range(60):
+        a, b, c = (rand_rational(rng)[0] for _ in range(3))
+        routes = [a + b - b, (a - c) + c, b + a - b]
+        if not b.is_zero:
+            routes.append(a * b / b)
+            routes.append(a / b * b)
+        if not c.is_zero and not b.is_zero:
+            routes.append((a * c) / (b * c) * b)
+        for r in routes:
+            assert r == a
+            assert hash(r) == hash(a)
+            assert r.canon_str() == a.canon_str()
+        s1, s2 = (a + b) + c, a + (b + c)
+        assert s1 == s2 and hash(s1) == hash(s2)
+
+
+def test_integer_content_is_canonical():
+    # the same value with a denominator of content 1, 6 and -6
+    x = laurent_v({0: 1, 1: 2}) / laurent_v({0: 1, 2: 1})
+    y = laurent_v({0: 6, 1: 12}) / laurent_v({0: 6, 2: 6})
+    z = laurent_v({0: -3, 1: -6}) / laurent_v({0: -3, 2: -3})
+    assert x == y == z
+    assert hash(x) == hash(y) == hash(z)
+    assert scalar(Fraction(6, 4)) == laurent_v({0: 3}) / laurent_v({0: 2})
+
+
+def test_evaluate_pole_and_zero_point():
+    with pytest.raises(ZeroDivisionError):
+        (ONE / Q_SC).evaluate(Fraction(1))
+    assert v_power(3).evaluate(0) == 0
+    with pytest.raises(ZeroDivisionError):
+        v_power(-1).evaluate(0)
+    assert ZERO.evaluate(Fraction(2, 3)) == 0
+
+
+def test_inexact_division_raises_typed_error():
+    assert issubclass(InexactDivisionError, ArithmeticError)
+    assert _pexquo((3, 3), (1, 1)) == (3,)
+    with pytest.raises(InexactDivisionError):
+        _pexquo((1, 0, 1), (1, 1))      # 1 + v^2 by 1 + v
+    with pytest.raises(InexactDivisionError):
+        _pexquo((1, 2), (2,))           # not divisible over Z
+    with pytest.raises(InexactDivisionError):
+        _pexquo((1,), (1, 1))           # degree too small
+
+
+# canon_str of values recorded from the Fraction-coefficient kernel; report
+# digests hash these strings
+PINNED = [
+    (lambda: q_number(3), "v^-4 + 1 + v^4"),
+    (lambda: ONE / (Q_SC * Q_SC), "(v^4) / (1 - 2*v^4 + v^8)"),
+    (lambda: scalar(Fraction(-3, 4)) * v_power(-5), "-3/4*v^-5"),
+    (lambda: q_binomial(4, 2, 2), "v^-16 + v^-8 + 2 + v^8 + v^16"),
+    (lambda: laurent_v({0: 2, 1: 3}) / laurent_v({0: 4, 2: -6}),
+     "(-1/3 - 1/2*v^1) / (-2/3 + v^2)"),
+    (lambda: (laurent_v({-1: Fraction(1, 2), 3: Fraction(-5, 3)})
+              / laurent_v({0: 3, 1: -9, 2: 6})),
+     "(1/12*v^-1 - 5/18*v^3) / (1/2 - 3/2*v^1 + v^2)"),
+    (lambda: BR2 / q_number(3, base=2), "(v^6 + v^10) / (1 + v^8 + v^16)"),
+    (lambda: q_factorial(4) / q_factorial(2, base=2),
+     "v^-8 + 3*v^-4 + 4 + 3*v^4 + v^8"),
+    (lambda: (Q_SC * Q_SC + scalar(2)) / (BR2 * v_power(3)),
+     "(v^-5 + v^3) / (1 + v^4)"),
+    (lambda: ONE / laurent_v({0: -2, 1: 0, 2: 4}), "(1/4) / (-1/2 + v^2)"),
+    (lambda: scalar(Fraction(7, 6)) / Q_SC - v_power(-2),
+     "(v^-2 + 1/6*v^2) / (-1 + v^4)"),
+    (lambda: -(laurent_q({1: 3, -1: 3}) / laurent_q({2: 6, 0: -6})),
+     "(-1/2*v^-2 - 1/2*v^2) / (-1 + v^4)"),
+]
+
+
+@pytest.mark.parametrize("build,text", PINNED)
+def test_canon_str_pinned(build, text):
+    s = build()
+    assert isinstance(s, Scalar)
+    assert s.canon_str() == text
