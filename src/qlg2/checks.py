@@ -4,7 +4,8 @@ Every named statement used in the construction gets one check id; a check
 recomputes both sides of its statement from scratch (through the shared
 lazily-cached context) and records canonical serializations, so the report
 doubles as a verification index.  A check passes exactly when its residual
-serialization is empty.
+serialization is empty; a check that raises gets the status "error" and the
+exception as its residual, and the other checks still run.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import meq, meye, miszero, mmul, mscale, msub
@@ -79,6 +80,8 @@ class CheckResult:
     residual: str = ""
     details: tuple = ()
     elapsed_ms: float = 0.0
+    # the exception of a check that raised; never serialized
+    exception: Exception | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self, timings=False):
         out = {
@@ -845,7 +848,13 @@ CHECKS = {
 def run_check(check_id, ctx):
     statement, fn = CHECKS[check_id]
     t0 = time.perf_counter()
-    lhs, rhs, residual, details = fn(ctx)
+    try:
+        lhs, rhs, residual, details = fn(ctx)
+    except Exception as exc:
+        return CheckResult(check_id, "error", statement,
+                           residual=f"{type(exc).__name__}: {exc}",
+                           elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+                           exception=exc)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return CheckResult(
         check_id=check_id,

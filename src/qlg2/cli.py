@@ -2,7 +2,8 @@
 prints the exact eigenvalue table.
 
 Exit codes: 0 all selected checks pass, 1 verification failure, 2 usage
-error, 3 internal engine error.
+error, 3 internal engine error.  A check that raises is reported with status
+"error" and `verify` exits 3 after writing the report.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def _render_md(results, timings):
     lines.append(f"{n_pass}/{len(results)} checks pass")
     for r in results:
         if r.status != "pass":
-            lines.append(f"FAIL {r.check_id}: {r.residual}")
+            lines.append(f"{r.status.upper()} {r.check_id}: {r.residual}")
     if timings:
         lines.append("")
         for r in results:
@@ -68,7 +69,14 @@ def _cmd_verify(args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_PASS if all(r.status == "pass" for r in results) else EXIT_FAIL
+    statuses = {r.status for r in results}
+    if "error" in statuses:
+        for r in results:
+            if r.exception is not None:
+                print(f"check {r.check_id} raised:", file=sys.stderr)
+                traceback.print_exception(r.exception)
+        return EXIT_INTERNAL
+    return EXIT_FAIL if "fail" in statuses else EXIT_PASS
 
 
 def _cmd_spectrum(args):

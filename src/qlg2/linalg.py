@@ -99,3 +99,20 @@ def nullspace(rows, one):
             vec[pc] = -rows[i][free]
         basis.append(vec)
     return basis
+
+
+def minv(a, one):
+    """Inverse of a square matrix over a field, or None when it is singular."""
+    n = len(a)
+    rows = [list(r) + [one if i == j else one - one for j in range(n)]
+            for i, r in enumerate(a)]
+    for c in range(n):
+        sel = next((i for i in range(c, n) if rows[i][c]), None)
+        if sel is None:
+            return None
+        piv = rows.pop(sel)
+        rows.insert(c, [x / piv[c] for x in piv])
+        for i in range(n):
+            if i != c and rows[i][c]:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[c])]
+    return [r[n:] for r in rows]

@@ -36,12 +36,12 @@ generator level.
 
 from __future__ import annotations
 
-import itertools
-import warnings
+import heapq
 from fractions import Fraction
 
 from .scalar import ZERO, ONE, BR2, Q_SC, Scalar, scalar, q_power, q_binomial
-from .weights import ALPHA1, ALPHA2, BETA, SIMPLE, W_ZERO, XI, Weight
+from .linalg import minv
+from .weights import ALPHA1, ALPHA2, BETA, SIMPLE, W_ZERO, Weight
 
 
 class EngineError(RuntimeError):
@@ -49,11 +49,7 @@ class EngineError(RuntimeError):
 
 
 class NotInSpanError(ValueError):
-    """levi_right_split: the linear system for the decomposition is inconsistent."""
-
-
-class RankDeficiencyWarning(UserWarning):
-    """levi_right_split: the spanning family is linearly dependent at this weight."""
+    """levi_right_split: a class block of the starred-to-letter transition is singular."""
 
 
 _STEP_BUDGET = 500_000
@@ -754,12 +750,6 @@ def is_levi(x):
 
 # --- decomposition into radical monomials times Levi factors ------------------
 
-def _levi_word(m, lam, n):
-    fexp = (0, 0, 0, m)
-    eexp = (n, 0, 0, 0)
-    return AlgebraElement({(fexp, lam, eexp): ONE})
-
-
 _U_CACHE = {}
 
 
@@ -779,216 +769,187 @@ def radical_monomial(s, t):
     return got
 
 
-def _right_K(terms, lam):
-    """Right-multiply a {word: Scalar} map by K_lam."""
-    out = {}
-    for (fexp, nu, eexp), c in terms.items():
-        out[(fexp, nu + lam, eexp)] = c * _qp(-lam.pair(_wt_e(eexp)))
-    return out
+def _acc(out, terms, f):
+    """out += f * terms on {word: Scalar} maps, dropping zeros."""
+    for w, c in terms.items():
+        s = out.get(w, ZERO) + f * c
+        if s.is_zero:
+            out.pop(w, None)
+        else:
+            out[w] = s
 
 
-_SPLIT_EVAL_POINTS = (Fraction(3, 5), Fraction(4, 7), Fraction(5, 9))
+def _peel_rank(word):
+    """Peel order, smallest first: letter count, then (a2, a3, a4, b2, b3,
+    b4, a1, b1), all negated."""
+    (a4, a3, a2, a1), _lam, (b1, b2, b3, b4) = word
+    return (-(a4 + a3 + a2 + a1 + b1 + b2 + b3 + b4),
+            -a2, -a3, -a4, -b2, -b3, -b4, -a1, -b1)
 
 
-def _solve_split_system(columns, target):
-    """Exact solve of sum_k t_k col_k = target over the scalar field.
-
-    Support is located by evaluating at a rational point, then the reduced
-    system is solved and verified symbolically.  Returns the coefficient
-    list aligned with columns.
-    """
-    words = sorted(set(target) | {w for col in columns for w in col})
-    widx = {w: i for i, w in enumerate(words)}
-    nrows, ncols = len(words), len(columns)
-
-    from .scalar import PoleError
-    for attempt, v0 in enumerate(_SPLIT_EVAL_POINTS):
-        # numeric localization
-        try:
-            A = [[Fraction(0)] * ncols for _ in range(nrows)]
-            b = [Fraction(0)] * nrows
-            for k, col in enumerate(columns):
-                for w, c in col.items():
-                    A[widx[w]][k] = c.evaluate(v0)
-            for w, c in target.items():
-                b[widx[w]] = c.evaluate(v0)
-        except PoleError:
-            continue
-        piv_cols = []
-        row = 0
-        for col in range(ncols):
-            sel = None
-            for r in range(row, nrows):
-                if A[r][col]:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            A[row], A[sel] = A[sel], A[row]
-            b[row], b[sel] = b[sel], b[row]
-            inv = 1 / A[row][col]
-            A[row] = [x * inv for x in A[row]]
-            b[row] *= inv
-            for r in range(nrows):
-                if r != row and A[r][col]:
-                    f = A[r][col]
-                    A[r] = [x - f * y for x, y in zip(A[r], A[row])]
-                    b[r] -= f * b[row]
-            piv_cols.append(col)
-            row += 1
-        if any(b[r] for r in range(row, nrows)):
-            if attempt + 1 < len(_SPLIT_EVAL_POINTS):
-                continue
-            raise NotInSpanError("decomposition system inconsistent at all probe points")
-        deficient = len(piv_cols) < ncols
-
-        # symbolic solve restricted to the located support
-        sub = piv_cols
-        m = len(sub)
-        M = [[ZERO] * (m + 1) for _ in range(nrows)]
-        for kk, k in enumerate(sub):
-            for w, c in columns[k].items():
-                M[widx[w]][kk] = c
-        for w, c in target.items():
-            M[widx[w]][m] = c
-        rr = 0
-        piv_of_row = []
-        for col in range(m):
-            sel = None
-            for r in range(rr, nrows):
-                if M[r][col]:
-                    sel = r
-                    break
-            if sel is None:
-                break
-            M[rr], M[sel] = M[sel], M[rr]
-            inv = M[rr][col].inv()
-            M[rr] = [x * inv for x in M[rr]]
-            for r in range(nrows):
-                if r != rr and M[r][col]:
-                    f = M[r][col]
-                    M[r] = [x - f * y for x, y in zip(M[r], M[rr])]
-            piv_of_row.append(col)
-            rr += 1
-        if rr < m or any(M[r][m] for r in range(rr, nrows)):
-            if attempt + 1 < len(_SPLIT_EVAL_POINTS):
-                continue
-            raise NotInSpanError("symbolic back-verification failed")
-        if deficient:
-            warnings.warn(
-                "spanning family linearly dependent at this weight",
-                RankDeficiencyWarning, stacklevel=3)
-        t = [ZERO] * ncols
-        for r, col in enumerate(piv_of_row):
-            t[sub[col]] = M[r][m]
-        return t
-    raise NotInSpanError("no consistent decomposition found")
-
-
-_SPLIT_MAX_ROUNDS = 6
-_SPLIT_MAX_COLS = 6000
+# letter columns W(s, t) F_b1^a1 E_b1^b1 keyed by their leading exponents
 _BASE_CACHE = {}
 
 
-def _split_base(s, t, m, n):
-    key = (s, t, m, n)
+def _letter_column(fexp, eexp):
+    """W(s, t) F_b1^a1 E_b1^b1 as {word: Scalar}, strictly led by (fexp, K_0, eexp)."""
+    key = (fexp, eexp)
     got = _BASE_CACHE.get(key)
     if got is None:
-        got = (radical_monomial(s, t) * _levi_word(m, W_ZERO, n)).terms
+        rad = ((fexp[0], fexp[1], fexp[2], 0), W_ZERO, (0, eexp[1], eexp[2], eexp[3]))
+        levi = ((0, 0, 0, fexp[3]), W_ZERO, (eexp[0], 0, 0, 0))
+        got = _mul_terms({rad: ONE}, {levi: ONE})
+        lead = (fexp, W_ZERO, eexp)
+        top = _peel_rank(lead)
+        if lead not in got or any(_peel_rank(w) <= top for w in got if w != lead):
+            raise EngineError(f"letter column {lead!r} is not led by its own word")
         _BASE_CACHE[key] = got
     return got
+
+
+def _peel(terms):
+    """Stage 1 of the split: {word: Scalar} -> {u: {Levi word: Scalar}} with
+    terms = sum_u W(u) Levi_u, u = (a2, a3, a4, b2, b3, b4)."""
+    rem = dict(terms)
+    heap = [(_peel_rank(w), w) for w in rem]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        w = heapq.heappop(heap)[1]
+        c = rem.pop(w, None)
+        if c is None:
+            continue
+        fexp, lam, eexp = w
+        col = _letter_column(fexp, eexp)
+        # W F_b1^a1 K_lam E_b1^b1 = q^(b1 (lam, alpha1)) (W F_b1^a1 E_b1^b1) K_lam
+        shift = eexp[0] * lam.pair(ALPHA1)
+        f = c / (col[(fexp, W_ZERO, eexp)] * _qp(shift - lam.pair(_wt_e(eexp))))
+        for (A, nu, B), cb in col.items():
+            w2 = (A, nu + lam, B)
+            if w2 == w:
+                continue
+            s = rem.get(w2, ZERO) - f * cb * _qp(shift - lam.pair(_wt_e(B)))
+            if s.is_zero:
+                rem.pop(w2, None)
+                continue
+            if w2 not in rem:
+                heapq.heappush(heap, (_peel_rank(w2), w2))
+            rem[w2] = s
+        u = (fexp[2], fexp[1], fexp[0], eexp[1], eexp[2], eexp[3])
+        out.setdefault(u, {})[((0, 0, 0, fexp[3]), lam, (eexp[0], 0, 0, 0))] = f
+    return out
+
+
+# starred monomials radical_monomial(u) in the letter basis
+_STAR_LETTER_CACHE = {}
+
+
+def _starred_letters(u):
+    got = _STAR_LETTER_CACHE.get(u)
+    if got is None:
+        got = _peel(radical_monomial(u[:3], u[3:]).terms)
+        _STAR_LETTER_CACHE[u] = got
+    return got
+
+
+def _split_class(u):
+    """Block of the starred-to-letter transition: minus the total
+    alpha_1-content (solving order), radical degrees, alpha_1-contents."""
+    s1, s2, s3, t1, t2, t3 = u
+    cs, ct = 2 * s1 + s2, 2 * t1 + t2
+    return (-cs - ct, s1 + s2 + s3, t1 + t2 + t3, cs, ct)
+
+
+def _class_members(kappa):
+    _rank, ds, dt, cs, ct = kappa
+
+    def parts(d, c):
+        return [(a, c - 2 * a, d - c + a) for a in range(c // 2 + 1) if d - c + a >= 0]
+
+    return [s + t for s in parts(ds, cs) for t in parts(dt, ct)]
 
 
 def levi_right_split(x, degree_cap=3):
     """Write x as a sum of ordered radical monomials times Levi factors.
 
-    Returns a list of pairs ((s1, s2, s3, t1, t2, t3), levi_element) with the
-    radical monomial E*_{xi1}^s1 E*_{xi2}^s2 E*_{xi3}^s3 E_{xi1}^t1 E_{xi2}^t2
-    E_{xi3}^t3 on the left and the Levi cofactor on the right, such that the
-    products recompose x exactly.
+    Returns the sorted list of pairs ((s1, s2, s3, t1, t2, t3), levi_element)
+    with the radical monomial E*_{xi1}^s1 E*_{xi2}^s2 E*_{xi3}^s3 E_{xi1}^t1
+    E_{xi2}^t2 E_{xi3}^t3 on the left and the Levi cofactor on the right,
+    such that the products recompose x exactly; the decomposition is unique.
 
-    Candidate Levi words are found by matching Cartan indices against the
-    target and, iteratively, against the other candidates (cancellations in
-    word slots absent from the target need partners); the resulting finite
-    linear system is solved exactly.
+    Stage 1 peels x by leading words into letter columns W(s, t) F_b1^a1
+    K_lam E_b1^b1 (see _peel_rank), giving x = sum W(s, t) A_{s,t}.  Stage 2
+    expands the starred monomials into letters by the same peel; the
+    transition is block triangular over the classes of _split_class (inside
+    a class: a scalar times one K_mu per monomial), so the classes are solved
+    from the top by small exact scalar systems.  A column not led by its
+    word raises EngineError, a singular block NotInSpanError, and a radical
+    bidegree above degree_cap ValueError.
     """
     if x.is_zero:
         return []
+    max_a, max_b = x.radical_bidegree()
+    if max_a > degree_cap or max_b > degree_cap:
+        raise ValueError(
+            f"radical bidegree ({max_a},{max_b}) exceeds degree cap {degree_cap}")
+    rhs = _peel(x.terms)
+    pending = {_split_class(w) for w in rhs}
     pieces = {}
-    for mu, xmu in x.weight_components().items():
-        max_a, max_b = xmu.radical_bidegree()
-        if max_a > degree_cap or max_b > degree_cap:
-            raise ValueError(
-                f"radical bidegree ({max_a},{max_b}) exceeds degree cap {degree_cap}")
-
-        # weight-compatible radical monomials
-        cands = []
-        for s in itertools.product(range(max_a + 1), repeat=3):
-            if sum(s) > max_a:
+    while pending:
+        kappa = min(pending)
+        pending.remove(kappa)
+        members = _class_members(kappa)
+        b = [rhs.pop(w, None) for w in members]
+        if not any(b):
+            continue
+        rows = [_starred_letters(u) for u in members]
+        # in-class entries: row u, column w holds c_{u,w} K_{mu_u}
+        mat = [[ZERO] * len(members) for _ in members]
+        mus = []
+        for j, row in enumerate(rows):
+            mu = None
+            for i, w in enumerate(members):
+                entry = row.get(w)
+                if entry is None:
+                    continue
+                word, c = next(iter(entry.items()))
+                if len(entry) != 1 or word[0] != _ZEXP or word[2] != _ZEXP \
+                        or mu not in (None, word[1]):
+                    raise EngineError(
+                        f"starred monomial {members[j]} is not a scalar times one K_mu "
+                        f"in its class")
+                mu = word[1]
+                mat[i][j] = c
+            mus.append(mu)
+        inv = minv(mat, ONE)
+        if inv is None:
+            raise NotInSpanError(f"singular split block at class {kappa}")
+        for j, u in enumerate(members):
+            y = {}
+            for i, bi in enumerate(b):
+                if bi and inv[j][i]:
+                    _acc(y, bi, inv[j][i])
+            if not y:
                 continue
-            for t in itertools.product(range(max_b + 1), repeat=3):
-                if sum(t) > max_b:
+            # L_u = K_{-mu_u} y_u
+            lam = -mus[j]
+            levi = {(A, nu + lam, B): c * _qp(-lam.pair(_wt_f(A)))
+                    for (A, nu, B), c in y.items()}
+            pieces[u] = levi
+            for w, entry in rows[j].items():
+                low = _split_class(w)
+                if low == kappa:
                     continue
-                wt_u = (t[0] - s[0]) * XI[1] + (t[1] - s[1]) * XI[2] \
-                    + (t[2] - s[2]) * XI[3]
-                delta = mu - wt_u
-                c = -delta.n2
-                if delta.n1 != 2 * c:
-                    continue
-                u = radical_monomial(s, t)
-                if u.is_zero:
-                    continue
-                max_a1u = max(fexp[3] for (fexp, _l, _e) in u.terms)
-                max_b1u = max(eexp[0] for (_f, _l, eexp) in u.terms)
-                cands.append((s, t, c, max_a1u, max_b1u))
-        if not cands:
-            raise NotInSpanError(f"no candidate monomials at weight {mu!r}")
-
-        # word slots to be covered: (fexp, eexp) -> Cartan indices
-        targets = {}
-        for (A, nu, B) in xmu.terms:
-            targets.setdefault((A, B), set()).add(nu)
-        cols = {}
-        for _round in range(_SPLIT_MAX_ROUNDS):
-            added = False
-            a1_cap = max(A[3] for (A, _B) in targets)
-            b1_cap = max(B[0] for (_A, B) in targets)
-            for s, t, c, max_a1u, max_b1u in cands:
-                for m in range(0, a1_cap + max_a1u + 2):
-                    n = m + c
-                    if n < 0 or n > b1_cap + max_b1u + 1:
-                        continue
-                    base = _split_base(s, t, m, n)
-                    if not base:
-                        continue
-                    for (A, nub, B), _cb in base.items():
-                        for nut in targets.get((A, B), ()):
-                            lam = nut - nub
-                            key = (s + t, m, lam, n)
-                            if key in cols:
-                                continue
-                            col = {w: c2 * _qp(n * lam.pair(ALPHA1))
-                                   for w, c2 in _right_K(base, lam).items()}
-                            cols[key] = col
-                            added = True
-                            if len(cols) > _SPLIT_MAX_COLS:
-                                raise NotInSpanError(
-                                    "candidate closure diverges; degree cap too small "
-                                    "or engine defect")
-            if not added:
-                break
-            for col in cols.values():
-                for (A, nu, B) in col:
-                    targets.setdefault((A, B), set()).add(nu)
-        labels = sorted(cols)
-        columns = [cols[k] for k in labels]
-        coeffs = _solve_split_system(columns, xmu.terms)
-        for (u_exp, m, lam, n), c in zip(labels, coeffs):
-            if c.is_zero:
-                continue
-            add = _levi_word(m, lam, n) * c
-            pieces[u_exp] = pieces.get(u_exp, AE_ZERO) + add
-    return [(u, l) for u, l in sorted(pieces.items()) if not l.is_zero]
+                if low < kappa:
+                    raise EngineError(
+                        f"starred monomial {u} reaches class {low} above {kappa}")
+                cur = rhs.setdefault(w, {})
+                _acc(cur, _mul_terms(entry, levi), -ONE)
+                if cur:
+                    pending.add(low)
+                else:
+                    del rhs[w]
+    return [(u, AlgebraElement(l)) for u, l in sorted(pieces.items())]
 
 
 # --- defining relators (used by probes and tests) ------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qlg2 import cli
-from qlg2.checks import CHECKS, CheckResult, Context, digest, run_check
+from qlg2.checks import CHECKS, CheckResult, Context, digest, run_check, run_suite
 from qlg2.rmatrix import casimir_eigenvalue
 
 # every named statement in scope must have a check id
@@ -147,3 +147,61 @@ def test_degree_cap_one_is_accepted(tmp_path):
     rc = cli.main(["verify", "--check", "lem-f-vanish", "--degree-cap", "1",
                    "--out", str(out)])
     assert rc == cli.EXIT_PASS
+
+
+@pytest.fixture
+def suite_with_raising_check(monkeypatch):
+    """Three checks: one that raises, sorted first, and two real passing ones."""
+    def exploding(ctx):
+        raise RuntimeError("engine defect")
+
+    small = {cid: CHECKS[cid] for cid in ("lem-f-vanish", "lem-inner-prod")}
+    small["early-raise"] = ("always raises", exploding)
+    monkeypatch.setattr(cli, "CHECKS", small)
+    monkeypatch.setattr("qlg2.checks.CHECKS", small)
+    return small
+
+
+def test_raising_check_is_reported_as_error(tmp_path, capsys,
+                                            suite_with_raising_check):
+    out = tmp_path / "r.json"
+    rc = cli.main(["verify", "--report", "json", "--out", str(out)])
+    assert rc == cli.EXIT_INTERNAL
+    results = {r["check_id"]: r for r in json.loads(out.read_text())["results"]}
+    assert set(results) == set(suite_with_raising_check)
+    assert results["early-raise"]["status"] == "error"
+    assert results["early-raise"]["residual"] == "RuntimeError: engine defect"
+    assert results["early-raise"]["lhs_digest"] == ""
+    assert results["lem-f-vanish"]["status"] == "pass"
+    assert results["lem-inner-prod"]["status"] == "pass"
+    err = capsys.readouterr().err
+    assert "check early-raise raised" in err
+    assert "RuntimeError: engine defect" in err
+
+
+def test_markdown_report_lists_errors(tmp_path, suite_with_raising_check):
+    out = tmp_path / "r.md"
+    rc = cli.main(["verify", "--out", str(out)])
+    assert rc == cli.EXIT_INTERNAL
+    text = out.read_text()
+    assert "| early-raise | error | always raises |" in text
+    assert "ERROR early-raise: RuntimeError: engine defect" in text
+    assert "| lem-f-vanish | pass |" in text
+    assert "2/3 checks pass" in text
+
+
+def test_error_outranks_failure(tmp_path, suite_with_raising_check):
+    def broken(ctx):
+        return "lhs", "rhs", "forced residual", ()
+
+    suite_with_raising_check["tmp-broken"] = ("always fails", broken)
+    out = tmp_path / "r.md"
+    assert cli.main(["verify", "--out", str(out)]) == cli.EXIT_INTERNAL
+    assert "FAIL tmp-broken: forced residual" in out.read_text()
+    del suite_with_raising_check["early-raise"]
+    assert cli.main(["verify", "--out", str(out)]) == cli.EXIT_FAIL
+
+
+def test_run_suite_continues_after_an_error(suite_with_raising_check):
+    results = run_suite(sorted(suite_with_raising_check), Context())
+    assert [r.status for r in results] == ["error", "pass", "pass"]
