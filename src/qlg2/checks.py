@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import meq, meye, miszero, mmul, mscale, msub
-from .scalar import BR2, ONE, Q_SC, ZERO, evaluate, laurent_q, q_power
+from .scalar import BR2, ONE, ZERO, evaluate, laurent_q, Q_SC as _Q, q_power as _qp
 from . import pbw
 from .pbw import (
     AE_ZERO, K, antipode, coproduct, counit, is_levi, levi_right_split,
-    normal_form, root_E, root_F, star, unit, xi_E, xi_E_star,
+    normal_form, root_E, root_F, star, token_name, unit, xi_E, xi_E_star,
 )
 from .modules import (
     DEGREES, EXT, FUND, ModuleOperator,
@@ -42,13 +42,6 @@ from .parthasarathy import (
     solve_kappa_constraints, spectrum_growth, _u_key,
 )
 
-_Q = Q_SC
-
-
-def _qp(n):
-    return q_power(n)
-
-
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -61,13 +54,6 @@ def _mat_str(m):
                 s = x.canon_str() if hasattr(x, "canon_str") else str(x)
                 bits.append(f"[{r},{c}] {s}")
     return "; ".join(bits) if bits else "0"
-
-
-def _melem_str(me):
-    bits = []
-    for u in sorted(me.comps):
-        bits.append(f"{u}: {me.comps[u].entries_str()}")
-    return " | ".join(bits) if bits else "0"
 
 
 @dataclass
@@ -130,15 +116,6 @@ class Context:
 
 
 # each check returns (lhs_str, rhs_str, residual_str, details)
-
-def _residual_join(named, render):
-    bad = []
-    for name, r in named:
-        if not render(r):
-            continue
-        bad.append(f"{name}: {render(r)}")
-    return "; ".join(bad)
-
 
 def _zero_residuals(named, is_zero, show):
     details = []
@@ -295,8 +272,7 @@ def check_levi_up(ctx):
     named = []
     for tok, i, tag in LEVI_UP_GOLDEN:
         got = pbw.adjoint_action(tok, xi_E(i))
-        name = tok if isinstance(tok, str) else "K" + str(tok[1:])
-        named.append((f"{name}|>xi{i}", got - want[tag](i)))
+        named.append((f"{token_name(tok)}|>xi{i}", got - want[tag](i)))
     residual, details = _zero_residuals(
         named, lambda x: x.is_zero, lambda x: x.canon_str())
     return "adjoint action on radical roots (12 entries)", "table", residual, details
@@ -379,7 +355,7 @@ def check_iso_exterior(ctx):
     details = []
     for tok in ("E1", "F1", ("K", 2, -1)):
         m = EXT.rep_token(tok)
-        name = tok if isinstance(tok, str) else "K" + str(tok[1:])
+        name = token_name(tok)
         ok = meq(mmul(phi, block(m, deg1, deg1), ZERO),
                  mmul(block(m, deg2, deg2), phi, ZERO))
         details.append(f"intertwines {name}: {'ok' if ok else 'NO'}")
@@ -618,20 +594,18 @@ def check_casimir_clifford(ctx):
     e1 = normal_form(("E1",))
     kse = k2l1 * antipode(e1)
     ksee = k2l1 * antipode(star(e1) * e1)
-
-    def op(x):
-        return ModuleOperator.lift(EXT.rho(x))
-
     want = {
-        _u_key(1, 1): op(k2l1).scale(BR2 * BR2 * _qp(-4)),
-        _u_key(2, 2): (op(k2l1).scale(_qp(-5) - _Q * _qp(-2))
-                       + op(k2l2).scale(_qp(-1)) + op(ksee).scale(_Q * _Q * _qp(-4))),
-        _u_key(3, 3): (op(k2l2).scale(_qp(-4)) - op(k2l1).scale(_Q * _qp(-5))
-                       + op(ksee).scale(_Q * _Q * _qp(-7))).scale(BR2 * BR2),
-        _u_key(1, 2): op(kse).scale(-(_Q * BR2 * _qp(-3))),
-        _u_key(2, 1): op(star(kse)).scale(-(_Q * BR2 * _qp(-3))),
-        _u_key(2, 3): op(kse).scale(-(_Q * BR2 * _qp(-5))),
-        _u_key(3, 2): op(star(kse)).scale(-(_Q * BR2 * _qp(-5))),
+        _u_key(1, 1): EXT.rho_op(k2l1).scale(BR2 * BR2 * _qp(-4)),
+        _u_key(2, 2): (EXT.rho_op(k2l1).scale(_qp(-5) - _Q * _qp(-2))
+                       + EXT.rho_op(k2l2).scale(_qp(-1))
+                       + EXT.rho_op(ksee).scale(_Q * _Q * _qp(-4))),
+        _u_key(3, 3): (EXT.rho_op(k2l2).scale(_qp(-4))
+                       - EXT.rho_op(k2l1).scale(_Q * _qp(-5))
+                       + EXT.rho_op(ksee).scale(_Q * _Q * _qp(-7))).scale(BR2 * BR2),
+        _u_key(1, 2): EXT.rho_op(kse).scale(-(_Q * BR2 * _qp(-3))),
+        _u_key(2, 1): EXT.rho_op(star(kse)).scale(-(_Q * BR2 * _qp(-3))),
+        _u_key(2, 3): EXT.rho_op(kse).scale(-(_Q * BR2 * _qp(-5))),
+        _u_key(3, 2): EXT.rho_op(star(kse)).scale(-(_Q * BR2 * _qp(-5))),
         _u_key(1, 3): ModuleOperator.zero(),
         _u_key(3, 1): ModuleOperator.zero(),
     }

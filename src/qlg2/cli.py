@@ -9,6 +9,7 @@ error, 3 internal engine error.  A check that raises is reported with status
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import traceback
@@ -50,6 +51,18 @@ def _render_json(results, ctx, timings):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _open_out(path):
+    """Open the output file before any work runs (stdout without a path);
+    None, after printing the reason, when it cannot be opened."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_verify(args):
     if args.check != "all" and args.check not in CHECKS:
         known = ", ".join(sorted(CHECKS))
@@ -59,16 +72,15 @@ def _cmd_verify(args):
     if args.degree_cap < 1:
         print("require degree_cap >= 1", file=sys.stderr)
         return EXIT_USAGE
+    out = _open_out(args.out)
+    if out is None:
+        return EXIT_USAGE
     ctx = Context(seed=args.seed, degree_cap=args.degree_cap)
     ids = sorted(CHECKS) if args.check == "all" else [args.check]
-    results = run_suite(ids, ctx)
-    text = (_render_json(results, ctx, args.timings) if args.report == "json"
-            else _render_md(results, args.timings))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with out as fh:
+        results = run_suite(ids, ctx)
+        fh.write(_render_json(results, ctx, args.timings) if args.report == "json"
+                 else _render_md(results, args.timings))
     statuses = {r.status for r in results}
     if "error" in statuses:
         for r in results:
@@ -86,17 +98,16 @@ def _cmd_spectrum(args):
     if args.shell_max < 1:
         print("require shell_max >= 1", file=sys.stderr)
         return EXIT_USAGE
-    sp = spectrum_growth(Fraction(args.v_num, args.v_den), args.shell_max)
-    header = "n1,n2,c_lambda_exact_num,c_lambda_exact_den,c_lambda_float"
-    lines = [header]
-    for n1, n2, val in sp.rows:
-        lines.append(f"{n1},{n2},{val.numerator},{val.denominator},{float(val)!r}")
-    csv_text = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    out = _open_out(args.csv)
+    if out is None:
+        return EXIT_USAGE
+    with out as fh:
+        sp = spectrum_growth(Fraction(args.v_num, args.v_den), args.shell_max)
+        header = "n1,n2,c_lambda_exact_num,c_lambda_exact_den,c_lambda_float"
+        lines = [header]
+        for n1, n2, val in sp.rows:
+            lines.append(f"{n1},{n2},{val.numerator},{val.denominator},{float(val)!r}")
+        fh.write("\n".join(lines) + "\n")
     mins = ", ".join(f"s={s}: {float(v):.6g}"
                      for s, v in sorted(sp.shell_minima.items()))
     print(f"# shell minima: {mins}")

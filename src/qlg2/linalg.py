@@ -2,9 +2,22 @@
 
 Matrices are plain lists of lists.  Entries only need the arithmetic dunders
 and truthiness (zero is falsy); this covers Fraction, Scalar and KScalar.
+Sparse vectors are dicts without zero values, kept so by `accumulate`.
 """
 
 from __future__ import annotations
+
+
+def accumulate(out, key, value):
+    """out[key] += value on a sparse dict, deleting the key when the sum is
+    zero; values need `+` and `is_zero` (Scalar, KScalar, ModuleOperator)."""
+    cur = out.get(key)
+    if cur is not None:
+        value = cur + value
+    if value.is_zero:
+        out.pop(key, None)
+    else:
+        out[key] = value
 
 
 def mzeros(n, m, zero):

@@ -23,22 +23,19 @@ KScalar entries, graded by the degree vector (0,1,1,1,2,2,2,3).
 
 from __future__ import annotations
 
-from .linalg import madd, meq, miszero, mmul, msub, mT, mzeros, meye, nullspace
+from .linalg import (
+    accumulate, madd, meq, miszero, mmul, mscale, msub, mT, mzeros, meye, nullspace,
+)
 from .scalar import (
-    BR2, KONE, KZERO, ONE, Q_SC, ZERO, KScalar, Scalar, kappa, q_power,
+    BR2, KONE, KZERO, ONE, ZERO, KScalar, Scalar, kappa, Q_SC as _Q, q_power as _qp,
+    v_power as _v,
 )
 from .weights import ALPHA1, LAMBDA_V, W_ZERO, XI, Weight
 from . import pbw
 
-_Q = Q_SC
-
 
 class GradingError(RuntimeError):
     """An operator entry on Lambda breaks the degree grading it must have."""
-
-
-def _qp(n):
-    return q_power(n)
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +72,9 @@ class FundamentalModule:
         return m
 
     def rep_token(self, tok):
-        if isinstance(tok, tuple) and tok[0] == "K":
-            return self.K(tok[1:]) if len(tok) == 3 else self.K(tok[1])
+        lam = pbw.token_weight(tok)
+        if lam is not None:
+            return self.K(lam)
         return self._gen[tok]
 
     def rep_word(self, word):
@@ -92,16 +90,16 @@ class FundamentalModule:
         inv2 = ONE / BR2
         self._root_e[1] = e1
         self._root_e[4] = e2
-        self._root_e[3] = msub(mul(e1, e2), _smul(_qp(-2), mul(e2, e1)))
+        self._root_e[3] = msub(mul(e1, e2), mscale(_qp(-2), mul(e2, e1)))
         self._root_e[2] = madd(
-            msub(_smul(inv2, mul(e1, e1, e2)), _smul(_qp(-1), mul(e1, e2, e1))),
-            _smul(_qp(-2) * inv2, mul(e2, e1, e1)))
+            msub(mscale(inv2, mul(e1, e1, e2)), mscale(_qp(-1), mul(e1, e2, e1))),
+            mscale(_qp(-2) * inv2, mul(e2, e1, e1)))
         self._root_f[1] = f1
         self._root_f[4] = f2
-        self._root_f[3] = msub(mul(f2, f1), _smul(_qp(2), mul(f1, f2)))
+        self._root_f[3] = msub(mul(f2, f1), mscale(_qp(2), mul(f1, f2)))
         self._root_f[2] = madd(
-            msub(_smul(inv2, mul(f2, f1, f1)), _smul(_qp(1), mul(f1, f2, f1))),
-            _smul(_qp(2) * inv2, mul(f1, f1, f2)))
+            msub(mscale(inv2, mul(f2, f1, f1)), mscale(_qp(1), mul(f1, f2, f1))),
+            mscale(_qp(2) * inv2, mul(f1, f1, f2)))
 
     def root_E(self, j):
         return self._root_e[j]
@@ -121,23 +119,20 @@ class FundamentalModule:
             for idx, j in ((0, 1), (1, 2), (2, 3), (3, 4)):
                 for _ in range(eexp[idx]):
                     m = mmul(m, self._root_e[j], ZERO)
-            out = madd(out, _smul(c, m))
+            out = madd(out, mscale(c, m))
         return out
 
     def relation_residuals(self):
         """Residual matrices of every defining relation, from raw matrix
         products of the generator matrices (independent of the PBW engine)."""
         res = {}
-        for idx, rel in enumerate(pbw.defining_relator_words()):
-            m = mzeros(4, 4, ZERO)
-            for c, w in rel:
-                m = madd(m, _smul(c, self.rep_word(w)))
-            res[f"rel-{idx}"] = m
-        for idx, rel in enumerate(pbw.serre_relator_words()):
-            m = mzeros(4, 4, ZERO)
-            for c, w in rel:
-                m = madd(m, _smul(c, self.rep_word(w)))
-            res[f"serre-{idx}"] = m
+        for prefix, rels in (("rel", pbw.defining_relator_words()),
+                             ("serre", pbw.serre_relator_words())):
+            for idx, rel in enumerate(rels):
+                m = mzeros(4, 4, ZERO)
+                for c, w in rel:
+                    m = madd(m, mscale(c, self.rep_word(w)))
+                res[f"{prefix}-{idx}"] = m
         return res
 
     def f_vanish_report(self):
@@ -161,15 +156,6 @@ class FundamentalModule:
             m = mmul(self._root_f[a], self._root_f[b], ZERO)
             report[f"F{a}F{b}-nonzero"] = not miszero(m)
         return report
-
-
-def _v(k):
-    from .scalar import v_power
-    return v_power(k)
-
-
-def _smul(c, m):
-    return [[c * x for x in row] for row in m]
 
 
 def _chain(ms):
@@ -217,11 +203,7 @@ def _wedge_word(word):
     out = {}
     for c, repl in _WEDGE_RULES[(word[pos], word[pos + 1])]:
         for w, v in _wedge_word(word[:pos] + repl + word[pos + 2:]).items():
-            s = out.get(w, ZERO) + c * v
-            if s.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
+            accumulate(out, w, c * v)
     _WEDGE_CACHE[word] = out
     return out
 
@@ -324,12 +306,7 @@ class ExteriorModule:
                 if c.is_zero:
                     continue
                 for w, cw in _wedge_word(BASIS_WORDS[i] + BASIS_WORDS[j]).items():
-                    k = BASIS_INDEX[w]
-                    s = out.get(k, ZERO) + c * cw
-                    if s.is_zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                    accumulate(out, BASIS_INDEX[w], c * cw)
         return out
 
     # --- Levi action -----------------------------------------------------
@@ -381,11 +358,7 @@ class ExteriorModule:
             b = self.wedge(hv, self._act_rec("F1", tail))
         out = dict(a)
         for k, c in b.items():
-            s = out.get(k, ZERO) + c
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
+            accumulate(out, k, c)
         return out
 
     def _module_algebra_extend(self, tok):
@@ -403,8 +376,9 @@ class ExteriorModule:
         return m
 
     def rep_token(self, tok):
-        if isinstance(tok, tuple) and tok[0] == "K":
-            return self.K(tok[1:]) if len(tok) == 3 else self.K(tok[1])
+        lam = pbw.token_weight(tok)
+        if lam is not None:
+            return self.K(lam)
         return {"E1": self.E1, "F1": self.F1}[tok]
 
     def rho(self, x):
@@ -419,7 +393,7 @@ class ExteriorModule:
             m = mmul(m, self.K(lam), ZERO)
             for _ in range(eexp[0]):
                 m = mmul(m, self.E1, ZERO)
-            out = madd(out, _smul(c, m))
+            out = madd(out, mscale(c, m))
         return out
 
     def rho_op(self, x):
@@ -427,7 +401,7 @@ class ExteriorModule:
 
     def rep_star_matrix(self, tok):
         """Matrix of the star of a Levi generator."""
-        if isinstance(tok, tuple) and tok[0] == "K":
+        if pbw.token_weight(tok) is not None:
             return self.rep_token(tok)
         if tok == "E1":
             return mmul(self.F1, self.K(ALPHA1), ZERO)
@@ -440,9 +414,6 @@ class ExteriorModule:
     def _normalized_gram(self):
         # diagonal entries of the degree-k Gram matrix divided by c_k
         return (ONE, ONE, ONE / BR2, _qp(-2), ONE, BR2, _qp(-2), ONE)
-
-    def gram_hat(self):
-        return self._gram_hat
 
     def solve_invariant_inner_products(self):
         """Solve (X y, y') = (y, X* y') degreewise for a symmetric form.
@@ -486,7 +457,7 @@ class ExteriorModule:
                 G[j][i] = vec[k]
             # normalize so the first diagonal entry is 1
             scale = G[0][0].inv()
-            G = _smul(scale, G)
+            G = mscale(scale, G)
             blocks.append(G)
         return blocks
 
@@ -628,10 +599,6 @@ def iso_exterior_map():
 LEVI_GEN_TOKENS = (("K", 2, -1), ("K", -2, 2), "E1", "F1")
 
 
-def _tok_name(tok):
-    return tok if isinstance(tok, str) else "K" + str(tok[1:])
-
-
 def canonical_element_invariance_residuals():
     """(X (x) 1) I = (1 (x) S(X)) I for the canonical element I = sum_i
     E_{xi_i} (x) y_i: as matrices, ad_X on the radical roots must equal the
@@ -647,28 +614,24 @@ def canonical_element_invariance_residuals():
         sx = pbw.antipode(pbw.normal_form((tok,)))
         C = EXT.rho(sx)
         Cblock = [[C[r][c] for c in (1, 2, 3)] for r in (1, 2, 3)]
-        res[_tok_name(tok)] = msub(A, mT(Cblock))
+        res[pbw.token_name(tok)] = msub(A, mT(Cblock))
     return res
 
 
 def gamma_equivariance_residuals():
     """Twisted-adjoint equivariance of the wedge operators:
     X_(2) gamma(y_i) rho(S^-1(X_(1))) = gamma(X y_i) for Levi generators."""
-    from .weights import ALPHA1 as _a1
-
-    def rho(x):
-        return EXT.rho(x)
-
+    rho = EXT.rho
     e1 = pbw.normal_form(("E1",))
     f1 = pbw.normal_form(("F1",))
-    k1i = pbw.K(-_a1)
+    k1i = pbw.K(-ALPHA1)
     res = {}
     for tok in LEVI_GEN_TOKENS:
         X = EXT.rep_token(tok)
         for i in (1, 2, 3):
             g = EXT.gamma_scalar(i)
-            if isinstance(tok, tuple):
-                lam = Weight(*tok[1:])
+            lam = pbw.token_weight(tok)
+            if lam is not None:
                 lhs = mmul(mmul(EXT.K(lam), g, ZERO), EXT.K(-lam), ZERO)
             elif tok == "E1":
                 # S^-1(E1) = -E1 K1^-1
@@ -676,14 +639,14 @@ def gamma_equivariance_residuals():
                            mmul(mmul(EXT.E1, g, ZERO), rho(k1i), ZERO))
             else:
                 # S^-1(F1) = -K1 F1
-                lhs = madd(mmul(mmul(rho(k1i), g, ZERO), rho(-(pbw.K(_a1) * f1)), ZERO),
+                lhs = madd(mmul(mmul(rho(k1i), g, ZERO), rho(-(pbw.K(ALPHA1) * f1)), ZERO),
                            mmul(EXT.F1, g, ZERO))
             rhs = mzeros(8, 8, ZERO)
             for k in (1, 2, 3):
                 c = X[k][i]
                 if c:
-                    rhs = madd(rhs, _smul(c, EXT.gamma_scalar(k)))
-            res[(_tok_name(tok), i)] = msub(lhs, rhs)
+                    rhs = madd(rhs, mscale(c, EXT.gamma_scalar(k)))
+            res[(pbw.token_name(tok), i)] = msub(lhs, rhs)
     return res
 
 

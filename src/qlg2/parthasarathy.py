@@ -28,22 +28,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import nullspace
-from .scalar import BR2, ONE, Q_SC, ZERO, KScalar, kappa, q_power
+from .linalg import accumulate, nullspace
+from .scalar import BR2, ONE, ZERO, KScalar, kappa, Q_SC as _Q, q_power as _qp
 from .weights import Weight
 from .pbw import (
-    AlgebraElement, K, antipode, levi_right_split, normal_form, star,
-    xi_E, xi_E_star,
+    AlgebraElement, K, adjoint_action, antipode, levi_right_split, normal_form,
+    star, token_name, token_weight, xi_E, xi_E_star,
 )
-from .modules import EXT, ModuleOperator
+from .modules import EXT, LEVI_GEN_TOKENS, ModuleOperator
 from .rmatrix import casimir_eigenvalue, quantum_trace_pairing
-
-_Q = Q_SC
-
-
-def _qp(n):
-    return q_power(n)
-
 
 _U_ZERO = (0, 0, 0, 0, 0, 0)
 
@@ -71,19 +64,10 @@ class TensorOperator:
     def zero():
         return TensorOperator({})
 
-    @staticmethod
-    def _accum(out, w, op):
-        cur = out.get(w)
-        op = op if cur is None else cur + op
-        if op.is_zero:
-            out.pop(w, None)
-        else:
-            out[w] = op
-
     def __add__(self, other):
         out = dict(self.terms)
         for w, op in other.terms.items():
-            TensorOperator._accum(out, w, op)
+            accumulate(out, w, op)
         return TensorOperator(out)
 
     def __sub__(self, other):
@@ -104,7 +88,7 @@ class TensorOperator:
                     continue
                 op12 = op1 @ op2
                 for w, c in prod.terms.items():
-                    TensorOperator._accum(out, w, op12.scale(KScalar.from_scalar(c)))
+                    accumulate(out, w, op12.scale(KScalar.from_scalar(c)))
         return TensorOperator(out)
 
     def star(self):
@@ -113,7 +97,7 @@ class TensorOperator:
         for w, op in self.terms.items():
             ops = EXT.adjoint_wrt_gram(op)
             for ws, c in star(AlgebraElement.from_word(w)).terms.items():
-                TensorOperator._accum(out, ws, ops.scale(KScalar.from_scalar(c)))
+                accumulate(out, ws, ops.scale(KScalar.from_scalar(c)))
         return TensorOperator(out)
 
     @property
@@ -134,12 +118,9 @@ def dolbeault():
     return out
 
 
-def dolbeault_star():
-    return dolbeault().star()
-
-
 def dirac():
-    return dolbeault() + dolbeault_star()
+    d = dolbeault()
+    return d + d.star()
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +143,7 @@ class MElement:
     def __sub__(self, other):
         out = dict(self.comps)
         for u, op in other.comps.items():
-            cur = out.get(u)
-            val = op.scale(KScalar.from_scalar(-ONE)) if cur is None else cur - op
-            if val.is_zero:
-                out.pop(u, None)
-            else:
-                out[u] = val
+            accumulate(out, u, -op)
         return MElement(out)
 
     def scale(self, c):
@@ -219,13 +195,7 @@ def reduce_to_M(t, degree_cap=3):
     out = {}
     for word, op in t.terms.items():
         for u, rho_sl in _split_word(word, degree_cap):
-            piece = op @ ModuleOperator.lift(rho_sl)
-            cur = out.get(u)
-            piece = piece if cur is None else cur + piece
-            if piece.is_zero:
-                out.pop(u, None)
-            else:
-                out[u] = piece
+            accumulate(out, u, op @ ModuleOperator.lift(rho_sl))
     return MElement(out)
 
 
@@ -319,10 +289,6 @@ KAPPA2_RATIO = _qp(-2) / BR2
 KAPPA3_RATIO = _qp(-4)
 
 
-def _rho_op(x):
-    return ModuleOperator.lift(EXT.rho(x))
-
-
 def gamma_identities_after_kappa(d2m=None):
     """Residuals of the closed forms of the nine components after fixing
     the kappa ratios; all must vanish."""
@@ -336,15 +302,15 @@ def gamma_identities_after_kappa(d2m=None):
     kse = k2l1 * antipode(normal_form(("E1",)))
     ksee = k2l1 * antipode(star(normal_form(("E1",))) * normal_form(("E1",)))
     rhs = {
-        (1, 1): _rho_op(k2l1).scale(k1),
-        (2, 2): (_rho_op(k2l1).scale(_qp(-3)) + _rho_op(k2l2).scale(_qp(3))
-                 - _rho_op(k2l1).scale(_Q * _Q * BR2)
-                 + _rho_op(ksee).scale(_Q * _Q)).scale(k1 * (ONE / (BR2 * BR2))),
-        (3, 3): (_rho_op(k2l2) - _rho_op(k2l1).scale(_Q * _qp(-1))
-                 + _rho_op(ksee).scale(_Q * _Q * _qp(-3))).scale(k1),
-        (1, 2): _rho_op(kse).scale(k1 * (-(_Q * _qp(1) / BR2))),
+        (1, 1): EXT.rho_op(k2l1).scale(k1),
+        (2, 2): (EXT.rho_op(k2l1).scale(_qp(-3)) + EXT.rho_op(k2l2).scale(_qp(3))
+                 - EXT.rho_op(k2l1).scale(_Q * _Q * BR2)
+                 + EXT.rho_op(ksee).scale(_Q * _Q)).scale(k1 * (ONE / (BR2 * BR2))),
+        (3, 3): (EXT.rho_op(k2l2) - EXT.rho_op(k2l1).scale(_Q * _qp(-1))
+                 + EXT.rho_op(ksee).scale(_Q * _Q * _qp(-3))).scale(k1),
+        (1, 2): EXT.rho_op(kse).scale(k1 * (-(_Q * _qp(1) / BR2))),
         (1, 3): ModuleOperator.zero(),
-        (2, 3): _rho_op(kse).scale(k1 * (-(_Q * _qp(-1) / BR2))),
+        (2, 3): EXT.rho_op(kse).scale(k1 * (-(_Q * _qp(-1) / BR2))),
     }
     rhs[(2, 1)] = EXT.adjoint_wrt_gram(rhs[(1, 2)])
     rhs[(3, 1)] = EXT.adjoint_wrt_gram(rhs[(1, 3)])
@@ -403,32 +369,28 @@ def verify_parthasarathy(C=None, d2m=None):
 # equivariance of the Dolbeault element
 # ---------------------------------------------------------------------------
 
-_LEVI_TOKENS = (("K", 2, -1), ("K", -2, 2), "E1", "F1")
-
-
 def _ad_tilde_S(tok, op):
     """twisted adjoint action of S(X) on an operator, X a Levi generator."""
-    if isinstance(tok, tuple) and tok[0] == "K":
-        lam = Weight(*tok[1:])
+    lam = token_weight(tok)
+    if lam is not None:
         return ModuleOperator.lift(EXT.K(-lam)) @ op @ ModuleOperator.lift(EXT.K(lam))
     e1 = normal_form(("E1",))
     f1 = normal_form(("F1",))
     if tok == "E1":
         # Delta(S(E1)) = 1 (x) S(E1) + S(E1) (x) K1^-1
-        return (_rho_op(antipode(e1)) @ op
-                + _rho_op(K(-2, 1)) @ op @ _rho_op(e1))
+        return (EXT.rho_op(antipode(e1)) @ op
+                + EXT.rho_op(K(-2, 1)) @ op @ EXT.rho_op(e1))
     if tok == "F1":
         # Delta(S(F1)) = K1 (x) S(F1) + S(F1) (x) 1
-        return (_rho_op(antipode(f1)) @ op @ _rho_op(K(-2, 1))
-                + op @ _rho_op(f1))
+        return (EXT.rho_op(antipode(f1)) @ op @ EXT.rho_op(K(-2, 1))
+                + op @ EXT.rho_op(f1))
     raise ValueError(tok)
 
 
 def dolbeault_invariance_residuals():
     """(ad(X) (x) id)(d) - (id (x) ad~(S(X)))(d) for Levi generators X."""
-    from .pbw import adjoint_action
     res = {}
-    for tok in _LEVI_TOKENS:
+    for tok in LEVI_GEN_TOKENS:
         lhs = TensorOperator.zero()
         rhs = TensorOperator.zero()
         for i in (1, 2, 3):
@@ -436,8 +398,7 @@ def dolbeault_invariance_residuals():
                 adjoint_action(tok, xi_E(i)), EXT.gamma(i))
             rhs = rhs + TensorOperator.from_element(
                 xi_E(i), _ad_tilde_S(tok, EXT.gamma(i)))
-        name = tok if isinstance(tok, str) else "K" + str(tok[1:])
-        res[name] = lhs - rhs
+        res[token_name(tok)] = lhs - rhs
     return res
 
 

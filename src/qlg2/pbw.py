@@ -39,8 +39,8 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from .scalar import ZERO, ONE, BR2, Q_SC, Scalar, scalar, q_power, q_binomial
-from .linalg import minv
+from .scalar import ZERO, ONE, BR2, Q_SC, Scalar, scalar, q_power as _qp, q_binomial
+from .linalg import accumulate, minv
 from .weights import ALPHA1, ALPHA2, BETA, SIMPLE, W_ZERO, Weight
 
 
@@ -68,11 +68,7 @@ _GEN_ATOMS = {
 }
 
 _QBR2 = Q_SC * BR2      # q^2 - q^-2
-_QOV2 = Q_SC * q_power(1) / BR2   # Q q/[2]
-
-
-def _qp(n):
-    return q_power(n)
+_QOV2 = Q_SC * _qp(1) / BR2   # Q q/[2]
 
 
 # --- straightening rules ----------------------------------------------------
@@ -143,6 +139,12 @@ def word_weight(word):
     return _wt_e(eexp) - _wt_f(fexp)
 
 
+def _acc(out, terms, f):
+    """out += f * terms on {word: Scalar} maps, dropping zeros."""
+    for w, c in terms.items():
+        accumulate(out, w, f * c)
+
+
 # --- block straighteners ----------------------------------------------------
 
 _E_STR_CACHE = {}
@@ -170,13 +172,7 @@ def _straighten(seq, rules, ascending, cache):
     pair = (seq[pos], seq[pos + 1])
     out = {}
     for c, repl in rules[pair]:
-        sub = _straighten(seq[:pos] + repl + seq[pos + 2:], rules, ascending, cache)
-        for k, v in sub.items():
-            s = out.get(k, ZERO) + c * v
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
+        _acc(out, _straighten(seq[:pos] + repl + seq[pos + 2:], rules, ascending, cache), c)
     cache[seq] = out
     return out
 
@@ -199,16 +195,26 @@ def _e_letters(eexp):
     return (1,) * b1 + (2,) * b2 + (3,) * b3 + (4,) * b4
 
 
+def _emit(out, fseq, lam, eseq, coeff):
+    """out += coeff * straighten(F letters fseq) K_lam straighten(E letters eseq)."""
+    etab = _straighten_e(eseq)
+    for fexp, cf in _straighten_f(fseq).items():
+        cwf = coeff * cf
+        for eexp, ce in etab.items():
+            accumulate(out, (fexp, lam, eexp), cwf * ce)
+
+
 # --- the word reducer -------------------------------------------------------
 
-def _has_ef_inversion(atoms):
+def _first_ef_inversion(atoms):
+    """Index of the first F letter preceded by an E letter, or -1."""
     seen_e = False
-    for a in atoms:
+    for i, a in enumerate(atoms):
         if a[0] == "E":
             seen_e = True
         elif a[0] == "F" and seen_e:
-            return True
-    return False
+            return i
+    return -1
 
 
 def _expand_composites(coeff, atoms):
@@ -254,18 +260,7 @@ def _assemble(coeff, atoms, out):
             factor = factor * _qp(-(mu.pair(f_suffix[i + 1]) + mu.pair(e_prefix)))
     if factor.is_zero:
         return
-    ftab = _straighten_f(tuple(fseq))
-    etab = _straighten_e(tuple(eseq))
-    base = coeff * factor
-    for fexp, cf in ftab.items():
-        cf2 = base * cf
-        for eexp, ce in etab.items():
-            w = (fexp, lam, eexp)
-            s = out.get(w, ZERO) + cf2 * ce
-            if s.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
+    _emit(out, tuple(fseq), lam, tuple(eseq), coeff * factor)
 
 
 def _reduce_atoms(atoms, coeff=ONE):
@@ -278,21 +273,14 @@ def _reduce_atoms(atoms, coeff=ONE):
         steps += 1
         if steps > _STEP_BUDGET:
             raise EngineError("rewriting step budget exhausted")
-        if not _has_ef_inversion(w):
+        bad = _first_ef_inversion(w)
+        if bad < 0:
             _assemble(c, w, out)
             continue
         if any(a[0] in "EF" and a[1] in (2, 3) for a in w):
             stack.extend(_expand_composites(c, w))
             continue
-        # find the first F preceded by an E, then the nearest E to its left
-        seen_e = False
-        bad = -1
-        for i, a in enumerate(w):
-            if a[0] == "E":
-                seen_e = True
-            elif a[0] == "F" and seen_e:
-                bad = i
-                break
+        # the nearest E to the left of the first F preceded by an E
         j = bad - 1
         while w[j][0] == "K":
             j -= 1
@@ -335,19 +323,8 @@ def _mul_terms(t1, t2):
             for (A3, nu, B3), c3 in _cross(B1, A2).items():
                 # K_lam across F^A3 to the right, K_mu across E^B3 to the left
                 f = _qp(-(lam.pair(_wt_f(A3)) + mu.pair(_wt_e(B3))))
-                cw = c12 * c3 * f
-                lam_tot = lam + nu + mu
-                ftab = _straighten_f(_f_letters(A1) + _f_letters(A3))
-                etab = _straighten_e(_e_letters(B3) + _e_letters(B2))
-                for fexp, cf in ftab.items():
-                    cwf = cw * cf
-                    for eexp, ce in etab.items():
-                        w = (fexp, lam_tot, eexp)
-                        s = out.get(w, ZERO) + cwf * ce
-                        if s.is_zero:
-                            out.pop(w, None)
-                        else:
-                            out[w] = s
+                _emit(out, _f_letters(A1) + _f_letters(A3), lam + nu + mu,
+                      _e_letters(B3) + _e_letters(B2), c12 * c3 * f)
     return out
 
 
@@ -391,11 +368,7 @@ class AlgebraElement:
             return NotImplemented
         out = dict(self.terms)
         for w, c in o.terms.items():
-            s = out.get(w, ZERO) + c
-            if s.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
+            accumulate(out, w, c)
         return AlgebraElement(out)
 
     __radd__ = __add__
@@ -474,42 +447,28 @@ class AlgebraElement:
 
     # involutions (computed through the letter images below)
 
-    def star(self):
+    def _anti_image(self, lam_sign, img_e, img_f):
+        """Image under the anti-automorphism given by the letter images
+        img_e, img_f and K_lam -> K_{lam_sign lam}: F^A K E^B goes to
+        img(E_b4)^b4 ... img(E_b1)^b1 . K . img(F_b1)^a1 ... img(F_b4)^a4."""
         out = {}
         for (fexp, lam, eexp), c in self.terms.items():
-            # (F^A K E^B)* = (E_4*)^b4 ... (E_1*)^b1 . K . (F_1*)^a1 ... (F_4*)^a4
-            elt = AlgebraElement({(_ZEXP, lam, _ZEXP): c})
+            elt = AlgebraElement({(_ZEXP, lam_sign * lam, _ZEXP): c})
             for j in (1, 2, 3, 4):
                 for _ in range(eexp[j - 1]):
-                    elt = _STAR_E[j] * elt
+                    elt = img_e[j] * elt
             for j in (1, 2, 3, 4):
                 for _ in range(fexp[4 - j]):
-                    elt = elt * _STAR_F[j]
+                    elt = elt * img_f[j]
             for w, cc in elt.terms.items():
-                s = out.get(w, ZERO) + cc
-                if s.is_zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                accumulate(out, w, cc)
         return AlgebraElement(out)
 
+    def star(self):
+        return self._anti_image(1, _STAR_E, _STAR_F)
+
     def antipode(self):
-        out = {}
-        for (fexp, lam, eexp), c in self.terms.items():
-            elt = AlgebraElement({(_ZEXP, -lam, _ZEXP): c})
-            for j in (1, 2, 3, 4):
-                for _ in range(eexp[j - 1]):
-                    elt = _S_E[j] * elt
-            for j in (1, 2, 3, 4):
-                for _ in range(fexp[4 - j]):
-                    elt = elt * _S_F[j]
-            for w, cc in elt.terms.items():
-                s = out.get(w, ZERO) + cc
-                if s.is_zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return AlgebraElement(out)
+        return self._anti_image(-1, _S_E, _S_F)
 
     # formatting
 
@@ -583,15 +542,6 @@ def F2():
     return root_F(4)
 
 
-def root_vectors():
-    """All eight quantum root vectors keyed by ("E"|"F", j)."""
-    out = {}
-    for j in (1, 2, 3, 4):
-        out[("E", j)] = root_E(j)
-        out[("F", j)] = root_F(j)
-    return out
-
-
 def xi_E(i):
     """Radical root vector E_{xi_i} = E_{beta_{i+1}}, i in 1..3."""
     return root_E(i + 1)
@@ -601,9 +551,23 @@ def xi_E_star(i):
     return _STAR_E[i + 1]
 
 
-def _token_atom(tok):
+def token_weight(tok):
+    """lam of a Cartan token ("K", n1, n2) or ("K", (n1, n2)); None for a
+    generator name such as "E1"."""
     if isinstance(tok, tuple) and tok and tok[0] == "K":
-        return ("K", Weight(tok[1], tok[2]) if len(tok) == 3 else Weight(*tok[1]))
+        return Weight(tok[1], tok[2]) if len(tok) == 3 else Weight(*tok[1])
+    return None
+
+
+def token_name(tok):
+    """Report label of a token: "E1" stays, ("K", 2, -1) becomes "K(2, -1)"."""
+    return tok if isinstance(tok, str) else "K" + str(tok[1:])
+
+
+def _token_atom(tok):
+    lam = token_weight(tok)
+    if lam is not None:
+        return ("K", lam)
     try:
         return _GEN_ATOMS[tok]
     except KeyError:
@@ -618,11 +582,6 @@ def normal_form(word, coeff=ONE):
     """
     atoms = tuple(_token_atom(t) for t in word)
     return AlgebraElement(_reduce_atoms(atoms, coeff))
-
-
-def gen(tok):
-    """Single generator as an element."""
-    return normal_form((tok,))
 
 
 # --- letter images under * and S ---------------------------------------------
@@ -683,8 +642,9 @@ def antipode(x):
 
 def coproduct(tok):
     """Coproduct of a generator token as a list of (left, right) pairs."""
-    if isinstance(tok, tuple) and tok[0] == "K":
-        k = K(tok[1], tok[2]) if len(tok) == 3 else K(*tok[1:])
+    lam = token_weight(tok)
+    if lam is not None:
+        k = K(lam)
         return [(k, k)]
     if tok == "E1":
         return [(E1(), AE_ONE), (K(ALPHA1), E1())]
@@ -721,8 +681,8 @@ _K2I = K(-ALPHA2)
 
 
 def _ad_token(tok, y):
-    if isinstance(tok, tuple) and tok[0] == "K":
-        lam = Weight(tok[1], tok[2]) if len(tok) == 3 else Weight(*tok[1])
+    lam = token_weight(tok)
+    if lam is not None:
         return K(lam) * y * K(-lam)
     if tok == "E1":
         return E1() * y - _K1 * y * _K1I * E1()
@@ -737,7 +697,7 @@ def _ad_token(tok, y):
 
 def adjoint_action(word, y):
     """Left adjoint action ad(X) y = X_(1) y S(X_(2)) for X a generator word."""
-    if isinstance(word, str) or (isinstance(word, tuple) and word and word[0] == "K"):
+    if isinstance(word, str) or token_weight(word) is not None:
         word = (word,)
     for tok in reversed(tuple(word)):
         y = _ad_token(tok, y)
@@ -767,16 +727,6 @@ def radical_monomial(s, t):
                 got = got * root_E(i + 1)
         _U_CACHE[key] = got
     return got
-
-
-def _acc(out, terms, f):
-    """out += f * terms on {word: Scalar} maps, dropping zeros."""
-    for w, c in terms.items():
-        s = out.get(w, ZERO) + f * c
-        if s.is_zero:
-            out.pop(w, None)
-        else:
-            out[w] = s
 
 
 def _peel_rank(word):

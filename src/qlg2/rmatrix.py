@@ -30,17 +30,10 @@ together with the eigenvalue formula
 from __future__ import annotations
 
 from .linalg import madd, meye, miszero, mmul, msub, mzeros
-from .scalar import BR2, ONE, Q_SC, ZERO, q_number, q_power
+from .scalar import BR2, ONE, ZERO, Q_SC as _Q, q_number, q_power as _qp
 from .weights import LAMBDA_V, RHO, Weight
-from .pbw import AE_ONE, AE_ZERO, K, root_E, star
+from .pbw import AE_ONE, AE_ZERO, K, normal_form, root_E, star, token_name
 from .modules import FUND
-
-_Q = Q_SC
-
-
-def _qp(n):
-    return q_power(n)
-
 
 # root lengths along w0 = s1 s2 s1 s2: bases of the rank-one sl2 factors
 _ROOT_BASE = {1: 1, 2: 2, 3: 1, 4: 2}
@@ -56,30 +49,9 @@ def factor_coefficient(j, r):
     return ((-1) ** r) * _qp(-d * (r * (r - 1) // 2)) * (qd - _qp(-d)) ** r / br
 
 
-def _amat_zero():
-    return [[AE_ZERO for _ in range(4)] for _ in range(4)]
-
-
-def _amat_eye():
-    m = _amat_zero()
-    for i in range(4):
-        m[i][i] = AE_ONE
-    return m
-
-
-def _amat_mul(a, b):
-    out = _amat_zero()
-    for i in range(4):
-        for t in range(4):
-            x = a[i][t]
-            if x.is_zero:
-                continue
-            for j in range(4):
-                y = b[t][j]
-                if y.is_zero:
-                    continue
-                out[i][j] = out[i][j] + x * y
-    return out
+# orders r = 0..2 of each rank-one factor; the represented F_beta square to
+# zero, so the order-2 terms vanish, and they are kept to record that check
+_MAX_ORDER = 2
 
 
 class TruncatedRMatrix:
@@ -90,16 +62,16 @@ class TruncatedRMatrix:
         self.truncation_checks = truncation_checks
 
     @classmethod
-    def build(cls, max_order=2, verify=True):
+    def build(cls):
         checks = {}
-        A = _amat_eye()
+        A = meye(4, AE_ONE, AE_ZERO)
         for j in (4, 3, 2, 1):
             fj = FUND.root_F(j)
             powers = [meye(4, ONE, ZERO)]
-            for _ in range(max_order):
+            for _ in range(_MAX_ORDER):
                 powers.append(mmul(powers[-1], fj, ZERO))
-            factor = _amat_zero()
-            for r in range(max_order + 1):
+            factor = mzeros(4, 4, AE_ZERO)
+            for r in range(_MAX_ORDER + 1):
                 c = factor_coefficient(j, r)
                 e_pow = root_E(j) ** r
                 term_is_zero = True
@@ -112,23 +84,22 @@ class TruncatedRMatrix:
                         factor[a][b] = factor[a][b] + (c * entry) * e_pow
                 if r >= 2:
                     checks[f"beta{j}-order-{r}-vanishes"] = term_is_zero
-            A = _amat_mul(A, factor)
+            A = mmul(A, factor, AE_ZERO)
         # Cartan correction: right multiplication by diag(K_{-lambda_nu})
         for b in range(4):
             kb = K(-LAMBDA_V[b])
             for a in range(4):
                 A[a][b] = A[a][b] * kb
         inst = cls(A, checks)
-        if verify:
-            for tok, m in inst.intertwiner_residuals().items():
-                if not miszero(m):
-                    raise RuntimeError(
-                        f"represented R-matrix fails the intertwiner "
-                        f"property against {tok}")
+        for tok, m in inst.intertwiner_residuals().items():
+            if not miszero(m):
+                raise RuntimeError(
+                    f"represented R-matrix fails the intertwiner "
+                    f"property against {tok}")
         return inst
 
     def star_transpose(self):
-        out = _amat_zero()
+        out = mzeros(4, 4, AE_ZERO)
         for i in range(4):
             for j in range(4):
                 out[i][j] = star(self.mat[j][i])
@@ -300,10 +271,8 @@ GENERATOR_TOKENS = ("E1", "E2", "F1", "F2", ("K", 2, -1), ("K", -2, 2))
 
 def centrality_residuals(C):
     """Commutators of C with all six generators, in normal form."""
-    from .pbw import normal_form
     res = {}
     for tok in GENERATOR_TOKENS:
         g = normal_form((tok,))
-        name = tok if isinstance(tok, str) else "K" + str(tok[1:])
-        res[name] = C * g - g * C
+        res[token_name(tok)] = C * g - g * C
     return res

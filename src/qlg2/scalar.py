@@ -32,6 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .linalg import accumulate
+
 
 class PoleError(ZeroDivisionError):
     """Denominator vanishes at the requested evaluation point."""
@@ -540,11 +542,7 @@ class KScalar:
             return NotImplemented
         out = dict(self.terms)
         for m, c in o.terms.items():
-            s = out.get(m, ZERO) + c
-            if s.is_zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
+            accumulate(out, m, c)
         return KScalar(out)
 
     __radd__ = __add__
@@ -575,14 +573,7 @@ class KScalar:
                 if sum(m) > _K_CAP:
                     raise KappaDegreeError(
                         f"kappa monomial {m} exceeds total degree {_K_CAP}")
-                c = c1 * c2
-                if c.is_zero:
-                    continue
-                s = out.get(m, ZERO) + c
-                if s.is_zero:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                accumulate(out, m, c1 * c2)
         return KScalar(out)
 
     __rmul__ = __mul__
@@ -620,14 +611,6 @@ class KScalar:
                 raise ValueError("KScalar not divisible by requested kappa monomial")
             out[r] = c
         return KScalar(out)
-
-    def scalar_part(self):
-        """The Scalar value of a kappa-free element; raises otherwise."""
-        if not self.terms:
-            return ZERO
-        if set(self.terms) != {(0, 0, 0)}:
-            raise ValueError("KScalar has nontrivial kappa content")
-        return self.terms[(0, 0, 0)]
 
     def canon_str(self):
         if not self.terms:

@@ -60,10 +60,6 @@ class Weight(tuple):
     def is_zero(self):
         return self[0] == 0 and self[1] == 0
 
-    @property
-    def is_dominant(self):
-        return self[0] >= 0 and self[1] >= 0
-
     def __repr__(self):
         return f"({self[0]},{self[1]})"
 

@@ -205,3 +205,25 @@ def test_error_outranks_failure(tmp_path, suite_with_raising_check):
 def test_run_suite_continues_after_an_error(suite_with_raising_check):
     results = run_suite(sorted(suite_with_raising_check), Context())
     assert [r.status for r in results] == ["error", "pass", "pass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--check", "lem-f-vanish", "--report", "json", "--out"],
+    ["spectrum", "--v-num", "1", "--v-den", "2", "--shell-max", "5", "--csv"],
+], ids=["verify", "spectrum"])
+def test_unwritable_output_is_usage_error_before_any_work(argv, tmp_path, capsys,
+                                                          monkeypatch):
+    def no_work(*args):
+        raise RuntimeError("work ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    monkeypatch.setattr(cli, "spectrum_growth", no_work)
+    path = tmp_path / "no-such-dir" / "out.txt"
+    rc = cli.main(argv + [str(path)])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr()
+    # one line naming the path and the reason, no traceback
+    assert err.err.startswith(f"cannot write {path}: ")
+    assert err.err.count("\n") == 1
+    assert err.out == ""
+    assert not path.parent.exists()
