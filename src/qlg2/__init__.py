@@ -11,7 +11,7 @@ the named verification checks and the numeric spectrum table.
 
 from .scalar import (
     KScalar, PoleError, Scalar, evaluate, kappa, laurent_q, laurent_v,
-    q_binomial, q_factorial, q_number, q_power, scalar, v_power,
+    q_binomial, q_factorial, q_number, q_power, v_power,
 )
 from .weights import Weight, pair
 from . import pbw, modules, rmatrix, parthasarathy, checks
@@ -20,5 +20,5 @@ __all__ = [
     "KScalar", "PoleError", "Scalar", "Weight", "checks", "evaluate",
     "kappa", "laurent_q", "laurent_v", "modules", "pair", "parthasarathy",
     "pbw", "q_binomial", "q_factorial", "q_number", "q_power", "rmatrix",
-    "scalar", "v_power",
+    "v_power",
 ]

@@ -71,7 +71,10 @@ class TensorOperator:
         return TensorOperator(out)
 
     def __sub__(self, other):
-        return self + other.scale(KScalar.from_scalar(-ONE))
+        out = dict(self.terms)
+        for w, op in other.terms.items():
+            accumulate(out, w, -op)
+        return TensorOperator(out)
 
     def scale(self, c):
         if not isinstance(c, KScalar):

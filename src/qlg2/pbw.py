@@ -29,9 +29,12 @@ F.  The rewriting system consists of
 
 Serre relations are not separate rules: they are consequences of the
 straightening rules (the randomized probes and the relation tests check
-this).  Words mixing composite letters across an E/F boundary are first
-expanded into simple generators, so crossings only ever happen at the
-generator level.
+this).  A product E^B . F^A is crossed by one memoised recursion on PBW
+letters (_cross): it peels the last E letter or the first F letter until a
+single pair of letters is left, expands a composite letter of that pair
+into simple ones, and ends at the simple crossings.  Every recursive call
+has a smaller total height, so the recursion terminates (convexity of
+root-vector commutators, Levendorskii-Soibelman 1991).
 """
 
 from __future__ import annotations
@@ -45,27 +48,15 @@ from .weights import ALPHA1, ALPHA2, BETA, SIMPLE, W_ZERO, Weight
 
 
 class EngineError(RuntimeError):
-    """Internal rewriting failure (step budget exhausted or malformed word)."""
+    """Internal split failure: a letter column or a starred monomial breaks
+    the triangular shape levi_right_split relies on."""
 
 
 class NotInSpanError(ValueError):
     """levi_right_split: a class block of the starred-to-letter transition is singular."""
 
 
-_STEP_BUDGET = 500_000
-
 _ZEXP = (0, 0, 0, 0)
-
-# atoms: ("E", j), ("F", j), ("K", Weight)
-_A_E1 = ("E", 1)
-_A_E4 = ("E", 4)
-_A_F1 = ("F", 1)
-_A_F4 = ("F", 4)
-
-_GEN_ATOMS = {
-    "E1": _A_E1, "E2": _A_E4,
-    "F1": _A_F1, "F2": _A_F4,
-}
 
 _QBR2 = Q_SC * BR2      # q^2 - q^-2
 _QOV2 = Q_SC * _qp(1) / BR2   # Q q/[2]
@@ -93,33 +84,24 @@ _F_RULES = {
     (3, 4): ((_qp(2), (4, 3)),),
 }
 
-# generator expressions of the composite root-vector letters
+# simple-letter expressions of the composite root-vector letters
 _EXPAND_E = {
-    2: ((ONE / BR2, (_A_E1, _A_E1, _A_E4)),
-        (-_qp(-1), (_A_E1, _A_E4, _A_E1)),
-        (_qp(-2) / BR2, (_A_E4, _A_E1, _A_E1))),
-    3: ((ONE, (_A_E1, _A_E4)),
-        (-_qp(-2), (_A_E4, _A_E1))),
+    2: ((ONE / BR2, (1, 1, 4)),
+        (-_qp(-1), (1, 4, 1)),
+        (_qp(-2) / BR2, (4, 1, 1))),
+    3: ((ONE, (1, 4)),
+        (-_qp(-2), (4, 1))),
 }
 _EXPAND_F = {
-    2: ((ONE / BR2, (_A_F4, _A_F1, _A_F1)),
-        (-_qp(1), (_A_F1, _A_F4, _A_F1)),
-        (_qp(2) / BR2, (_A_F1, _A_F1, _A_F4))),
-    3: ((ONE, (_A_F4, _A_F1)),
-        (-_qp(2), (_A_F1, _A_F4))),
+    2: ((ONE / BR2, (4, 1, 1)),
+        (-_qp(1), (1, 4, 1)),
+        (_qp(2) / BR2, (1, 1, 4))),
+    3: ((ONE, (4, 1)),
+        (-_qp(2), (1, 4))),
 }
 
-# simple crossings E_a F_b with a, b in {1, 4}
-_CROSS_RULES = {
-    (1, 1): ((ONE, (_A_F1, _A_E1)),
-             (ONE / Q_SC, (("K", ALPHA1),)),
-             (-(ONE / Q_SC), (("K", -ALPHA1),))),
-    (4, 4): ((ONE, (_A_F4, _A_E4)),
-             (ONE / _QBR2, (("K", ALPHA2),)),
-             (-(ONE / _QBR2), (("K", -ALPHA2),))),
-    (1, 4): ((ONE, (_A_F4, _A_E1)),),
-    (4, 1): ((ONE, (_A_F1, _A_E4)),),
-}
+# simple crossings E_i F_i = F_i E_i + c (K_alpha - K_-alpha), i in {1, 4}
+_SIMPLE_CROSS = {1: (ALPHA1, ONE / Q_SC), 4: (ALPHA2, ONE / _QBR2)}
 
 
 def _wt_f(fexp):
@@ -204,95 +186,19 @@ def _emit(out, fseq, lam, eseq, coeff):
             accumulate(out, (fexp, lam, eexp), cwf * ce)
 
 
-# --- the word reducer -------------------------------------------------------
+# --- crossing and multiplication -------------------------------------------
 
-def _first_ef_inversion(atoms):
-    """Index of the first F letter preceded by an E letter, or -1."""
-    seen_e = False
-    for i, a in enumerate(atoms):
-        if a[0] == "E":
-            seen_e = True
-        elif a[0] == "F" and seen_e:
-            return i
-    return -1
+def _e_word(eexp):
+    return {(_ZEXP, W_ZERO, eexp): ONE}
 
 
-def _expand_composites(coeff, atoms):
-    """Distribute generator expansions of every composite E/F letter."""
-    out = [(coeff, ())]
-    for a in atoms:
-        kind = a[0]
-        if kind == "E" and a[1] in (2, 3):
-            exp = _EXPAND_E[a[1]]
-        elif kind == "F" and a[1] in (2, 3):
-            exp = _EXPAND_F[a[1]]
-        else:
-            out = [(c, w + (a,)) for c, w in out]
-            continue
-        out = [(c * ce, w + we) for c, w in out for ce, we in exp]
-    return out
+def _f_word(fexp):
+    return {(fexp, W_ZERO, _ZEXP): ONE}
 
 
-def _assemble(coeff, atoms, out):
-    """Phase 2: no E..F inversions remain; sort into F | K | E and straighten."""
-    fseq = []
-    eseq = []
-    lam = W_ZERO
-    factor = ONE
-    # beta-weight of E letters seen so far, and of F letters yet to come
-    f_suffix = [W_ZERO] * (len(atoms) + 1)
-    for i in range(len(atoms) - 1, -1, -1):
-        a = atoms[i]
-        f_suffix[i] = f_suffix[i + 1] + BETA[a[1]] if a[0] == "F" else f_suffix[i + 1]
-    e_prefix = W_ZERO
-    for i, a in enumerate(atoms):
-        kind = a[0]
-        if kind == "F":
-            fseq.append(a[1])
-        elif kind == "E":
-            eseq.append(a[1])
-            e_prefix = e_prefix + BETA[a[1]]
-        else:
-            mu = a[1]
-            if mu.is_zero:
-                continue
-            lam = lam + mu
-            factor = factor * _qp(-(mu.pair(f_suffix[i + 1]) + mu.pair(e_prefix)))
-    if factor.is_zero:
-        return
-    _emit(out, tuple(fseq), lam, tuple(eseq), coeff * factor)
-
-
-def _reduce_atoms(atoms, coeff=ONE):
-    """Normal form of a product of atoms; returns {word: Scalar}."""
-    out = {}
-    stack = [(coeff, tuple(atoms))]
-    steps = 0
-    while stack:
-        c, w = stack.pop()
-        steps += 1
-        if steps > _STEP_BUDGET:
-            raise EngineError("rewriting step budget exhausted")
-        bad = _first_ef_inversion(w)
-        if bad < 0:
-            _assemble(c, w, out)
-            continue
-        if any(a[0] in "EF" and a[1] in (2, 3) for a in w):
-            stack.extend(_expand_composites(c, w))
-            continue
-        # the nearest E to the left of the first F preceded by an E
-        j = bad - 1
-        while w[j][0] == "K":
-            j -= 1
-        if j + 1 < bad:
-            # slide the E one step right across the Cartan letter
-            mu = w[j + 1][1]
-            f = _qp(-mu.pair(BETA[w[j][1]]))
-            stack.append((c * f, w[:j] + (w[j + 1], w[j]) + w[j + 2:]))
-            continue
-        for cc, repl in _CROSS_RULES[(w[j][1], w[bad][1])]:
-            stack.append((c * cc, w[:j] + repl + w[bad + 1:]))
-    return out
+def _bump(exp, k, d):
+    """exp with d added at position k."""
+    return exp[:k] + (exp[k] + d,) + exp[k + 1:]
 
 
 # cross products E^B . F^A used by multiplication
@@ -300,17 +206,54 @@ _CROSS_CACHE = {}
 
 
 def _cross(eexp, fexp):
+    """E^eexp . F^fexp as {word: Scalar}.
+
+    More than one E letter: E^B' . (E_last F^A).  One E letter and more than
+    one F letter: (E_e F_first) . F^A'.  Two letters with a composite one:
+    its simple-letter expansion, multiplied in so that every crossing meets
+    a simple E letter.  Two simple letters: F_j E_i, plus the Cartan term
+    when i = j.  Each recursive call has a smaller total height, and for a
+    simple E letter the E part of every term is empty or that letter.
+    """
     if eexp == _ZEXP:
-        return {(fexp, W_ZERO, _ZEXP): ONE}
+        return _f_word(fexp)
     if fexp == _ZEXP:
-        return {(_ZEXP, W_ZERO, eexp): ONE}
+        return _e_word(eexp)
     key = (eexp, fexp)
     got = _CROSS_CACHE.get(key)
-    if got is None:
-        atoms = tuple(("E", j) for j in _e_letters(eexp)) + \
-            tuple(("F", j) for j in _f_letters(fexp))
-        got = _reduce_atoms(atoms)
-        _CROSS_CACHE[key] = got
+    if got is not None:
+        return got
+    last = max(k for k in range(4) if eexp[k])
+    first = min(k for k in range(4) if fexp[k])
+    e_one, f_one = _bump(_ZEXP, last, 1), _bump(_ZEXP, first, 1)
+    i, j = last + 1, 4 - first
+    if sum(eexp) > 1:
+        got = _mul_terms(_e_word(_bump(eexp, last, -1)), _cross(e_one, fexp))
+    elif sum(fexp) > 1:
+        got = _mul_terms(_cross(eexp, f_one), _f_word(_bump(fexp, first, -1)))
+    elif i in _EXPAND_E:
+        # E_i = sum c E_x E_y (E_z): cross F_j by E_z first, then E_y, E_x
+        got = {}
+        for c, letters in _EXPAND_E[i]:
+            t = _f_word(fexp)
+            for x in reversed(letters):
+                t = _mul_terms(_e_word(_bump(_ZEXP, x - 1, 1)), t)
+            _acc(got, t, c)
+    elif j in _EXPAND_F:
+        # F_j = sum c (F_x) F_y F_z: cross E_i by F_x first, then F_y, F_z
+        got = {}
+        for c, letters in _EXPAND_F[j]:
+            t = _e_word(eexp)
+            for x in letters:
+                t = _mul_terms(t, _f_word(_bump(_ZEXP, 4 - x, 1)))
+            _acc(got, t, c)
+    else:
+        got = {(fexp, W_ZERO, eexp): ONE}
+        if i == j:
+            alpha, c = _SIMPLE_CROSS[i]
+            got[(_ZEXP, alpha, _ZEXP)] = c
+            got[(_ZEXP, -alpha, _ZEXP)] = -c
+    _CROSS_CACHE[key] = got
     return got
 
 
@@ -321,10 +264,12 @@ def _mul_terms(t1, t2):
         for (A2, mu, B2), c2 in t2.items():
             c12 = c1 * c2
             for (A3, nu, B3), c3 in _cross(B1, A2).items():
-                # K_lam across F^A3 to the right, K_mu across E^B3 to the left
-                f = _qp(-(lam.pair(_wt_f(A3)) + mu.pair(_wt_e(B3))))
+                c = c12 * c3
+                if not (lam.is_zero and mu.is_zero):
+                    # K_lam across F^A3 to the right, K_mu across E^B3 to the left
+                    c = c * _qp(-(lam.pair(_wt_f(A3)) + mu.pair(_wt_e(B3))))
                 _emit(out, _f_letters(A1) + _f_letters(A3), lam + nu + mu,
-                      _e_letters(B3) + _e_letters(B2), c12 * c3 * f)
+                      _e_letters(B3) + _e_letters(B2), c)
     return out
 
 
@@ -564,12 +509,15 @@ def token_name(tok):
     return tok if isinstance(tok, str) else "K" + str(tok[1:])
 
 
-def _token_atom(tok):
+_GENERATORS = {"E1": E1, "E2": E2, "F1": F1, "F2": F2}
+
+
+def _token_terms(tok):
     lam = token_weight(tok)
     if lam is not None:
-        return ("K", lam)
+        return {(_ZEXP, lam, _ZEXP): ONE}
     try:
-        return _GEN_ATOMS[tok]
+        return _GENERATORS[tok]().terms
     except KeyError:
         raise ValueError(f"unknown generator token {tok!r}") from None
 
@@ -578,54 +526,38 @@ def normal_form(word, coeff=ONE):
     """Normal form of a formal product of generator tokens.
 
     Tokens are "E1", "E2", "F1", "F2" or ("K", n1, n2); returns the reduced
-    AlgebraElement.  Idempotent on already-reduced data by construction.
+    AlgebraElement, the left fold of the token products.  Idempotent on
+    already-reduced data by construction.
     """
-    atoms = tuple(_token_atom(t) for t in word)
-    return AlgebraElement(_reduce_atoms(atoms, coeff))
+    factors = [_token_terms(t) for t in word]
+    out = (AE_ONE * coeff).terms
+    for f in factors:
+        out = _mul_terms(out, f)
+    return AlgebraElement(out)
 
 
 # --- letter images under * and S ---------------------------------------------
 
-def _image_of_letter(kind, j, gen_images):
-    """Anti-homomorphic image of the root-vector letter from its expansion."""
-    if kind == "E":
-        expansion = _EXPAND_E.get(j, ((ONE, (("E", j),)),))
-    else:
-        expansion = _EXPAND_F.get(j, ((ONE, (("F", j),)),))
-    # anti-homomorphism: the image of a word is the reversed product of images
-    total = AE_ZERO
-    for c, atoms in expansion:
-        piece = AlgebraElement({_UNIT_WORD: c})
-        for a in reversed(atoms):
-            piece = piece * gen_images[a]
-        total = total + piece
-    return total
+def _letter_images(img_e, img_f):
+    """Anti-homomorphic images of the E and F root-vector letters from those
+    of the simple letters 1 and 4: a word goes to the reversed product."""
+    def image(expand, img, j):
+        total = AE_ZERO
+        for c, letters in expand.get(j, ((ONE, (j,)),)):
+            piece = AlgebraElement({_UNIT_WORD: c})
+            for x in reversed(letters):
+                piece = piece * img[x]
+            total = total + piece
+        return total
+
+    return ({j: image(_EXPAND_E, img_e, j) for j in (1, 2, 3, 4)},
+            {j: image(_EXPAND_F, img_f, j) for j in (1, 2, 3, 4)})
 
 
-def _gen_images_star():
-    return {
-        _A_E1: AlgebraElement(_reduce_atoms((_A_F1, ("K", ALPHA1)))),
-        _A_E4: AlgebraElement(_reduce_atoms((_A_F4, ("K", ALPHA2)))),
-        _A_F1: AlgebraElement(_reduce_atoms((("K", -ALPHA1), _A_E1))),
-        _A_F4: AlgebraElement(_reduce_atoms((("K", -ALPHA2), _A_E4))),
-    }
-
-
-def _gen_images_antipode():
-    return {
-        _A_E1: AlgebraElement(_reduce_atoms((("K", -ALPHA1), _A_E1), -ONE)),
-        _A_E4: AlgebraElement(_reduce_atoms((("K", -ALPHA2), _A_E4), -ONE)),
-        _A_F1: AlgebraElement(_reduce_atoms((_A_F1, ("K", ALPHA1)), -ONE)),
-        _A_F4: AlgebraElement(_reduce_atoms((_A_F4, ("K", ALPHA2)), -ONE)),
-    }
-
-
-_IM_STAR = _gen_images_star()
-_IM_S = _gen_images_antipode()
-_STAR_E = {j: _image_of_letter("E", j, _IM_STAR) for j in (1, 2, 3, 4)}
-_STAR_F = {j: _image_of_letter("F", j, _IM_STAR) for j in (1, 2, 3, 4)}
-_S_E = {j: _image_of_letter("E", j, _IM_S) for j in (1, 2, 3, 4)}
-_S_F = {j: _image_of_letter("F", j, _IM_S) for j in (1, 2, 3, 4)}
+_STAR_E, _STAR_F = _letter_images({1: F1() * K(ALPHA1), 4: F2() * K(ALPHA2)},
+                                  {1: K(-ALPHA1) * E1(), 4: K(-ALPHA2) * E2()})
+_S_E, _S_F = _letter_images({1: -(K(-ALPHA1) * E1()), 4: -(K(-ALPHA2) * E2())},
+                            {1: -(F1() * K(ALPHA1)), 4: -(F2() * K(ALPHA2))})
 
 
 def star(x):

@@ -326,13 +326,6 @@ def test_unknown_token_rejected():
         coproduct("X1")
 
 
-def test_step_budget_guard(monkeypatch):
-    from qlg2 import pbw as pbw_mod
-    monkeypatch.setattr(pbw_mod, "_STEP_BUDGET", 2)
-    with pytest.raises(pbw_mod.EngineError):
-        normal_form(("E1", "F1", "E2", "F2"))
-
-
 def test_weight_additivity():
     rng = random.Random(13)
     for _ in range(20):
