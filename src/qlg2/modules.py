@@ -314,15 +314,7 @@ class ExteriorModule:
     def _derive_degree_one_action(self):
         """Degree-one action of E1 and F1 from the invariant dual pairing
         against the adjoint action on the radical root vectors."""
-        ad_e = mzeros(3, 3, ZERO)
-        ad_f = mzeros(3, 3, ZERO)
-        for i in (1, 2, 3):
-            for mat, tok in ((ad_e, "E1"), (ad_f, "F1")):
-                img = pbw.adjoint_action(tok, pbw.xi_E(i))
-                for k in (1, 2, 3):
-                    (word,) = pbw.xi_E(k).terms
-                    c = img.terms.get(word, ZERO)
-                    mat[k - 1][i - 1] = c
+        ad_e, ad_f = _ad_radical("E1"), _ad_radical("F1")
         e1 = mzeros(3, 3, ZERO)
         f1 = mzeros(3, 3, ZERO)
         for j in range(3):
@@ -376,10 +368,7 @@ class ExteriorModule:
         return m
 
     def rep_token(self, tok):
-        lam = pbw.token_weight(tok)
-        if lam is not None:
-            return self.K(lam)
-        return {"E1": self.E1, "F1": self.F1}[tok]
+        return self.rho(pbw.normal_form((tok,)))
 
     def rho(self, x):
         """Matrix of a Levi PBW element on the exterior module."""
@@ -401,13 +390,7 @@ class ExteriorModule:
 
     def rep_star_matrix(self, tok):
         """Matrix of the star of a Levi generator."""
-        if pbw.token_weight(tok) is not None:
-            return self.rep_token(tok)
-        if tok == "E1":
-            return mmul(self.F1, self.K(ALPHA1), ZERO)
-        if tok == "F1":
-            return mmul(self.K(-ALPHA1), self.E1, ZERO)
-        raise ValueError(tok)
+        return self.rho(pbw.star(pbw.normal_form((tok,))))
 
     # --- invariant inner products ---------------------------------------
 
@@ -422,6 +405,8 @@ class ExteriorModule:
         free constant per degree, fixed by a unit top-left entry) and
         checks each solution space is one-dimensional.
         """
+        mats = [(self.rep_token(tok), self.rep_star_matrix(tok))
+                for tok in ("E1", "F1", ("K", 2, -1), ("K", -2, 2))]
         blocks = []
         for deg in range(4):
             idxs = [i for i in range(8) if DEGREES[i] == deg]
@@ -429,9 +414,7 @@ class ExteriorModule:
             unknowns = [(i, j) for i in range(n) for j in range(i, n)]
             upos = {u: k for k, u in enumerate(unknowns)}
             rows = []
-            for tok in ("E1", "F1", ("K", 2, -1), ("K", -2, 2)):
-                X = self.rep_token(tok)
-                Xs = self.rep_star_matrix(tok)
+            for X, Xs in mats:
                 Xb = [[X[a][b] for b in idxs] for a in idxs]
                 Xsb = [[Xs[a][b] for b in idxs] for a in idxs]
                 # X^T G - G X* = 0, G symmetric
@@ -599,48 +582,44 @@ def iso_exterior_map():
 LEVI_GEN_TOKENS = (("K", 2, -1), ("K", -2, 2), "E1", "F1")
 
 
+def _ad_radical(tok):
+    """ad(tok) on the radical root vectors: column i holds the coefficients
+    of ad(tok) E_{xi_i} on E_{xi_1}, E_{xi_2}, E_{xi_3}."""
+    m = mzeros(3, 3, ZERO)
+    for i in (1, 2, 3):
+        img = pbw.adjoint_action(tok, pbw.xi_E(i)).terms
+        for k in (1, 2, 3):
+            (word,) = pbw.xi_E(k).terms
+            m[k - 1][i - 1] = img.get(word, ZERO)
+    return m
+
+
 def canonical_element_invariance_residuals():
     """(X (x) 1) I = (1 (x) S(X)) I for the canonical element I = sum_i
     E_{xi_i} (x) y_i: as matrices, ad_X on the radical roots must equal the
     transpose of the degree-one block of the antipode action on the y_i."""
     res = {}
     for tok in LEVI_GEN_TOKENS:
-        A = mzeros(3, 3, ZERO)
-        for i in (1, 2, 3):
-            img = pbw.adjoint_action(tok, pbw.xi_E(i))
-            for k in (1, 2, 3):
-                (word,) = pbw.xi_E(k).terms
-                A[k - 1][i - 1] = img.terms.get(word, ZERO)
-        sx = pbw.antipode(pbw.normal_form((tok,)))
-        C = EXT.rho(sx)
+        C = EXT.rho(pbw.antipode(pbw.normal_form((tok,))))
         Cblock = [[C[r][c] for c in (1, 2, 3)] for r in (1, 2, 3)]
-        res[pbw.token_name(tok)] = msub(A, mT(Cblock))
+        res[pbw.token_name(tok)] = msub(_ad_radical(tok), mT(Cblock))
     return res
 
 
 def gamma_equivariance_residuals():
     """Twisted-adjoint equivariance of the wedge operators:
-    X_(2) gamma(y_i) rho(S^-1(X_(1))) = gamma(X y_i) for Levi generators."""
-    rho = EXT.rho
-    e1 = pbw.normal_form(("E1",))
-    f1 = pbw.normal_form(("F1",))
-    k1i = pbw.K(-ALPHA1)
+    sum rho(X_(2)) gamma(y_i) rho(S^-1(X_(1))) = gamma(X y_i) over the
+    coproduct of each Levi generator X, with S^-1 = * o S o *."""
     res = {}
     for tok in LEVI_GEN_TOKENS:
         X = EXT.rep_token(tok)
+        legs = [(EXT.rho(b), EXT.rho(pbw.star(pbw.antipode(pbw.star(a)))))
+                for a, b in pbw.coproduct(tok)]
         for i in (1, 2, 3):
             g = EXT.gamma_scalar(i)
-            lam = pbw.token_weight(tok)
-            if lam is not None:
-                lhs = mmul(mmul(EXT.K(lam), g, ZERO), EXT.K(-lam), ZERO)
-            elif tok == "E1":
-                # S^-1(E1) = -E1 K1^-1
-                lhs = madd(mmul(g, rho(-(e1 * k1i)), ZERO),
-                           mmul(mmul(EXT.E1, g, ZERO), rho(k1i), ZERO))
-            else:
-                # S^-1(F1) = -K1 F1
-                lhs = madd(mmul(mmul(rho(k1i), g, ZERO), rho(-(pbw.K(ALPHA1) * f1)), ZERO),
-                           mmul(EXT.F1, g, ZERO))
+            lhs = mzeros(8, 8, ZERO)
+            for rb, rsa in legs:
+                lhs = madd(lhs, mmul(mmul(rb, g, ZERO), rsa, ZERO))
             rhs = mzeros(8, 8, ZERO)
             for k in (1, 2, 3):
                 c = X[k][i]
@@ -675,30 +654,15 @@ def sq_relation_vectors():
 
 
 def wedge_relation_vectors():
-    """The six exterior-algebra relation vectors in u- (x) u- coordinates."""
+    """The six exterior-algebra relation vectors in u- (x) u- coordinates,
+    read off the wedge rules: y_i y_j - sum c y_k y_l for each rule."""
     out = []
-    g = [ZERO] * 9
-    g[_pair_index(1, 1)] = ONE
-    out.append(g)
-    g = [ZERO] * 9
-    g[_pair_index(3, 3)] = ONE
-    out.append(g)
-    g = [ZERO] * 9
-    g[_pair_index(2, 2)] = ONE
-    g[_pair_index(1, 3)] = -(_Q * _qp(1) / BR2)
-    out.append(g)
-    g = [ZERO] * 9
-    g[_pair_index(1, 2)] = ONE
-    g[_pair_index(2, 1)] = _qp(2)
-    out.append(g)
-    g = [ZERO] * 9
-    g[_pair_index(1, 3)] = ONE
-    g[_pair_index(3, 1)] = ONE
-    out.append(g)
-    g = [ZERO] * 9
-    g[_pair_index(2, 3)] = ONE
-    g[_pair_index(3, 2)] = _qp(2)
-    out.append(g)
+    for (i, j), rule in _WEDGE_RULES.items():
+        g = [ZERO] * 9
+        g[_pair_index(i, j)] = ONE
+        for c, (k, l) in rule:
+            g[_pair_index(k, l)] = -c
+        out.append(g)
     return out
 
 

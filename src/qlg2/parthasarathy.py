@@ -32,8 +32,8 @@ from .linalg import accumulate, nullspace
 from .scalar import BR2, ONE, ZERO, KScalar, kappa, Q_SC as _Q, q_power as _qp
 from .weights import Weight
 from .pbw import (
-    AlgebraElement, K, adjoint_action, antipode, levi_right_split, normal_form,
-    star, token_name, token_weight, xi_E, xi_E_star,
+    AlgebraElement, K, adjoint_action, antipode, coproduct, levi_right_split,
+    normal_form, star, token_name, xi_E, xi_E_star,
 )
 from .modules import EXT, LEVI_GEN_TOKENS, ModuleOperator
 from .rmatrix import casimir_eigenvalue, quantum_trace_pairing
@@ -373,21 +373,10 @@ def verify_parthasarathy(C=None, d2m=None):
 # ---------------------------------------------------------------------------
 
 def _ad_tilde_S(tok, op):
-    """twisted adjoint action of S(X) on an operator, X a Levi generator."""
-    lam = token_weight(tok)
-    if lam is not None:
-        return ModuleOperator.lift(EXT.K(-lam)) @ op @ ModuleOperator.lift(EXT.K(lam))
-    e1 = normal_form(("E1",))
-    f1 = normal_form(("F1",))
-    if tok == "E1":
-        # Delta(S(E1)) = 1 (x) S(E1) + S(E1) (x) K1^-1
-        return (EXT.rho_op(antipode(e1)) @ op
-                + EXT.rho_op(K(-2, 1)) @ op @ EXT.rho_op(e1))
-    if tok == "F1":
-        # Delta(S(F1)) = K1 (x) S(F1) + S(F1) (x) 1
-        return (EXT.rho_op(antipode(f1)) @ op @ EXT.rho_op(K(-2, 1))
-                + op @ EXT.rho_op(f1))
-    raise ValueError(tok)
+    """Twisted adjoint action of S(X) on an operator, X a Levi generator:
+    sum rho(S(X_(1))) op rho(X_(2)) over the coproduct of X."""
+    return sum((EXT.rho_op(antipode(a)) @ op @ EXT.rho_op(b) for a, b in coproduct(tok)),
+               ModuleOperator.zero())
 
 
 def dolbeault_invariance_residuals():

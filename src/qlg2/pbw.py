@@ -18,14 +18,15 @@ with closed forms
     E_b2 = (1/[2]) E1^2 E2 - q^-1 E1 E2 E1 + (q^-2/[2]) E2 E1^2
     E_b3 = E1 E2 - q^-2 E2 E1
 
-and the F side obtained by the q -> q^-1 anti-automorphism exchanging E and
-F.  The rewriting system consists of
+and F_bj = omega(E_bj) for the anti-automorphism omega exchanging E_i and
+F_i, sending K_lam to K_-lam and v to v^-1.  The rewriting system consists of
 
   * the Cartan moves     K_lam X_b = q^(+-(lam, b)) X_b K_lam,
   * the simple crossings E_i F_j = F_j E_i + delta_ij (K_i - K_i^-1)/(q_i - q_i^-1),
-  * six straightening rules inside the E block and six inside the F block,
-    instances of the general root-vector commutation relation whose middle
-    terms are the closed forms above.
+  * six straightening rules inside the E block, instances of the general
+    root-vector commutation relation whose middle terms are the closed forms
+    above, and their six omega-images inside the F block, computed from the
+    E tables.
 
 Serre relations are not separate rules: they are consequences of the
 straightening rules (the randomized probes and the relation tests check
@@ -35,6 +36,11 @@ single pair of letters is left, expands a composite letter of that pair
 into simple ones, and ends at the simple crossings.  Every recursive call
 has a smaller total height, so the recursion terminates (convexity of
 root-vector commutators, Levendorskii-Soibelman 1991).
+
+The Hopf structure has one source: `coproduct` on generator tokens, with
+star and antipode given on the simple letters.  The adjoint action is the
+Sweedler sum ad(X) y = X_(1) y S(X_(2)) over `coproduct`; the inverse
+antipode, where needed, is S^-1 = * o S o *.
 """
 
 from __future__ import annotations
@@ -74,16 +80,6 @@ _E_RULES = {
     (4, 3): ((_qp(-2), (3, 4)),),
 }
 
-# F block target order: indices descending left to right; rules for (lo, hi).
-_F_RULES = {
-    (1, 2): ((_qp(2), (2, 1)),),
-    (1, 3): ((ONE, (3, 1)), (-BR2, (2,))),
-    (1, 4): ((_qp(-2), (4, 1)), (-_qp(-2), (3,))),
-    (2, 3): ((_qp(2), (3, 2)),),
-    (2, 4): ((ONE, (4, 2)), (Q_SC * _qp(-1) / BR2, (3, 3))),
-    (3, 4): ((_qp(2), (4, 3)),),
-}
-
 # simple-letter expressions of the composite root-vector letters
 _EXPAND_E = {
     2: ((ONE / BR2, (1, 1, 4)),
@@ -92,13 +88,15 @@ _EXPAND_E = {
     3: ((ONE, (1, 4)),
         (-_qp(-2), (4, 1))),
 }
-_EXPAND_F = {
-    2: ((ONE / BR2, (4, 1, 1)),
-        (-_qp(1), (1, 4, 1)),
-        (_qp(2) / BR2, (1, 1, 4))),
-    3: ((ONE, (4, 1)),
-        (-_qp(2), (1, 4))),
-}
+
+# F block target order: indices descending left to right.  The F tables are
+# the images of the E tables under the anti-automorphism omega (E_j <-> F_j,
+# K_lam -> K_-lam, v -> v^-1): key pairs and letters reversed, coefficients
+# barred.
+_F_RULES = {pair[::-1]: tuple((c.bar(), repl[::-1]) for c, repl in rule)
+            for pair, rule in _E_RULES.items()}
+_EXPAND_F = {j: tuple((c.bar(), letters[::-1]) for c, letters in rule)
+             for j, rule in _EXPAND_E.items()}
 
 # simple crossings E_i F_i = F_i E_i + c (K_alpha - K_-alpha), i in {1, 4}
 _SIMPLE_CROSS = {1: (ALPHA1, ONE / Q_SC), 4: (ALPHA2, ONE / _QBR2)}
@@ -497,11 +495,15 @@ def xi_E_star(i):
 
 
 def token_weight(tok):
-    """lam of a Cartan token ("K", n1, n2) or ("K", (n1, n2)); None for a
-    generator name such as "E1"."""
-    if isinstance(tok, tuple) and tok and tok[0] == "K":
-        return Weight(tok[1], tok[2]) if len(tok) == 3 else Weight(*tok[1])
-    return None
+    """lam of a Cartan token ("K", n1, n2) or ("K", (n1, n2)) with int n1, n2;
+    None for a generator name such as "E1"; ValueError for another "K" tuple."""
+    if not (isinstance(tok, tuple) and tok and tok[0] == "K"):
+        return None
+    lam = tok[1] if len(tok) == 2 else tok[1:]
+    if not (isinstance(lam, tuple) and len(lam) == 2
+            and all(type(n) is int for n in lam)):
+        raise ValueError(f"malformed Cartan token {tok!r}")
+    return Weight(*lam)
 
 
 def token_name(tok):
@@ -526,8 +528,8 @@ def normal_form(word, coeff=ONE):
     """Normal form of a formal product of generator tokens.
 
     Tokens are "E1", "E2", "F1", "F2" or ("K", n1, n2); returns the reduced
-    AlgebraElement, the left fold of the token products.  Idempotent on
-    already-reduced data by construction.
+    AlgebraElement, the left fold of the token products.  Any other token
+    raises ValueError before any work.  Idempotent on reduced data.
     """
     factors = [_token_terms(t) for t in word]
     out = (AE_ONE * coeff).terms
@@ -606,25 +608,9 @@ def counit(x):
     return out
 
 
-_K1 = K(ALPHA1)
-_K1I = K(-ALPHA1)
-_K2 = K(ALPHA2)
-_K2I = K(-ALPHA2)
-
-
 def _ad_token(tok, y):
-    lam = token_weight(tok)
-    if lam is not None:
-        return K(lam) * y * K(-lam)
-    if tok == "E1":
-        return E1() * y - _K1 * y * _K1I * E1()
-    if tok == "E2":
-        return E2() * y - _K2 * y * _K2I * E2()
-    if tok == "F1":
-        return F1() * y * _K1 - y * F1() * _K1
-    if tok == "F2":
-        return F2() * y * _K2 - y * F2() * _K2
-    raise ValueError(f"unknown generator token {tok!r}")
+    """ad(X) y = sum X_(1) y S(X_(2)) over the coproduct of one token."""
+    return sum((a * y * antipode(b) for a, b in coproduct(tok)), AE_ZERO)
 
 
 def adjoint_action(word, y):

@@ -307,6 +307,16 @@ class Scalar:
         den = n if k == 1 else tuple(x // k for x in n)
         return Scalar(num, abs(k), den, -self._s)
 
+    def bar(self):
+        """Image under the field automorphism v -> v^-1, canonical without a
+        gcd: reversing n and d keeps them coprime with nonzero end terms."""
+        if not self._n:
+            return self
+        n, d = self._n[::-1], self._d[::-1]
+        if d[-1] < 0:
+            n, d = _pneg(n), _pneg(d)
+        return Scalar(n, self._c, d, len(self._d) - len(self._n) - self._s)
+
     def __truediv__(self, other):
         o = Scalar._coerce(other)
         if o is None:

@@ -326,6 +326,21 @@ def test_unknown_token_rejected():
         coproduct("X1")
 
 
+@pytest.mark.parametrize("tok", [
+    ("K", 1.9, -0.5), ("K", 1), ("K", (1, 0, 7)), ("K",), ("K", True, 0),
+    ("K", (1, False)), ("K", "1", 0), ("K", 1, 0, 0), ("K", [1, 0]),
+], ids=repr)
+def test_malformed_cartan_token_rejected(tok):
+    for call in (lambda: normal_form((tok,)), lambda: coproduct(tok),
+                 lambda: adjoint_action(tok, E1())):
+        with pytest.raises(ValueError, match="malformed Cartan token"):
+            call()
+
+
+def test_cartan_token_forms():
+    assert normal_form((("K", 2, -1),)) == normal_form((("K", (2, -1)),)) == K(ALPHA1)
+
+
 def test_weight_additivity():
     rng = random.Random(13)
     for _ in range(20):
