@@ -452,7 +452,7 @@ def check_d_squared(ctx):
             details.append(f"component ({i},{j}): {'ok' if ok else 'NO'}")
             if not ok:
                 residual.append(f"({i},{j}): {diff.entries_str()}")
-    extras = [u for u in d2m.comps
+    extras = [u for u in d2m.terms
               if u != (0, 0, 0, 0, 0, 0)
               and u not in {_u_key(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}]
     if extras:
@@ -669,7 +669,8 @@ def check_clifford_diag(ctx):
 def check_parthasarathy(ctx):
     residual = []
     details = [f"constant kappa_1 * {PARTHASARATHY_CONSTANT.canon_str()}"]
-    diff, levi = parthasarathy_residual(C=ctx.casimir, d2m=ctx.d2m)
+    cap = ctx.degree_cap
+    diff, levi = parthasarathy_residual(C=ctx.casimir, d2m=ctx.d2m, degree_cap=cap)
     if diff.radical_is_zero:
         details.append("all nine radical components vanish")
     else:
@@ -680,14 +681,15 @@ def check_parthasarathy(ctx):
                    f"{not levi.is_zero})")
     # negative controls
     bad, _ = parthasarathy_residual(
-        C=ctx.casimir, kappa3_ratio=KAPPA3_RATIO * (1 + _Q), d2m=ctx.d2m)
+        C=ctx.casimir, kappa3_ratio=KAPPA3_RATIO * (1 + _Q), d2m=ctx.d2m,
+        degree_cap=cap)
     if bad.radical_is_zero:
         residual.append("perturbed kappa_3 fails to break the identity")
     else:
         details.append("negative control: perturbed kappa_3 breaks the identity")
     for k in range(6):
         bad, _ = parthasarathy_residual(
-            C=casimir_explicit(drop_quantum_term=k), d2m=ctx.d2m)
+            C=casimir_explicit(drop_quantum_term=k), d2m=ctx.d2m, degree_cap=cap)
         if bad.radical_is_zero:
             residual.append(f"dropping quantum term {k} fails to break the identity")
         else:

@@ -2,7 +2,8 @@
 
 Matrices are plain lists of lists.  Entries only need the arithmetic dunders
 and truthiness (zero is falsy); this covers Fraction, Scalar and KScalar.
-Sparse vectors are dicts without zero values, kept so by `accumulate`.
+Sparse vectors are dicts without zero values, kept so by `accumulate`;
+`Combination` is the linear-combination type built on them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,66 @@ def accumulate(out, key, value):
         out.pop(key, None)
     else:
         out[key] = value
+
+
+class Combination:
+    """Linear combination {key: coefficient} without zero coefficients.
+
+    The vector-space operations live here; a subclass adds its products and
+    constructors.  `_coerce` maps an operand to the subclass, or to None for
+    NotImplemented.  Treat instances as immutable.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    @classmethod
+    def _coerce(cls, x):
+        return x if isinstance(x, cls) else None
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in o.terms.items():
+            accumulate(out, k, c)
+        return type(self)(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.terms == o.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
 
 
 def mzeros(n, m, zero):

@@ -34,10 +34,6 @@ from .weights import ALPHA1, LAMBDA_V, W_ZERO, XI, Weight
 from . import pbw
 
 
-class GradingError(RuntimeError):
-    """An operator entry on Lambda breaks the degree grading it must have."""
-
-
 # ---------------------------------------------------------------------------
 # fundamental module
 # ---------------------------------------------------------------------------
@@ -406,7 +402,7 @@ class ExteriorModule:
         checks each solution space is one-dimensional.
         """
         mats = [(self.rep_token(tok), self.rep_star_matrix(tok))
-                for tok in ("E1", "F1", ("K", 2, -1), ("K", -2, 2))]
+                for tok in LEVI_GEN_TOKENS]
         blocks = []
         for deg in range(4):
             idxs = [i for i in range(8) if DEGREES[i] == deg]
@@ -459,20 +455,7 @@ class ExteriorModule:
 
     def gamma_star(self, i):
         """Gram adjoint of gamma(y_i); entries linear in kappa_1..kappa_3."""
-        g = self.gamma_scalar(i)
-        gh = self._gram_hat
-        m = mzeros(8, 8, KZERO)
-        for r in range(8):
-            for c in range(8):
-                if not g[c][r]:
-                    continue
-                # adjoint of a degree-raising block picks up kappa_{deg(c)}
-                if DEGREES[c] != DEGREES[r] + 1:
-                    raise GradingError(
-                        f"gamma({i}) entry [{c}][{r}] does not raise degree by one")
-                val = g[c][r] * gh[c] / gh[r]
-                m[r][c] = kappa(DEGREES[c]) * val
-        return ModuleOperator(m)
+        return self.adjoint_wrt_gram(self.gamma(i))
 
     def adjoint_wrt_gram(self, op):
         """Gram adjoint: T*[r][c] = T[c][r] ghat_c/ghat_r . c_deg(c)/c_deg(r).
@@ -488,7 +471,7 @@ class ExteriorModule:
                 if not x:
                     continue
                 src, dst = DEGREES[c], DEGREES[r]
-                val = x * KScalar.from_scalar(gh[c] / gh[r])
+                val = x * (gh[c] / gh[r])
                 if src > dst:
                     mono = [0, 0, 0]
                     for k in range(dst + 1, src + 1):

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import accumulate, nullspace
-from .scalar import BR2, ONE, ZERO, KScalar, kappa, Q_SC as _Q, q_power as _qp
+from .linalg import Combination, accumulate, nullspace
+from .scalar import BR2, ONE, ZERO, kappa, Q_SC as _Q, q_power as _qp
 from .weights import Weight
 from .pbw import (
     AlgebraElement, K, adjoint_action, antipode, coproduct, levi_right_split,
@@ -45,41 +45,16 @@ _U_ZERO = (0, 0, 0, 0, 0, 0)
 # tensor operators
 # ---------------------------------------------------------------------------
 
-class TensorOperator:
+class TensorOperator(Combination):
     """Element of U_q(g) (x) End(Lambda): {PBW word: ModuleOperator}."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = terms
+    __slots__ = ()
 
     @staticmethod
     def from_element(x, op):
-        out = {}
-        for w, c in x.terms.items():
-            out[w] = op.scale(KScalar.from_scalar(c))
-        return TensorOperator(out)
-
-    @staticmethod
-    def zero():
-        return TensorOperator({})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, op in other.terms.items():
-            accumulate(out, w, op)
-        return TensorOperator(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for w, op in other.terms.items():
-            accumulate(out, w, -op)
-        return TensorOperator(out)
-
-    def scale(self, c):
-        if not isinstance(c, KScalar):
-            c = KScalar.from_scalar(c)
-        return TensorOperator({w: op.scale(c) for w, op in self.terms.items()})
+        if op.is_zero:
+            return TensorOperator({})
+        return TensorOperator({w: op.scale(c) for w, c in x.terms.items()})
 
     def __mul__(self, other):
         out = {}
@@ -91,7 +66,7 @@ class TensorOperator:
                     continue
                 op12 = op1 @ op2
                 for w, c in prod.terms.items():
-                    accumulate(out, w, op12.scale(KScalar.from_scalar(c)))
+                    accumulate(out, w, op12.scale(c))
         return TensorOperator(out)
 
     def star(self):
@@ -100,22 +75,13 @@ class TensorOperator:
         for w, op in self.terms.items():
             ops = EXT.adjoint_wrt_gram(op)
             for ws, c in star(AlgebraElement.from_word(w)).terms.items():
-                accumulate(out, ws, ops.scale(KScalar.from_scalar(c)))
+                accumulate(out, ws, ops.scale(c))
         return TensorOperator(out)
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorOperator):
-            return NotImplemented
-        return (self - other).is_zero
 
 
 def dolbeault():
     """d = sum_i E_{xi_i} (x) gamma(y_i)."""
-    out = TensorOperator.zero()
+    out = TensorOperator({})
     for i in (1, 2, 3):
         out = out + TensorOperator.from_element(xi_E(i), EXT.gamma(i))
     return out
@@ -130,55 +96,39 @@ def dirac():
 # the quotient module M
 # ---------------------------------------------------------------------------
 
-class MElement:
+class MElement(Combination):
     """Reduction of a tensor operator in M, keyed by radical monomials.
 
-    comps maps (s1, s2, s3, t1, t2, t3) to the ModuleOperator sitting right
+    terms maps (s1, s2, s3, t1, t2, t3) to the ModuleOperator sitting right
     of E*_{xi1}^s1 E*_{xi2}^s2 E*_{xi3}^s3 E_{xi1}^t1 E_{xi2}^t2 E_{xi3}^t3;
     the all-zero key is the pure Levi component.
     """
 
-    __slots__ = ("comps",)
-
-    def __init__(self, comps):
-        self.comps = comps
-
-    def __sub__(self, other):
-        out = dict(self.comps)
-        for u, op in other.comps.items():
-            accumulate(out, u, -op)
-        return MElement(out)
+    __slots__ = ()
 
     def scale(self, c):
-        if not isinstance(c, KScalar):
-            c = KScalar.from_scalar(c)
-        return MElement({u: op.scale(c) for u, op in self.comps.items()})
+        return MElement({u: op.scale(c) for u, op in self.terms.items()})
 
     def substitute_ratios(self, s2, s3):
         out = {}
-        for u, op in self.comps.items():
+        for u, op in self.terms.items():
             v = op.substitute_ratios(s2, s3)
             if not v.is_zero:
                 out[u] = v
         return MElement(out)
 
     def component(self, u):
-        return self.comps.get(tuple(u), ModuleOperator.zero())
+        return self.terms.get(tuple(u), ModuleOperator.zero())
 
     def levi_component(self):
         return self.component(_U_ZERO)
 
     def radical_components(self):
-        return {u: op for u, op in self.comps.items() if u != _U_ZERO}
+        return {u: op for u, op in self.terms.items() if u != _U_ZERO}
 
     @property
     def radical_is_zero(self):
         return not self.radical_components()
-
-    def __eq__(self, other):
-        if not isinstance(other, MElement):
-            return NotImplemented
-        return (self - other).comps == {}
 
 
 _SPLIT_CACHE = {}
@@ -214,7 +164,7 @@ def dirac_squared(degree_cap=3):
     big = d * ds + ds * d
     out = reduce_to_M(big, degree_cap)
     allowed = {_U_ZERO} | {_u_key(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
-    extra = set(out.comps) - allowed
+    extra = set(out.terms) - allowed
     if extra:
         raise RuntimeError(
             f"Dirac-square reduction left radical monomials outside the "
@@ -339,8 +289,8 @@ def casimir_in_M(C=None, degree_cap=3):
 PARTHASARATHY_CONSTANT = _qp(4) / (BR2 * BR2)     # times kappa_1
 
 
-def parthasarathy_residual(C=None, kappa3_ratio=None, d2m=None):
-    """D^2 - kappa_1 q^4 [2]^-2 (C (x) 1) reduced in M.
+def parthasarathy_residual(C=None, kappa3_ratio=None, d2m=None, degree_cap=3):
+    """D^2 - kappa_1 q^4 [2]^-2 (C (x) 1) reduced in M at `degree_cap`.
 
     Returns (difference, levi_remainder).  With the canonical ratios the
     radical components of the difference vanish identically; perturbing
@@ -349,9 +299,9 @@ def parthasarathy_residual(C=None, kappa3_ratio=None, d2m=None):
     s2 = KAPPA2_RATIO
     s3 = KAPPA3_RATIO if kappa3_ratio is None else kappa3_ratio
     if d2m is None:
-        d2m = dirac_squared()
+        d2m = dirac_squared(degree_cap)
     d2m = d2m.substitute_ratios(s2, s3)
-    cm = casimir_in_M(C)
+    cm = casimir_in_M(C, degree_cap)
     diff = d2m - cm.scale(kappa(1) * PARTHASARATHY_CONSTANT)
     return diff, diff.levi_component()
 
@@ -383,8 +333,8 @@ def dolbeault_invariance_residuals():
     """(ad(X) (x) id)(d) - (id (x) ad~(S(X)))(d) for Levi generators X."""
     res = {}
     for tok in LEVI_GEN_TOKENS:
-        lhs = TensorOperator.zero()
-        rhs = TensorOperator.zero()
+        lhs = TensorOperator({})
+        rhs = TensorOperator({})
         for i in (1, 2, 3):
             lhs = lhs + TensorOperator.from_element(
                 adjoint_action(tok, xi_E(i)), EXT.gamma(i))
@@ -418,7 +368,7 @@ def m_well_definedness_probe(seed=20240801, trials=12):
         right = t * TensorOperator.from_element(
             AlgebraElement.from_word(((0, 0, 0, 0), Weight(0, 0), (0, 0, 0, 0))),
             ModuleOperator.lift(EXT.rho(antipode(y))))
-        if reduce_to_M(left) - reduce_to_M(right) != MElement({}):
+        if reduce_to_M(left) != reduce_to_M(right):
             failures += 1
     return failures
 

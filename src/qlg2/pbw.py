@@ -49,7 +49,7 @@ import heapq
 from fractions import Fraction
 
 from .scalar import ZERO, ONE, BR2, Q_SC, Scalar, scalar, q_power as _qp, q_binomial
-from .linalg import accumulate, minv
+from .linalg import Combination, accumulate, minv
 from .weights import ALPHA1, ALPHA2, BETA, SIMPLE, W_ZERO, Weight
 
 
@@ -273,13 +273,10 @@ def _mul_terms(t1, t2):
 
 # --- elements ---------------------------------------------------------------
 
-class AlgebraElement:
+class AlgebraElement(Combination):
     """Linear combination of PBW words; treat instances as immutable."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = terms
+    __slots__ = ()
 
     # construction helpers
 
@@ -289,47 +286,14 @@ class AlgebraElement:
             return AE_ZERO
         return AlgebraElement({word: coeff})
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     @staticmethod
     def _coerce(x):
         if isinstance(x, AlgebraElement):
             return x
         if isinstance(x, (int, Fraction, Scalar)):
-            s = x if isinstance(x, Scalar) else scalar(x)
-            return AlgebraElement({_UNIT_WORD: s}) if not s.is_zero else AE_ZERO
+            return AlgebraElement.from_word(
+                _UNIT_WORD, x if isinstance(x, Scalar) else scalar(x))
         return None
-
-    def __add__(self, other):
-        o = AlgebraElement._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in o.terms.items():
-            accumulate(out, w, c)
-        return AlgebraElement(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AlgebraElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = AlgebraElement._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = AlgebraElement._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -355,15 +319,6 @@ class AlgebraElement:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        o = AlgebraElement._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     # structure
 
@@ -507,8 +462,9 @@ def token_weight(tok):
 
 
 def token_name(tok):
-    """Report label of a token: "E1" stays, ("K", 2, -1) becomes "K(2, -1)"."""
-    return tok if isinstance(tok, str) else "K" + str(tok[1:])
+    """Report label of a token: "E1" stays, ("K", 2, -1) and ("K", (2, -1))
+    become "K(2, -1)"."""
+    return tok if isinstance(tok, str) else "K({}, {})".format(*token_weight(tok))
 
 
 _GENERATORS = {"E1": E1, "E2": E2, "F1": F1, "F2": F2}

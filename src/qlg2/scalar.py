@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import accumulate
+from .linalg import Combination, accumulate
 
 
 class PoleError(ZeroDivisionError):
@@ -511,14 +511,11 @@ BR2 = q_number(2)                    # [2]_q
 _K_CAP = 2
 
 
-class KScalar:
-    """Polynomial of total degree <= 2 in kappa_1..kappa_3 over Scalar."""
+class KScalar(Combination):
+    """Polynomial of total degree <= 2 in kappa_1..kappa_3 over Scalar:
+    terms {(e1, e2, e3): Scalar}."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        # trusted: dict {(e1, e2, e3): Scalar}, zero values pruned
-        self.terms = terms
+    __slots__ = ()
 
     @staticmethod
     def from_scalar(s):
@@ -536,41 +533,8 @@ class KScalar:
             return KScalar.from_scalar(other)
         return None
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def degree(self):
         return max((sum(m) for m in self.terms), default=0)
-
-    def __add__(self, other):
-        o = KScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in o.terms.items():
-            accumulate(out, m, c)
-        return KScalar(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return KScalar({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = KScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = KScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = KScalar._coerce(other)
@@ -587,15 +551,6 @@ class KScalar:
         return KScalar(out)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        o = KScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def substitute(self, k1, k2, k3):
         """Full substitution kappa_i -> Scalar; a ring homomorphism."""

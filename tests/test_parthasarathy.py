@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qlg2.scalar import BR2, ONE, Q_SC, kappa, q_power
+from qlg2.checks import Context, check_parthasarathy
 from qlg2.modules import EXT, ModuleOperator
 from qlg2.pbw import K, antipode, normal_form, star, xi_E, xi_E_star
 from qlg2.rmatrix import casimir_explicit, quantum_trace_pairing
@@ -52,7 +53,7 @@ def test_dolbeault_invariance():
 
 
 def test_dirac_square_components_match_formulas(d2m):
-    keys = set(d2m.comps)
+    keys = set(d2m.terms)
     expected = {_u_key(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
     expected.add((0, 0, 0, 0, 0, 0))
     assert keys <= expected
@@ -156,6 +157,15 @@ def test_parthasarathy_negative_control_dropped_term(d2m):
     # dropping the first quantum term of the Casimir breaks the identity
     diff, _ = parthasarathy_residual(C=casimir_explicit(drop_quantum_term=0), d2m=d2m)
     assert not diff.radical_is_zero
+
+
+def test_parthasarathy_check_reduces_at_context_degree_cap(d2m, casimir):
+    # D^2 comes reduced at the default cap, so only the eight Casimir
+    # reductions of the check can meet the cap of 0
+    ctx = Context(degree_cap=0)
+    ctx._cache.update(d2m=d2m, casimir=casimir)
+    with pytest.raises(ValueError, match="exceeds degree cap 0"):
+        check_parthasarathy(ctx)
 
 
 def test_m_well_definedness():

@@ -10,8 +10,8 @@ from qlg2.weights import ALPHA1, ALPHA2, BETA, XI, W_ZERO, Weight, pair
 from qlg2.pbw import (
     AE_ONE, AE_ZERO, E1, E2, F1, F2, K, adjoint_action, antipode, coproduct,
     coproduct_word, counit, defining_relator_words, is_levi, levi_right_split,
-    normal_form, root_E, root_F, serre_relators, star, unit, word_weight,
-    xi_E, xi_E_star,
+    normal_form, root_E, root_F, serre_relators, star, token_name, unit,
+    word_weight, xi_E, xi_E_star,
 )
 
 Q = Q_SC
@@ -339,6 +339,7 @@ def test_malformed_cartan_token_rejected(tok):
 
 def test_cartan_token_forms():
     assert normal_form((("K", 2, -1),)) == normal_form((("K", (2, -1)),)) == K(ALPHA1)
+    assert token_name(("K", (1, 0))) == token_name(("K", 1, 0)) == "K(1, 0)"
 
 
 def test_weight_additivity():

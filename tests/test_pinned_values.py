@@ -13,7 +13,7 @@ from qlg2.scalar import ONE, KScalar, kappa, laurent_q
 
 
 def _melement_str(me):
-    return " | ".join(f"{u}: {me.comps[u].entries_str()}" for u in sorted(me.comps))
+    return " | ".join(f"{u}: {me.terms[u].entries_str()}" for u in sorted(me.terms))
 
 
 @pytest.fixture(scope="module")
@@ -22,12 +22,12 @@ def ctx():
 
 
 def test_dirac_square_in_m(ctx):
-    assert len(ctx.d2m.comps) == 10
+    assert len(ctx.d2m.terms) == 10
     assert digest(_melement_str(ctx.d2m)) == "272e9326c8fd823b"
 
 
 def test_casimir_in_m(ctx):
-    assert len(ctx.casimir_m.comps) == 8
+    assert len(ctx.casimir_m.terms) == 8
     assert digest(_melement_str(ctx.casimir_m)) == "98cab99cdbae6b4e"
 
 

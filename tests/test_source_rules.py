@@ -1,6 +1,8 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import qlg2
@@ -40,3 +42,32 @@ def test_each_top_level_name_has_one_home():
             homes.setdefault(name, []).append(path.name)
     shared = {name: files for name, files in homes.items() if len(files) > 1}
     assert not shared, f"names defined in more than one module: {shared}"
+
+
+def _load_tracer():
+    # loaded by path: perfbench is not a package on the test path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_names_live_in_their_owners_namespace():
+    # the tracer patches `vars(owner)` only: a traced method inherited from a
+    # base class would silently read zero calls
+    tracer = _load_tracer()
+    targets = [(module, path) for module, path, _name in tracer.SPAN_TARGETS]
+    targets += [("qlg2.scalar", path) for path, _metric in tracer.SCALAR_TARGETS]
+    missing = []
+    for module, path in targets:
+        owner = importlib.import_module(module)
+        *owners, attr = path.split(".")
+        for name in owners:
+            owner = getattr(owner, name)
+        if attr not in vars(owner):
+            missing.append(f"{module}.{path}")
+    assert not missing, f"traced names not defined in their owner: {missing}"
+    caches = [f"{module}.{attr}" for module, attr, _metric in tracer.CACHES
+              if not isinstance(vars(importlib.import_module(module)).get(attr), dict)]
+    assert not caches, f"traced caches that are not module-level dicts: {caches}"
