@@ -3,7 +3,8 @@
 Every named statement used in the construction gets one check id; a check
 recomputes both sides of its statement from scratch (through the shared
 lazily-cached context) and records canonical serializations, so the report
-doubles as a verification index.  A check passes exactly when its residual
+doubles as a verification index.  `@check(id, statement)` registers each
+check beside its code.  A check passes exactly when its residual
 serialization is empty; a check that raises gets the status "error" and the
 exception as its residual, and the other checks still run.
 """
@@ -35,25 +36,15 @@ from .rmatrix import (
     quantum_trace_pairing,
 )
 from .parthasarathy import (
-    KAPPA2_RATIO, KAPPA3_RATIO, PARTHASARATHY_CONSTANT, casimir_in_M,
-    dirac_self_adjoint, dirac_squared, dolbeault,
+    KAPPA2_RATIO, KAPPA3_RATIO, PARTHASARATHY_CONSTANT, TensorOperator,
+    casimir_in_M, dirac_self_adjoint, dirac_squared, dolbeault,
     dolbeault_invariance_residuals, gamma_identities_after_kappa,
     gamma_pair_formula, m_well_definedness_probe, parthasarathy_residual,
-    solve_kappa_constraints, spectrum_growth, _u_key,
+    solve_kappa_constraints, spectrum_growth, stated_levi_operators, _u_key,
 )
 
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _mat_str(m):
-    bits = []
-    for r, row in enumerate(m):
-        for c, x in enumerate(row):
-            if x:
-                s = x.canon_str() if hasattr(x, "canon_str") else str(x)
-                bits.append(f"[{r},{c}] {s}")
-    return "; ".join(bits) if bits else "0"
 
 
 @dataclass
@@ -117,17 +108,56 @@ class Context:
 
 # each check returns (lhs_str, rhs_str, residual_str, details)
 
-def _zero_residuals(named, is_zero, show):
-    details = []
-    residual = []
-    for name, r in named:
-        ok = is_zero(r)
-        details.append(f"{name}: {'ok' if ok else 'NONZERO'}")
-        if not ok:
-            residual.append(f"{name}: {show(r)}")
-    return "; ".join(residual), tuple(details)
+CHECKS = {}
 
 
+def check(check_id, statement):
+    """Register the decorated function as CHECKS[check_id] = (statement, fn)."""
+    def register(fn):
+        CHECKS[check_id] = (statement, fn)
+        return fn
+    return register
+
+
+def _tally(rows, bad="NO"):
+    """(residual, details) of rows (label, ok, shown): one detail "label: ok"
+    or "label: <bad>" per row; the residual joins the shown texts of the
+    failing rows."""
+    rows = list(rows)
+    return ("; ".join(shown for _label, ok, shown in rows if not ok),
+            tuple(f"{label}: {'ok' if ok else bad}" for label, ok, _shown in rows))
+
+
+def _nonzero_str(x):
+    """Report text of a matrix, ModuleOperator, TensorOperator or PBW element."""
+    if isinstance(x, list):
+        bits = [f"[{r},{c}] {y.canon_str() if hasattr(y, 'canon_str') else y}"
+                for r, row in enumerate(x) for c, y in enumerate(row) if y]
+        return "; ".join(bits) if bits else "0"
+    if isinstance(x, ModuleOperator):
+        return x.entries_str()
+    if isinstance(x, TensorOperator):
+        return "; ".join(str(w) for w in sorted(x.terms))
+    return x.canon_str()
+
+
+def _zero_residuals(named):
+    """_tally over (name, value) pairs whose values must vanish."""
+    return _tally(((name, miszero(x) if isinstance(x, list) else x.is_zero,
+                    f"{name}: {_nonzero_str(x)}") for name, x in named), "NONZERO")
+
+
+def _same(lhs, rhs, agree):
+    """The check tuple of the identity lhs == rhs between PBW elements."""
+    diff = lhs - rhs
+    residual = "" if diff.is_zero else diff.canon_str()
+    return lhs.canon_str(), rhs.canon_str(), residual, \
+        (agree if not residual else "MISMATCH",)
+
+
+@check("uqg-relations",
+       "defining relations, Serre relators, antipode axiom and star "
+       "involution hold in the PBW engine")
 def check_uqg_relations(ctx):
     named = []
     for idx, rel in enumerate(pbw.defining_relator_words()):
@@ -145,12 +175,14 @@ def check_uqg_relations(ctx):
         g = normal_form((tok,))
         named.append((f"antipode-axiom-{tok}", total - counit(g) * unit()))
         named.append((f"star-involution-{tok}", star(star(g)) - g))
-    residual, details = _zero_residuals(
-        named, lambda x: x.is_zero, lambda x: x.canon_str())
+    residual, details = _zero_residuals(named)
     lhs = "; ".join(x.canon_str() for _n, x in named)
     return lhs, "0", residual, details
 
 
+@check("eq-comm-rel-uqg",
+       "randomized associativity, relator-insertion and representation "
+       "probes for the straightening rules")
 def check_comm_rel(ctx):
     rng = random.Random(ctx.seed)
     toks = ["E1", "E2", "F1", "F2", ("K", 1, 0), ("K", -1, 1), ("K", 0, -1)]
@@ -179,50 +211,59 @@ def check_comm_rel(ctx):
     return f"probes(seed={ctx.seed})", "no failures", residual, details
 
 
+@check("eq-condition-i",
+       "the canonical element is invariant under the Levi generators")
 def check_condition_i(ctx):
-    named = list(canonical_element_invariance_residuals().items())
-    residual, details = _zero_residuals(named, miszero, _mat_str)
+    residual, details = _zero_residuals(
+        canonical_element_invariance_residuals().items())
     return "ad_X on radical roots", "transpose of S(X) on dual basis", residual, details
 
 
+@check("lem-equiv-maps",
+       "the wedge operators are equivariant for the twisted adjoint action")
 def check_equiv_maps(ctx):
-    named = [(f"{t}:gamma(y{i})", m)
-             for (t, i), m in gamma_equivariance_residuals().items()]
-    residual, details = _zero_residuals(named, miszero, _mat_str)
+    residual, details = _zero_residuals(
+        (f"{t}:gamma(y{i})", m)
+        for (t, i), m in gamma_equivariance_residuals().items())
     return "twisted adjoint of gamma", "gamma of Levi action", residual, details
 
 
+@check("lem-canonical-square",
+       "the Dolbeault element and its adjoint square to zero")
 def check_canonical_square(ctx):
     d = dolbeault()
     ds = d.star()
-    named = [("dolbeault^2", d * d), ("dolbeault-star^2", ds * ds)]
     residual, details = _zero_residuals(
-        named, lambda t: t.is_zero,
-        lambda t: "; ".join(f"{w}" for w in sorted(t.terms)))
+        [("dolbeault^2", d * d), ("dolbeault-star^2", ds * ds)])
     return "squares of the (co)boundary", "0", residual, details
 
 
+@check("def-dolb-dirac", "the Dirac element is formally self-adjoint")
 def check_dolb_dirac(ctx):
     ok = dirac_self_adjoint()
     residual = "" if ok else "D* - D nonzero"
     return "star-and-Gram adjoint of D", "D", residual, ("formal self-adjointness",)
 
 
+@check("prop-dolbeault-invariant",
+       "the Dolbeault element preserves the invariant-forms model")
 def check_dolbeault_invariant(ctx):
-    named = list(dolbeault_invariance_residuals().items())
-    residual, details = _zero_residuals(
-        named, lambda t: t.is_zero,
-        lambda t: "; ".join(str(w) for w in sorted(t.terms)))
+    residual, details = _zero_residuals(dolbeault_invariance_residuals().items())
     return "(ad(X) (x) id) d", "(id (x) ad~(S(X))) d", residual, details
 
 
+@check("lem-fundamental-c2",
+       "the fundamental-module matrices satisfy every defining relation "
+       "including both Serre relations")
 def check_fundamental(ctx):
     named = list(FUND.relation_residuals().items())
-    residual, details = _zero_residuals(named, miszero, _mat_str)
+    residual, details = _zero_residuals(named)
     lhs = "; ".join(n for n, _m in named)
     return lhs, "0", residual, details
 
 
+@check("lem-root-e",
+       "closed-form quantum root vectors agree with the PBW letters")
 def check_root_vectors(ctx):
     e2 = (ONE / BR2) * (root_E(1) * root_E(1) * root_E(4)) \
         - _qp(-1) * (root_E(1) * root_E(4) * root_E(1)) \
@@ -232,52 +273,49 @@ def check_root_vectors(ctx):
         - _qp(1) * (root_F(1) * root_F(4) * root_F(1)) \
         + (_qp(2) / BR2) * (root_F(1) * root_F(1) * root_F(4))
     f3 = root_F(4) * root_F(1) - _qp(2) * (root_F(1) * root_F(4))
-    named = [
+    residual, details = _zero_residuals([
         ("E-beta2", e2 - root_E(2)), ("E-beta3", e3 - root_E(3)),
         ("F-beta2", f2 - root_F(2)), ("F-beta3", f3 - root_F(3)),
-    ]
-    residual, details = _zero_residuals(
-        named, lambda x: x.is_zero, lambda x: x.canon_str())
+    ])
     return "closed-form root vectors", "PBW letters", residual, details
 
 
+@check("prop-sq-relations",
+       "the radical-root subalgebra has its three quadratic relations")
 def check_sq_relations(ctx):
-    named = [
+    residual, details = _zero_residuals([
         ("xi1-xi2", xi_E(1) * xi_E(2) - _qp(2) * (xi_E(2) * xi_E(1))),
         ("xi2-xi3", xi_E(2) * xi_E(3) - _qp(2) * (xi_E(3) * xi_E(2))),
         ("xi1-xi3", xi_E(1) * xi_E(3) - xi_E(3) * xi_E(1)
          - (_Q * _qp(1) / BR2) * (xi_E(2) * xi_E(2))),
-    ]
-    residual, details = _zero_residuals(
-        named, lambda x: x.is_zero, lambda x: x.canon_str())
+    ])
     return "quadratic relations of the radical subalgebra", "0", residual, details
 
 
+# (Levi token, i, X |> xi_i)
 LEVI_UP_GOLDEN = (
-    (("K", 2, -1), 1, "q2"), (("K", 2, -1), 2, "1"), (("K", 2, -1), 3, "q-2"),
-    (("K", -2, 2), 1, "1"), (("K", -2, 2), 2, "q2"), (("K", -2, 2), 3, "q4"),
-    ("E1", 1, "0"), ("E1", 2, "[2]E1"), ("E1", 3, "E2"),
-    ("F1", 1, "E2"), ("F1", 2, "[2]E3"), ("F1", 3, "0"),
+    (("K", 2, -1), 1, _qp(2) * xi_E(1)), (("K", 2, -1), 2, xi_E(2)),
+    (("K", 2, -1), 3, _qp(-2) * xi_E(3)),
+    (("K", -2, 2), 1, xi_E(1)), (("K", -2, 2), 2, _qp(2) * xi_E(2)),
+    (("K", -2, 2), 3, _qp(4) * xi_E(3)),
+    ("E1", 1, AE_ZERO), ("E1", 2, BR2 * xi_E(1)), ("E1", 3, xi_E(2)),
+    ("F1", 1, xi_E(2)), ("F1", 2, BR2 * xi_E(3)), ("F1", 3, AE_ZERO),
 )
 
 
+@check("lem-levi-up",
+       "the adjoint action on the radical roots matches the table "
+       "(12 entries)")
 def check_levi_up(ctx):
-    want = {
-        "q2": lambda i: _qp(2) * xi_E(i), "q-2": lambda i: _qp(-2) * xi_E(i),
-        "q4": lambda i: _qp(4) * xi_E(i), "1": lambda i: xi_E(i),
-        "0": lambda i: AE_ZERO,
-        "[2]E1": lambda i: BR2 * xi_E(1), "E2": lambda i: xi_E(2),
-        "[2]E3": lambda i: BR2 * xi_E(3),
-    }
-    named = []
-    for tok, i, tag in LEVI_UP_GOLDEN:
-        got = pbw.adjoint_action(tok, xi_E(i))
-        named.append((f"{token_name(tok)}|>xi{i}", got - want[tag](i)))
     residual, details = _zero_residuals(
-        named, lambda x: x.is_zero, lambda x: x.canon_str())
+        (f"{token_name(tok)}|>xi{i}", pbw.adjoint_action(tok, xi_E(i)) - want)
+        for tok, i, want in LEVI_UP_GOLDEN)
     return "adjoint action on radical roots (12 entries)", "table", residual, details
 
 
+@check("lem-levi-um",
+       "the dual action on the exterior generators matches the table "
+       "(12 entries)")
 def check_levi_um(ctx):
     # the derived degree-one action against the stated table
     q2, br = _qp(2), BR2
@@ -288,20 +326,18 @@ def check_levi_um(ctx):
         ("F1", 1): {}, ("F1", 2): {1: -ONE}, ("F1", 3): {2: -(br * _qp(-2))},
     }
     mats = {"K1": EXT.K((2, -1)), "K2": EXT.K((-2, 2)), "E1": EXT.E1, "F1": EXT.F1}
-    named = []
+    rows = []
     for (tok, j), want in table.items():
-        m = mats[tok]
-        res = []
-        for i in (1, 2, 3):
-            want_c = want.get(i, ZERO)
-            if m[i][j] != want_c:
-                res.append(f"({i},{j})")
-        named.append((f"{tok}.y{j}", res))
-    residual, details = _zero_residuals(
-        named, lambda r: not r, lambda r: ",".join(r))
+        off = [f"({i},{j})" for i in (1, 2, 3)
+               if mats[tok][i][j] != want.get(i, ZERO)]
+        rows.append((f"{tok}.y{j}", not off, f"{tok}.y{j}: {','.join(off)}"))
+    residual, details = _tally(rows, "NONZERO")
     return "dual-basis Levi action (12 entries)", "table", residual, details
 
 
+@check("prop-lq-relations",
+       "the quadratic dual is 6-dimensional and spans the wedge relations; "
+       "graded dimensions (1,3,3,1)")
 def check_lq_relations(ctx):
     details = []
     residual = []
@@ -333,44 +369,41 @@ def check_lq_relations(ctx):
         "; ".join(residual), tuple(details)
 
 
+@check("lem-levi-lq",
+       "the Levi action on the full exterior module matches the table")
 def check_levi_lq(ctx):
     g = golden_levi_Lq()
-    named = [
+    residual, details = _zero_residuals([
         ("E1", msub(EXT.E1, g["E1"])), ("F1", msub(EXT.F1, g["F1"])),
         ("K1", msub(EXT.K((2, -1)), g["K1"])),
         ("K2", msub(EXT.K((-2, 2)), g["K2"])),
-    ]
-    residual, details = _zero_residuals(named, miszero, _mat_str)
+    ])
     return "module-algebra extension of the Levi action", "table", residual, details
 
 
+@check("cor-iso-exterior",
+       "degree 1 and degree 2 are isomorphic over the semisimple Levi part "
+       "but not over the full Levi factor")
 def check_iso_exterior(ctx):
     phi = iso_exterior_map()
     deg1, deg2 = (1, 2, 3), (4, 5, 6)
 
-    def block(m, rows, cols):
-        return [[m[r][c] for c in cols] for r in rows]
+    def intertwines(m):
+        blocks = [[[m[r][c] for c in deg] for r in deg] for deg in (deg1, deg2)]
+        return meq(mmul(phi, blocks[0], ZERO), mmul(blocks[1], phi, ZERO))
 
-    residual = []
-    details = []
-    for tok in ("E1", "F1", ("K", 2, -1)):
-        m = EXT.rep_token(tok)
-        name = token_name(tok)
-        ok = meq(mmul(phi, block(m, deg1, deg1), ZERO),
-                 mmul(block(m, deg2, deg2), phi, ZERO))
-        details.append(f"intertwines {name}: {'ok' if ok else 'NO'}")
-        if not ok:
-            residual.append(name)
-    k2 = EXT.K((-2, 2))
-    k2_fails = not meq(mmul(phi, block(k2, deg1, deg1), ZERO),
-                       mmul(block(k2, deg2, deg2), phi, ZERO))
-    details.append(f"fails for K2 as required: {'ok' if k2_fails else 'NO'}")
-    if not k2_fails:
-        residual.append("K2 unexpectedly intertwined")
+    rows = [(f"intertwines {token_name(tok)}", intertwines(EXT.rep_token(tok)),
+             token_name(tok)) for tok in ("E1", "F1", ("K", 2, -1))]
+    rows.append(("fails for K2 as required", not intertwines(EXT.K((-2, 2))),
+                 "K2 unexpectedly intertwined"))
+    residual, details = _tally(rows)
     return "degree 1 <-> degree 2 comparison map", \
-        "semisimple-Levi isomorphism only", "; ".join(residual), tuple(details)
+        "semisimple-Levi isomorphism only", residual, details
 
 
+@check("lem-inner-prod",
+       "the invariant inner products are diagonal with the stated entries, "
+       "one free constant per degree")
 def check_inner_prod(ctx):
     blocks = EXT.solve_invariant_inner_products()
     want = {
@@ -395,102 +428,98 @@ def check_inner_prod(ctx):
         "; ".join(residual), tuple(details)
 
 
+@check("lem-action-gamma", "right wedge multiplication matches the table")
 def check_action_gamma(ctx):
     g = golden_action_gamma()
-    named = [(f"gamma(y{i})", msub(EXT.gamma_scalar(i), g[i])) for i in (1, 2, 3)]
-    residual, details = _zero_residuals(named, miszero, _mat_str)
+    residual, details = _zero_residuals(
+        (f"gamma(y{i})", msub(EXT.gamma_scalar(i), g[i])) for i in (1, 2, 3))
     return "right wedge multiplication", "table", residual, details
 
 
+@check("lem-gamma-star",
+       "the Gram adjoints of the wedge operators match the table")
 def check_gamma_star(ctx):
     g = golden_gamma_star()
-    named = [(f"gamma(y{i})*", EXT.gamma_star(i) - g[i]) for i in (1, 2, 3)]
     residual, details = _zero_residuals(
-        named, lambda m: m.is_zero, lambda m: m.entries_str())
+        (f"gamma(y{i})*", EXT.gamma_star(i) - g[i]) for i in (1, 2, 3))
     return "Gram adjoints of the wedge operators", "table", residual, details
 
 
+# (i, j) -> {radical monomial of E_{xi_i} E*_{xi_j}: its coefficient}
 REL_XI_XIS_GOLDEN = {
-    (1, 1): {(1, 0, 0, 1, 0, 0): lambda: _qp(-4),
-             (0, 1, 0, 0, 1, 0): lambda: -(_Q * _qp(-2)),
-             (0, 0, 1, 0, 0, 1): lambda: _Q * _Q * BR2 * _qp(-3)},
-    (2, 2): {(0, 1, 0, 0, 1, 0): lambda: _qp(-2),
-             (0, 0, 1, 0, 0, 1): lambda: -(_Q * BR2 * BR2 * _qp(-4))},
-    (3, 3): {(0, 0, 1, 0, 0, 1): lambda: _qp(-4)},
-    (1, 2): {(0, 1, 0, 1, 0, 0): lambda: _qp(-2),
-             (0, 0, 1, 0, 1, 0): lambda: -(_Q * BR2 * _qp(-2))},
-    (1, 3): {(0, 0, 1, 1, 0, 0): lambda: ONE},
-    (2, 3): {(0, 0, 1, 0, 1, 0): lambda: _qp(-2)},
+    (1, 1): {(1, 0, 0, 1, 0, 0): _qp(-4),
+             (0, 1, 0, 0, 1, 0): -(_Q * _qp(-2)),
+             (0, 0, 1, 0, 0, 1): _Q * _Q * BR2 * _qp(-3)},
+    (2, 2): {(0, 1, 0, 0, 1, 0): _qp(-2),
+             (0, 0, 1, 0, 0, 1): -(_Q * BR2 * BR2 * _qp(-4))},
+    (3, 3): {(0, 0, 1, 0, 0, 1): _qp(-4)},
+    (1, 2): {(0, 1, 0, 1, 0, 0): _qp(-2),
+             (0, 0, 1, 0, 1, 0): -(_Q * BR2 * _qp(-2))},
+    (1, 3): {(0, 0, 1, 1, 0, 0): ONE},
+    (2, 3): {(0, 0, 1, 0, 1, 0): _qp(-2)},
 }
 
 
+@check("lem-rel-xi-xis",
+       "all six mod-Levi commutation relations are recovered by the "
+       "decomposition with the stated coefficients")
 def check_rel_xi_xis(ctx):
-    residual = []
-    details = []
+    rows = []
     for (i, j), want in sorted(REL_XI_XIS_GOLDEN.items()):
         parts = dict(levi_right_split(xi_E(i) * xi_E_star(j), ctx.degree_cap))
-        radical = {u: l for u, l in parts.items() if u != (0, 0, 0, 0, 0, 0)}
-        ok = set(radical) == set(want) and all(
-            radical[u] == w() * unit() for u, w in want.items())
-        levi_ok = all(is_levi(l) for u, l in parts.items()
-                      if u == (0, 0, 0, 0, 0, 0))
-        details.append(f"xi{i} xi{j}*: {'ok' if ok and levi_ok else 'NO'}")
-        if not (ok and levi_ok):
-            residual.append(f"({i},{j})")
+        levi = parts.pop((0, 0, 0, 0, 0, 0), AE_ZERO)
+        ok = parts == {u: w * unit() for u, w in want.items()} and is_levi(levi)
+        rows.append((f"xi{i} xi{j}*", ok, f"({i},{j})"))
+    residual, details = _tally(rows)
     return "mod-Levi commutation decompositions", "six stated relations", \
-        "; ".join(residual), tuple(details)
+        residual, details
 
 
+@check("prop-d-squared",
+       "the reduced Dirac square carries the stated operator on each "
+       "radical monomial")
 def check_d_squared(ctx):
+    # dirac_squared raises on a radical monomial outside the (i, j) pattern
     d2m = ctx.d2m
-    residual = []
-    details = []
+    rows = []
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             diff = d2m.component(_u_key(i, j)) - gamma_pair_formula(i, j)
-            ok = diff.is_zero
-            details.append(f"component ({i},{j}): {'ok' if ok else 'NO'}")
-            if not ok:
-                residual.append(f"({i},{j}): {diff.entries_str()}")
-    extras = [u for u in d2m.terms
-              if u != (0, 0, 0, 0, 0, 0)
-              and u not in {_u_key(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}]
-    if extras:
-        residual.append(f"unexpected radical monomials {extras}")
+            rows.append((f"component ({i},{j})", diff.is_zero,
+                         f"({i},{j}): {diff.entries_str()}"))
+    residual, details = _tally(rows)
     return "Dirac square reduced in the quotient", "stated Gamma components", \
-        "; ".join(residual), tuple(details)
+        residual, details
 
 
+@check("lem-f-vanish",
+       "nilpotency pattern of the represented negative root vectors "
+       "(11 vanishing, 2 non-vanishing)")
 def check_f_vanish(ctx):
-    rep = FUND.f_vanish_report()
-    residual = [name for name, ok in rep.items() if not ok]
-    details = tuple(f"{name}: {'ok' if ok else 'NO'}" for name, ok in rep.items())
+    residual, details = _tally(
+        (name, ok, name) for name, ok in FUND.f_vanish_report().items())
     return "nilpotency pattern of negative root vectors", \
-        "11 vanishing products, 2 non-vanishing", "; ".join(residual), details
+        "11 vanishing products, 2 non-vanishing", residual, details
 
 
+@check("prop-cas-general",
+       "the truncated R-matrix is an exact intertwiner and the quantum "
+       "trace pairing is central")
 def check_cas_general(ctx):
     R = ctx.rmat
-    residual = []
-    details = []
-    for name, ok in R.truncation_checks.items():
-        details.append(f"{name}: {'ok' if ok else 'NO'}")
-        if not ok:
-            residual.append(name)
-    for tok, m in R.intertwiner_residuals().items():
-        ok = miszero(m)
-        details.append(f"intertwiner {tok}: {'ok' if ok else 'NO'}")
-        if not ok:
-            residual.append(f"intertwiner-{tok}")
-    for name, r in centrality_residuals(ctx.casimir).items():
-        ok = r.is_zero
-        details.append(f"central against {name}: {'ok' if ok else 'NO'}")
-        if not ok:
-            residual.append(f"centrality-{name}: {r.canon_str()}")
-    return "R-matrix trace construction", "central element", \
-        "; ".join(residual), tuple(details)
+    rows = [(name, ok, name) for name, ok in R.truncation_checks.items()]
+    rows += [(f"intertwiner {tok}", miszero(m), f"intertwiner-{tok}")
+             for tok, m in R.intertwiner_residuals().items()]
+    rows += [(f"central against {name}", r.is_zero,
+              f"centrality-{name}: {r.canon_str()}")
+             for name, r in centrality_residuals(ctx.casimir).items()]
+    residual, details = _tally(rows)
+    return "R-matrix trace construction", "central element", residual, details
 
 
+@check("prop-casimir-rmatrix",
+       "the constructed Casimir equals its explicit PBW form and acts by "
+       "its eigenvalue on the fundamental module")
 def check_casimir_rmatrix(ctx):
     C = ctx.casimir
     Cx = casimir_explicit()
@@ -506,6 +535,8 @@ def check_casimir_rmatrix(ctx):
     return C.canon_str(), Cx.canon_str(), "; ".join(residual), tuple(details)
 
 
+@check("cor-value-casimir",
+       "the eigenvalue formula matches the pairing oracles and is positive")
 def check_value_casimir(ctx):
     residual = []
     details = []
@@ -528,25 +559,27 @@ def check_value_casimir(ctx):
     return "eigenvalue formula", "pairing oracles", "; ".join(residual), tuple(details)
 
 
+@check("lem-rel-e-es",
+       "the four commutation relations with the starred Levi root vector")
 def check_rel_e_es(ctx):
     Eb1s = star(root_E(1))
-    named = [
+    residual, details = _zero_residuals([
         ("e1*e1", Eb1s * root_E(1) - _qp(2) * (root_E(1) * Eb1s)
          + (_qp(2) / _Q) * (K(4, -2) - unit())),
         ("e1*e2", Eb1s * root_E(2) - _qp(2) * (root_E(2) * Eb1s)
          - _qp(2) * root_E(3)),
         ("e1*e3", Eb1s * root_E(3) - root_E(3) * Eb1s - BR2 * root_E(4)),
         ("e1*e4", Eb1s * root_E(4) - _qp(-2) * (root_E(4) * Eb1s)),
-    ]
-    residual, details = _zero_residuals(
-        named, lambda x: x.is_zero, lambda x: x.canon_str())
+    ])
     return "commutators with the starred Levi root vector", "0", residual, details
 
 
+@check("lem-rel-rewrite-cas",
+       "the four rewriting identities used for the quantum part")
 def check_rel_rewrite_cas(ctx):
     E = {j: root_E(j) for j in (1, 2, 3, 4)}
     Es = {j: star(root_E(j)) for j in (1, 2, 3, 4)}
-    named = [
+    residual, details = _zero_residuals([
         ("id-1", star(E[3] * E[1]) * E[2]
          - _qp(2) * (Es[3] * E[2] * Es[1]) - _qp(2) * (Es[3] * E[3])
          + BR2 * (Es[2] * E[2])),
@@ -558,29 +591,24 @@ def check_rel_rewrite_cas(ctx):
          - BR2 * (Es[3] * E[4] * E[1] - Es[2] * E[3] * E[1])),
         ("id-4", star(E[4] * E[1]) * E[4] * E[1]
          - Es[4] * E[4] * Es[1] * E[1] + _qp(2) * (Es[3] * E[4] * E[1])),
-    ]
-    residual, details = _zero_residuals(
-        named, lambda x: x.is_zero, lambda x: x.canon_str())
+    ])
     return "rewriting identities for the quantum part", "0", residual, details
 
 
+@check("lem-quantum-casimir",
+       "the quantum part of the Casimir equals its rewritten form")
 def check_quantum_casimir(ctx):
-    direct, rewritten = casimir_quantum_parts()
-    diff = direct - rewritten
-    residual = "" if diff.is_zero else diff.canon_str()
-    return direct.canon_str(), rewritten.canon_str(), residual, \
-        ("two forms of the quantum part agree" if not residual else "MISMATCH",)
+    return _same(*casimir_quantum_parts(), "two forms of the quantum part agree")
 
 
+@check("prop-cas-to-the-right",
+       "the Casimir equals the form with all Levi letters moved right")
 def check_cas_to_the_right(ctx):
-    C = ctx.casimir
-    Cr = casimir_right_form()
-    diff = C - Cr
-    residual = "" if diff.is_zero else diff.canon_str()
-    return C.canon_str(), Cr.canon_str(), residual, \
-        ("Levi-letters-right form agrees" if not residual else "MISMATCH",)
+    return _same(ctx.casimir, casimir_right_form(), "Levi-letters-right form agrees")
 
 
+@check("eq-relation-cliff",
+       "the quotient-module reduction is well defined (randomized probe)")
 def check_relation_cliff(ctx):
     failures = m_well_definedness_probe(seed=ctx.seed, trials=8)
     residual = "" if failures == 0 else f"{failures} probe failures"
@@ -588,84 +616,79 @@ def check_relation_cliff(ctx):
         ("8 randomized probes",)
 
 
+@check("prop-casimir-clifford",
+       "the Casimir reduces in the quotient to the stated components")
 def check_casimir_clifford(ctx):
     cm = ctx.casimir_m
-    k2l1, k2l2 = K(2, 0), K(-2, 2)
-    e1 = normal_form(("E1",))
-    kse = k2l1 * antipode(e1)
-    ksee = k2l1 * antipode(star(e1) * e1)
+    k2l1, k2l2, kse, kse_star, ksee = stated_levi_operators()
     want = {
-        _u_key(1, 1): EXT.rho_op(k2l1).scale(BR2 * BR2 * _qp(-4)),
-        _u_key(2, 2): (EXT.rho_op(k2l1).scale(_qp(-5) - _Q * _qp(-2))
-                       + EXT.rho_op(k2l2).scale(_qp(-1))
-                       + EXT.rho_op(ksee).scale(_Q * _Q * _qp(-4))),
-        _u_key(3, 3): (EXT.rho_op(k2l2).scale(_qp(-4))
-                       - EXT.rho_op(k2l1).scale(_Q * _qp(-5))
-                       + EXT.rho_op(ksee).scale(_Q * _Q * _qp(-7))).scale(BR2 * BR2),
-        _u_key(1, 2): EXT.rho_op(kse).scale(-(_Q * BR2 * _qp(-3))),
-        _u_key(2, 1): EXT.rho_op(star(kse)).scale(-(_Q * BR2 * _qp(-3))),
-        _u_key(2, 3): EXT.rho_op(kse).scale(-(_Q * BR2 * _qp(-5))),
-        _u_key(3, 2): EXT.rho_op(star(kse)).scale(-(_Q * BR2 * _qp(-5))),
+        _u_key(1, 1): k2l1.scale(BR2 * BR2 * _qp(-4)),
+        _u_key(2, 2): (k2l1.scale(_qp(-5) - _Q * _qp(-2)) + k2l2.scale(_qp(-1))
+                       + ksee.scale(_Q * _Q * _qp(-4))),
+        _u_key(3, 3): (k2l2.scale(_qp(-4)) - k2l1.scale(_Q * _qp(-5))
+                       + ksee.scale(_Q * _Q * _qp(-7))).scale(BR2 * BR2),
+        _u_key(1, 2): kse.scale(-(_Q * BR2 * _qp(-3))),
+        _u_key(2, 1): kse_star.scale(-(_Q * BR2 * _qp(-3))),
+        _u_key(2, 3): kse.scale(-(_Q * BR2 * _qp(-5))),
+        _u_key(3, 2): kse_star.scale(-(_Q * BR2 * _qp(-5))),
         _u_key(1, 3): ModuleOperator.zero(),
         _u_key(3, 1): ModuleOperator.zero(),
     }
-    residual = []
-    details = []
+    rows = []
     for u, w in sorted(want.items()):
         diff = cm.component(u) - w
-        ok = diff.is_zero
-        details.append(f"component {u}: {'ok' if ok else 'NO'}")
-        if not ok:
-            residual.append(f"{u}: {diff.entries_str()}")
-    return "Casimir reduced in the quotient", "stated components", \
-        "; ".join(residual), tuple(details)
+        rows.append((f"component {u}", diff.is_zero, f"{u}: {diff.entries_str()}"))
+    residual, details = _tally(rows)
+    return "Casimir reduced in the quotient", "stated components", residual, details
 
 
+@check("lem-kappa-constraints",
+       "the mixed component vanishes exactly for the stated inner-product "
+       "ratios, uniquely")
 def check_kappa_constraints(ctx):
-    residual = []
-    details = []
     s2, s3 = solve_kappa_constraints()
-    ok2 = s2 == KAPPA2_RATIO
-    ok3 = s3 == KAPPA3_RATIO
-    details.append(f"kappa_2/kappa_1 = {s2.canon_str()}: {'ok' if ok2 else 'NO'}")
-    details.append(f"kappa_3/kappa_1 = {s3.canon_str()}: {'ok' if ok3 else 'NO'}")
-    if not ok2:
-        residual.append("kappa2 ratio")
-    if not ok3:
-        residual.append("kappa3 ratio")
     g13 = gamma_pair_formula(1, 3)
-    deg_trivial = all(g13.mat[r][0].is_zero and g13.mat[r][7].is_zero
-                      for r in range(8))
-    details.append(f"degrees 0 and 3 unconstrained: {'ok' if deg_trivial else 'NO'}")
-    if not deg_trivial:
-        residual.append("degree 0/3 constraints")
-    if not g13.substitute_ratios(s2, s3).is_zero:
-        residual.append("mixed component after substitution")
+    residual, details = _tally([
+        (f"kappa_2/kappa_1 = {s2.canon_str()}", s2 == KAPPA2_RATIO, "kappa2 ratio"),
+        (f"kappa_3/kappa_1 = {s3.canon_str()}", s3 == KAPPA3_RATIO, "kappa3 ratio"),
+        ("degrees 0 and 3 unconstrained",
+         all(g13.mat[r][0].is_zero and g13.mat[r][7].is_zero for r in range(8)),
+         "degree 0/3 constraints"),
+    ])
+    if g13.substitute_ratios(s2, s3).is_zero:
+        details += ("mixed component vanishes on all eight vectors",)
     else:
-        details.append("mixed component vanishes on all eight vectors")
+        residual += ("; " if residual else "") + "mixed component after substitution"
     return "vanishing of the mixed (1,3) component", "unique ratio solution", \
-        "; ".join(residual), tuple(details)
+        residual, details
 
 
+@check("lem-clifford-off",
+       "off-diagonal Dirac-square components take their closed forms after "
+       "substitution")
 def check_clifford_off(ctx):
     res = gamma_identities_after_kappa(ctx.d2m)
-    named = [(f"Gamma{i}{j}", res[(i, j)])
-             for (i, j) in ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2))]
     residual, details = _zero_residuals(
-        named, lambda m: m.is_zero, lambda m: m.entries_str())
+        (f"Gamma{i}{j}", res[(i, j)])
+        for (i, j) in ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)))
     return "off-diagonal components after substitution", "closed forms", \
         residual, details
 
 
+@check("lem-clifford-diag",
+       "diagonal Dirac-square components take their closed forms after "
+       "substitution")
 def check_clifford_diag(ctx):
     res = gamma_identities_after_kappa(ctx.d2m)
-    named = [(f"Gamma{i}{i}", res[(i, i)]) for i in (1, 2, 3)]
     residual, details = _zero_residuals(
-        named, lambda m: m.is_zero, lambda m: m.entries_str())
+        (f"Gamma{i}{i}", res[(i, i)]) for i in (1, 2, 3))
     return "diagonal components after substitution", "closed forms", \
         residual, details
 
 
+@check("thm-parthasarathy",
+       "the Dirac square equals the scaled Casimir up to a pure Levi "
+       "remainder; negative controls fail")
 def check_parthasarathy(ctx):
     residual = []
     details = [f"constant kappa_1 * {PARTHASARATHY_CONSTANT.canon_str()}"]
@@ -698,6 +721,9 @@ def check_parthasarathy(ctx):
         "pure Levi element", "; ".join(residual), tuple(details)
 
 
+@check("thm-spectral-triple",
+       "Casimir eigenvalues grow without bound: positive values and "
+       "strictly increasing shell minima")
 def check_spectral_triple(ctx):
     sp = spectrum_growth(Fraction(1, 2), 20)
     residual = []
@@ -712,113 +738,6 @@ def check_spectral_triple(ctx):
         details.append("per-shell minima strictly increasing")
     return "eigenvalue growth at v = 1/2 up to shell 20", \
         "strictly increasing shell minima", "; ".join(residual), tuple(details)
-
-
-CHECKS = {
-    "uqg-relations": (
-        "defining relations, Serre relators, antipode axiom and star "
-        "involution hold in the PBW engine", check_uqg_relations),
-    "eq-comm-rel-uqg": (
-        "randomized associativity, relator-insertion and representation "
-        "probes for the straightening rules", check_comm_rel),
-    "eq-condition-i": (
-        "the canonical element is invariant under the Levi generators",
-        check_condition_i),
-    "lem-equiv-maps": (
-        "the wedge operators are equivariant for the twisted adjoint action",
-        check_equiv_maps),
-    "lem-canonical-square": (
-        "the Dolbeault element and its adjoint square to zero",
-        check_canonical_square),
-    "def-dolb-dirac": (
-        "the Dirac element is formally self-adjoint", check_dolb_dirac),
-    "prop-dolbeault-invariant": (
-        "the Dolbeault element preserves the invariant-forms model",
-        check_dolbeault_invariant),
-    "lem-fundamental-c2": (
-        "the fundamental-module matrices satisfy every defining relation "
-        "including both Serre relations", check_fundamental),
-    "lem-root-e": (
-        "closed-form quantum root vectors agree with the PBW letters",
-        check_root_vectors),
-    "prop-sq-relations": (
-        "the radical-root subalgebra has its three quadratic relations",
-        check_sq_relations),
-    "lem-levi-up": (
-        "the adjoint action on the radical roots matches the table "
-        "(12 entries)", check_levi_up),
-    "lem-levi-um": (
-        "the dual action on the exterior generators matches the table "
-        "(12 entries)", check_levi_um),
-    "prop-lq-relations": (
-        "the quadratic dual is 6-dimensional and spans the wedge relations; "
-        "graded dimensions (1,3,3,1)", check_lq_relations),
-    "lem-levi-lq": (
-        "the Levi action on the full exterior module matches the table",
-        check_levi_lq),
-    "cor-iso-exterior": (
-        "degree 1 and degree 2 are isomorphic over the semisimple Levi part "
-        "but not over the full Levi factor", check_iso_exterior),
-    "lem-inner-prod": (
-        "the invariant inner products are diagonal with the stated entries, "
-        "one free constant per degree", check_inner_prod),
-    "lem-action-gamma": (
-        "right wedge multiplication matches the table", check_action_gamma),
-    "lem-gamma-star": (
-        "the Gram adjoints of the wedge operators match the table",
-        check_gamma_star),
-    "lem-rel-xi-xis": (
-        "all six mod-Levi commutation relations are recovered by the "
-        "decomposition with the stated coefficients", check_rel_xi_xis),
-    "prop-d-squared": (
-        "the reduced Dirac square carries the stated operator on each "
-        "radical monomial", check_d_squared),
-    "lem-f-vanish": (
-        "nilpotency pattern of the represented negative root vectors "
-        "(11 vanishing, 2 non-vanishing)", check_f_vanish),
-    "prop-cas-general": (
-        "the truncated R-matrix is an exact intertwiner and the quantum "
-        "trace pairing is central", check_cas_general),
-    "prop-casimir-rmatrix": (
-        "the constructed Casimir equals its explicit PBW form and acts by "
-        "its eigenvalue on the fundamental module", check_casimir_rmatrix),
-    "cor-value-casimir": (
-        "the eigenvalue formula matches the pairing oracles and is positive",
-        check_value_casimir),
-    "lem-rel-e-es": (
-        "the four commutation relations with the starred Levi root vector",
-        check_rel_e_es),
-    "lem-rel-rewrite-cas": (
-        "the four rewriting identities used for the quantum part",
-        check_rel_rewrite_cas),
-    "lem-quantum-casimir": (
-        "the quantum part of the Casimir equals its rewritten form",
-        check_quantum_casimir),
-    "prop-cas-to-the-right": (
-        "the Casimir equals the form with all Levi letters moved right",
-        check_cas_to_the_right),
-    "eq-relation-cliff": (
-        "the quotient-module reduction is well defined (randomized probe)",
-        check_relation_cliff),
-    "prop-casimir-clifford": (
-        "the Casimir reduces in the quotient to the stated components",
-        check_casimir_clifford),
-    "lem-kappa-constraints": (
-        "the mixed component vanishes exactly for the stated inner-product "
-        "ratios, uniquely", check_kappa_constraints),
-    "lem-clifford-off": (
-        "off-diagonal Dirac-square components take their closed forms after "
-        "substitution", check_clifford_off),
-    "lem-clifford-diag": (
-        "diagonal Dirac-square components take their closed forms after "
-        "substitution", check_clifford_diag),
-    "thm-parthasarathy": (
-        "the Dirac square equals the scaled Casimir up to a pure Levi "
-        "remainder; negative controls fail", check_parthasarathy),
-    "thm-spectral-triple": (
-        "Casimir eigenvalues grow without bound: positive values and "
-        "strictly increasing shell minima", check_spectral_triple),
-}
 
 
 def run_check(check_id, ctx):

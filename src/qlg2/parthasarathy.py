@@ -36,7 +36,7 @@ from .pbw import (
     normal_form, star, token_name, xi_E, xi_E_star,
 )
 from .modules import EXT, LEVI_GEN_TOKENS, ModuleOperator
-from .rmatrix import casimir_eigenvalue, quantum_trace_pairing
+from .rmatrix import casimir_eigenvalue
 
 _U_ZERO = (0, 0, 0, 0, 0, 0)
 
@@ -242,28 +242,33 @@ KAPPA2_RATIO = _qp(-2) / BR2
 KAPPA3_RATIO = _qp(-4)
 
 
-def gamma_identities_after_kappa(d2m=None):
+def stated_levi_operators():
+    """rho of K_{2 lambda_1}, K_{2 lambda_2}, k S(E1), (k S(E1))* and
+    k S(E1* E1) with k = K_{2 lambda_1}: the Levi operators of the stated
+    D^2 and Casimir components."""
+    k2l1 = K(2, 0)
+    e1 = normal_form(("E1",))
+    kse = k2l1 * antipode(e1)
+    return tuple(EXT.rho_op(x) for x in (
+        k2l1, K(-2, 2), kse, star(kse), k2l1 * antipode(star(e1) * e1)))
+
+
+def gamma_identities_after_kappa(d2m):
     """Residuals of the closed forms of the nine components after fixing
     the kappa ratios; all must vanish."""
-    s2, s3 = KAPPA2_RATIO, KAPPA3_RATIO
-    if d2m is None:
-        d2m = dirac_squared()
-    d2m = d2m.substitute_ratios(s2, s3)
+    d2m = d2m.substitute_ratios(KAPPA2_RATIO, KAPPA3_RATIO)
     k1 = kappa(1)
-    k2l1 = K(2, 0)
-    k2l2 = K(-2, 2)
-    kse = k2l1 * antipode(normal_form(("E1",)))
-    ksee = k2l1 * antipode(star(normal_form(("E1",))) * normal_form(("E1",)))
+    k2l1, k2l2, kse, _kse_star, ksee = stated_levi_operators()
     rhs = {
-        (1, 1): EXT.rho_op(k2l1).scale(k1),
-        (2, 2): (EXT.rho_op(k2l1).scale(_qp(-3)) + EXT.rho_op(k2l2).scale(_qp(3))
-                 - EXT.rho_op(k2l1).scale(_Q * _Q * BR2)
-                 + EXT.rho_op(ksee).scale(_Q * _Q)).scale(k1 * (ONE / (BR2 * BR2))),
-        (3, 3): (EXT.rho_op(k2l2) - EXT.rho_op(k2l1).scale(_Q * _qp(-1))
-                 + EXT.rho_op(ksee).scale(_Q * _Q * _qp(-3))).scale(k1),
-        (1, 2): EXT.rho_op(kse).scale(k1 * (-(_Q * _qp(1) / BR2))),
+        (1, 1): k2l1.scale(k1),
+        (2, 2): (k2l1.scale(_qp(-3)) + k2l2.scale(_qp(3))
+                 - k2l1.scale(_Q * _Q * BR2)
+                 + ksee.scale(_Q * _Q)).scale(k1 * (ONE / (BR2 * BR2))),
+        (3, 3): (k2l2 - k2l1.scale(_Q * _qp(-1))
+                 + ksee.scale(_Q * _Q * _qp(-3))).scale(k1),
+        (1, 2): kse.scale(k1 * (-(_Q * _qp(1) / BR2))),
         (1, 3): ModuleOperator.zero(),
-        (2, 3): EXT.rho_op(kse).scale(k1 * (-(_Q * _qp(-1) / BR2))),
+        (2, 3): kse.scale(k1 * (-(_Q * _qp(-1) / BR2))),
     }
     rhs[(2, 1)] = EXT.adjoint_wrt_gram(rhs[(1, 2)])
     rhs[(3, 1)] = EXT.adjoint_wrt_gram(rhs[(1, 3)])
@@ -279,9 +284,7 @@ def gamma_identities_after_kappa(d2m=None):
 # the Casimir in M and the main comparison
 # ---------------------------------------------------------------------------
 
-def casimir_in_M(C=None, degree_cap=3):
-    if C is None:
-        C = quantum_trace_pairing()
+def casimir_in_M(C, degree_cap=3):
     t = TensorOperator.from_element(C, ModuleOperator.identity())
     return reduce_to_M(t, degree_cap)
 
@@ -289,7 +292,7 @@ def casimir_in_M(C=None, degree_cap=3):
 PARTHASARATHY_CONSTANT = _qp(4) / (BR2 * BR2)     # times kappa_1
 
 
-def parthasarathy_residual(C=None, kappa3_ratio=None, d2m=None, degree_cap=3):
+def parthasarathy_residual(C, d2m, kappa3_ratio=None, degree_cap=3):
     """D^2 - kappa_1 q^4 [2]^-2 (C (x) 1) reduced in M at `degree_cap`.
 
     Returns (difference, levi_remainder).  With the canonical ratios the
@@ -298,48 +301,35 @@ def parthasarathy_residual(C=None, kappa3_ratio=None, d2m=None, degree_cap=3):
     """
     s2 = KAPPA2_RATIO
     s3 = KAPPA3_RATIO if kappa3_ratio is None else kappa3_ratio
-    if d2m is None:
-        d2m = dirac_squared(degree_cap)
     d2m = d2m.substitute_ratios(s2, s3)
     cm = casimir_in_M(C, degree_cap)
     diff = d2m - cm.scale(kappa(1) * PARTHASARATHY_CONSTANT)
     return diff, diff.levi_component()
 
 
-def verify_parthasarathy(C=None, d2m=None):
-    """Full comparison; returns a report mapping."""
-    diff, levi = parthasarathy_residual(C=C, d2m=d2m)
-    radical = diff.radical_components()
-    return {
-        "constant": "kappa_1 * " + PARTHASARATHY_CONSTANT.canon_str(),
-        "radical_zero": not radical,
-        "radical_residuals": radical,
-        "levi_remainder": levi,
-    }
-
-
 # ---------------------------------------------------------------------------
 # equivariance of the Dolbeault element
 # ---------------------------------------------------------------------------
 
-def _ad_tilde_S(tok, op):
-    """Twisted adjoint action of S(X) on an operator, X a Levi generator:
-    sum rho(S(X_(1))) op rho(X_(2)) over the coproduct of X."""
-    return sum((EXT.rho_op(antipode(a)) @ op @ EXT.rho_op(b) for a, b in coproduct(tok)),
-               ModuleOperator.zero())
+def _ad_tilde_S(tok, ops):
+    """Twisted adjoint action of S(X) on each operator in ops, X a Levi
+    generator: sum rho(S(X_(1))) op rho(X_(2)) over the coproduct of X,
+    with the legs of the coproduct built once."""
+    legs = [(EXT.rho_op(antipode(a)), EXT.rho_op(b)) for a, b in coproduct(tok)]
+    return [sum((sa @ op @ rb for sa, rb in legs), ModuleOperator.zero())
+            for op in ops]
 
 
 def dolbeault_invariance_residuals():
     """(ad(X) (x) id)(d) - (id (x) ad~(S(X)))(d) for Levi generators X."""
     res = {}
+    gammas = [EXT.gamma(i) for i in (1, 2, 3)]
     for tok in LEVI_GEN_TOKENS:
         lhs = TensorOperator({})
         rhs = TensorOperator({})
-        for i in (1, 2, 3):
-            lhs = lhs + TensorOperator.from_element(
-                adjoint_action(tok, xi_E(i)), EXT.gamma(i))
-            rhs = rhs + TensorOperator.from_element(
-                xi_E(i), _ad_tilde_S(tok, EXT.gamma(i)))
+        for i, g, twisted in zip((1, 2, 3), gammas, _ad_tilde_S(tok, gammas)):
+            lhs = lhs + TensorOperator.from_element(adjoint_action(tok, xi_E(i)), g)
+            rhs = rhs + TensorOperator.from_element(xi_E(i), twisted)
         res[token_name(tok)] = lhs - rhs
     return res
 

@@ -27,7 +27,7 @@ from qlg2.rmatrix import (
 from qlg2.parthasarathy import (
     KAPPA2_RATIO, KAPPA3_RATIO, dirac_squared, dolbeault,
     gamma_identities_after_kappa, gamma_pair_formula, parthasarathy_residual,
-    solve_kappa_constraints, spectrum_growth, verify_parthasarathy, _u_key,
+    solve_kappa_constraints, spectrum_growth, _u_key,
 )
 
 Q = Q_SC
@@ -161,8 +161,8 @@ def test_criterion_8_kappa_constraints(d2m):
 
 
 def test_criterion_9_parthasarathy(casimir, d2m):
-    rep = verify_parthasarathy(C=casimir, d2m=d2m)
-    ok = rep["radical_zero"]
+    diff, _ = parthasarathy_residual(C=casimir, d2m=d2m)
+    ok = diff.radical_is_zero
     # negative controls must fail
     bad, _ = parthasarathy_residual(
         C=casimir, kappa3_ratio=KAPPA3_RATIO * (1 + Q), d2m=d2m)

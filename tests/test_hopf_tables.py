@@ -120,8 +120,7 @@ def test_ad_tilde_s_matches_hand_branches():
     ops = [EXT.gamma(i) for i in (1, 2, 3)] + [EXT.gamma_star(i) for i in (1, 2, 3)]
     ops.append(ModuleOperator.identity())
     for tok in LEVI_TOKENS:
-        for op in ops:
-            assert _ad_tilde_S(tok, op) == ad_tilde_s_oracle(tok, op)
+        assert _ad_tilde_S(tok, ops) == [ad_tilde_s_oracle(tok, op) for op in ops]
 
 
 def test_inverse_antipode_through_star():

@@ -15,7 +15,7 @@ from qlg2.parthasarathy import (
     TensorOperator, casimir_in_M, dirac, dirac_self_adjoint, dirac_squared,
     dolbeault, dolbeault_invariance_residuals, gamma_identities_after_kappa,
     gamma_pair_formula, m_well_definedness_probe, parthasarathy_residual,
-    solve_kappa_constraints, spectrum_growth, verify_parthasarathy, _u_key,
+    solve_kappa_constraints, spectrum_growth, _u_key,
 )
 
 Q = Q_SC
@@ -140,11 +140,11 @@ def test_casimir_in_M_components(casimir):
 
 
 def test_parthasarathy(d2m, casimir):
-    rep = verify_parthasarathy(C=casimir, d2m=d2m)
-    assert rep["radical_zero"]
+    diff, levi = parthasarathy_residual(C=casimir, d2m=d2m)
+    assert diff.radical_is_zero
     assert PARTHASARATHY_CONSTANT == _qp(4) / (BR2 * BR2)
     # the Levi remainder is genuinely nonzero and is only reported
-    assert not rep["levi_remainder"].is_zero
+    assert not levi.is_zero
 
 
 def test_parthasarathy_negative_control_kappa(d2m, casimir):

@@ -71,3 +71,20 @@ def test_traced_names_live_in_their_owners_namespace():
     caches = [f"{module}.{attr}" for module, attr, _metric in tracer.CACHES
               if not isinstance(vars(importlib.import_module(module)).get(attr), dict)]
     assert not caches, f"traced caches that are not module-level dicts: {caches}"
+
+
+def _is_check_decorator(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check"
+
+
+def test_every_check_function_is_registered():
+    # an undecorated check_* function would silently never run
+    tree = ast.parse((SRC / "checks.py").read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name.startswith("check_")]
+    undecorated = [fn.name for fn in functions
+                   if not any(map(_is_check_decorator, fn.decorator_list))]
+    assert not undecorated, f"check functions without @check: {undecorated}"
+    checks = importlib.import_module("qlg2.checks")
+    registered = sorted(fn.__name__ for _statement, fn in checks.CHECKS.values())
+    assert registered == sorted(fn.name for fn in functions)
