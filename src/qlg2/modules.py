@@ -38,7 +38,42 @@ from . import pbw
 # fundamental module
 # ---------------------------------------------------------------------------
 
-class FundamentalModule:
+def _diag(qexps):
+    """The diagonal matrix with entries q^e, e in qexps."""
+    m = mzeros(len(qexps), len(qexps), ZERO)
+    for i, e in enumerate(qexps):
+        m[i][i] = _qp(e)
+    return m
+
+
+def _chain(ms):
+    out = ms[0]
+    for m in ms[1:]:
+        out = mmul(out, m, ZERO)
+    return out
+
+
+class _WeightModule:
+    """A module with a weight basis (`weights`) and root-vector matrices
+    `_root_e`/`_root_f` keyed by j for E_{beta_j}/F_{beta_j}."""
+
+    def K(self, lam):
+        lam = Weight(*lam)
+        return _diag([lam.pair(w) for w in self.weights])
+
+    def rep(self, x):
+        """Matrix of a PBW element: each word is its F letters, K and its E
+        letters multiplied out."""
+        out = mzeros(self.dim, self.dim, ZERO)
+        for (fexp, lam, eexp), c in x.terms.items():
+            ms = [self._root_f[4 - k] for k in range(4) for _ in range(fexp[k])]
+            ms.append(self.K(lam))
+            ms += [self._root_e[k + 1] for k in range(4) for _ in range(eexp[k])]
+            out = madd(out, mscale(c, _chain(ms)))
+        return out
+
+
+class FundamentalModule(_WeightModule):
     """The 4-dimensional module with weights (lambda_1..lambda_4)."""
 
     dim = 4
@@ -60,13 +95,6 @@ class FundamentalModule:
         self._root_f = {}
         self._build_root_matrices()
 
-    def K(self, lam):
-        lam = Weight(*lam)
-        m = mzeros(4, 4, ZERO)
-        for j, w in enumerate(self.weights):
-            m[j][j] = _qp(lam.pair(w))
-        return m
-
     def rep_token(self, tok):
         lam = pbw.token_weight(tok)
         if lam is not None:
@@ -75,10 +103,7 @@ class FundamentalModule:
 
     def rep_word(self, word):
         """Matrix of a generator word, multiplied out directly."""
-        out = meye(4, ONE, ZERO)
-        for tok in word:
-            out = mmul(out, self.rep_token(tok), ZERO)
-        return out
+        return _chain([meye(4, ONE, ZERO)] + [self.rep_token(t) for t in word])
 
     def _build_root_matrices(self):
         mul = lambda *ms: _chain(ms)
@@ -102,21 +127,6 @@ class FundamentalModule:
 
     def root_F(self, j):
         return self._root_f[j]
-
-    def rep(self, x):
-        """Matrix of a PBW element."""
-        out = mzeros(4, 4, ZERO)
-        for (fexp, lam, eexp), c in x.terms.items():
-            m = meye(4, ONE, ZERO)
-            for idx, j in ((0, 4), (1, 3), (2, 2), (3, 1)):
-                for _ in range(fexp[idx]):
-                    m = mmul(m, self._root_f[j], ZERO)
-            m = mmul(m, self.K(lam), ZERO)
-            for idx, j in ((0, 1), (1, 2), (2, 3), (3, 4)):
-                for _ in range(eexp[idx]):
-                    m = mmul(m, self._root_e[j], ZERO)
-            out = madd(out, mscale(c, m))
-        return out
 
     def relation_residuals(self):
         """Residual matrices of every defining relation, from raw matrix
@@ -152,13 +162,6 @@ class FundamentalModule:
             m = mmul(self._root_f[a], self._root_f[b], ZERO)
             report[f"F{a}F{b}-nonzero"] = not miszero(m)
         return report
-
-
-def _chain(ms):
-    out = ms[0]
-    for m in ms[1:]:
-        out = mmul(out, m, ZERO)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +281,7 @@ class ModuleOperator:
         return f"ModuleOperator({self.entries_str()})"
 
 
-class ExteriorModule:
+class ExteriorModule(_WeightModule):
     """The 8-dimensional quantum exterior algebra with its Levi action."""
 
     dim = 8
@@ -289,6 +292,7 @@ class ExteriorModule:
         self._levi1 = self._derive_degree_one_action()
         self.E1 = self._module_algebra_extend("E1")
         self.F1 = self._module_algebra_extend("F1")
+        self._root_e, self._root_f = {1: self.E1}, {1: self.F1}
         self._gram_hat = self._normalized_gram()
 
     # --- wedge ---------------------------------------------------------
@@ -356,13 +360,6 @@ class ExteriorModule:
                 m[r_idx][c_idx] = coeff
         return m
 
-    def K(self, lam):
-        lam = Weight(*lam)
-        m = mzeros(8, 8, ZERO)
-        for i, w in enumerate(self.weights):
-            m[i][i] = _qp(lam.pair(w))
-        return m
-
     def rep_token(self, tok):
         return self.rho(pbw.normal_form((tok,)))
 
@@ -370,16 +367,7 @@ class ExteriorModule:
         """Matrix of a Levi PBW element on the exterior module."""
         if not x.is_levi():
             raise ValueError("rho is defined on the quantized Levi factor only")
-        out = mzeros(8, 8, ZERO)
-        for (fexp, lam, eexp), c in x.terms.items():
-            m = meye(8, ONE, ZERO)
-            for _ in range(fexp[3]):
-                m = mmul(m, self.F1, ZERO)
-            m = mmul(m, self.K(lam), ZERO)
-            for _ in range(eexp[0]):
-                m = mmul(m, self.E1, ZERO)
-            out = madd(out, mscale(c, m))
-        return out
+        return self.rep(x)
 
     def rho_op(self, x):
         return ModuleOperator.lift(self.rho(x))
@@ -500,8 +488,8 @@ def golden_levi_Lq():
     f1[2][3] = -(BR2 * _qp(-2))
     f1[4][5] = -BR2
     f1[5][6] = -_qp(-2)
-    k1 = _diag8([0, -2, 0, 2, -2, 0, 2, 0])
-    k2 = _diag8([0, 0, -2, -4, -2, -4, -6, -6])
+    k1 = _diag([0, -2, 0, 2, -2, 0, 2, 0])
+    k2 = _diag([0, 0, -2, -4, -2, -4, -6, -6])
     return {"K1": k1, "K2": k2, "E1": e1, "F1": f1}
 
 
@@ -544,13 +532,6 @@ def golden_gamma_star():
     g3[2][6] = -(k2 * BR2)
     g3[4][7] = k3 * _qp(2)
     return {1: ModuleOperator(g1), 2: ModuleOperator(g2), 3: ModuleOperator(g3)}
-
-
-def _diag8(qexps):
-    m = mzeros(8, 8, ZERO)
-    for i, e in enumerate(qexps):
-        m[i][i] = _qp(e)
-    return m
 
 
 def iso_exterior_map():

@@ -138,7 +138,7 @@ def _split_word(word, degree_cap):
     got = _SPLIT_CACHE.get((word, degree_cap))
     if got is None:
         parts = levi_right_split(AlgebraElement.from_word(word), degree_cap)
-        got = tuple((u, EXT.rho(antipode(l))) for u, l in parts)
+        got = tuple((u, EXT.rho_op(antipode(l))) for u, l in parts)
         _SPLIT_CACHE[(word, degree_cap)] = got
     return got
 
@@ -148,7 +148,7 @@ def reduce_to_M(t, degree_cap=3):
     out = {}
     for word, op in t.terms.items():
         for u, rho_sl in _split_word(word, degree_cap):
-            accumulate(out, u, op @ ModuleOperator.lift(rho_sl))
+            accumulate(out, u, op @ rho_sl)
     return MElement(out)
 
 
@@ -292,17 +292,17 @@ def casimir_in_M(C, degree_cap=3):
 PARTHASARATHY_CONSTANT = _qp(4) / (BR2 * BR2)     # times kappa_1
 
 
-def parthasarathy_residual(C, d2m, kappa3_ratio=None, degree_cap=3):
-    """D^2 - kappa_1 q^4 [2]^-2 (C (x) 1) reduced in M at `degree_cap`.
+def parthasarathy_residual(cm, d2m, kappa3_ratio=None):
+    """D^2 - kappa_1 q^4 [2]^-2 cm, with D^2 and the Casimir cm both already
+    reduced in M (dirac_squared, casimir_in_M); nothing is reduced here.
 
     Returns (difference, levi_remainder).  With the canonical ratios the
     radical components of the difference vanish identically; perturbing
-    kappa_3 or mutilating C breaks that (negative controls).
+    kappa_3 or removing a quantum term from cm breaks that (negative controls).
     """
     s2 = KAPPA2_RATIO
     s3 = KAPPA3_RATIO if kappa3_ratio is None else kappa3_ratio
     d2m = d2m.substitute_ratios(s2, s3)
-    cm = casimir_in_M(C, degree_cap)
     diff = d2m - cm.scale(kappa(1) * PARTHASARATHY_CONSTANT)
     return diff, diff.levi_component()
 
@@ -357,7 +357,7 @@ def m_well_definedness_probe(seed=20240801, trials=12):
         left = t * TensorOperator.from_element(y, ModuleOperator.identity())
         right = t * TensorOperator.from_element(
             AlgebraElement.from_word(((0, 0, 0, 0), Weight(0, 0), (0, 0, 0, 0))),
-            ModuleOperator.lift(EXT.rho(antipode(y))))
+            EXT.rho_op(antipode(y)))
         if reduce_to_M(left) != reduce_to_M(right):
             failures += 1
     return failures

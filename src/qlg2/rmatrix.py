@@ -180,79 +180,80 @@ def _k2inv(j):
     return K(-(2 * LAMBDA_V[j - 1]))
 
 
-def casimir_explicit(drop_quantum_term=None):
-    """The Casimir in explicit PBW form, classical part plus quantum part.
+def _roots():
+    """The starred and plain root vectors {j: E*_{beta_j}}, {j: E_{beta_j}}."""
+    return ({j: star(root_E(j)) for j in (1, 2, 3, 4)},
+            {j: root_E(j) for j in (1, 2, 3, 4)})
 
-    `drop_quantum_term` (0..5) removes one addend of the quantum part; used
-    as a negative control by the verification suite.
-    """
-    Es = {j: star(root_E(j)) for j in (1, 2, 3, 4)}
-    E = {j: root_E(j) for j in (1, 2, 3, 4)}
-    br2sq = BR2 * BR2
-    cc = (_qp(-4) * _k2inv(1) + _qp(-2) * _k2inv(2)
-          + _qp(2) * _k2inv(3) + _qp(4) * _k2inv(4)) * (ONE / (_Q * _Q))
-    cc = cc + Es[1] * E[1] * (_qp(-5) * _k2inv(1) + _qp(1) * _k2inv(3))
-    cc = cc + br2sq * (Es[2] * E[2]) * (_qp(-6) * _k2inv(1))
-    cc = cc + Es[3] * E[3] * (_qp(-7) * _k2inv(1) + _qp(-1) * _k2inv(2))
-    cc = cc + br2sq * (Es[4] * E[4]) * (_qp(-4) * _k2inv(2))
+
+def _casimir_head(Es, E):
+    """The Cartan part and the E*_{beta_1} E_{beta_1} addend, shared by the
+    explicit form and the Levi-letters-right form."""
+    return ((_qp(-4) * _k2inv(1) + _qp(-2) * _k2inv(2)
+             + _qp(2) * _k2inv(3) + _qp(4) * _k2inv(4)) * (ONE / (_Q * _Q))
+            + Es[1] * E[1] * (_qp(-5) * _k2inv(1) + _qp(1) * _k2inv(3)))
+
+
+def _casimir_mix(Es, E):
+    """The mixed addend shared by the right form and the rewritten quantum
+    part."""
+    mix = (_qp(2) * (Es[2] * E[3] * E[1]) + _qp(2) * (Es[3] * E[2] * Es[1])
+           + Es[3] * E[4] * E[1] + Es[4] * E[3] * Es[1])
+    return (-(_Q * BR2 * _qp(-5))) * (mix * _k2inv(1))
+
+
+def casimir_quantum_terms():
+    """The six addends of the quantum part of the Casimir, in their stated
+    order."""
+    Es, E = _roots()
     k1i = _k2inv(1)
-    quantum_terms = [
+    return [
         (-(_Q * BR2 * _qp(-5))) * (Es[1] * Es[3] * E[2] * k1i),
         (-(_Q * BR2 * _qp(-5))) * (Es[2] * E[3] * E[1] * k1i),
         (-(_Q * BR2 * _qp(-7))) * (Es[1] * Es[4] * E[3] * k1i),
         (-(_Q * BR2 * _qp(-7))) * (Es[3] * E[4] * E[1] * k1i),
         (_Q * _Q * _qp(-4)) * (Es[1] * Es[3] * E[3] * E[1] * k1i),
-        (_Q * _Q * br2sq * _qp(-7)) * (Es[1] * Es[4] * E[4] * E[1] * k1i),
+        (_Q * _Q * BR2 * BR2 * _qp(-7)) * (Es[1] * Es[4] * E[4] * E[1] * k1i),
     ]
-    cq = AE_ZERO
-    for idx, term in enumerate(quantum_terms):
-        if idx == drop_quantum_term:
-            continue
-        cq = cq + term
-    return cc + cq
+
+
+def casimir_explicit():
+    """The Casimir in explicit PBW form: the classical part plus the sum of
+    casimir_quantum_terms()."""
+    Es, E = _roots()
+    br2sq = BR2 * BR2
+    out = _casimir_head(Es, E)
+    out = out + br2sq * (Es[2] * E[2]) * (_qp(-6) * _k2inv(1))
+    out = out + Es[3] * E[3] * (_qp(-7) * _k2inv(1) + _qp(-1) * _k2inv(2))
+    out = out + br2sq * (Es[4] * E[4]) * (_qp(-4) * _k2inv(2))
+    return sum(casimir_quantum_terms(), out)
 
 
 def casimir_right_form():
     """The Casimir with every Levi letter moved all the way to the right."""
-    Es = {j: star(root_E(j)) for j in (1, 2, 3, 4)}
-    E = {j: root_E(j) for j in (1, 2, 3, 4)}
+    Es, E = _roots()
     br2sq = BR2 * BR2
     k1i = _k2inv(1)
-    out = (_qp(-4) * _k2inv(1) + _qp(-2) * _k2inv(2)
-           + _qp(2) * _k2inv(3) + _qp(4) * _k2inv(4)) * (ONE / (_Q * _Q))
-    out = out + Es[1] * E[1] * (_qp(-5) * _k2inv(1) + _qp(1) * _k2inv(3))
+    out = _casimir_head(Es, E)
     out = out + br2sq * (Es[2] * E[2]) * (_qp(-4) * k1i)
     out = out + Es[3] * E[3] * ((_qp(-5) - _Q * _qp(-2)) * k1i + _qp(-1) * _k2inv(2))
     out = out + (_Q * _Q * _qp(-4)) * (Es[3] * E[3] * Es[1] * E[1] * k1i)
     out = out + br2sq * (Es[4] * E[4]) * (_qp(-4) * _k2inv(2) - _Q * _qp(-5) * k1i)
     out = out + (_Q * _Q * br2sq * _qp(-7)) * (Es[4] * E[4] * Es[1] * E[1] * k1i)
-    mix = (_qp(2) * (Es[2] * E[3] * E[1]) + _qp(2) * (Es[3] * E[2] * Es[1])
-           + Es[3] * E[4] * E[1] + Es[4] * E[3] * Es[1])
-    out = out + (-(_Q * BR2 * _qp(-5))) * (mix * k1i)
-    return out
+    return out + _casimir_mix(Es, E)
 
 
 def casimir_quantum_parts():
     """The quantum part of the Casimir in its two equivalent forms: the
-    direct one and the one with Levi letters moved to the right."""
-    Es = {j: star(root_E(j)) for j in (1, 2, 3, 4)}
-    E = {j: root_E(j) for j in (1, 2, 3, 4)}
-    k1i = _k2inv(1)
-    br2sq = BR2 * BR2
-    direct = AE_ZERO
-    direct = direct + (-(_Q * BR2 * _qp(-5))) * ((Es[1] * Es[3] * E[2] + Es[2] * E[3] * E[1]) * k1i)
-    direct = direct + (-(_Q * BR2 * _qp(-7))) * ((Es[1] * Es[4] * E[3] + Es[3] * E[4] * E[1]) * k1i)
-    direct = direct + (_Q * _Q * _qp(-4)) * (Es[1] * Es[3] * E[3] * E[1] * k1i)
-    direct = direct + (_Q * _Q * br2sq * _qp(-7)) * (Es[1] * Es[4] * E[4] * E[1] * k1i)
+    direct one (the sum of casimir_quantum_terms()) and the one with Levi
+    letters moved to the right."""
+    Es, E = _roots()
     one = AE_ONE
     inner = (Es[2] * E[2]
              - (_Q * _qp(1) / BR2) * (Es[3] * E[3] * (one - (ONE / BR2) * (Es[1] * E[1])))
              - Es[4] * E[4] * (one - (_Q * _qp(-2)) * (Es[1] * E[1])))
-    rewritten = (_Q * br2sq * _qp(-5)) * (inner * k1i)
-    mix = (_qp(2) * (Es[2] * E[3] * E[1]) + _qp(2) * (Es[3] * E[2] * Es[1])
-           + Es[3] * E[4] * E[1] + Es[4] * E[3] * Es[1])
-    rewritten = rewritten + (-(_Q * BR2 * _qp(-5))) * (mix * k1i)
-    return direct, rewritten
+    rewritten = (_Q * BR2 * BR2 * _qp(-5)) * (inner * _k2inv(1))
+    return sum(casimir_quantum_terms(), AE_ZERO), rewritten + _casimir_mix(Es, E)
 
 
 def casimir_eigenvalue(lam):

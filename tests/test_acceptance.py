@@ -14,20 +14,20 @@ from qlg2.linalg import meq, meye, miszero, mscale
 from qlg2.scalar import BR2, ONE, Q_SC, q_power
 from qlg2 import pbw
 from qlg2.pbw import (
-    is_levi, levi_right_split, star, unit, xi_E, xi_E_star,
+    is_levi, levi_right_split, unit, xi_E, xi_E_star,
 )
 from qlg2.modules import (
     DEGREES, EXT, FUND, quadratic_dual, span_equal, sq_relation_vectors,
     wedge_relation_vectors,
 )
 from qlg2.rmatrix import (
-    casimir_eigenvalue, casimir_explicit, casimir_right_form,
-    centrality_residuals, quantum_trace_pairing,
+    casimir_eigenvalue, casimir_explicit, casimir_quantum_terms,
+    casimir_right_form, centrality_residuals, quantum_trace_pairing,
 )
 from qlg2.parthasarathy import (
-    KAPPA2_RATIO, KAPPA3_RATIO, dirac_squared, dolbeault,
+    KAPPA2_RATIO, KAPPA3_RATIO, casimir_in_M, dirac_squared, dolbeault,
     gamma_identities_after_kappa, gamma_pair_formula, parthasarathy_residual,
-    solve_kappa_constraints, spectrum_growth, _u_key,
+    solve_kappa_constraints, spectrum_growth,
 )
 
 Q = Q_SC
@@ -161,15 +161,14 @@ def test_criterion_8_kappa_constraints(d2m):
 
 
 def test_criterion_9_parthasarathy(casimir, d2m):
-    diff, _ = parthasarathy_residual(C=casimir, d2m=d2m)
+    cm = casimir_in_M(casimir)
+    diff, _ = parthasarathy_residual(cm, d2m)
     ok = diff.radical_is_zero
     # negative controls must fail
-    bad, _ = parthasarathy_residual(
-        C=casimir, kappa3_ratio=KAPPA3_RATIO * (1 + Q), d2m=d2m)
+    bad, _ = parthasarathy_residual(cm, d2m, kappa3_ratio=KAPPA3_RATIO * (1 + Q))
     ok = ok and not bad.radical_is_zero
-    for k in range(6):
-        bad, _ = parthasarathy_residual(
-            C=casimir_explicit(drop_quantum_term=k), d2m=d2m)
+    for term in casimir_quantum_terms():
+        bad, _ = parthasarathy_residual(cm - casimir_in_M(term), d2m)
         ok = ok and not bad.radical_is_zero
     _report(9, "Dirac square equals the scaled Casimir up to a pure Levi "
                "remainder; perturbed and mutilated inputs fail", ok)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qlg2 import cli
-from qlg2.checks import CHECKS, CheckResult, Context, digest, run_check, run_suite
+from qlg2.checks import CHECKS, Context, run_check, run_suite
 from qlg2.rmatrix import casimir_eigenvalue
 
 # every named statement in scope must have a check id

@@ -2,15 +2,14 @@
 operators, invariant inner products, quadratic duality."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from qlg2 import pbw
-from qlg2.linalg import madd, meq, miszero, mmul, msub, mT, mzeros
-from qlg2.scalar import BR2, ONE, Q_SC, ZERO, evaluate, kappa, q_power
+from qlg2.linalg import meq, miszero, mmul
+from qlg2.scalar import BR2, ONE, Q_SC, ZERO, q_power
 from qlg2.modules import (
-    BASIS_INDEX, BASIS_WORDS, DEGREES, EXT, FUND, ModuleOperator,
+    BASIS_INDEX, DEGREES, EXT, FUND, ModuleOperator,
     canonical_element_invariance_residuals, gamma_equivariance_residuals,
     golden_action_gamma, golden_gamma_star, golden_levi_Lq, iso_exterior_map,
     quadratic_dual, span_equal, sq_relation_vectors, wedge_relation_vectors,

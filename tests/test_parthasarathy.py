@@ -8,11 +8,11 @@ import pytest
 from qlg2.scalar import BR2, ONE, Q_SC, kappa, q_power
 from qlg2.checks import Context, check_parthasarathy
 from qlg2.modules import EXT, ModuleOperator
-from qlg2.pbw import K, antipode, normal_form, star, xi_E, xi_E_star
-from qlg2.rmatrix import casimir_explicit, quantum_trace_pairing
+from qlg2.pbw import K, antipode, normal_form, star
+from qlg2.rmatrix import casimir_quantum_terms, quantum_trace_pairing
 from qlg2.parthasarathy import (
-    KAPPA2_RATIO, KAPPA3_RATIO, PARTHASARATHY_CONSTANT, MElement,
-    TensorOperator, casimir_in_M, dirac, dirac_self_adjoint, dirac_squared,
+    KAPPA2_RATIO, KAPPA3_RATIO, PARTHASARATHY_CONSTANT, casimir_in_M,
+    dirac_self_adjoint, dirac_squared,
     dolbeault, dolbeault_invariance_residuals, gamma_identities_after_kappa,
     gamma_pair_formula, m_well_definedness_probe, parthasarathy_residual,
     solve_kappa_constraints, spectrum_growth, _u_key,
@@ -140,7 +140,7 @@ def test_casimir_in_M_components(casimir):
 
 
 def test_parthasarathy(d2m, casimir):
-    diff, levi = parthasarathy_residual(C=casimir, d2m=d2m)
+    diff, levi = parthasarathy_residual(casimir_in_M(casimir), d2m)
     assert diff.radical_is_zero
     assert PARTHASARATHY_CONSTANT == _qp(4) / (BR2 * BR2)
     # the Levi remainder is genuinely nonzero and is only reported
@@ -149,19 +149,29 @@ def test_parthasarathy(d2m, casimir):
 
 def test_parthasarathy_negative_control_kappa(d2m, casimir):
     diff, _ = parthasarathy_residual(
-        C=casimir, kappa3_ratio=KAPPA3_RATIO * (1 + Q), d2m=d2m)
+        casimir_in_M(casimir), d2m, kappa3_ratio=KAPPA3_RATIO * (1 + Q))
     assert not diff.radical_is_zero
 
 
-def test_parthasarathy_negative_control_dropped_term(d2m):
+def test_parthasarathy_negative_control_dropped_term(d2m, casimir):
     # dropping the first quantum term of the Casimir breaks the identity
-    diff, _ = parthasarathy_residual(C=casimir_explicit(drop_quantum_term=0), d2m=d2m)
+    cm = casimir_in_M(casimir) - casimir_in_M(casimir_quantum_terms()[0])
+    diff, _ = parthasarathy_residual(cm, d2m)
     assert not diff.radical_is_zero
+
+
+def test_casimir_in_m_is_linear_in_each_quantum_term(casimir):
+    # the dropped-term controls reduce C - t_k as casimir_in_M(C) minus the
+    # reduction of t_k
+    cm = casimir_in_M(casimir)
+    for k, term in enumerate(casimir_quantum_terms()):
+        assert casimir_in_M(casimir - term) == cm - casimir_in_M(term), k
 
 
 def test_parthasarathy_check_reduces_at_context_degree_cap(d2m, casimir):
-    # D^2 comes reduced at the default cap, so only the eight Casimir
-    # reductions of the check can meet the cap of 0
+    # D^2 comes reduced at the default cap, so only the Casimir reductions
+    # of the check (ctx.casimir_m and the six quantum terms) can meet the
+    # cap of 0
     ctx = Context(degree_cap=0)
     ctx._cache.update(d2m=d2m, casimir=casimir)
     with pytest.raises(ValueError, match="exceeds degree cap 0"):

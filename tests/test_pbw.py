@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from qlg2.scalar import BR2, ONE, Q_SC, q_power, scalar
-from qlg2.weights import ALPHA1, ALPHA2, BETA, XI, W_ZERO, Weight, pair
+from qlg2.scalar import BR2, ONE, Q_SC, q_power
+from qlg2.weights import ALPHA1, ALPHA2, BETA, pair
 from qlg2.pbw import (
     AE_ONE, AE_ZERO, E1, E2, F1, F2, K, adjoint_action, antipode, coproduct,
     coproduct_word, counit, defining_relator_words, is_levi, levi_right_split,

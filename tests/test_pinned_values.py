@@ -32,7 +32,7 @@ def test_casimir_in_m(ctx):
 
 
 def test_levi_remainder(ctx):
-    _diff, levi = parthasarathy_residual(C=ctx.casimir, d2m=ctx.d2m)
+    _diff, levi = parthasarathy_residual(ctx.casimir_m, ctx.d2m)
     assert digest(levi.entries_str()) == "479701b350493734"
 
 

@@ -3,13 +3,10 @@ centrality, eigenvalues."""
 
 from fractions import Fraction
 
-import pytest
-
 from qlg2.linalg import meq, mscale, meye, miszero, mmul
 from qlg2.scalar import BR2, ONE, Q_SC, ZERO, evaluate, laurent_q, q_power
-from qlg2.weights import Weight
 from qlg2.modules import FUND
-from qlg2.pbw import K, normal_form, root_E, root_F, star
+from qlg2.pbw import root_E, star
 from qlg2.rmatrix import (
     TruncatedRMatrix, casimir_eigenvalue, casimir_explicit,
     casimir_quantum_parts, casimir_right_form, centrality_residuals,

@@ -88,3 +88,34 @@ def test_every_check_function_is_registered():
     checks = importlib.import_module("qlg2.checks")
     registered = sorted(fn.__name__ for _statement, fn in checks.CHECKS.values())
     assert registered == sorted(fn.name for fn in functions)
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [(a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        bound.update((name, node.lineno) for name in names)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in sorted(bound.items())
+            if name not in read and name not in exported]
+
+
+def test_no_unused_imports():
+    # an import nobody reads hides what a file really depends on
+    tests = Path(__file__).resolve().parent
+    found = []
+    for path in sorted(SRC.glob("*.py")) + sorted(tests.glob("*.py")):
+        found += _unused_imports(path)
+    assert not found, f"imported names never read: {found}"
