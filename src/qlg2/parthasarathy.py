@@ -36,7 +36,7 @@ from .pbw import (
     normal_form, star, token_name, xi_E, xi_E_star,
 )
 from .modules import EXT, LEVI_GEN_TOKENS, ModuleOperator
-from .rmatrix import casimir_eigenvalue
+from .rmatrix import casimir_exponents
 
 _U_ZERO = (0, 0, 0, 0, 0, 0)
 
@@ -383,15 +383,20 @@ def spectrum_growth(v0, shell_max):
     """Exact Casimir eigenvalues over dominant weights with n1 + n2 <=
     shell_max, enumerated lexicographically; reports per-shell minima.
 
+    Each row is c_L(v0) = sum_j q0^(-2 (lambda_j, L + rho)) / (q0 - q0^-1)^2
+    at q0 = v0^2, in plain Fractions (Jantzen, Lectures on Quantum Groups,
+    1996); rmatrix.casimir_exponents is the one source of the exponents.
     v0 must satisfy 0 < v0 < 1.
     """
     v0 = Fraction(v0)
     if not (0 < v0 < 1):
         raise ValueError("evaluation point must satisfy 0 < v0 < 1")
+    q0 = v0 * v0
+    den = (q0 - 1 / q0) ** 2
     rows = []
     for n1 in range(shell_max + 1):
         for n2 in range(shell_max + 1 - n1):
-            val = casimir_eigenvalue((n1, n2)).evaluate(v0)
+            val = sum(q0 ** e for e in casimir_exponents((n1, n2))) / den
             rows.append((n1, n2, val))
     shell_minima = {}
     for n1, n2, val in rows:

@@ -102,15 +102,21 @@ _EXPAND_F = {j: tuple((c.bar(), letters[::-1]) for c, letters in rule)
 _SIMPLE_CROSS = {1: (ALPHA1, ONE / Q_SC), 4: (ALPHA2, ONE / _QBR2)}
 
 
-def _wt_f(fexp):
-    """Sum of beta weights carried by an F-exponent vector (positive sum)."""
-    a4, a3, a2, a1 = fexp
-    return a4 * BETA[4] + a3 * BETA[3] + a2 * BETA[2] + a1 * BETA[1]
+_WT_CACHE = {}
 
 
 def _wt_e(eexp):
-    b1, b2, b3, b4 = eexp
-    return b1 * BETA[1] + b2 * BETA[2] + b3 * BETA[3] + b4 * BETA[4]
+    """Sum of beta weights carried by an E-exponent vector, beta_1 first."""
+    got = _WT_CACHE.get(eexp)
+    if got is None:
+        got = _WT_CACHE[eexp] = sum(
+            (b * BETA[j] for j, b in enumerate(eexp, 1)), W_ZERO)
+    return got
+
+
+def _wt_f(fexp):
+    """Sum of beta weights carried by an F-exponent vector (positive sum)."""
+    return _wt_e(fexp[::-1])
 
 
 def word_weight(word):

@@ -24,7 +24,10 @@ role of the quadratic Casimir; its explicit PBW form and the equivalent
 form with all Levi letters moved to the right are provided for comparison,
 together with the eigenvalue formula
 
-    c_L = sum_j q^{-2 (lambda_j, L + rho)} / (q - q^{-1})^2.
+    c_L = sum_j q^{-2 (lambda_j, L + rho)} / (q - q^{-1})^2
+
+by which the central element acts on the simple module V(L) (Jantzen,
+Lectures on Quantum Groups, AMS GSM 6, 1996).
 """
 
 from __future__ import annotations
@@ -256,15 +259,16 @@ def casimir_quantum_parts():
     return sum(casimir_quantum_terms(), AE_ZERO), rewritten + _casimir_mix(Es, E)
 
 
+def casimir_exponents(lam):
+    """The q-exponents -2 (lambda_j, lam + rho) of the addends of c_lam."""
+    shifted = Weight(*lam) + RHO
+    return [-2 * w.pair(shifted) for w in LAMBDA_V]
+
+
 def casimir_eigenvalue(lam):
     """Scalar by which the Casimir acts on the simple module of highest
     weight lam (dominant)."""
-    lam = Weight(*lam)
-    shifted = lam + RHO
-    total = ZERO
-    for w in LAMBDA_V:
-        total = total + _qp(-2 * w.pair(shifted))
-    return total / (_Q * _Q)
+    return sum(map(_qp, casimir_exponents(lam)), ZERO) / (_Q * _Q)
 
 
 GENERATOR_TOKENS = ("E1", "E2", "F1", "F2", ("K", 2, -1), ("K", -2, 2))

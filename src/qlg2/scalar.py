@@ -282,11 +282,20 @@ class Scalar:
         return o + (-self)
 
     def __mul__(self, other):
-        o = Scalar._coerce(other)
+        o = other if type(other) is Scalar else Scalar._coerce(other)
         if o is None:
             return NotImplemented
         if not self._n or not o._n:
             return ZERO
+        a, m = (self, o) if len(o._n) == 1 and o._d == (1,) else (o, self)
+        if len(m._n) == 1 and m._d == (1,):
+            # m = c v^k needs no gcd, and ONE leaves the other factor as it is
+            k = m._n[0]
+            if k == 1 and m._c == 1 and not m._s:
+                return a
+            if a._n == (1,) and a._c == 1 and not a._s and a._d == (1,):
+                return m
+            return Scalar._make(_pscale(a._n, k), a._c * m._c, a._d, a._s + m._s)
         # cross-reduce so the product of reduced fractions is reduced
         n1, d2 = _cancel(self._n, o._d)
         n2, d1 = _cancel(o._n, self._d)

@@ -9,7 +9,9 @@ from qlg2.scalar import BR2, ONE, Q_SC, kappa, q_power
 from qlg2.checks import Context, check_parthasarathy
 from qlg2.modules import EXT, ModuleOperator
 from qlg2.pbw import K, antipode, normal_form, star
-from qlg2.rmatrix import casimir_quantum_terms, quantum_trace_pairing
+from qlg2.rmatrix import (
+    casimir_eigenvalue, casimir_quantum_terms, quantum_trace_pairing,
+)
 from qlg2.parthasarathy import (
     KAPPA2_RATIO, KAPPA3_RATIO, PARTHASARATHY_CONSTANT, casimir_in_M,
     dirac_self_adjoint, dirac_squared,
@@ -193,3 +195,13 @@ def test_spectrum_growth():
         spectrum_growth(Fraction(3, 2), 3)
     with pytest.raises(ValueError):
         spectrum_growth(Fraction(1, 1), 3)
+
+
+@pytest.mark.parametrize("v0", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7)])
+def test_spectrum_rows_equal_symbolic_eigenvalues(v0):
+    # the direct Fraction rows against the reduced Scalar c_L evaluated at v0
+    sp = spectrum_growth(v0, 20)
+    assert [row[:2] for row in sp.rows] == [
+        (n1, n2) for n1 in range(21) for n2 in range(21 - n1)]
+    for n1, n2, val in sp.rows:
+        assert val == casimir_eigenvalue((n1, n2)).evaluate(v0)

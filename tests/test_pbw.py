@@ -1,23 +1,45 @@
 """PBW engine tests: normal forms, Hopf structure, root vectors, the
 mod-Levi decomposition."""
 
+import itertools
 import random
 
 import pytest
 
+from qlg2 import pbw
 from qlg2.scalar import BR2, ONE, Q_SC, q_power
-from qlg2.weights import ALPHA1, ALPHA2, BETA, pair
+from qlg2.weights import ALPHA1, ALPHA2, BETA, W_ZERO, Weight, pair
 from qlg2.pbw import (
-    AE_ONE, AE_ZERO, E1, E2, F1, F2, K, adjoint_action, antipode, coproduct,
-    coproduct_word, counit, defining_relator_words, is_levi, levi_right_split,
-    normal_form, root_E, root_F, serre_relators, star, token_name, unit,
-    word_weight, xi_E, xi_E_star,
+    AE_ONE, AE_ZERO, E1, E2, F1, F2, K, _wt_e, _wt_f, adjoint_action, antipode,
+    coproduct, coproduct_word, counit, defining_relator_words, is_levi,
+    levi_right_split, normal_form, root_E, root_F, serre_relators, star,
+    token_name, unit, word_weight, xi_E, xi_E_star,
 )
 
 Q = Q_SC
 
 
 # --- weights ---------------------------------------------------------------
+
+def _beta_sum(exp, roots):
+    """Weight of the exponent vector `exp` over the roots beta_j, j in
+    `roots`, summed coordinate by coordinate."""
+    return Weight(sum(a * BETA[j][0] for a, j in zip(exp, roots)),
+                  sum(a * BETA[j][1] for a, j in zip(exp, roots)))
+
+
+def test_beta_weight_memo_matches_direct_sum():
+    vecs = list(itertools.product(range(4), repeat=4))
+    pbw._WT_CACHE.clear()
+    for _memo in ("cold", "warm"):
+        for e in vecs:
+            assert _wt_e(e) == _beta_sum(e, (1, 2, 3, 4))
+            assert _wt_f(e) == _beta_sum(e, (4, 3, 2, 1))
+        for f, e in itertools.product(vecs, repeat=2):
+            assert word_weight((f, W_ZERO, e)) == (
+                _beta_sum(e, (1, 2, 3, 4)) - _beta_sum(f, (4, 3, 2, 1)))
+    # one entry per exponent vector, shared by the E and F sides
+    assert len(pbw._WT_CACHE) == len(vecs)
 
 def test_gram_matrix():
     assert pair((1, 0), (1, 0)) == 1

@@ -161,6 +161,32 @@ def test_inexact_division_raises_typed_error():
         _pexquo((1,), (1, 1))           # degree too small
 
 
+# c * v^k factors as (c, k); built through laurent_v, not the constant
+# factories, so the operands are canonical before any product
+MONOMIALS = [(1, 0), (-1, 0), (3, 0), (Fraction(-2, 9), 0), (1, -5),
+             (Fraction(-4, 3), 7)]
+
+
+@pytest.mark.parametrize("c,k", MONOMIALS)
+def test_monomial_factor_products(c, k):
+    m = laurent_v({k: c})
+    # m * (1 + v), built as a polynomial, so the route below is not monomial
+    p, mp = laurent_v({0: 1, 1: 1}), laurent_v({k: c, k + 1: c})
+    assert ZERO * m is ZERO and m * ZERO is ZERO
+    rng = random.Random(k * 10 + 3)
+    for _ in range(40):
+        x, xn, xd = rand_rational(rng)
+        route = (x * mp) / p
+        for prod in (x * m, m * x):
+            _check_canonical(prod)
+            assert prod == route and hash(prod) == hash(route)
+            for pt in _points(rng, ((xn, xd),)):
+                assert prod.evaluate(pt) == _dval(xn, pt) / _dval(xd, pt) * c * pt ** k
+        if (c, k) == (1, 0):
+            # a factor equal to ONE returns the other operand itself
+            assert x * m is x and m * x is x and x * ONE is x and ONE * x is x
+
+
 # canon_str of values recorded from the Fraction-coefficient kernel; report
 # digests hash these strings
 PINNED = [
