@@ -121,6 +121,23 @@ def mmul(a, b, zero):
     return out
 
 
+def kron(a, b, zero):
+    """Kronecker product: entry (i, j) of a times entry (k, l) of b sits at
+    row i * len(b) + k, column j * len(b[0]) + l."""
+    n, m = len(b), len(b[0])
+    out = mzeros(len(a) * n, len(a[0]) * m, zero)
+    for i, ra in enumerate(a):
+        for j, x in enumerate(ra):
+            if not x:
+                continue
+            for k, rb in enumerate(b):
+                row = out[i * n + k]
+                for l, y in enumerate(rb):
+                    if y:
+                        row[j * m + l] = x * y
+    return out
+
+
 def mT(a):
     return [list(col) for col in zip(*a)]
 

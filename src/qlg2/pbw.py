@@ -37,6 +37,12 @@ into simple ones, and ends at the simple crossings.  Every recursive call
 has a smaller total height, so the recursion terminates (convexity of
 root-vector commutators, Levendorskii-Soibelman 1991).
 
+The product of two words is one loop (_mul_terms), table-driven in the
+manner of de Graaf (J. Symbolic Comput. 32, 2001): each term of
+_cross(B1, A2) is moved past the Cartan parts, and the blocks F^A1 F^A3 and
+E^B3 E^B2 are looked up already straightened in tables keyed by their
+exponent pairs (A1, A3) and (B3, B2); the straighteners run only on a miss.
+
 The Hopf structure has one source: `coproduct` on generator tokens, with
 star and antipode given on the simple letters.  The adjoint action is the
 Sweedler sum ad(X) y = X_(1) y S(X_(2)) over `coproduct`; the inverse
@@ -181,15 +187,6 @@ def _e_letters(eexp):
     return (1,) * b1 + (2,) * b2 + (3,) * b3 + (4,) * b4
 
 
-def _emit(out, fseq, lam, eseq, coeff):
-    """out += coeff * straighten(F letters fseq) K_lam straighten(E letters eseq)."""
-    etab = _straighten_e(eseq)
-    for fexp, cf in _straighten_f(fseq).items():
-        cwf = coeff * cf
-        for eexp, ce in etab.items():
-            accumulate(out, (fexp, lam, eexp), cwf * ce)
-
-
 # --- crossing and multiplication -------------------------------------------
 
 def _e_word(eexp):
@@ -261,19 +258,63 @@ def _cross(eexp, fexp):
     return got
 
 
+# straightened blocks F^A1 F^A3 and E^B3 E^B2 keyed by their exponent pairs
+_F_PAIR_CACHE = {}
+_E_PAIR_CACHE = {}
+# Cartan factors q^k keyed by k
+_QP_CACHE = {}
+
+
 def _mul_terms(t1, t2):
-    """Multiply two {word: Scalar} maps."""
+    """Multiply two {word: Scalar} maps.
+
+    For words F^A1 K_lam E^B1 and F^A2 K_mu E^B2 each term F^A3 K_nu E^B3
+    of _cross(B1, A2) gives
+
+        q^-((lam, wt F^A3) + (mu, wt E^B3)) . F^A1 F^A3 K_(lam+nu+mu) E^B3 E^B2,
+
+    whose F and E blocks are straightened through the pair tables.  A
+    coefficient product with a factor ONE is skipped.
+    """
     out = {}
+    get = out.get
     for (A1, lam, B1), c1 in t1.items():
+        lam0 = lam == W_ZERO
         for (A2, mu, B2), c2 in t2.items():
-            c12 = c1 * c2
+            c12 = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
+            mu0 = mu == W_ZERO
+            lm = mu if lam0 else lam if mu0 else lam + mu
             for (A3, nu, B3), c3 in _cross(B1, A2).items():
-                c = c12 * c3
-                if not (lam.is_zero and mu.is_zero):
-                    # K_lam across F^A3 to the right, K_mu across E^B3 to the left
-                    c = c * _qp(-(lam.pair(_wt_f(A3)) + mu.pair(_wt_e(B3))))
-                _emit(out, _f_letters(A1) + _f_letters(A3), lam + nu + mu,
-                      _e_letters(B3) + _e_letters(B2), c)
+                c = c3 if c12 is ONE else c12 if c3 is ONE else c12 * c3
+                # K_lam across F^A3 to the right, K_mu across E^B3 to the left
+                k = -((0 if lam0 else lam.pair(_wt_f(A3)))
+                      + (0 if mu0 else mu.pair(_wt_e(B3))))
+                if k:
+                    qp = _QP_CACHE.get(k)
+                    if qp is None:
+                        qp = _QP_CACHE[k] = _qp(k)
+                    c = c * qp
+                w = lm if nu == W_ZERO else lm + nu
+                ftab = _F_PAIR_CACHE.get((A1, A3))
+                if ftab is None:
+                    ftab = _F_PAIR_CACHE[(A1, A3)] = _straighten_f(
+                        _f_letters(A1) + _f_letters(A3))
+                etab = _E_PAIR_CACHE.get((B3, B2))
+                if etab is None:
+                    etab = _E_PAIR_CACHE[(B3, B2)] = _straighten_e(
+                        _e_letters(B3) + _e_letters(B2))
+                for fexp, cf in ftab.items():
+                    cwf = c if cf is ONE else cf if c is ONE else c * cf
+                    for eexp, ce in etab.items():
+                        key = (fexp, w, eexp)
+                        val = cwf if ce is ONE else ce if cwf is ONE else cwf * ce
+                        cur = get(key)
+                        if cur is not None:
+                            val = cur + val
+                            if val.is_zero:
+                                del out[key]
+                                continue
+                        out[key] = val
     return out
 
 

@@ -32,7 +32,7 @@ Lectures on Quantum Groups, AMS GSM 6, 1996).
 
 from __future__ import annotations
 
-from .linalg import madd, meye, miszero, mmul, msub, mzeros
+from .linalg import kron, madd, meye, miszero, mmul, msub, mzeros
 from .scalar import BR2, ONE, ZERO, Q_SC as _Q, q_number, q_power as _qp
 from .weights import LAMBDA_V, RHO, Weight
 from .pbw import AE_ONE, AE_ZERO, K, normal_form, root_E, star, token_name
@@ -124,19 +124,6 @@ class TruncatedRMatrix:
         """R Delta(X) - Delta_op(X) R on the tensor square, per generator."""
         R16 = self.represented()
         eye4 = meye(4, ONE, ZERO)
-
-        def kron(p, q):
-            out = mzeros(16, 16, ZERO)
-            for i in range(4):
-                for j in range(4):
-                    if not p[i][j]:
-                        continue
-                    for k in range(4):
-                        for l in range(4):
-                            if q[k][l]:
-                                out[4 * i + k][4 * j + l] = p[i][j] * q[k][l]
-            return out
-
         k1 = FUND.K((2, -1))
         k2 = FUND.K((-2, 2))
         k1i = FUND.K((-2, 1))
@@ -154,8 +141,8 @@ class TruncatedRMatrix:
             dlt = mzeros(16, 16, ZERO)
             dop = mzeros(16, 16, ZERO)
             for a, b in pairs:
-                dlt = madd(dlt, kron(a, b))
-                dop = madd(dop, kron(b, a))
+                dlt = madd(dlt, kron(a, b, ZERO))
+                dop = madd(dop, kron(b, a, ZERO))
             res[tok] = msub(mmul(R16, dlt, ZERO), mmul(dop, R16, ZERO))
         return res
 

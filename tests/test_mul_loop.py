@@ -1,0 +1,178 @@
+"""The fused PBW product loop `pbw._mul_terms` against the plain loop it
+replaced: every pair of single letters and K tokens, seeded random element
+pairs, and the same products on cold and on warm memo tables."""
+
+import itertools
+import random
+import sys
+
+from qlg2 import pbw
+from qlg2.linalg import accumulate
+from qlg2.pbw import (
+    _EXPAND_E, _EXPAND_F, _SIMPLE_CROSS, _ZEXP, _acc, _bump, _e_letters,
+    _f_letters, _straighten_e, _straighten_f, _wt_e, _wt_f,
+)
+from qlg2.scalar import ONE, q_power, scalar
+from qlg2.weights import ALPHA1, ALPHA2, OMEGA1, OMEGA2, W_ZERO, Weight
+
+
+# --- the plain loop: one _emit call and one accumulate per term ---------------
+
+def _emit(out, fseq, lam, eseq, coeff):
+    etab = _straighten_e(eseq)
+    for fexp, cf in _straighten_f(fseq).items():
+        cwf = coeff * cf
+        for eexp, ce in etab.items():
+            accumulate(out, (fexp, lam, eexp), cwf * ce)
+
+
+def _plain_cross(eexp, fexp, memo):
+    """The crossing recursion of pbw._cross, multiplying through the plain
+    loop and memoised in `memo` only."""
+    if eexp == _ZEXP:
+        return {(fexp, W_ZERO, _ZEXP): ONE}
+    if fexp == _ZEXP:
+        return {(_ZEXP, W_ZERO, eexp): ONE}
+    got = memo.get((eexp, fexp))
+    if got is not None:
+        return got
+    last = max(k for k in range(4) if eexp[k])
+    first = min(k for k in range(4) if fexp[k])
+    e_one, f_one = _bump(_ZEXP, last, 1), _bump(_ZEXP, first, 1)
+    i, j = last + 1, 4 - first
+    if sum(eexp) > 1:
+        got = _plain_mul({(_ZEXP, W_ZERO, _bump(eexp, last, -1)): ONE},
+                         _plain_cross(e_one, fexp, memo), memo)
+    elif sum(fexp) > 1:
+        got = _plain_mul(_plain_cross(eexp, f_one, memo),
+                         {(_bump(fexp, first, -1), W_ZERO, _ZEXP): ONE}, memo)
+    elif i in _EXPAND_E:
+        got = {}
+        for c, letters in _EXPAND_E[i]:
+            t = {(fexp, W_ZERO, _ZEXP): ONE}
+            for x in reversed(letters):
+                t = _plain_mul({(_ZEXP, W_ZERO, _bump(_ZEXP, x - 1, 1)): ONE}, t, memo)
+            _acc(got, t, c)
+    elif j in _EXPAND_F:
+        got = {}
+        for c, letters in _EXPAND_F[j]:
+            t = {(_ZEXP, W_ZERO, eexp): ONE}
+            for x in letters:
+                t = _plain_mul(t, {(_bump(_ZEXP, 4 - x, 1), W_ZERO, _ZEXP): ONE}, memo)
+            _acc(got, t, c)
+    else:
+        got = {(fexp, W_ZERO, eexp): ONE}
+        if i == j:
+            alpha, c = _SIMPLE_CROSS[i]
+            got[(_ZEXP, alpha, _ZEXP)] = c
+            got[(_ZEXP, -alpha, _ZEXP)] = -c
+    memo[(eexp, fexp)] = got
+    return got
+
+
+def _plain_mul(t1, t2, memo):
+    out = {}
+    for (A1, lam, B1), c1 in t1.items():
+        for (A2, mu, B2), c2 in t2.items():
+            c12 = c1 * c2
+            for (A3, nu, B3), c3 in _plain_cross(B1, A2, memo).items():
+                c = c12 * c3
+                if not (lam.is_zero and mu.is_zero):
+                    c = c * q_power(-(lam.pair(_wt_f(A3)) + mu.pair(_wt_e(B3))))
+                _emit(out, _f_letters(A1) + _f_letters(A3), lam + nu + mu,
+                      _e_letters(B3) + _e_letters(B2), c)
+    return out
+
+
+def _assert_same_product(t1, t2, memo):
+    got = pbw._mul_terms(t1, t2)
+    want = _plain_mul(t1, t2, memo)
+    # the same terms, in the same insertion order
+    assert list(got) == list(want)
+    assert got == want
+
+
+# --- inputs -------------------------------------------------------------------
+
+def _letters_and_k():
+    unit = [{(_ZEXP, W_ZERO, _ZEXP): ONE}]
+    letters = [{(_ZEXP, W_ZERO, _bump(_ZEXP, k, 1)): ONE} for k in range(4)]
+    letters += [{(_bump(_ZEXP, k, 1), W_ZERO, _ZEXP): ONE} for k in range(4)]
+    ks = [{(_ZEXP, lam, _ZEXP): ONE}
+          for lam in (ALPHA1, -ALPHA1, ALPHA2, -ALPHA2, OMEGA1, OMEGA2)]
+    return unit + letters + ks
+
+
+_COEFFS = (ONE, -ONE, scalar(3), scalar(-2) / 5, q_power(1), q_power(-2),
+           q_power(1) + q_power(-1))
+
+
+def _random_terms(rng):
+    """One to three words of at most four letters, with random K parts and
+    coefficients."""
+    out = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * 8
+        for _ in range(rng.randint(0, 4)):
+            exps[rng.randrange(8)] += 1
+        lam = Weight(rng.randint(-1, 1), rng.randint(-1, 1))
+        accumulate(out, (tuple(exps[:4]), lam, tuple(exps[4:])), rng.choice(_COEFFS))
+    return out
+
+
+def _random_pairs(n, seed):
+    rng = random.Random(seed)
+    return [(_random_terms(rng), _random_terms(rng)) for _ in range(n)]
+
+
+def _memo_tables():
+    """Every module-level dict named *_CACHE in the qlg2 modules, by
+    qualified name."""
+    return {f"{name}.{attr}": table for name, mod in sorted(sys.modules.items())
+            if name == "qlg2" or name.startswith("qlg2.")
+            for attr, table in vars(mod).items()
+            if attr.endswith("_CACHE") and isinstance(table, dict)}
+
+
+# --- tests ----------------------------------------------------------------------
+
+def test_letter_and_k_pairs_match_the_plain_loop():
+    memo = {}
+    for t1, t2 in itertools.product(_letters_and_k(), repeat=2):
+        _assert_same_product(t1, t2, memo)
+
+
+def test_cancelling_products_match_the_plain_loop():
+    # (a + b)(a - b) = a^2 - ab + ba - b^2: the crossing of ab leaves a word
+    # of ba that cancels
+    memo = {}
+    singles = _letters_and_k()
+    for a, b in itertools.combinations(singles, 2):
+        (wa, ca), (wb, cb) = *a.items(), *b.items()
+        _assert_same_product({wa: ca, wb: cb}, {wa: ca, wb: -cb}, memo)
+
+
+def test_random_element_pairs_match_the_plain_loop():
+    memo = {}
+    for t1, t2 in _random_pairs(500, 20240801):
+        _assert_same_product(t1, t2, memo)
+
+
+def test_cold_tables_give_the_warm_products():
+    pairs = list(itertools.product(_letters_and_k(), repeat=2)) + _random_pairs(100, 97)
+    warm = [pbw._mul_terms(t1, t2) for t1, t2 in pairs]
+    tables = _memo_tables()
+    assert {f"qlg2.pbw.{name}" for name in ("_F_PAIR_CACHE", "_E_PAIR_CACHE",
+                                            "_QP_CACHE", "_CROSS_CACHE")} <= set(tables)
+    saved = {name: dict(table) for name, table in tables.items()}
+    try:
+        for table in tables.values():
+            table.clear()
+        cold = [pbw._mul_terms(t1, t2) for t1, t2 in pairs]
+    finally:
+        for name, table in tables.items():
+            table.clear()
+            table.update(saved[name])
+    for got, want in zip(cold, warm):
+        assert list(got) == list(want)
+        assert got == want

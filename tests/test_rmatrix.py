@@ -1,9 +1,10 @@
 """Casimir tests: truncated R-matrix, quantum trace, closed forms,
 centrality, eigenvalues."""
 
+import random
 from fractions import Fraction
 
-from qlg2.linalg import meq, mscale, meye, miszero, mmul
+from qlg2.linalg import kron, meq, mscale, meye, miszero, mmul
 from qlg2.scalar import BR2, ONE, Q_SC, ZERO, evaluate, laurent_q, q_power
 from qlg2.modules import FUND
 from qlg2.pbw import root_E, star
@@ -42,6 +43,25 @@ def test_intertwiner_property():
     R = TruncatedRMatrix.build()
     for tok, m in R.intertwiner_residuals().items():
         assert miszero(m), tok
+
+
+def test_kron_mixed_product():
+    # (A (x) B)(C (x) D) = AC (x) BD, with the sizes read off the operands
+    rng = random.Random(20240801)
+
+    def rand(n, m):
+        return [[laurent_q({e: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                            for e in rng.sample(range(-2, 3), 2)})
+                 if rng.random() < 0.7 else ZERO for _ in range(m)]
+                for _ in range(n)]
+
+    for _ in range(3):
+        a, b, c, d = rand(2, 3), rand(3, 2), rand(3, 2), rand(2, 4)
+        lhs = mmul(kron(a, b, ZERO), kron(c, d, ZERO), ZERO)
+        rhs = kron(mmul(a, c, ZERO), mmul(b, d, ZERO), ZERO)
+        assert [len(r) for r in lhs] == [len(r) for r in rhs] == [8] * 6
+        assert meq(lhs, rhs)
+    assert meq(kron(meye(2, ONE, ZERO), meye(3, ONE, ZERO), ZERO), meye(6, ONE, ZERO))
 
 
 def test_casimir_equals_explicit_form():
