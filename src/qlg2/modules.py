@@ -243,7 +243,9 @@ class ModuleOperator:
     def scale(self, c):
         if isinstance(c, Scalar):
             c = KScalar.from_scalar(c)
-        return ModuleOperator([[c * x for x in row] for row in self.mat])
+        # a zero entry (a KScalar, falsy) stays as it is
+        return ModuleOperator([[c * x if x else x for x in row]
+                               for row in self.mat])
 
     def __eq__(self, other):
         return isinstance(other, ModuleOperator) and meq(self.mat, other.mat)

@@ -42,6 +42,11 @@ manner of de Graaf (J. Symbolic Comput. 32, 2001): each term of
 _cross(B1, A2) is moved past the Cartan parts, and the blocks F^A1 F^A3 and
 E^B3 E^B2 are looked up already straightened in tables keyed by their
 exponent pairs (A1, A3) and (B3, B2); the straighteners run only on a miss.
+`_cross` memoises every pair of exponents in _CROSS_CACHE, a pair with an
+empty side included.  `normal_form` checks each token, then looks the token
+word up in _NF_CACHE, which holds the coefficient-one left fold, and scales
+that by the coefficient.  Memoised term maps are shared by every caller and
+are never mutated.
 
 The Hopf structure has one source: `coproduct` on generator tokens, with
 star and antipode given on the simple letters.  The adjoint action is the
@@ -207,22 +212,22 @@ _CROSS_CACHE = {}
 
 
 def _cross(eexp, fexp):
-    """E^eexp . F^fexp as {word: Scalar}.
+    """E^eexp . F^fexp as {word: Scalar}, memoised; treat results as read only.
 
-    More than one E letter: E^B' . (E_last F^A).  One E letter and more than
-    one F letter: (E_e F_first) . F^A'.  Two letters with a composite one:
-    its simple-letter expansion, multiplied in so that every crossing meets
-    a simple E letter.  Two simple letters: F_j E_i, plus the Cartan term
+    An empty side: the one word F^A E^B.  More than one E letter:
+    E^B' . (E_last F^A).  One E letter and more than one F letter:
+    (E_e F_first) . F^A'.  Two letters with a composite one: its
+    simple-letter expansion, multiplied in so that every crossing meets a
+    simple E letter.  Two simple letters: F_j E_i, plus the Cartan term
     when i = j.  Each recursive call has a smaller total height, and for a
     simple E letter the E part of every term is empty or that letter.
     """
-    if eexp == _ZEXP:
-        return _f_word(fexp)
-    if fexp == _ZEXP:
-        return _e_word(eexp)
     key = (eexp, fexp)
     got = _CROSS_CACHE.get(key)
     if got is not None:
+        return got
+    if eexp == _ZEXP or fexp == _ZEXP:
+        got = _CROSS_CACHE[key] = {(fexp, W_ZERO, eexp): ONE}
         return got
     last = max(k for k in range(4) if eexp[k])
     first = min(k for k in range(4) if fexp[k])
@@ -514,7 +519,9 @@ def token_name(tok):
     return tok if isinstance(tok, str) else "K({}, {})".format(*token_weight(tok))
 
 
-_GENERATORS = {"E1": E1, "E2": E2, "F1": F1, "F2": F2}
+# shared one-word term maps of the generator names; read only
+_GENERATORS = {"E1": E1().terms, "E2": E2().terms, "F1": F1().terms,
+               "F2": F2().terms}
 
 
 def _token_terms(tok):
@@ -522,23 +529,35 @@ def _token_terms(tok):
     if lam is not None:
         return {(_ZEXP, lam, _ZEXP): ONE}
     try:
-        return _GENERATORS[tok]().terms
+        return _GENERATORS[tok]
     except KeyError:
         raise ValueError(f"unknown generator token {tok!r}") from None
+
+
+# coefficient-one normal forms keyed by the token word; the term maps are
+# shared by every result, so no caller may mutate them
+_NF_CACHE = {}
 
 
 def normal_form(word, coeff=ONE):
     """Normal form of a formal product of generator tokens.
 
     Tokens are "E1", "E2", "F1", "F2" or ("K", n1, n2); returns the reduced
-    AlgebraElement, the left fold of the token products.  Any other token
-    raises ValueError before any work.  Idempotent on reduced data.
+    AlgebraElement, coeff times the left fold of the token products.  Any
+    other token raises ValueError before any work, and before the word is
+    looked up in _NF_CACHE: ("K", 1.0, 0) equals ("K", 1, 0) as a key but
+    is no token.  Idempotent on reduced data.
     """
+    word = tuple(word)
     factors = [_token_terms(t) for t in word]
-    out = (AE_ONE * coeff).terms
-    for f in factors:
-        out = _mul_terms(out, f)
-    return AlgebraElement(out)
+    out = _NF_CACHE.get(word)
+    if out is None:
+        out = AE_ONE.terms
+        for f in factors:
+            out = _mul_terms(out, f)
+        _NF_CACHE[word] = out
+    x = AlgebraElement(out)
+    return x if coeff is ONE else x * coeff
 
 
 # --- letter images under * and S ---------------------------------------------

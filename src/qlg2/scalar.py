@@ -22,6 +22,13 @@ in the inner loops.  `canon_str` prints the same monic-over-Q form as a
 Fraction-coefficient representation would: numerator and denominator
 divided by the leading coefficient of cont * den.
 
+Two exact short-cuts serve the products the checks repeat.  `_cancel`
+memoises its gcd-bearing case (both polynomials of degree >= 1) in
+`_CANCEL_CACHE`, keyed by the pair (num, den): a few hundred distinct pairs
+recur thousands of times.  A product with a factor +-v^k (cont = 1, den = 1)
+is a sign and a shift of the other factor, already canonical, so it skips
+`_make`.
+
 KScalar extends Scalar by three commuting symbols kappa_1, kappa_2, kappa_3
 (the formal ratios of the graded inner-product constants) truncated at total
 degree two, which is all the Dirac-square computation ever produces.
@@ -164,12 +171,20 @@ def _pexquo(a, b):
     return tuple(q)
 
 
+# cancelled pairs keyed by (n, d), for the gcd-bearing case only
+_CANCEL_CACHE = {}
+
+
 def _cancel(n, d):
     """Divide n and d by their gcd; d stays primitive with lc > 0."""
     if len(n) > 1 and len(d) > 1:
-        g = _pgcd(n, d)
-        if len(g) > 1:
-            return _pexquo(n, g), _pexquo(d, g)
+        key = (n, d)
+        got = _CANCEL_CACHE.get(key)
+        if got is None:
+            g = _pgcd(n, d)
+            got = _CANCEL_CACHE[key] = (
+                (_pexquo(n, g), _pexquo(d, g)) if len(g) > 1 else key)
+        return got
     return n, d
 
 
@@ -295,6 +310,10 @@ class Scalar:
                 return a
             if a._n == (1,) and a._c == 1 and not a._s and a._d == (1,):
                 return m
+            if m._c == 1 and (k == 1 or k == -1):
+                # m = +-v^k: a sign and a shift of a canonical a are canonical
+                return Scalar(a._n if k == 1 else _pneg(a._n), a._c, a._d,
+                              a._s + m._s)
             return Scalar._make(_pscale(a._n, k), a._c * m._c, a._d, a._s + m._s)
         # cross-reduce so the product of reduced fractions is reduced
         n1, d2 = _cancel(self._n, o._d)

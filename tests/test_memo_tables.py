@@ -1,0 +1,78 @@
+"""The memoised normal forms against a plain left fold of the token
+products, and a warm rerun of every check against the cold run: the memo
+tables hand out shared term maps, so a caller that mutated one would change
+later results."""
+
+import itertools
+
+import pytest
+
+from qlg2 import cli, pbw
+from qlg2.checks import CHECKS
+from qlg2.pbw import AE_ONE, K, normal_form, root_E, root_F
+from qlg2.scalar import ONE, Q_SC, q_number
+
+from test_mul_loop import _memo_tables
+
+# the generator tokens the associativity probe of eq-comm-rel-uqg draws from
+TOKENS = ("E1", "E2", "F1", "F2", ("K", 1, 0), ("K", -1, 1), ("K", 0, -1))
+_LETTERS = {"E1": root_E(1), "E2": root_E(4), "F1": root_F(1), "F2": root_F(4)}
+
+
+def _fold(word, coeff):
+    """coeff times the token products, multiplied left to right."""
+    out = (AE_ONE * coeff).terms
+    for tok in word:
+        f = K(tok[1:]) if isinstance(tok, tuple) else _LETTERS[tok]
+        out = pbw._mul_terms(out, f.terms)
+    return out
+
+
+@pytest.fixture
+def cold_tables():
+    """Every qlg2 memo table emptied for the test and restored after it."""
+    tables = _memo_tables()
+    saved = {name: dict(table) for name, table in tables.items()}
+    for table in tables.values():
+        table.clear()
+    yield tables
+    for name, table in tables.items():
+        table.clear()
+        table.update(saved[name])
+
+
+def test_normal_forms_match_the_plain_fold(cold_tables):
+    assert "qlg2.pbw._NF_CACHE" in cold_tables
+    words = [w for n in range(4) for w in itertools.product(TOKENS, repeat=n)]
+    # the first coefficient of each word misses the memo, the others hit it
+    for word in words:
+        for coeff in (ONE, 2, q_number(3) / Q_SC, 0):
+            got = normal_form(word, coeff).terms
+            want = _fold(word, coeff)
+            assert list(got) == list(want)
+            assert got == want
+    assert len(pbw._NF_CACHE) == len(words)
+
+
+@pytest.mark.parametrize("good,bad", [
+    # equal words as keys, but neither 1.0 nor True is an int
+    ((("K", 1, 0),), (("K", 1.0, 0),)),
+    ((("K", 1, 0),), (("K", True, 0),)),
+    (("E1",), ("E1", "X")),
+])
+def test_bad_token_raises_on_a_warm_memo(good, bad):
+    normal_form(good)
+    assert good in pbw._NF_CACHE
+    with pytest.raises(ValueError):
+        normal_form(bad)
+
+
+def test_warm_rerun_gives_the_cold_report(cold_tables, tmp_path):
+    paths = [tmp_path / "cold.json", tmp_path / "warm.json"]
+    for path in paths:
+        rc = cli.main(["verify", "--check", "all", "--report", "json",
+                       "--out", str(path)])
+        assert rc == cli.EXIT_PASS
+    cold, warm = (p.read_bytes() for p in paths)
+    assert warm == cold
+    assert cold.count(b'"status": "pass"') == len(CHECKS) == 35

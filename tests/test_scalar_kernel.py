@@ -8,13 +8,14 @@ points, so the oracle shares no code with the kernel.
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from qlg2.scalar import (
-    BR2, ONE, Q_SC, ZERO, InexactDivisionError, Scalar, _pexquo, laurent_q,
-    laurent_v, q_binomial, q_factorial, q_number, scalar, v_power,
+    _CANCEL_CACHE, BR2, ONE, Q_SC, ZERO, InexactDivisionError, Scalar, _cancel,
+    _pexquo, laurent_q, laurent_v, q_binomial, q_factorial, q_number, scalar,
+    v_power,
 )
 
 
@@ -165,6 +166,9 @@ def test_inexact_division_raises_typed_error():
 # factories, so the operands are canonical before any product
 MONOMIALS = [(1, 0), (-1, 0), (3, 0), (Fraction(-2, 9), 0), (1, -5),
              (Fraction(-4, 3), 7)]
+# +-v^k, which Scalar.__mul__ short-cuts to a sign and a shift
+MONOMIALS += [(c, k) for c in (1, -1) for k in range(-6, 7)
+              if (c, k) not in MONOMIALS]
 
 
 @pytest.mark.parametrize("c,k", MONOMIALS)
@@ -185,6 +189,97 @@ def test_monomial_factor_products(c, k):
         if (c, k) == (1, 0):
             # a factor equal to ONE returns the other operand itself
             assert x * m is x and m * x is x and x * ONE is x and ONE * x is x
+
+
+# --- _cancel and its memo against a gcd over Q on Fraction coefficients -------
+
+def _tmul(a, b):
+    """Product of two coefficient tuples, index = exponent."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _qdivmod(a, b):
+    """Quotient and remainder of a by b over Q, as Fraction lists."""
+    r = [Fraction(x) for x in a]
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while r and len(r) >= len(b):
+        k = len(r) - len(b)
+        q[k] = f = r[-1] / b[-1]
+        for i, x in enumerate(b):
+            r[k + i] -= f * x
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+def _oracle_cancel(n, d):
+    """n and d divided by their gcd, taken primitive over Z with lc > 0;
+    unchanged when either is a monomial, as in the kernel."""
+    if len(n) == 1 or len(d) == 1:
+        return n, d
+    a, b = [Fraction(x) for x in n], [Fraction(x) for x in d]
+    while b:
+        a, b = b, _qdivmod(a, b)[1]
+    g = [x * lcm(*(y.denominator for y in a)) for x in a]
+    k = gcd(*(int(x) for x in g)) * (1 if g[-1] > 0 else -1)
+    g = [x / k for x in g]
+    out = []
+    for p in (n, d):
+        q, r = _qdivmod(p, g)
+        assert not r and all(x.denominator == 1 for x in q)
+        out.append(tuple(int(x) for x in q))
+    return tuple(out)
+
+
+# factors of the denominators the checks produce: v^4 - 1, v^4 + 1, v^2 + 1,
+# 1 - v^4 + v^8 and v^8 - 1, whose products give (v^4 - 1)^2 and the rest
+_DEN_FACTORS = ((-1, 0, 0, 0, 1), (1, 0, 0, 0, 1), (1, 0, 1),
+                (1, 0, 0, 0, -1, 0, 0, 0, 1), (-1, 0, 0, 0, 0, 0, 0, 0, 1))
+
+
+def _cancel_corpus(seed, n):
+    """(num, den) pairs as _cancel receives them: den a product of one to
+    three factors above, num a random polynomial with nonzero end terms
+    times zero to two of them."""
+    rng = random.Random(seed)
+    ends = [x for x in range(-4, 5) if x]
+    out = []
+    for _ in range(n):
+        d = (1,)
+        for f in rng.choices(_DEN_FACTORS, k=rng.randint(1, 3)):
+            d = _tmul(d, f)
+        num = (rng.choice(ends),)
+        if rng.random() < 0.9:
+            num += tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 5)))
+            num += (rng.choice(ends),)
+        for f in rng.choices(_DEN_FACTORS, k=rng.randint(0, 2)):
+            num = _tmul(num, f)
+        out.append((num, d))
+    return out
+
+
+def test_cancel_matches_gcd_oracle_cold_and_warm():
+    corpus = _cancel_corpus(1207, 300)
+    want = [_oracle_cancel(n, d) for n, d in corpus]
+    # most pairs share a factor, so the division is exercised
+    assert sum(w != p for w, p in zip(want, corpus)) > 150
+    saved = dict(_CANCEL_CACHE)
+    try:
+        _CANCEL_CACHE.clear()
+        cold = [_cancel(n, d) for n, d in corpus]
+        warm = [_cancel(n, d) for n, d in corpus]
+        # only the gcd-bearing case is memoised
+        assert set(_CANCEL_CACHE) == {(n, d) for n, d in corpus
+                                      if len(n) > 1 and len(d) > 1}
+    finally:
+        _CANCEL_CACHE.clear()
+        _CANCEL_CACHE.update(saved)
+    assert cold == want
+    assert warm == want
 
 
 # canon_str of values recorded from the Fraction-coefficient kernel; report
