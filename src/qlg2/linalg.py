@@ -1,7 +1,9 @@
-"""Small dense exact linear algebra over any field-like coefficient type.
+"""Small exact linear algebra over any field-like coefficient type.
 
 Matrices are plain lists of lists.  Entries only need the arithmetic dunders
 and truthiness (zero is falsy); this covers Fraction, Scalar and KScalar.
+The matrices are mostly zero, so the kernels skip sums of two zeros,
+multiples of a zero and products with a zero factor.
 Sparse vectors are dicts without zero values, kept so by `accumulate`;
 `Combination` is the linear-combination type built on them.
 """
@@ -92,32 +94,46 @@ def meye(n, one, zero):
     return out
 
 
+def _same_shape(a, b):
+    return len(a) == len(b) and all(len(ra) == len(rb) for ra, rb in zip(a, b))
+
+
 def madd(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    """Entrywise a + b; two zeros of one type give the first back."""
+    if not _same_shape(a, b):
+        raise ValueError("madd: the matrices differ in shape")
+    return [[x + y if x or y or type(x) is not type(y) else x
+             for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def msub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    """Entrywise a - b; two zeros of one type give the first back."""
+    if not _same_shape(a, b):
+        raise ValueError("msub: the matrices differ in shape")
+    return [[x - y if x or y or type(x) is not type(y) else x
+             for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mscale(c, a):
-    return [[c * x for x in row] for row in a]
+    """c * a; zero entries stay as they are."""
+    return [[c * x if x else x for x in row] for row in a]
 
 
 def mmul(a, b, zero):
-    n, k, m = len(a), len(b), len(b[0])
-    out = mzeros(n, m, zero)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if not c:
-                continue
-            bt = b[t]
-            for j in range(m):
-                if bt[j]:
-                    oi[j] = oi[j] + c * bt[j]
+    """Product a b.  Row t of b is read as its nonzero (column, entry)
+    pairs, so each nonzero a[i][t] costs one product per nonzero entry of
+    that row; empty output entries are `zero`."""
+    if any(len(ra) != len(b) for ra in a):
+        raise ValueError("mmul: the columns of a do not match the rows of b")
+    brows = [[(j, y) for j, y in enumerate(rb) if y] for rb in b]
+    out = []
+    for ra in a:
+        oi = [zero] * len(b[0])
+        for c, bt in zip(ra, brows):
+            if c:
+                for j, y in bt:
+                    oi[j] = oi[j] + c * y
+        out.append(oi)
     return out
 
 
@@ -143,7 +159,8 @@ def mT(a):
 
 
 def meq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return _same_shape(a, b) and all(
+        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def miszero(a):

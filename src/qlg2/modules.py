@@ -23,6 +23,8 @@ KScalar entries, graded by the degree vector (0,1,1,1,2,2,2,3).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .linalg import (
     accumulate, madd, meq, miszero, mmul, mscale, msub, mT, mzeros, meye, nullspace,
 )
@@ -46,6 +48,18 @@ def _diag(qexps):
     return m
 
 
+def _walk(vec, path):
+    """Sparse vector {row: entry} times the column-sparse matrices of
+    `path`, the first one applied first."""
+    for cols in path:
+        nxt = {}
+        for r0, y0 in vec.items():
+            for r, y in cols[r0]:
+                accumulate(nxt, r, y * y0)
+        vec = nxt
+    return vec
+
+
 def _chain(ms):
     out = ms[0]
     for m in ms[1:]:
@@ -61,15 +75,30 @@ class _WeightModule:
         lam = Weight(*lam)
         return _diag([lam.pair(w) for w in self.weights])
 
+    @cached_property
+    def _columns(self):
+        """The E and F root tables as {j: cols}, cols[c] holding the nonzero
+        (row, entry) pairs of column c."""
+        cols = lambda m: [[(r, y) for r, y in enumerate(col) if y] for col in zip(*m)]
+        return ({j: cols(m) for j, m in self._root_e.items()},
+                {j: cols(m) for j, m in self._root_f.items()})
+
     def rep(self, x):
-        """Matrix of a PBW element: each word is its F letters, K and its E
-        letters multiplied out."""
+        """Matrix of a PBW element, walked one weight vector at a time: for
+        each word c F^a K_lam E^b, the sparse column c e_j goes through the
+        E letters right to left, then the K diagonal q^(lam, wt), then the F
+        letters right to left, through the column-sparse root tables."""
+        ce, cf = self._columns
         out = mzeros(self.dim, self.dim, ZERO)
         for (fexp, lam, eexp), c in x.terms.items():
-            ms = [self._root_f[4 - k] for k in range(4) for _ in range(fexp[k])]
-            ms.append(self.K(lam))
-            ms += [self._root_e[k + 1] for k in range(4) for _ in range(eexp[k])]
-            out = madd(out, mscale(c, _chain(ms)))
+            lam = Weight(*lam)
+            es = [ce[k + 1] for k in (3, 2, 1, 0) for _ in range(eexp[k])]
+            fs = [cf[4 - k] for k in (3, 2, 1, 0) for _ in range(fexp[k])]
+            for j in range(self.dim):
+                vec = {r: _qp(lam.pair(self.weights[r])) * y
+                       for r, y in _walk({j: c}, es).items()}
+                for r, y in _walk(vec, fs).items():
+                    out[r][j] = out[r][j] + y
         return out
 
 
@@ -226,7 +255,8 @@ class ModuleOperator:
     @staticmethod
     def lift(scalar_mat):
         return ModuleOperator(
-            [[KScalar.from_scalar(x) for x in row] for row in scalar_mat])
+            [[KScalar.from_scalar(x) if x else KZERO for x in row]
+             for row in scalar_mat])
 
     def __matmul__(self, other):
         return ModuleOperator(mmul(self.mat, other.mat, KZERO))
@@ -238,7 +268,7 @@ class ModuleOperator:
         return ModuleOperator(msub(self.mat, other.mat))
 
     def __neg__(self):
-        return ModuleOperator([[-x for x in row] for row in self.mat])
+        return ModuleOperator([[-x if x else x for x in row] for row in self.mat])
 
     def scale(self, c):
         if isinstance(c, Scalar):

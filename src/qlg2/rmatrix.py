@@ -32,14 +32,17 @@ Lectures on Quantum Groups, AMS GSM 6, 1996).
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .linalg import kron, madd, meye, miszero, mmul, msub, mzeros
 from .scalar import BR2, ONE, ZERO, Q_SC as _Q, q_number, q_power as _qp
-from .weights import LAMBDA_V, RHO, Weight
+from .weights import ALPHA1, ALPHA2, LAMBDA_V, RHO, Weight
 from .pbw import AE_ONE, AE_ZERO, K, normal_form, root_E, star, token_name
 from .modules import FUND
 
 # root lengths along w0 = s1 s2 s1 s2: bases of the rank-one sl2 factors
 _ROOT_BASE = {1: 1, 2: 2, 3: 1, 4: 2}
+_SIMPLE_ROOT = {"1": ALPHA1, "2": ALPHA2}
 
 
 def factor_coefficient(j, r):
@@ -123,28 +126,28 @@ class TruncatedRMatrix:
     def intertwiner_residuals(self):
         """R Delta(X) - Delta_op(X) R on the tensor square, per generator."""
         R16 = self.represented()
-        eye4 = meye(4, ONE, ZERO)
-        k1 = FUND.K((2, -1))
-        k2 = FUND.K((-2, 2))
-        k1i = FUND.K((-2, 1))
-        k2i = FUND.K((2, -2))
-        cops = {
-            "E1": ((FUND.E1, eye4), (k1, FUND.E1)),
-            "E2": ((FUND.E2, eye4), (k2, FUND.E2)),
-            "F1": ((FUND.F1, k1i), (eye4, FUND.F1)),
-            "F2": ((FUND.F2, k2i), (eye4, FUND.F2)),
-            "K1": ((k1, k1),),
-            "K2": ((k2, k2),),
-        }
         res = {}
-        for tok, pairs in cops.items():
-            dlt = mzeros(16, 16, ZERO)
-            dop = mzeros(16, 16, ZERO)
-            for a, b in pairs:
-                dlt = madd(dlt, kron(a, b, ZERO))
-                dop = madd(dop, kron(b, a, ZERO))
-            res[tok] = msub(mmul(R16, dlt, ZERO), mmul(dop, R16, ZERO))
+        for name, tok in zip(("E1", "E2", "F1", "F2", "K1", "K2"),
+                             GENERATOR_TOKENS):
+            pairs = coproduct_matrices(tok)
+            dlt = reduce(madd, [kron(a, b, ZERO) for a, b in pairs])
+            dop = reduce(madd, [kron(b, a, ZERO) for a, b in pairs])
+            res[name] = msub(mmul(R16, dlt, ZERO), mmul(dop, R16, ZERO))
         return res
+
+
+def coproduct_matrices(tok):
+    """Delta of a generator token on V (x) V as (left, right) pairs of 4x4
+    matrices, from the generator matrices alone and never the PBW engine:
+    E_i (x) 1 + K_i (x) E_i, F_i (x) K_i^-1 + 1 (x) F_i, K_lam (x) K_lam."""
+    if not isinstance(tok, str):
+        k = FUND.K(tok[1:])
+        return ((k, k),)
+    g, alpha = getattr(FUND, tok), _SIMPLE_ROOT[tok[1]]
+    eye4 = meye(4, ONE, ZERO)
+    if tok[0] == "E":
+        return ((g, eye4), (FUND.K(alpha), g))
+    return ((g, FUND.K(-alpha)), (eye4, g))
 
 
 def quantum_trace_pairing(R=None):

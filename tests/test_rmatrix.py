@@ -1,15 +1,17 @@
 """Casimir tests: truncated R-matrix, quantum trace, closed forms,
 centrality, eigenvalues."""
 
+import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
-from qlg2.linalg import kron, meq, mscale, meye, miszero, mmul
+from qlg2.linalg import kron, madd, meq, mscale, meye, miszero, mmul
 from qlg2.scalar import BR2, ONE, Q_SC, ZERO, evaluate, laurent_q, q_power
 from qlg2.modules import FUND
-from qlg2.pbw import root_E, star
+from qlg2.pbw import coproduct_word, root_E, star
 from qlg2.rmatrix import (
-    TruncatedRMatrix, casimir_eigenvalue, casimir_explicit,
+    TruncatedRMatrix, casimir_eigenvalue, casimir_explicit, coproduct_matrices,
     casimir_quantum_parts, casimir_right_form, centrality_residuals,
     factor_coefficient, quantum_trace_pairing,
 )
@@ -161,3 +163,21 @@ def test_eigenvalue_monotone_numeric():
     vals = [evaluate(casimir_eigenvalue((n, 0)), v0) for n in range(6)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert all(v > 0 for v in vals)
+
+
+def test_coproduct_on_v_tensor_v_matches_the_matrix_table():
+    """Every word of length <= 3 over the probe tokens of eq-comm-rel-uqg:
+    the PBW coproduct represented leg by leg on V (x) V equals the product of
+    the engine-free 16x16 coproduct matrices of its letters."""
+    toks = ("E1", "E2", "F1", "F2", ("K", 1, 0), ("K", -1, 1), ("K", 0, -1))
+    delta = {t: reduce(madd, [kron(a, b, ZERO) for a, b in coproduct_matrices(t)])
+             for t in toks}
+    eye16 = meye(16, ONE, ZERO)
+    for n in range(4):
+        for word in itertools.product(toks, repeat=n):
+            want = eye16
+            for t in word:
+                want = mmul(want, delta[t], ZERO)
+            got = reduce(madd, [kron(FUND.rep(a), FUND.rep(b), ZERO)
+                                for a, b in coproduct_word(word)])
+            assert meq(got, want), word
