@@ -5,7 +5,8 @@ and truthiness (zero is falsy); this covers Fraction, Scalar and KScalar.
 The matrices are mostly zero, so the kernels skip sums of two zeros,
 multiples of a zero and products with a zero factor.
 Sparse vectors are dicts without zero values, kept so by `accumulate`;
-`Combination` is the linear-combination type built on them.
+`Combination` is the linear-combination type built on them, shared by
+AlgebraElement, KScalar, ModuleOperator, TensorOperator and MElement.
 """
 
 from __future__ import annotations

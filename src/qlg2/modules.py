@@ -17,8 +17,9 @@ acts on Lambda as a module algebra; the invariant inner products are
 diagonal per degree with one free constant c_k each, and only the ratios
 kappa_k = c_k / c_{k-1} enter the wedge-adjoint operators.
 
-Operators on Lambda are ModuleOperator instances: 8x8 matrices with
-KScalar entries, graded by the degree vector (0,1,1,1,2,2,2,3).
+Operators on Lambda are ModuleOperator instances: sparse combinations
+{(row, column): KScalar} over that basis, graded by the degree vector
+(0,1,1,1,2,2,2,3).
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from __future__ import annotations
 from functools import cached_property
 
 from .linalg import (
-    accumulate, madd, meq, miszero, mmul, mscale, msub, mT, mzeros, meye, nullspace,
+    Combination, accumulate, madd, miszero, mmul, mscale, msub, mT, mzeros, meye,
+    nullspace,
 )
 from .scalar import (
-    BR2, KONE, KZERO, ONE, ZERO, KScalar, Scalar, kappa, Q_SC as _Q, q_power as _qp,
+    BR2, KONE, ONE, ZERO, KScalar, Scalar, kappa, Q_SC as _Q, q_power as _qp,
     v_power as _v,
 )
 from .weights import ALPHA1, LAMBDA_V, W_ZERO, XI, Weight
@@ -128,6 +130,8 @@ class FundamentalModule(_WeightModule):
         lam = pbw.token_weight(tok)
         if lam is not None:
             return self.K(lam)
+        if not (isinstance(tok, str) and tok in self._gen):
+            raise ValueError(f"unknown generator token {tok!r}")
         return self._gen[tok]
 
     def rep_word(self, word):
@@ -236,78 +240,63 @@ def _wedge_word(word):
     return out
 
 
-class ModuleOperator:
-    """8x8 operator on the exterior module with KScalar entries."""
+class ModuleOperator(Combination):
+    """Operator on the exterior module: {(row, column): nonzero KScalar}."""
 
-    __slots__ = ("mat",)
-
-    def __init__(self, mat):
-        self.mat = mat
+    __slots__ = ()
 
     @staticmethod
     def zero():
-        return ModuleOperator(mzeros(8, 8, KZERO))
+        return ModuleOperator({})
 
     @staticmethod
     def identity():
-        return ModuleOperator(meye(8, KONE, KZERO))
+        return ModuleOperator({(i, i): KONE for i in range(8)})
 
     @staticmethod
     def lift(scalar_mat):
-        return ModuleOperator(
-            [[KScalar.from_scalar(x) if x else KZERO for x in row]
-             for row in scalar_mat])
+        """The operator of a dense Scalar matrix."""
+        return ModuleOperator({(r, c): KScalar.from_scalar(x)
+                               for r, row in enumerate(scalar_mat)
+                               for c, x in enumerate(row) if x})
 
     def __matmul__(self, other):
-        return ModuleOperator(mmul(self.mat, other.mat, KZERO))
-
-    def __add__(self, other):
-        return ModuleOperator(madd(self.mat, other.mat))
-
-    def __sub__(self, other):
-        return ModuleOperator(msub(self.mat, other.mat))
-
-    def __neg__(self):
-        return ModuleOperator([[-x if x else x for x in row] for row in self.mat])
+        rows = {}
+        for (t, c), y in other.terms.items():
+            rows.setdefault(t, []).append((c, y))
+        out = {}
+        for (r, t), x in self.terms.items():
+            for c, y in rows.get(t, ()):
+                accumulate(out, (r, c), x * y)
+        return ModuleOperator(out)
 
     def scale(self, c):
         if isinstance(c, Scalar):
             c = KScalar.from_scalar(c)
-        # a zero entry (a KScalar, falsy) stays as it is
-        return ModuleOperator([[c * x if x else x for x in row]
-                               for row in self.mat])
-
-    def __eq__(self, other):
-        return isinstance(other, ModuleOperator) and meq(self.mat, other.mat)
-
-    @property
-    def is_zero(self):
-        return miszero(self.mat)
+        if not c:
+            return ModuleOperator({})
+        return ModuleOperator({rc: c * x for rc, x in self.terms.items()})
 
     def substitute_ratios(self, s2, s3):
-        return ModuleOperator(
-            [[x.substitute_ratios(s2, s3) for x in row] for row in self.mat])
-
-    def substitute(self, k1, k2, k3):
-        """Numeric kappa substitution; returns a Scalar-entry matrix."""
-        return [[x.substitute(k1, k2, k3) for x in row] for row in self.mat]
+        out = {}
+        for rc, x in self.terms.items():
+            y = x.substitute_ratios(s2, s3)
+            if y:
+                out[rc] = y
+        return ModuleOperator(out)
 
     def degree_shift(self):
         """The unique d with entries only on blocks deg(row) = deg(col) + d,
         or None if mixed."""
-        shifts = {DEGREES[r] - DEGREES[c]
-                  for r in range(8) for c in range(8) if self.mat[r][c]}
+        shifts = {DEGREES[r] - DEGREES[c] for r, c in self.terms}
         if len(shifts) > 1:
             return None
         return shifts.pop() if shifts else 0
 
     def entries_str(self):
-        rows = []
-        for r in range(8):
-            for c in range(8):
-                if self.mat[r][c]:
-                    rows.append(f"[{BASIS_NAMES[r]},{BASIS_NAMES[c]}] {self.mat[r][c].canon_str()}")
-        return "; ".join(rows) if rows else "0"
+        return "; ".join(
+            f"[{BASIS_NAMES[r]},{BASIS_NAMES[c]}] {self.terms[r, c].canon_str()}"
+            for r, c in sorted(self.terms)) or "0"
 
     def __repr__(self):
         return f"ModuleOperator({self.entries_str()})"
@@ -484,26 +473,18 @@ class ExteriorModule(_WeightModule):
         exact inverse otherwise; division must be exact on the entries.
         """
         gh = self._gram_hat
-        m = mzeros(8, 8, KZERO)
-        for r in range(8):
-            for c in range(8):
-                x = op.mat[c][r]
-                if not x:
-                    continue
-                src, dst = DEGREES[c], DEGREES[r]
-                val = x * (gh[c] / gh[r])
-                if src > dst:
-                    mono = [0, 0, 0]
-                    for k in range(dst + 1, src + 1):
-                        mono[k - 1] += 1
-                    val = val * KScalar({tuple(mono): ONE})
-                elif dst > src:
-                    mono = [0, 0, 0]
-                    for k in range(src + 1, dst + 1):
-                        mono[k - 1] += 1
-                    val = val.div_kappa(tuple(mono))
-                m[r][c] = val
-        return ModuleOperator(m)
+        out = {}
+        for (c, r), x in op.terms.items():
+            src, dst = DEGREES[c], DEGREES[r]
+            val = x * (gh[c] / gh[r])
+            # the kappa_k with min(src, dst) < k <= max(src, dst)
+            mono = tuple(int(min(src, dst) < k <= max(src, dst)) for k in (1, 2, 3))
+            if src > dst:
+                val = val * KScalar({mono: ONE})
+            elif dst > src:
+                val = val.div_kappa(mono)
+            out[r, c] = val
+        return ModuleOperator(out)
 
 
 # --- golden tables ------------------------------------------------------------
@@ -547,22 +528,13 @@ def golden_action_gamma():
 
 def golden_gamma_star():
     k1, k2, k3 = kappa(1), kappa(2), kappa(3)
-    g1 = mzeros(8, 8, KZERO)
-    g1[0][1] = k1
-    g1[2][4] = k2 * BR2
-    g1[3][5] = k2 * (BR2 * _qp(2))
-    g1[6][7] = k3 * _qp(2)
-    g2 = mzeros(8, 8, KZERO)
-    g2[0][2] = k1 * (ONE / BR2)
-    g2[1][4] = -(k2 * _qp(2))
-    g2[2][5] = -(k2 * (_Q * BR2 * _qp(1)))
-    g2[3][6] = k2
-    g2[5][7] = -(k3 * (_qp(2) / BR2))
-    g3 = mzeros(8, 8, KZERO)
-    g3[0][3] = k1 * _qp(-2)
-    g3[1][5] = -(k2 * BR2)
-    g3[2][6] = -(k2 * BR2)
-    g3[4][7] = k3 * _qp(2)
+    g1 = {(0, 1): k1, (2, 4): k2 * BR2, (3, 5): k2 * (BR2 * _qp(2)),
+          (6, 7): k3 * _qp(2)}
+    g2 = {(0, 2): k1 * (ONE / BR2), (1, 4): -(k2 * _qp(2)),
+          (2, 5): -(k2 * (_Q * BR2 * _qp(1))), (3, 6): k2,
+          (5, 7): -(k3 * (_qp(2) / BR2))}
+    g3 = {(0, 3): k1 * _qp(-2), (1, 5): -(k2 * BR2), (2, 6): -(k2 * BR2),
+          (4, 7): k3 * _qp(2)}
     return {1: ModuleOperator(g1), 2: ModuleOperator(g2), 3: ModuleOperator(g3)}
 
 

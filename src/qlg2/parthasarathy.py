@@ -216,17 +216,13 @@ def solve_kappa_constraints():
     """
     gam13 = gamma_pair_formula(1, 3)
     rows = []
-    for r in range(8):
-        for c in range(8):
-            x = gam13.mat[r][c]
-            if x.is_zero:
-                continue
-            row = [ZERO, ZERO, ZERO]
-            for mono, coeff in x.terms.items():
-                if sum(mono) != 1:
-                    raise RuntimeError("mixed component is not kappa-linear")
-                row[mono.index(1)] = coeff
-            rows.append(row)
+    for _rc, x in sorted(gam13.terms.items()):
+        row = [ZERO, ZERO, ZERO]
+        for mono, coeff in x.terms.items():
+            if sum(mono) != 1:
+                raise RuntimeError("mixed component is not kappa-linear")
+            row[mono.index(1)] = coeff
+        rows.append(row)
     basis = nullspace(rows, ONE)
     if len(basis) != 1:
         raise RuntimeError(

@@ -37,7 +37,9 @@ from functools import reduce
 from .linalg import kron, madd, meye, miszero, mmul, msub, mzeros
 from .scalar import BR2, ONE, ZERO, Q_SC as _Q, q_number, q_power as _qp
 from .weights import ALPHA1, ALPHA2, LAMBDA_V, RHO, Weight
-from .pbw import AE_ONE, AE_ZERO, K, normal_form, root_E, star, token_name
+from .pbw import (
+    AE_ONE, AE_ZERO, K, normal_form, root_E, star, token_name, token_weight,
+)
 from .modules import FUND
 
 # root lengths along w0 = s1 s2 s1 s2: bases of the rank-one sl2 factors
@@ -140,10 +142,11 @@ def coproduct_matrices(tok):
     """Delta of a generator token on V (x) V as (left, right) pairs of 4x4
     matrices, from the generator matrices alone and never the PBW engine:
     E_i (x) 1 + K_i (x) E_i, F_i (x) K_i^-1 + 1 (x) F_i, K_lam (x) K_lam."""
-    if not isinstance(tok, str):
-        k = FUND.K(tok[1:])
+    lam = token_weight(tok)
+    if lam is not None:
+        k = FUND.K(lam)
         return ((k, k),)
-    g, alpha = getattr(FUND, tok), _SIMPLE_ROOT[tok[1]]
+    g, alpha = FUND.rep_token(tok), _SIMPLE_ROOT[tok[1]]
     eye4 = meye(4, ONE, ZERO)
     if tok[0] == "E":
         return ((g, eye4), (FUND.K(alpha), g))

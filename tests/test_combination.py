@@ -1,4 +1,4 @@
-"""The vector-space laws shared by the four linear-combination types."""
+"""The vector-space laws shared by the five linear-combination types."""
 
 import pytest
 
@@ -23,6 +23,10 @@ def _tensor_operator():
             + TensorOperator.from_element(E1() + 1, EXT.gamma_star(2)))
 
 
+def _module_operator():
+    return EXT.gamma(1) + EXT.gamma_star(2).scale(q_power(1)) + ModuleOperator.identity()
+
+
 def _m_element():
     return MElement({(0, 0, 0, 0, 0, 0): ModuleOperator.identity(),
                      (1, 0, 0, 0, 0, 0): EXT.gamma_star(1) @ EXT.gamma(1)})
@@ -33,6 +37,7 @@ MAKERS = {
     KScalar: (_kscalar, True),
     TensorOperator: (_tensor_operator, False),
     MElement: (_m_element, False),
+    ModuleOperator: (_module_operator, False),
 }
 
 

@@ -212,6 +212,5 @@ def test_module_operator_kappa_substitution():
     k1 = ONE
     k2v = _qp(-2) / BR2
     k3v = _qp(-4)
-    num = op.substitute(k1, k2v, k3v)
     # spot value: gamma(y2)* y2 = kappa_1/[2]
-    assert num[0][2] == ONE / BR2
+    assert op.terms[0, 2].substitute(k1, k2v, k3v) == ONE / BR2

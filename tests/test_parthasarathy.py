@@ -83,9 +83,8 @@ def test_kappa_constraints():
 def test_kappa_constraints_trivial_in_degrees_0_and_3():
     g13 = gamma_pair_formula(1, 3)
     # columns of the empty word and the top word carry no constraint
-    for r in range(8):
-        assert g13.mat[r][0].is_zero
-        assert g13.mat[r][7].is_zero
+    assert g13.terms
+    assert all(c not in (0, 7) for _r, c in g13.terms)
 
 
 def test_gamma_identities_after_kappa(d2m):

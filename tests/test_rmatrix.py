@@ -6,10 +6,12 @@ import random
 from fractions import Fraction
 from functools import reduce
 
+import pytest
+
 from qlg2.linalg import kron, madd, meq, mscale, meye, miszero, mmul
 from qlg2.scalar import BR2, ONE, Q_SC, ZERO, evaluate, laurent_q, q_power
 from qlg2.modules import FUND
-from qlg2.pbw import coproduct_word, root_E, star
+from qlg2.pbw import coproduct, coproduct_word, root_E, star
 from qlg2.rmatrix import (
     TruncatedRMatrix, casimir_eigenvalue, casimir_explicit, coproduct_matrices,
     casimir_quantum_parts, casimir_right_form, centrality_residuals,
@@ -181,3 +183,27 @@ def test_coproduct_on_v_tensor_v_matches_the_matrix_table():
             got = reduce(madd, [kron(FUND.rep(a), FUND.rep(b), ZERO)
                                 for a, b in coproduct_word(word)])
             assert meq(got, want), word
+
+
+@pytest.mark.parametrize("tok", [("K", (2, -1)), ("K", (-2, 2))],
+                         ids=["K(2,-1)", "K(-2,2)"])
+def test_tuple_cartan_token_parses_like_the_flat_form(tok):
+    flat = ("K",) + tok[1]
+    (got,), (want,) = coproduct_matrices(tok), coproduct_matrices(flat)
+    assert meq(got[0], want[0]) and meq(got[1], want[1])
+    assert meq(FUND.rep_token(tok), FUND.rep_token(flat))
+
+
+@pytest.mark.parametrize("tok", [
+    "E3", "K1", ("K", 1.5, 0), ("K", 1.0, 0), ("K", 1, 0, 0), ("K", (1,)), ("E", 1),
+    ["E1"],
+], ids=repr)
+def test_bad_token_is_a_value_error_as_in_pbw_coproduct(tok):
+    """coproduct_matrices and FUND.rep_token read tokens through
+    pbw.token_weight and reject what pbw.coproduct rejects."""
+    with pytest.raises(ValueError):
+        coproduct(tok)
+    with pytest.raises(ValueError):
+        coproduct_matrices(tok)
+    with pytest.raises(ValueError):
+        FUND.rep_token(tok)
