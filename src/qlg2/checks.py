@@ -130,9 +130,10 @@ def _tally(rows, bad="NO"):
 
 
 def _nonzero_str(x):
-    """Report text of a matrix, ModuleOperator, TensorOperator or PBW element."""
+    """Report text of a Scalar matrix, ModuleOperator, TensorOperator or PBW
+    element."""
     if isinstance(x, list):
-        bits = [f"[{r},{c}] {y.canon_str() if hasattr(y, 'canon_str') else y}"
+        bits = [f"[{r},{c}] {y.canon_str()}"
                 for r, row in enumerate(x) for c, y in enumerate(row) if y]
         return "; ".join(bits) if bits else "0"
     if isinstance(x, ModuleOperator):
@@ -423,7 +424,7 @@ def check_inner_prod(ctx):
 def check_action_gamma(ctx):
     g = golden_action_gamma()
     residual, details = _zero_residuals(
-        (f"gamma(y{i})", msub(EXT.gamma_scalar(i), g[i])) for i in (1, 2, 3))
+        (f"gamma(y{i})", EXT.gamma(i) - g[i]) for i in (1, 2, 3))
     return "right wedge multiplication", "table", residual, details
 
 

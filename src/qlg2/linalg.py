@@ -1,7 +1,9 @@
 """Small exact linear algebra over any field-like coefficient type.
 
-Matrices are plain lists of lists.  Entries only need the arithmetic dunders
-and truthiness (zero is falsy); this covers Fraction, Scalar and KScalar.
+Matrices are plain lists of lists: the Scalar matrices of the two modules
+and of the Levi-split and invariant-form solves, and the PBW-valued
+R-matrix.  Entries only need the arithmetic dunders and truthiness (zero is
+falsy); `madd`/`msub` take two matrices whose entries share one type.
 The matrices are mostly zero, so the kernels skip sums of two zeros,
 multiples of a zero and products with a zero factor.
 Sparse vectors are dicts without zero values, kept so by `accumulate`;
@@ -100,19 +102,17 @@ def _same_shape(a, b):
 
 
 def madd(a, b):
-    """Entrywise a + b; two zeros of one type give the first back."""
+    """Entrywise a + b; a pair of zeros gives the first back."""
     if not _same_shape(a, b):
         raise ValueError("madd: the matrices differ in shape")
-    return [[x + y if x or y or type(x) is not type(y) else x
-             for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x + y if x or y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def msub(a, b):
-    """Entrywise a - b; two zeros of one type give the first back."""
+    """Entrywise a - b; a pair of zeros gives the first back."""
     if not _same_shape(a, b):
         raise ValueError("msub: the matrices differ in shape")
-    return [[x - y if x or y or type(x) is not type(y) else x
-             for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x - y if x or y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mscale(c, a):

@@ -19,7 +19,10 @@ kappa_k = c_k / c_{k-1} enter the wedge-adjoint operators.
 
 Operators on Lambda are ModuleOperator instances: sparse combinations
 {(row, column): KScalar} over that basis, graded by the degree vector
-(0,1,1,1,2,2,2,3).
+(0,1,1,1,2,2,2,3).  The wedge operators gamma(y_i), their adjoints, rho(x)
+of a Levi element and the golden gamma tables all take that form; dense
+Scalar matrices remain for E1, F1, K and `rep`, which the invariant-form
+solve, the canonical element and the Levi table read.
 """
 
 from __future__ import annotations
@@ -381,21 +384,23 @@ class ExteriorModule(_WeightModule):
                 m[r_idx][c_idx] = coeff
         return m
 
-    def rep_token(self, tok):
-        return self.rho(pbw.normal_form((tok,)))
-
-    def rho(self, x):
-        """Matrix of a Levi PBW element on the exterior module."""
+    def rep(self, x):
+        """Matrix of a Levi PBW element; ValueError off the Levi factor."""
         if not x.is_levi():
             raise ValueError("rho is defined on the quantized Levi factor only")
-        return self.rep(x)
+        return super().rep(x)
 
-    def rho_op(self, x):
-        return ModuleOperator.lift(self.rho(x))
+    def rho(self, x):
+        """Operator of a Levi PBW element on the exterior module; `rep`
+        rejects any other element."""
+        return ModuleOperator.lift(self.rep(x))
+
+    def rep_token(self, tok):
+        return self.rep(pbw.normal_form((tok,)))
 
     def rep_star_matrix(self, tok):
         """Matrix of the star of a Levi generator."""
-        return self.rho(pbw.star(pbw.normal_form((tok,))))
+        return self.rep(pbw.star(pbw.normal_form((tok,))))
 
     # --- invariant inner products ---------------------------------------
 
@@ -451,16 +456,11 @@ class ExteriorModule(_WeightModule):
 
     # --- wedge operators --------------------------------------------------
 
-    def gamma_scalar(self, i):
-        """Right wedge multiplication by y_i as a raw Scalar matrix."""
-        m = mzeros(8, 8, ZERO)
-        for c_idx in range(8):
-            for r_idx, coeff in self.wedge(self._vec(c_idx), self._vec(i)).items():
-                m[r_idx][c_idx] = coeff
-        return m
-
     def gamma(self, i):
-        return ModuleOperator.lift(self.gamma_scalar(i))
+        """Right wedge multiplication by y_i."""
+        yi = self._vec(i)
+        return ModuleOperator({(r, c): KScalar.from_scalar(x) for c in range(8)
+                               for r, x in self.wedge(self._vec(c), yi).items()})
 
     def gamma_star(self, i):
         """Gram adjoint of gamma(y_i); entries linear in kappa_1..kappa_3."""
@@ -507,23 +507,12 @@ def golden_levi_Lq():
 
 
 def golden_action_gamma():
-    g1 = mzeros(8, 8, ZERO)
-    g1[1][0] = ONE
-    g1[4][2] = ONE
-    g1[5][3] = ONE
-    g1[7][6] = ONE
-    g2 = mzeros(8, 8, ZERO)
-    g2[2][0] = ONE
-    g2[4][1] = -_qp(2)
-    g2[5][2] = -(_Q * _qp(1) / BR2)
-    g2[6][3] = ONE
-    g2[7][5] = -_qp(2)
-    g3 = mzeros(8, 8, ZERO)
-    g3[3][0] = ONE
-    g3[5][1] = -ONE
-    g3[6][2] = -_qp(2)
-    g3[7][4] = _qp(2)
-    return {1: g1, 2: g2, 3: g3}
+    g1 = {(1, 0): ONE, (4, 2): ONE, (5, 3): ONE, (7, 6): ONE}
+    g2 = {(2, 0): ONE, (4, 1): -_qp(2), (5, 2): -(_Q * _qp(1) / BR2), (6, 3): ONE,
+          (7, 5): -_qp(2)}
+    g3 = {(3, 0): ONE, (5, 1): -ONE, (6, 2): -_qp(2), (7, 4): _qp(2)}
+    return {i: ModuleOperator({rc: KScalar.from_scalar(x) for rc, x in g.items()})
+            for i, g in ((1, g1), (2, g2), (3, g3))}
 
 
 def golden_gamma_star():
@@ -568,7 +557,7 @@ def canonical_element_invariance_residuals():
     transpose of the degree-one block of the antipode action on the y_i."""
     res = {}
     for tok in LEVI_GEN_TOKENS:
-        C = EXT.rho(pbw.antipode(pbw.normal_form((tok,))))
+        C = EXT.rep(pbw.antipode(pbw.normal_form((tok,))))
         Cblock = [[C[r][c] for c in (1, 2, 3)] for r in (1, 2, 3)]
         res[pbw.token_name(tok)] = msub(_ad_radical(tok), mT(Cblock))
     return res
@@ -579,21 +568,16 @@ def gamma_equivariance_residuals():
     sum rho(X_(2)) gamma(y_i) rho(S^-1(X_(1))) = gamma(X y_i) over the
     coproduct of each Levi generator X, with S^-1 = * o S o *."""
     res = {}
+    gammas = {i: EXT.gamma(i) for i in (1, 2, 3)}
     for tok in LEVI_GEN_TOKENS:
         X = EXT.rep_token(tok)
         legs = [(EXT.rho(b), EXT.rho(pbw.star(pbw.antipode(pbw.star(a)))))
                 for a, b in pbw.coproduct(tok)]
-        for i in (1, 2, 3):
-            g = EXT.gamma_scalar(i)
-            lhs = mzeros(8, 8, ZERO)
-            for rb, rsa in legs:
-                lhs = madd(lhs, mmul(mmul(rb, g, ZERO), rsa, ZERO))
-            rhs = mzeros(8, 8, ZERO)
-            for k in (1, 2, 3):
-                c = X[k][i]
-                if c:
-                    rhs = madd(rhs, mscale(c, EXT.gamma_scalar(k)))
-            res[(pbw.token_name(tok), i)] = msub(lhs, rhs)
+        for i, g in gammas.items():
+            lhs = sum((rb @ g @ rsa for rb, rsa in legs), ModuleOperator.zero())
+            rhs = sum((gk.scale(X[k][i]) for k, gk in gammas.items()),
+                      ModuleOperator.zero())
+            res[(pbw.token_name(tok), i)] = lhs - rhs
     return res
 
 

@@ -138,7 +138,7 @@ def _split_word(word, degree_cap):
     got = _SPLIT_CACHE.get((word, degree_cap))
     if got is None:
         parts = levi_right_split(AlgebraElement.from_word(word), degree_cap)
-        got = tuple((u, EXT.rho_op(antipode(l))) for u, l in parts)
+        got = tuple((u, EXT.rho(antipode(l))) for u, l in parts)
         _SPLIT_CACHE[(word, degree_cap)] = got
     return got
 
@@ -245,7 +245,7 @@ def stated_levi_operators():
     k2l1 = K(2, 0)
     e1 = normal_form(("E1",))
     kse = k2l1 * antipode(e1)
-    return tuple(EXT.rho_op(x) for x in (
+    return tuple(EXT.rho(x) for x in (
         k2l1, K(-2, 2), kse, star(kse), k2l1 * antipode(star(e1) * e1)))
 
 
@@ -311,7 +311,7 @@ def _ad_tilde_S(tok, ops):
     """Twisted adjoint action of S(X) on each operator in ops, X a Levi
     generator: sum rho(S(X_(1))) op rho(X_(2)) over the coproduct of X,
     with the legs of the coproduct built once."""
-    legs = [(EXT.rho_op(antipode(a)), EXT.rho_op(b)) for a, b in coproduct(tok)]
+    legs = [(EXT.rho(antipode(a)), EXT.rho(b)) for a, b in coproduct(tok)]
     return [sum((sa @ op @ rb for sa, rb in legs), ModuleOperator.zero())
             for op in ops]
 
@@ -353,7 +353,7 @@ def m_well_definedness_probe(seed=20240801, trials=12):
         left = t * TensorOperator.from_element(y, ModuleOperator.identity())
         right = t * TensorOperator.from_element(
             AlgebraElement.from_word(((0, 0, 0, 0), Weight(0, 0), (0, 0, 0, 0))),
-            EXT.rho_op(antipode(y)))
+            EXT.rho(antipode(y)))
         if reduce_to_M(left) != reduce_to_M(right):
             failures += 1
     return failures

@@ -528,10 +528,9 @@ def _token_terms(tok):
     lam = token_weight(tok)
     if lam is not None:
         return {(_ZEXP, lam, _ZEXP): ONE}
-    try:
-        return _GENERATORS[tok]
-    except KeyError:
-        raise ValueError(f"unknown generator token {tok!r}") from None
+    if not (isinstance(tok, str) and tok in _GENERATORS):
+        raise ValueError(f"unknown generator token {tok!r}")
+    return _GENERATORS[tok]
 
 
 # coefficient-one normal forms keyed by the token word; the term maps are
@@ -597,20 +596,15 @@ def antipode(x):
 # --- Hopf operations on generator words ---------------------------------------
 
 def coproduct(tok):
-    """Coproduct of a generator token as a list of (left, right) pairs."""
-    lam = token_weight(tok)
-    if lam is not None:
-        k = K(lam)
-        return [(k, k)]
-    if tok == "E1":
-        return [(E1(), AE_ONE), (K(ALPHA1), E1())]
-    if tok == "E2":
-        return [(E2(), AE_ONE), (K(ALPHA2), E2())]
-    if tok == "F1":
-        return [(F1(), K(-ALPHA1)), (AE_ONE, F1())]
-    if tok == "F2":
-        return [(F2(), K(-ALPHA2)), (AE_ONE, F2())]
-    raise ValueError(f"unknown generator token {tok!r}")
+    """Coproduct of a generator token as a list of (left, right) pairs:
+    K_lam (x) K_lam, E_i (x) 1 + K_i (x) E_i, F_i (x) K_i^-1 + 1 (x) F_i."""
+    g = AlgebraElement(_token_terms(tok))
+    if not isinstance(tok, str):
+        return [(g, g)]
+    alpha = SIMPLE[int(tok[1])]
+    if tok[0] == "E":
+        return [(g, AE_ONE), (K(alpha), g)]
+    return [(g, K(-alpha)), (AE_ONE, g)]
 
 
 def coproduct_word(word):

@@ -36,7 +36,7 @@ from functools import reduce
 
 from .linalg import kron, madd, meye, miszero, mmul, msub, mzeros
 from .scalar import BR2, ONE, ZERO, Q_SC as _Q, q_number, q_power as _qp
-from .weights import ALPHA1, ALPHA2, LAMBDA_V, RHO, Weight
+from .weights import LAMBDA_V, RHO, SIMPLE, Weight
 from .pbw import (
     AE_ONE, AE_ZERO, K, normal_form, root_E, star, token_name, token_weight,
 )
@@ -44,7 +44,6 @@ from .modules import FUND
 
 # root lengths along w0 = s1 s2 s1 s2: bases of the rank-one sl2 factors
 _ROOT_BASE = {1: 1, 2: 2, 3: 1, 4: 2}
-_SIMPLE_ROOT = {"1": ALPHA1, "2": ALPHA2}
 
 
 def factor_coefficient(j, r):
@@ -146,7 +145,7 @@ def coproduct_matrices(tok):
     if lam is not None:
         k = FUND.K(lam)
         return ((k, k),)
-    g, alpha = FUND.rep_token(tok), _SIMPLE_ROOT[tok[1]]
+    g, alpha = FUND.rep_token(tok), SIMPLE[int(tok[1])]
     eye4 = meye(4, ONE, ZERO)
     if tok[0] == "E":
         return ((g, eye4), (FUND.K(alpha), g))

@@ -28,14 +28,6 @@ class Weight(tuple):
     def __new__(cls, n1, n2):
         return tuple.__new__(cls, (int(n1), int(n2)))
 
-    @property
-    def n1(self):
-        return self[0]
-
-    @property
-    def n2(self):
-        return self[1]
-
     def __add__(self, other):
         return Weight(self[0] + other[0], self[1] + other[1])
 

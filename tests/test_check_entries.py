@@ -90,6 +90,12 @@ def _levi_lq_with_k1_as_k2(orig=checks.golden_levi_Lq):
     return g
 
 
+def _gamma_with_y2_as_y3(orig=checks.golden_action_gamma):
+    g = dict(orig())
+    g[2] = g[3]
+    return g
+
+
 def _gamma_star_with_y2_as_y3(orig=checks.golden_gamma_star):
     g = dict(orig())
     g[2] = g[3]
@@ -124,6 +130,16 @@ FAILURES = {
                      "inner-product ratios, uniquely",
     }),
     # NONZERO on a ModuleOperator
+    "lem-action-gamma": ("golden_action_gamma", _gamma_with_y2_as_y3, {
+        "details": ["gamma(y1): ok", "gamma(y2): NONZERO", "gamma(y3): ok"],
+        "lhs_digest": "72e008432e923d4f",
+        "residual": "gamma(y2): [y2,1] (1); [y3,1] (-1); [y21,y1] (-v^4); "
+                    "[y31,y1] (1); [y31,y2] ((v^2 - v^6) / (1 + v^4)); "
+                    "[y32,y2] (v^4); [y32,y3] (1); [y321,y21] (-v^4); "
+                    "[y321,y31] (-v^4)",
+        "rhs_digest": "0d4fc4a78d3706ed",
+        "statement": "right wedge multiplication matches the table",
+    }),
     "lem-gamma-star": ("golden_gamma_star", _gamma_star_with_y2_as_y3, {
         "details": ["gamma(y1)*: ok", "gamma(y2)*: NONZERO", "gamma(y3)*: ok"],
         "lhs_digest": "c27397913971c230",

@@ -92,10 +92,10 @@ def ad_tilde_s_oracle(tok, op):
         return ModuleOperator.lift(EXT.K(-lam)) @ op @ ModuleOperator.lift(EXT.K(lam))
     e1, f1 = normal_form(("E1",)), normal_form(("F1",))
     if tok == "E1":
-        return (EXT.rho_op(antipode(e1)) @ op
-                + EXT.rho_op(K(-2, 1)) @ op @ EXT.rho_op(e1))
-    return (EXT.rho_op(antipode(f1)) @ op @ EXT.rho_op(K(-2, 1))
-            + op @ EXT.rho_op(f1))
+        return (EXT.rho(antipode(e1)) @ op
+                + EXT.rho(K(-2, 1)) @ op @ EXT.rho(e1))
+    return (EXT.rho(antipode(f1)) @ op @ EXT.rho(K(-2, 1))
+            + op @ EXT.rho(f1))
 
 
 GENERATOR_TOKENS = ("E1", "E2", "F1", "F2", ("K", *ALPHA1), ("K", *ALPHA2))

@@ -7,7 +7,7 @@ import pytest
 
 from qlg2.scalar import BR2, ONE, Q_SC, kappa, q_power
 from qlg2.checks import Context, check_parthasarathy
-from qlg2.modules import EXT, ModuleOperator
+from qlg2.modules import EXT
 from qlg2.pbw import K, antipode, normal_form, star
 from qlg2.rmatrix import (
     casimir_eigenvalue, casimir_quantum_terms, quantum_trace_pairing,
@@ -103,10 +103,10 @@ def test_gamma_22_closed_form(d2m):
     k2l2 = K(-2, 2)
     e1 = normal_form(("E1",))
     ksee = k2l1 * antipode(star(e1) * e1)
-    rhs = (ModuleOperator.lift(EXT.rho(k2l1)).scale(_qp(-3))
-           + ModuleOperator.lift(EXT.rho(k2l2)).scale(_qp(3))
-           - ModuleOperator.lift(EXT.rho(k2l1)).scale(Q * Q * BR2)
-           + ModuleOperator.lift(EXT.rho(ksee)).scale(Q * Q))
+    rhs = (EXT.rho(k2l1).scale(_qp(-3))
+           + EXT.rho(k2l2).scale(_qp(3))
+           - EXT.rho(k2l1).scale(Q * Q * BR2)
+           + EXT.rho(ksee).scale(Q * Q))
     rhs = rhs.scale(kappa(1) * (ONE / (BR2 * BR2)))
     assert got == rhs
 
@@ -120,7 +120,7 @@ def test_casimir_in_M_components(casimir):
     ksee = k2l1 * antipode(star(e1) * e1)
 
     def op(x):
-        return ModuleOperator.lift(EXT.rho(x))
+        return EXT.rho(x)
 
     # diagonal components
     assert cm.component(_u_key(1, 1)) == op(k2l1).scale(BR2 * BR2 * _qp(-4))

@@ -11,7 +11,7 @@ import pytest
 from qlg2.linalg import kron, madd, meq, mscale, meye, miszero, mmul
 from qlg2.scalar import BR2, ONE, Q_SC, ZERO, evaluate, laurent_q, q_power
 from qlg2.modules import FUND
-from qlg2.pbw import coproduct, coproduct_word, root_E, star
+from qlg2.pbw import coproduct, coproduct_word, normal_form, root_E, star
 from qlg2.rmatrix import (
     TruncatedRMatrix, casimir_eigenvalue, casimir_explicit, coproduct_matrices,
     casimir_quantum_parts, casimir_right_form, centrality_residuals,
@@ -196,13 +196,15 @@ def test_tuple_cartan_token_parses_like_the_flat_form(tok):
 
 @pytest.mark.parametrize("tok", [
     "E3", "K1", ("K", 1.5, 0), ("K", 1.0, 0), ("K", 1, 0, 0), ("K", (1,)), ("E", 1),
-    ["E1"],
+    ["E1"], {"E1"},
 ], ids=repr)
 def test_bad_token_is_a_value_error_as_in_pbw_coproduct(tok):
-    """coproduct_matrices and FUND.rep_token read tokens through
+    """normal_form, coproduct_matrices and FUND.rep_token read tokens through
     pbw.token_weight and reject what pbw.coproduct rejects."""
     with pytest.raises(ValueError):
         coproduct(tok)
+    with pytest.raises(ValueError):
+        normal_form((tok,))
     with pytest.raises(ValueError):
         coproduct_matrices(tok)
     with pytest.raises(ValueError):

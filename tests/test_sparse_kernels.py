@@ -114,8 +114,10 @@ def test_kernels_match_the_dense_oracle(n, k, m, kinds):
     ka, kb = kinds
     for _ in range(2):
         a, b = _matrix(rng, n, k, ka), _matrix(rng, n, k, kb)
-        _same(madd(a, b), _madd(a, b))
-        _same(msub(a, b), _msub(a, b))
+        if ka == kb != "mix":
+            # madd/msub take entries of one type
+            _same(madd(a, b), _madd(a, b))
+            _same(msub(a, b), _msub(a, b))
         c = _scalar(rng)
         _same(mscale(c, a), _mscale(c, a))
         if ka == "K":
