@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .linalg import meq, meye, miszero, mmul, mscale, msub
+from .linalg import Matrix
 from .scalar import BR2, ONE, ZERO, evaluate, laurent_q, Q_SC as _Q, q_power as _qp
 from . import pbw
 from .pbw import (
@@ -130,13 +130,9 @@ def _tally(rows, bad="NO"):
 
 
 def _nonzero_str(x):
-    """Report text of a Scalar matrix, ModuleOperator, TensorOperator or PBW
-    element."""
-    if isinstance(x, list):
-        bits = [f"[{r},{c}] {y.canon_str()}"
-                for r, row in enumerate(x) for c, y in enumerate(row) if y]
-        return "; ".join(bits) if bits else "0"
-    if isinstance(x, ModuleOperator):
+    """Report text of a Matrix (ModuleOperator included), TensorOperator or
+    PBW element."""
+    if isinstance(x, Matrix):
         return x.entries_str()
     if isinstance(x, TensorOperator):
         return "; ".join(str(w) for w in sorted(x.terms))
@@ -145,8 +141,8 @@ def _nonzero_str(x):
 
 def _zero_residuals(named):
     """_tally over (name, value) pairs whose values must vanish."""
-    return _tally(((name, miszero(x) if isinstance(x, list) else x.is_zero,
-                    f"{name}: {_nonzero_str(x)}") for name, x in named), "NONZERO")
+    return _tally(((name, x.is_zero, f"{name}: {_nonzero_str(x)}")
+                   for name, x in named), "NONZERO")
 
 
 def _same(lhs, rhs, agree):
@@ -205,7 +201,7 @@ def check_comm_rel(ctx):
     # representation probe and weight additivity
     for k in range(100):
         w = tuple(rng.choice(toks) for _ in range(4))
-        if not meq(FUND.rep(normal_form(w)), FUND.rep_word(w)):
+        if FUND.rep(normal_form(w)) != FUND.rep_word(w):
             failures.append(f"rep-{k}")
     residual = "; ".join(failures)
     details = (f"{n_assoc} associativity triples", "50 relator insertions",
@@ -324,7 +320,8 @@ def check_levi_um(ctx):
     rows = []
     for tok, m in mats.items():
         for j in (1, 2, 3):
-            off = [f"({i},{j})" for i in (1, 2, 3) if m[i][j] != table[tok][i][j]]
+            off = [f"({i},{j})" for i in (1, 2, 3)
+                   if m.terms.get((i, j)) != table[tok].terms.get((i, j))]
             rows.append((f"{tok}.y{j}", not off, f"{tok}.y{j}: {','.join(off)}"))
     residual, details = _tally(rows, "NONZERO")
     return "dual-basis Levi action (12 entries)", "table", residual, details
@@ -367,9 +364,8 @@ def check_lq_relations(ctx):
 def check_levi_lq(ctx):
     g = golden_levi_Lq()
     residual, details = _zero_residuals([
-        ("E1", msub(EXT.E1, g["E1"])), ("F1", msub(EXT.F1, g["F1"])),
-        ("K1", msub(EXT.K((2, -1)), g["K1"])),
-        ("K2", msub(EXT.K((-2, 2)), g["K2"])),
+        ("E1", EXT.E1 - g["E1"]), ("F1", EXT.F1 - g["F1"]),
+        ("K1", EXT.K((2, -1)) - g["K1"]), ("K2", EXT.K((-2, 2)) - g["K2"]),
     ])
     return "module-algebra extension of the Levi action", "table", residual, details
 
@@ -382,8 +378,7 @@ def check_iso_exterior(ctx):
     deg1, deg2 = (1, 2, 3), (4, 5, 6)
 
     def intertwines(m):
-        blocks = [[[m[r][c] for c in deg] for r in deg] for deg in (deg1, deg2)]
-        return meq(mmul(phi, blocks[0], ZERO), mmul(blocks[1], phi, ZERO))
+        return phi @ m.block(deg1, deg1) == m.block(deg2, deg2) @ phi
 
     rows = [(f"intertwines {token_name(tok)}", intertwines(EXT.rep_token(tok)),
              token_name(tok)) for tok in ("E1", "F1", ("K", 2, -1))]
@@ -405,14 +400,13 @@ def check_inner_prod(ctx):
     for deg in (1, 2):
         first = DEGREES.index(deg)
         for i in range(3):
-            got = blocks[deg][i][i]
+            got = blocks[deg].terms.get((i, i), ZERO)
             ok = got == EXT._gram_hat[first + i]
             details.append(f"deg{deg} entry {i}: {'ok' if ok else got.canon_str()}")
             if not ok:
                 residual.append(f"deg{deg}[{i}]")
     for deg in (1, 2):
-        off = [(i, j) for i in range(3) for j in range(3)
-               if i != j and not blocks[deg][i][j].is_zero]
+        off = [(i, j) for i, j in sorted(blocks[deg].terms) if i != j]
         if off:
             residual.append(f"deg{deg} off-diagonal {off}")
     details.append("one free constant per degree")
@@ -500,7 +494,7 @@ def check_f_vanish(ctx):
 def check_cas_general(ctx):
     R = ctx.rmat
     rows = [(name, ok, name) for name, ok in R.truncation_checks.items()]
-    rows += [(f"intertwiner {tok}", miszero(m), f"intertwiner-{tok}")
+    rows += [(f"intertwiner {tok}", m.is_zero, f"intertwiner-{tok}")
              for tok, m in R.intertwiner_residuals().items()]
     rows += [(f"central against {name}", r.is_zero,
               f"centrality-{name}: {r.canon_str()}")
@@ -519,7 +513,7 @@ def check_casimir_rmatrix(ctx):
     residual = [] if diff.is_zero else [diff.canon_str()]
     details = ["constructed equals explicit form" if diff.is_zero else "MISMATCH"]
     c = casimir_eigenvalue((1, 0))
-    scalar_ok = meq(FUND.rep(C), mscale(c, meye(4, ONE, ZERO)))
+    scalar_ok = FUND.rep(C) == Matrix.identity(4, c)
     details.append(f"acts as c_omega1 on the fundamental module: "
                    f"{'ok' if scalar_ok else 'NO'}")
     if not scalar_ok:

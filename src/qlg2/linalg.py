@@ -1,14 +1,13 @@
 """Small exact linear algebra over any field-like coefficient type.
 
-Matrices are plain lists of lists: the Scalar matrices of the two modules
-and of the Levi-split and invariant-form solves, and the PBW-valued
-R-matrix.  Entries only need the arithmetic dunders and truthiness (zero is
-falsy); `madd`/`msub` take two matrices whose entries share one type.
-The matrices are mostly zero, so the kernels skip sums of two zeros,
-multiples of a zero and products with a zero factor.
 Sparse vectors are dicts without zero values, kept so by `accumulate`;
 `Combination` is the linear-combination type built on them, shared by
-AlgebraElement, KScalar, ModuleOperator, TensorOperator and MElement.
+AlgebraElement, KScalar, Matrix, TensorOperator and MElement.  `Matrix` is
+the one matrix type: a Combination over (row, column) that carries its
+shape, for the Scalar matrices on V, V (x) V and Lambda, the KScalar
+operators on Lambda (its subclass ModuleOperator) and the PBW-valued
+R-matrix; `mmul` is its product.  `nullspace` and `minv` are dense row
+reduction on lists of lists that their callers build.
 """
 
 from __future__ import annotations
@@ -16,7 +15,8 @@ from __future__ import annotations
 
 def accumulate(out, key, value):
     """out[key] += value on a sparse dict, deleting the key when the sum is
-    zero; values need `+` and `is_zero` (Scalar, KScalar, ModuleOperator)."""
+    zero; values need `+` and `is_zero` (Scalar, KScalar, AlgebraElement,
+    Matrix)."""
     cur = out.get(key)
     if cur is not None:
         value = cur + value
@@ -86,86 +86,108 @@ class Combination:
         return hash(frozenset(self.terms.items()))
 
 
-def mzeros(n, m, zero):
-    return [[zero] * m for _ in range(n)]
+class Matrix(Combination):
+    """Sparse matrix {(row, column): nonzero entry} of a fixed `shape`.
+
+    Entries are Scalar, KScalar or AlgebraElement.  Their rings have no zero
+    divisors, so `scale` and `kron` store products of nonzero entries
+    without a zero test.  `+`, `-` and `@` raise ValueError on operands of
+    mismatched shape; matrices of different shapes are unequal.
+    """
+
+    __slots__ = ("shape",)
+
+    def __init__(self, terms, shape):
+        self.terms = terms
+        self.shape = shape
+
+    @classmethod
+    def diagonal(cls, entries):
+        return cls({(i, i): x for i, x in enumerate(entries) if x},
+                   (len(entries), len(entries)))
+
+    @classmethod
+    def identity(cls, n, one):
+        return cls.diagonal([one] * n)
+
+    def __add__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if other.shape != self.shape:
+            raise ValueError(f"matrix sum of shapes {self.shape} and {other.shape}")
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            accumulate(out, k, c)
+        return type(self)(out, self.shape)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()}, self.shape)
+
+    def __sub__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self + (-other)
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.shape == other.shape and self.terms == other.terms
+
+    __hash__ = Combination.__hash__
+
+    def __matmul__(self, other):
+        return mmul(self, other)
+
+    def scale(self, c):
+        if not c:
+            return type(self)({}, self.shape)
+        return type(self)({rc: c * x for rc, x in self.terms.items()}, self.shape)
+
+    def kron(self, other):
+        """Kronecker product: entry (i, j) times entry (k, l) of `other`, of
+        shape (n, m), sits at (i * n + k, j * m + l)."""
+        n, m = other.shape
+        return Matrix({(i * n + k, j * m + l): x * y
+                       for (i, j), x in self.terms.items()
+                       for (k, l), y in other.terms.items()},
+                      (self.shape[0] * n, self.shape[1] * m))
+
+    @property
+    def T(self):
+        return type(self)({(c, r): x for (r, c), x in self.terms.items()},
+                      self.shape[::-1])
+
+    def block(self, rows, cols):
+        """The submatrix on the given row and column indices, renumbered."""
+        ri = {r: i for i, r in enumerate(rows)}
+        ci = {c: j for j, c in enumerate(cols)}
+        return Matrix({(ri[r], ci[c]): x for (r, c), x in self.terms.items()
+                       if r in ri and c in ci}, (len(rows), len(cols)))
+
+    def entries_str(self):
+        return "; ".join(f"[{r},{c}] {self.terms[r, c].canon_str()}"
+                         for r, c in sorted(self.terms)) or "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.entries_str()})"
 
 
-def meye(n, one, zero):
-    out = mzeros(n, n, zero)
-    for i in range(n):
-        out[i][i] = one
-    return out
-
-
-def _same_shape(a, b):
-    return len(a) == len(b) and all(len(ra) == len(rb) for ra, rb in zip(a, b))
-
-
-def madd(a, b):
-    """Entrywise a + b; a pair of zeros gives the first back."""
-    if not _same_shape(a, b):
-        raise ValueError("madd: the matrices differ in shape")
-    return [[x + y if x or y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def msub(a, b):
-    """Entrywise a - b; a pair of zeros gives the first back."""
-    if not _same_shape(a, b):
-        raise ValueError("msub: the matrices differ in shape")
-    return [[x - y if x or y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mscale(c, a):
-    """c * a; zero entries stay as they are."""
-    return [[c * x if x else x for x in row] for row in a]
-
-
-def mmul(a, b, zero):
-    """Product a b.  Row t of b is read as its nonzero (column, entry)
-    pairs, so each nonzero a[i][t] costs one product per nonzero entry of
-    that row; empty output entries are `zero`."""
-    if any(len(ra) != len(b) for ra in a):
-        raise ValueError("mmul: the columns of a do not match the rows of b")
-    brows = [[(j, y) for j, y in enumerate(rb) if y] for rb in b]
-    out = []
-    for ra in a:
-        oi = [zero] * len(b[0])
-        for c, bt in zip(ra, brows):
-            if c:
-                for j, y in bt:
-                    oi[j] = oi[j] + c * y
-        out.append(oi)
-    return out
-
-
-def kron(a, b, zero):
-    """Kronecker product: entry (i, j) of a times entry (k, l) of b sits at
-    row i * len(b) + k, column j * len(b[0]) + l."""
-    n, m = len(b), len(b[0])
-    out = mzeros(len(a) * n, len(a[0]) * m, zero)
-    for i, ra in enumerate(a):
-        for j, x in enumerate(ra):
-            if not x:
-                continue
-            for k, rb in enumerate(b):
-                row = out[i * n + k]
-                for l, y in enumerate(rb):
-                    if y:
-                        row[j * m + l] = x * y
-    return out
-
-
-def mT(a):
-    return [list(col) for col in zip(*a)]
-
-
-def meq(a, b):
-    return _same_shape(a, b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def miszero(a):
-    return all(not x for row in a for x in row)
+def mmul(a, b):
+    """The product a b, of a's type, grouped by the rows of b (Gustavson,
+    ACM TOMS 4(3), 1978): each nonzero a[r, t] meets the nonzero entries of
+    row t of b once."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"matrix product of shapes {a.shape} and {b.shape}")
+    rows = {}
+    for (t, c), y in b.terms.items():
+        rows.setdefault(t, []).append((c, y))
+    out = {}
+    for (r, t), x in a.terms.items():
+        for c, y in rows.get(t, ()):
+            accumulate(out, (r, c), x * y)
+    return type(a)(out, (a.shape[0], b.shape[1]))
 
 
 def nullspace(rows, one):

@@ -17,22 +17,19 @@ acts on Lambda as a module algebra; the invariant inner products are
 diagonal per degree with one free constant c_k each, and only the ratios
 kappa_k = c_k / c_{k-1} enter the wedge-adjoint operators.
 
-Operators on Lambda are ModuleOperator instances: sparse combinations
-{(row, column): KScalar} over that basis, graded by the degree vector
-(0,1,1,1,2,2,2,3).  The wedge operators gamma(y_i), their adjoints, rho(x)
-of a Levi element and the golden gamma tables all take that form; dense
-Scalar matrices remain for E1, F1, K and `rep`, which the invariant-form
-solve, the canonical element and the Levi table read.
+Every matrix here is a sparse `linalg.Matrix`.  Operators on Lambda with
+KScalar entries are its 8x8 subclass ModuleOperator, graded by the degree
+vector (0,1,1,1,2,2,2,3): the wedge operators gamma(y_i), their adjoints,
+rho(x) of a Levi element and the golden gamma tables.  The Scalar matrices
+E1, F1, K and `rep` of both modules, and the Levi table, are plain Matrix
+instances, printed with numeric [row,column] labels.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .linalg import (
-    Combination, accumulate, madd, miszero, mmul, mscale, msub, mT, mzeros, meye,
-    nullspace,
-)
+from .linalg import Matrix, accumulate, nullspace
 from .scalar import (
     BR2, KONE, ONE, ZERO, KScalar, Scalar, kappa, Q_SC as _Q, q_power as _qp,
     v_power as _v,
@@ -44,14 +41,6 @@ from . import pbw
 # ---------------------------------------------------------------------------
 # fundamental module
 # ---------------------------------------------------------------------------
-
-def _diag(qexps):
-    """The diagonal matrix with entries q^e, e in qexps."""
-    m = mzeros(len(qexps), len(qexps), ZERO)
-    for i, e in enumerate(qexps):
-        m[i][i] = _qp(e)
-    return m
-
 
 def _walk(vec, path):
     """Sparse vector {row: entry} times the column-sparse matrices of
@@ -65,26 +54,23 @@ def _walk(vec, path):
     return vec
 
 
-def _chain(ms):
-    out = ms[0]
-    for m in ms[1:]:
-        out = mmul(out, m, ZERO)
-    return out
-
-
 class _WeightModule:
     """A module with a weight basis (`weights`) and root-vector matrices
     `_root_e`/`_root_f` keyed by j for E_{beta_j}/F_{beta_j}."""
 
     def K(self, lam):
         lam = Weight(*lam)
-        return _diag([lam.pair(w) for w in self.weights])
+        return Matrix.diagonal([_qp(lam.pair(w)) for w in self.weights])
 
     @cached_property
     def _columns(self):
         """The E and F root tables as {j: cols}, cols[c] holding the nonzero
         (row, entry) pairs of column c."""
-        cols = lambda m: [[(r, y) for r, y in enumerate(col) if y] for col in zip(*m)]
+        def cols(m):
+            out = [[] for _ in range(self.dim)]
+            for (r, c), y in m.terms.items():
+                out[c].append((r, y))
+            return out
         return ({j: cols(m) for j, m in self._root_e.items()},
                 {j: cols(m) for j, m in self._root_f.items()})
 
@@ -94,7 +80,7 @@ class _WeightModule:
         E letters right to left, then the K diagonal q^(lam, wt), then the F
         letters right to left, through the column-sparse root tables."""
         ce, cf = self._columns
-        out = mzeros(self.dim, self.dim, ZERO)
+        out = {}
         for (fexp, lam, eexp), c in x.terms.items():
             lam = Weight(*lam)
             es = [ce[k + 1] for k in (3, 2, 1, 0) for _ in range(eexp[k])]
@@ -103,8 +89,8 @@ class _WeightModule:
                 vec = {r: _qp(lam.pair(self.weights[r])) * y
                        for r, y in _walk({j: c}, es).items()}
                 for r, y in _walk(vec, fs).items():
-                    out[r][j] = out[r][j] + y
-        return out
+                    accumulate(out, (r, j), y)
+        return Matrix(out, (self.dim, self.dim))
 
 
 class FundamentalModule(_WeightModule):
@@ -114,19 +100,11 @@ class FundamentalModule(_WeightModule):
 
     def __init__(self):
         self.weights = LAMBDA_V
-        self.E1 = mzeros(4, 4, ZERO)
-        self.E1[0][1] = _v(1)
-        self.E1[2][3] = _v(1)
-        self.E2 = mzeros(4, 4, ZERO)
-        self.E2[1][2] = _qp(1)
-        self.F1 = mzeros(4, 4, ZERO)
-        self.F1[1][0] = _v(-1)
-        self.F1[3][2] = _v(-1)
-        self.F2 = mzeros(4, 4, ZERO)
-        self.F2[2][1] = _qp(-1)
+        self.E1 = Matrix({(0, 1): _v(1), (2, 3): _v(1)}, (4, 4))
+        self.E2 = Matrix({(1, 2): _qp(1)}, (4, 4))
+        self.F1 = Matrix({(1, 0): _v(-1), (3, 2): _v(-1)}, (4, 4))
+        self.F2 = Matrix({(2, 1): _qp(-1)}, (4, 4))
         self._gen = {"E1": self.E1, "E2": self.E2, "F1": self.F1, "F2": self.F2}
-        self._root_e = {}
-        self._root_f = {}
         self._build_root_matrices()
 
     def rep_token(self, tok):
@@ -139,24 +117,24 @@ class FundamentalModule(_WeightModule):
 
     def rep_word(self, word):
         """Matrix of a generator word, multiplied out directly."""
-        return _chain([meye(4, ONE, ZERO)] + [self.rep_token(t) for t in word])
+        out = Matrix.identity(4, ONE)
+        for t in word:
+            out = out @ self.rep_token(t)
+        return out
 
     def _build_root_matrices(self):
-        mul = lambda *ms: _chain(ms)
         e1, e2, f1, f2 = self.E1, self.E2, self.F1, self.F2
         inv2 = ONE / BR2
-        self._root_e[1] = e1
-        self._root_e[4] = e2
-        self._root_e[3] = msub(mul(e1, e2), mscale(_qp(-2), mul(e2, e1)))
-        self._root_e[2] = madd(
-            msub(mscale(inv2, mul(e1, e1, e2)), mscale(_qp(-1), mul(e1, e2, e1))),
-            mscale(_qp(-2) * inv2, mul(e2, e1, e1)))
-        self._root_f[1] = f1
-        self._root_f[4] = f2
-        self._root_f[3] = msub(mul(f2, f1), mscale(_qp(2), mul(f1, f2)))
-        self._root_f[2] = madd(
-            msub(mscale(inv2, mul(f2, f1, f1)), mscale(_qp(1), mul(f1, f2, f1))),
-            mscale(_qp(2) * inv2, mul(f1, f1, f2)))
+        self._root_e = {
+            1: e1, 4: e2,
+            3: e1 @ e2 - (e2 @ e1).scale(_qp(-2)),
+            2: ((e1 @ e1 @ e2).scale(inv2) - (e1 @ e2 @ e1).scale(_qp(-1))
+                + (e2 @ e1 @ e1).scale(_qp(-2) * inv2))}
+        self._root_f = {
+            1: f1, 4: f2,
+            3: f2 @ f1 - (f1 @ f2).scale(_qp(2)),
+            2: ((f2 @ f1 @ f1).scale(inv2) - (f1 @ f2 @ f1).scale(_qp(1))
+                + (f1 @ f1 @ f2).scale(_qp(2) * inv2))}
 
     def root_E(self, j):
         return self._root_e[j]
@@ -171,32 +149,21 @@ class FundamentalModule(_WeightModule):
         for prefix, rels in (("rel", pbw.defining_relator_words()),
                              ("serre", pbw.serre_relator_words())):
             for idx, rel in enumerate(rels):
-                m = mzeros(4, 4, ZERO)
-                for c, w in rel:
-                    m = madd(m, mscale(c, self.rep_word(w)))
-                res[f"{prefix}-{idx}"] = m
+                res[f"{prefix}-{idx}"] = sum(
+                    (self.rep_word(w).scale(c) for c, w in rel), Matrix({}, (4, 4)))
         return res
 
     def f_vanish_report(self):
         """Nilpotency pattern of the negative root vectors in this module."""
-        zero_products = [
-            ((2, 1),), ((3, 2),), ((4, 2),), ((4, 3),),
-            ((3, 2), (1,)), ((4, 2), (1,)), ((4, 3), (2,)),
-        ]
-        report = {}
-        for j in (1, 2, 3, 4):
-            m = mmul(self._root_f[j], self._root_f[j], ZERO)
-            report[f"F{j}^2"] = miszero(m)
-        for spec in (((2,), (1,)), ((3,), (2,)), ((4,), (2,)), ((4,), (3,)),
-                     ((3,), (2,), (1,)), ((4,), (2,), (1,)), ((4,), (3,), (2,))):
-            m = meye(4, ONE, ZERO)
-            name = "F" + "F".join(str(s[0]) for s in spec)
-            for (j,) in spec:
-                m = mmul(m, self._root_f[j], ZERO)
-            report[name] = miszero(m)
+        f = self._root_f
+        report = {f"F{j}^2": (f[j] @ f[j]).is_zero for j in (1, 2, 3, 4)}
+        for spec in ((2, 1), (3, 2), (4, 2), (4, 3), (3, 2, 1), (4, 2, 1), (4, 3, 2)):
+            m = Matrix.identity(4, ONE)
+            for j in spec:
+                m = m @ f[j]
+            report["F" + "F".join(map(str, spec))] = m.is_zero
         for a, b in ((3, 1), (4, 1)):
-            m = mmul(self._root_f[a], self._root_f[b], ZERO)
-            report[f"F{a}F{b}-nonzero"] = not miszero(m)
+            report[f"F{a}F{b}-nonzero"] = not (f[a] @ f[b]).is_zero
         return report
 
 
@@ -243,42 +210,30 @@ def _wedge_word(word):
     return out
 
 
-class ModuleOperator(Combination):
-    """Operator on the exterior module: {(row, column): nonzero KScalar}."""
+class ModuleOperator(Matrix):
+    """Operator on the exterior module: an 8x8 Matrix of nonzero KScalars."""
 
     __slots__ = ()
+
+    def __init__(self, terms, shape=(8, 8)):
+        self.terms = terms
+        self.shape = shape
 
     @staticmethod
     def zero():
         return ModuleOperator({})
 
-    @staticmethod
-    def identity():
-        return ModuleOperator({(i, i): KONE for i in range(8)})
+    @classmethod
+    def identity(cls, n=8, one=KONE):
+        return super().identity(n, one)
 
-    @staticmethod
-    def lift(scalar_mat):
-        """The operator of a dense Scalar matrix."""
-        return ModuleOperator({(r, c): KScalar.from_scalar(x)
-                               for r, row in enumerate(scalar_mat)
-                               for c, x in enumerate(row) if x})
-
-    def __matmul__(self, other):
-        rows = {}
-        for (t, c), y in other.terms.items():
-            rows.setdefault(t, []).append((c, y))
-        out = {}
-        for (r, t), x in self.terms.items():
-            for c, y in rows.get(t, ()):
-                accumulate(out, (r, c), x * y)
-        return ModuleOperator(out)
+    # bound here, not inherited, so that a tracer patching this class's
+    # namespace sees the products of operators on Lambda
+    __matmul__ = Matrix.__matmul__
 
     def scale(self, c):
-        if isinstance(c, Scalar):
-            c = KScalar.from_scalar(c)
-        if not c:
-            return ModuleOperator({})
-        return ModuleOperator({rc: c * x for rc, x in self.terms.items()})
+        # one KScalar for every entry, not a conversion per product
+        return super().scale(KScalar.from_scalar(c) if isinstance(c, Scalar) else c)
 
     def substitute_ratios(self, s2, s3):
         out = {}
@@ -300,9 +255,6 @@ class ModuleOperator(Combination):
         return "; ".join(
             f"[{BASIS_NAMES[r]},{BASIS_NAMES[c]}] {self.terms[r, c].canon_str()}"
             for r, c in sorted(self.terms)) or "0"
-
-    def __repr__(self):
-        return f"ModuleOperator({self.entries_str()})"
 
 
 class ExteriorModule(_WeightModule):
@@ -336,17 +288,15 @@ class ExteriorModule(_WeightModule):
     # --- Levi action -----------------------------------------------------
 
     def _derive_degree_one_action(self):
-        """Degree-one action of E1 and F1 from the invariant dual pairing
-        against the adjoint action on the radical root vectors."""
-        ad_e, ad_f = _ad_radical("E1"), _ad_radical("F1")
-        e1 = mzeros(3, 3, ZERO)
-        f1 = mzeros(3, 3, ZERO)
-        for j in range(3):
-            for i in range(3):
-                # <E1 |> x_i, y_j> + <K1 |> x_i, E1 y_j> = 0
-                e1[i][j] = -(_qp(-ALPHA1.pair(XI[i + 1])) * ad_e[j][i])
-                # <F1 |> x_i, K1^-1 y_j> + <x_i, F1 y_j> = 0
-                f1[i][j] = -(_qp(ALPHA1.pair(XI[j + 1])) * ad_f[j][i])
+        """Degree-one action of E1 and F1, as {(row, column): entry} on
+        y_1, y_2, y_3, from the invariant dual pairing against the adjoint
+        action on the radical root vectors."""
+        # <E1 |> x_i, y_j> + <K1 |> x_i, E1 y_j> = 0
+        e1 = {(i, j): -(_qp(-ALPHA1.pair(XI[i + 1])) * x)
+              for (j, i), x in _ad_radical("E1").terms.items()}
+        # <F1 |> x_i, K1^-1 y_j> + <x_i, F1 y_j> = 0
+        f1 = {(i, j): -(_qp(ALPHA1.pair(XI[j + 1])) * x)
+              for (j, i), x in _ad_radical("F1").terms.items()}
         return {"E1": e1, "F1": f1}
 
     def _vec(self, i):
@@ -358,8 +308,7 @@ class ExteriorModule(_WeightModule):
             return {}
         if len(word) == 1:
             i = BASIS_INDEX[word]
-            col = self._levi1[tok]
-            return {k + 1: col[k][i - 1] for k in range(3) if col[k][i - 1]}
+            return {k + 1: x for (k, j), x in self._levi1[tok].items() if j == i - 1}
         head, tail = (word[0],), word[1:]
         hv, tv = self._vec(BASIS_INDEX[head]), self._vec(BASIS_INDEX[tail])
         if tok == "E1":
@@ -378,11 +327,8 @@ class ExteriorModule(_WeightModule):
         return out
 
     def _module_algebra_extend(self, tok):
-        m = mzeros(8, 8, ZERO)
-        for c_idx, w in enumerate(BASIS_WORDS):
-            for r_idx, coeff in self._act_rec(tok, w).items():
-                m[r_idx][c_idx] = coeff
-        return m
+        return Matrix({(r, c): x for c, w in enumerate(BASIS_WORDS)
+                       for r, x in self._act_rec(tok, w).items()}, (8, 8))
 
     def rep(self, x):
         """Matrix of a Levi PBW element; ValueError off the Levi factor."""
@@ -393,7 +339,8 @@ class ExteriorModule(_WeightModule):
     def rho(self, x):
         """Operator of a Levi PBW element on the exterior module; `rep`
         rejects any other element."""
-        return ModuleOperator.lift(self.rep(x))
+        return ModuleOperator({rc: KScalar.from_scalar(y)
+                               for rc, y in self.rep(x).terms.items()})
 
     def rep_token(self, tok):
         return self.rep(pbw.normal_form((tok,)))
@@ -425,8 +372,7 @@ class ExteriorModule(_WeightModule):
             upos = {u: k for k, u in enumerate(unknowns)}
             rows = []
             for X, Xs in mats:
-                Xb = [[X[a][b] for b in idxs] for a in idxs]
-                Xsb = [[Xs[a][b] for b in idxs] for a in idxs]
+                Xb, Xsb = X.block(idxs, idxs).terms, Xs.block(idxs, idxs).terms
                 # X^T G - G X* = 0, G symmetric
                 for r in range(n):
                     for c in range(n):
@@ -434,24 +380,22 @@ class ExteriorModule(_WeightModule):
                         for t in range(n):
                             # (X^T G)[r][c] = sum_t X[t][r] G[t][c]
                             u = (min(t, c), max(t, c))
-                            row[upos[u]] = row[upos[u]] + Xb[t][r]
+                            row[upos[u]] = row[upos[u]] + Xb.get((t, r), ZERO)
                             # (G X*)[r][c] = sum_t G[r][t] X*[t][c]
                             u = (min(r, t), max(r, t))
-                            row[upos[u]] = row[upos[u]] - Xsb[t][c]
+                            row[upos[u]] = row[upos[u]] - Xsb.get((t, c), ZERO)
                         rows.append(row)
             basis = nullspace(rows, ONE)
             if len(basis) != 1:
                 raise RuntimeError(
                     f"invariant form space at degree {deg} has dimension {len(basis)}")
             vec = basis[0]
-            G = mzeros(n, n, ZERO)
+            G = {}
             for (i, j), k in upos.items():
-                G[i][j] = vec[k]
-                G[j][i] = vec[k]
+                if vec[k]:
+                    G[i, j] = G[j, i] = vec[k]
             # normalize so the first diagonal entry is 1
-            scale = G[0][0].inv()
-            G = mscale(scale, G)
-            blocks.append(G)
+            blocks.append(Matrix(G, (n, n)).scale(G.get((0, 0), ZERO).inv()))
         return blocks
 
     # --- wedge operators --------------------------------------------------
@@ -491,19 +435,11 @@ class ExteriorModule(_WeightModule):
 
 def golden_levi_Lq():
     """The Levi action table on the 8 basis vectors."""
-    e1 = mzeros(8, 8, ZERO)
-    e1[2][1] = -BR2
-    e1[3][2] = -_qp(2)
-    e1[5][4] = -ONE
-    e1[6][5] = -(BR2 * _qp(2))
-    f1 = mzeros(8, 8, ZERO)
-    f1[1][2] = -ONE
-    f1[2][3] = -(BR2 * _qp(-2))
-    f1[4][5] = -BR2
-    f1[5][6] = -_qp(-2)
-    k1 = _diag([0, -2, 0, 2, -2, 0, 2, 0])
-    k2 = _diag([0, 0, -2, -4, -2, -4, -6, -6])
-    return {"K1": k1, "K2": k2, "E1": e1, "F1": f1}
+    e1 = {(2, 1): -BR2, (3, 2): -_qp(2), (5, 4): -ONE, (6, 5): -(BR2 * _qp(2))}
+    f1 = {(1, 2): -ONE, (2, 3): -(BR2 * _qp(-2)), (4, 5): -BR2, (5, 6): -_qp(-2)}
+    k1 = Matrix.diagonal([_qp(e) for e in (0, -2, 0, 2, -2, 0, 2, 0)])
+    k2 = Matrix.diagonal([_qp(e) for e in (0, 0, -2, -4, -2, -4, -6, -6)])
+    return {"K1": k1, "K2": k2, "E1": Matrix(e1, (8, 8)), "F1": Matrix(f1, (8, 8))}
 
 
 def golden_action_gamma():
@@ -529,11 +465,7 @@ def golden_gamma_star():
 
 def iso_exterior_map():
     """Degree-1 to degree-2 comparison map y1 -> y21, y2 -> y31/[2], y3 -> y32."""
-    m = mzeros(3, 3, ZERO)
-    m[0][0] = ONE
-    m[1][1] = ONE / BR2
-    m[2][2] = ONE
-    return m
+    return Matrix.diagonal([ONE, ONE / BR2, ONE])
 
 
 LEVI_GEN_TOKENS = (("K", 2, -1), ("K", -2, 2), "E1", "F1")
@@ -542,13 +474,14 @@ LEVI_GEN_TOKENS = (("K", 2, -1), ("K", -2, 2), "E1", "F1")
 def _ad_radical(tok):
     """ad(tok) on the radical root vectors: column i holds the coefficients
     of ad(tok) E_{xi_i} on E_{xi_1}, E_{xi_2}, E_{xi_3}."""
-    m = mzeros(3, 3, ZERO)
+    m = {}
     for i in (1, 2, 3):
         img = pbw.adjoint_action(tok, pbw.xi_E(i)).terms
         for k in (1, 2, 3):
             (word,) = pbw.xi_E(k).terms
-            m[k - 1][i - 1] = img.get(word, ZERO)
-    return m
+            if word in img:
+                m[k - 1, i - 1] = img[word]
+    return Matrix(m, (3, 3))
 
 
 def canonical_element_invariance_residuals():
@@ -558,8 +491,7 @@ def canonical_element_invariance_residuals():
     res = {}
     for tok in LEVI_GEN_TOKENS:
         C = EXT.rep(pbw.antipode(pbw.normal_form((tok,))))
-        Cblock = [[C[r][c] for c in (1, 2, 3)] for r in (1, 2, 3)]
-        res[pbw.token_name(tok)] = msub(_ad_radical(tok), mT(Cblock))
+        res[pbw.token_name(tok)] = _ad_radical(tok) - C.block((1, 2, 3), (1, 2, 3)).T
     return res
 
 
@@ -575,7 +507,7 @@ def gamma_equivariance_residuals():
                 for a, b in pbw.coproduct(tok)]
         for i, g in gammas.items():
             lhs = sum((rb @ g @ rsa for rb, rsa in legs), ModuleOperator.zero())
-            rhs = sum((gk.scale(X[k][i]) for k, gk in gammas.items()),
+            rhs = sum((gk.scale(X.terms.get((k, i), ZERO)) for k, gk in gammas.items()),
                       ModuleOperator.zero())
             res[(pbw.token_name(tok), i)] = lhs - rhs
     return res
@@ -642,7 +574,7 @@ def quadratic_dual(relations):
 def span_equal(vs, ws):
     """Do two lists of coordinate vectors span the same subspace?"""
     def rank(vecs):
-        return len(vecs) - len(nullspace(mT([list(v) for v in vecs]), ONE)) \
+        return len(vecs) - len(nullspace([list(c) for c in zip(*vecs)], ONE)) \
             if vecs else 0
 
     rv, rw = rank(vs), rank(ws)

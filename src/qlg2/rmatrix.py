@@ -32,9 +32,7 @@ Lectures on Quantum Groups, AMS GSM 6, 1996).
 
 from __future__ import annotations
 
-from functools import reduce
-
-from .linalg import kron, madd, meye, miszero, mmul, msub, mzeros
+from .linalg import Matrix, accumulate
 from .scalar import BR2, ONE, ZERO, Q_SC as _Q, q_number, q_power as _qp
 from .weights import LAMBDA_V, RHO, SIMPLE, Weight
 from .pbw import (
@@ -62,7 +60,7 @@ _MAX_ORDER = 2
 
 
 class TruncatedRMatrix:
-    """(id (x) rho)(R) as a 4x4 matrix of PBW elements."""
+    """(id (x) rho)(R) as a 4x4 Matrix of PBW elements."""
 
     def __init__(self, mat, truncation_checks):
         self.mat = mat
@@ -71,58 +69,38 @@ class TruncatedRMatrix:
     @classmethod
     def build(cls):
         checks = {}
-        A = meye(4, AE_ONE, AE_ZERO)
+        A = Matrix.identity(4, AE_ONE)
         for j in (4, 3, 2, 1):
             fj = FUND.root_F(j)
-            powers = [meye(4, ONE, ZERO)]
+            powers = [Matrix.identity(4, ONE)]
             for _ in range(_MAX_ORDER):
-                powers.append(mmul(powers[-1], fj, ZERO))
-            factor = mzeros(4, 4, AE_ZERO)
+                powers.append(powers[-1] @ fj)
+            factor = {}
             for r in range(_MAX_ORDER + 1):
                 c = factor_coefficient(j, r)
                 e_pow = root_E(j) ** r
-                term_is_zero = True
-                for a in range(4):
-                    for b in range(4):
-                        entry = powers[r][a][b]
-                        if entry.is_zero:
-                            continue
-                        term_is_zero = False
-                        factor[a][b] = factor[a][b] + (c * entry) * e_pow
+                for ab, entry in powers[r].terms.items():
+                    accumulate(factor, ab, (c * entry) * e_pow)
                 if r >= 2:
-                    checks[f"beta{j}-order-{r}-vanishes"] = term_is_zero
-            A = mmul(A, factor, AE_ZERO)
+                    checks[f"beta{j}-order-{r}-vanishes"] = powers[r].is_zero
+            A = A @ Matrix(factor, (4, 4))
         # Cartan correction: right multiplication by diag(K_{-lambda_nu})
-        for b in range(4):
-            kb = K(-LAMBDA_V[b])
-            for a in range(4):
-                A[a][b] = A[a][b] * kb
-        inst = cls(A, checks)
+        inst = cls(A @ Matrix.diagonal([K(-lam) for lam in LAMBDA_V]), checks)
         for tok, m in inst.intertwiner_residuals().items():
-            if not miszero(m):
+            if not m.is_zero:
                 raise RuntimeError(
                     f"represented R-matrix fails the intertwiner "
                     f"property against {tok}")
         return inst
 
     def star_transpose(self):
-        out = mzeros(4, 4, AE_ZERO)
-        for i in range(4):
-            for j in range(4):
-                out[i][j] = star(self.mat[j][i])
-        return out
+        return Matrix({rc: star(x) for rc, x in self.mat.T.terms.items()}, (4, 4))
 
     def represented(self):
-        """(rho (x) rho)(R) as a 16x16 scalar matrix, rows indexed 4i + k."""
-        out = mzeros(16, 16, ZERO)
-        for k in range(4):
-            for l in range(4):
-                m = FUND.rep(self.mat[k][l])
-                for i in range(4):
-                    for j in range(4):
-                        if m[i][j]:
-                            out[4 * i + k][4 * j + l] = m[i][j]
-        return out
+        """(rho (x) rho)(R) as a 16x16 Scalar Matrix, rows indexed 4i + k."""
+        return Matrix({(4 * i + k, 4 * j + l): y
+                       for (k, l), x in self.mat.terms.items()
+                       for (i, j), y in FUND.rep(x).terms.items()}, (16, 16))
 
     def intertwiner_residuals(self):
         """R Delta(X) - Delta_op(X) R on the tensor square, per generator."""
@@ -131,9 +109,10 @@ class TruncatedRMatrix:
         for name, tok in zip(("E1", "E2", "F1", "F2", "K1", "K2"),
                              GENERATOR_TOKENS):
             pairs = coproduct_matrices(tok)
-            dlt = reduce(madd, [kron(a, b, ZERO) for a, b in pairs])
-            dop = reduce(madd, [kron(b, a, ZERO) for a, b in pairs])
-            res[name] = msub(mmul(R16, dlt, ZERO), mmul(dop, R16, ZERO))
+            zero = Matrix({}, (16, 16))
+            dlt = sum((a.kron(b) for a, b in pairs), zero)
+            dop = sum((b.kron(a) for a, b in pairs), zero)
+            res[name] = R16 @ dlt - dop @ R16
         return res
 
 
@@ -146,7 +125,7 @@ def coproduct_matrices(tok):
         k = FUND.K(lam)
         return ((k, k),)
     g, alpha = FUND.rep_token(tok), SIMPLE[int(tok[1])]
-    eye4 = meye(4, ONE, ZERO)
+    eye4 = Matrix.identity(4, ONE)
     if tok[0] == "E":
         return ((g, eye4), (FUND.K(alpha), g))
     return ((g, FUND.K(-alpha)), (eye4, g))
@@ -156,16 +135,15 @@ def quantum_trace_pairing(R=None):
     """The central element (id (x) tau_q)(R* R) / (q - q^-1)^2."""
     if R is None:
         R = TruncatedRMatrix.build()
-    Ast = R.star_transpose()
-    A = R.mat
+    Ast = R.star_transpose().terms
+    A = R.mat.terms
     two_rho = 2 * RHO
     total = AE_ZERO
     for j in range(4):
         diag = AE_ZERO
         for i in range(4):
-            if Ast[j][i].is_zero or A[i][j].is_zero:
-                continue
-            diag = diag + Ast[j][i] * A[i][j]
+            if (i, j) in A:
+                diag = diag + Ast[j, i] * A[i, j]
         total = total + _qp(-two_rho.pair(LAMBDA_V[j])) * diag
     return total * (ONE / (_Q * _Q))
 

@@ -1,19 +1,45 @@
 """The sparse ModuleOperator against the dense 8x8 representation it
 replaced, kept here as the oracle: KZERO-padded lists of lists run through
-the linalg kernels, and the old adjoint and entries_str bodies transcribed
-onto those lists."""
+the dense kernels that linalg once held, and the old adjoint and entries_str
+bodies transcribed onto those lists."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from qlg2.linalg import madd, mmul, mscale, msub, mzeros
 from qlg2.modules import BASIS_NAMES, DEGREES, EXT, ModuleOperator
+from qlg2.pbw import normal_form, star
 from qlg2.scalar import KONE, KZERO, ONE, ZERO, KScalar, laurent_q
 
 
 # --- the dense oracles --------------------------------------------------------
+
+def mzeros(n, m, zero):
+    return [[zero] * m for _ in range(n)]
+
+
+def madd(a, b):
+    return [[x + y if x or y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def msub(a, b):
+    return [[x - y if x or y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mscale(c, a):
+    return [[c * x if x else x for x in row] for row in a]
+
+
+def mmul(a, b, zero):
+    out = mzeros(len(a), len(b[0]), zero)
+    for i, ra in enumerate(a):
+        for t, c in enumerate(ra):
+            for j, y in enumerate(b[t]):
+                if c and y:
+                    out[i][j] = out[i][j] + c * y
+    return out
+
 
 def _dense(op):
     m = mzeros(8, 8, KZERO)
@@ -139,11 +165,13 @@ def test_no_zero_entry_is_stored():
     _same(prod, mmul(_dense(a), _dense(b), KZERO))
 
 
-def test_lift_and_identity_match_the_dense_forms():
-    for name in ("E1", "F1"):
-        m = EXT.rep_token(name)
-        _same(ModuleOperator.lift(m),
-              [[KScalar.from_scalar(x) if x else KZERO for x in row] for row in m])
+def test_rho_and_identity_match_the_dense_forms():
+    # rho converts the nonzero Scalar entries of rep, a generator's and a
+    # starred generator's alike
+    for x in (normal_form(("E1",)), normal_form(("F1",)), star(normal_form(("E1",)))):
+        m = EXT.rep(x)
+        _same(EXT.rho(x), [[KScalar.from_scalar(m.terms[r, c]) if (r, c) in m.terms
+                            else KZERO for c in range(8)] for r in range(8)])
     _same(ModuleOperator.identity(),
           [[KONE if r == c else KZERO for c in range(8)] for r in range(8)])
     assert ModuleOperator.zero().terms == {}

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from qlg2 import pbw
-from qlg2.linalg import meq, miszero, mmul
-from qlg2.scalar import BR2, ONE, Q_SC, ZERO, q_power
+from qlg2.linalg import Matrix
+from qlg2.scalar import BR2, ONE, Q_SC, KScalar, q_power
 from qlg2.modules import (
     BASIS_INDEX, DEGREES, EXT, FUND, ModuleOperator,
     canonical_element_invariance_residuals, gamma_equivariance_residuals,
@@ -26,22 +26,22 @@ def _qp(n):
 
 def test_fundamental_matrix_entries():
     from qlg2.scalar import v_power
-    assert FUND.E2[1][2] == _qp(1)
-    assert FUND.F1[1][0] == v_power(-1)
-    assert FUND.E1[0][1] == v_power(1)
-    assert FUND.F2[2][1] == _qp(-1)
+    assert FUND.E2.terms == {(1, 2): _qp(1)}
+    assert FUND.F1.terms == {(1, 0): v_power(-1), (3, 2): v_power(-1)}
+    assert FUND.E1.terms == {(0, 1): v_power(1), (2, 3): v_power(1)}
+    assert FUND.F2.terms == {(2, 1): _qp(-1)}
 
 
 def test_fundamental_cartan_weights():
     k1 = FUND.K((2, -1))
     k2 = FUND.K((-2, 2))
-    assert [k1[j][j] for j in range(4)] == [_qp(1), _qp(-1), _qp(1), _qp(-1)]
-    assert [k2[j][j] for j in range(4)] == [_qp(0), _qp(2), _qp(-2), _qp(0)]
+    assert k1 == Matrix.diagonal([_qp(1), _qp(-1), _qp(1), _qp(-1)])
+    assert k2 == Matrix.diagonal([_qp(0), _qp(2), _qp(-2), _qp(0)])
 
 
 def test_fundamental_all_relations():
     for name, m in FUND.relation_residuals().items():
-        assert miszero(m), name
+        assert m.is_zero, name
 
 
 def test_representation_faithfulness_probe():
@@ -49,7 +49,7 @@ def test_representation_faithfulness_probe():
     toks = ["E1", "E2", "F1", "F2", ("K", 1, 0), ("K", 0, 1)]
     for _ in range(25):
         w = tuple(rng.choice(toks) for _ in range(rng.randint(1, 5)))
-        assert meq(FUND.rep(pbw.normal_form(w)), FUND.rep_word(w))
+        assert FUND.rep(pbw.normal_form(w)) == FUND.rep_word(w)
 
 
 def test_f_vanish():
@@ -94,10 +94,10 @@ def test_wedge_associativity():
 
 def test_levi_action_matches_golden_table():
     g = golden_levi_Lq()
-    assert meq(EXT.E1, g["E1"])
-    assert meq(EXT.F1, g["F1"])
-    assert meq(EXT.K((2, -1)), g["K1"])
-    assert meq(EXT.K((-2, 2)), g["K2"])
+    assert EXT.E1 == g["E1"]
+    assert EXT.F1 == g["F1"]
+    assert EXT.K((2, -1)) == g["K1"]
+    assert EXT.K((-2, 2)) == g["K2"]
 
 
 def test_levi_action_is_representation():
@@ -109,8 +109,8 @@ def test_levi_action_is_representation():
         direct = None
         for tok in w:
             m = EXT.rep_token(tok)
-            direct = m if direct is None else mmul(direct, m, ZERO)
-        assert meq(EXT.rep(x), direct)
+            direct = m if direct is None else direct @ m
+        assert EXT.rep(x) == direct
 
 
 def test_rho_rejects_an_element_outside_the_levi_factor():
@@ -133,13 +133,11 @@ def test_quadratic_dual_errors_on_wrong_rank():
 def test_inner_products_match_table():
     blocks = EXT.solve_invariant_inner_products()
     # degree 1: diag(c1, c1/[2], c1 q^-2), normalized c1 = 1
-    b1 = blocks[1]
-    assert b1[0][0] == ONE and b1[1][1] == ONE / BR2 and b1[2][2] == _qp(-2)
-    assert all(b1[i][j].is_zero for i in range(3) for j in range(3) if i != j)
+    assert blocks[1] == Matrix.diagonal([ONE, ONE / BR2, _qp(-2)])
     # degree 2: diag(c2, c2 [2], c2 q^-2)
-    b2 = blocks[2]
-    assert b2[0][0] == ONE and b2[1][1] == BR2 and b2[2][2] == _qp(-2)
-    assert blocks[0][0][0] == ONE and blocks[3][0][0] == ONE
+    b2 = blocks[2].terms
+    assert b2[0, 0] == ONE and b2[1, 1] == BR2 and b2[2, 2] == _qp(-2)
+    assert blocks[0] == Matrix.identity(1, ONE) == blocks[3]
 
 
 def test_gamma_matches_golden_table():
@@ -169,10 +167,11 @@ def test_adjoint_wrt_gram():
     ident = ModuleOperator.identity()
     assert EXT.adjoint_wrt_gram(ident) == ident
     # adjoint of the Levi action is the action of the star
-    adj = EXT.adjoint_wrt_gram(ModuleOperator.lift(EXT.E1))
-    assert adj == ModuleOperator.lift(EXT.rep_star_matrix("E1"))
-    adj = EXT.adjoint_wrt_gram(ModuleOperator.lift(EXT.F1))
-    assert adj == ModuleOperator.lift(EXT.rep_star_matrix("F1"))
+    def op(m):
+        return ModuleOperator({rc: KScalar.from_scalar(x) for rc, x in m.terms.items()})
+
+    assert EXT.adjoint_wrt_gram(op(EXT.E1)) == op(EXT.rep_star_matrix("E1"))
+    assert EXT.adjoint_wrt_gram(op(EXT.F1)) == op(EXT.rep_star_matrix("F1"))
 
 
 def test_iso_exterior_intertwines_levi_ss_only():
@@ -180,29 +179,19 @@ def test_iso_exterior_intertwines_levi_ss_only():
     deg1 = (1, 2, 3)
     deg2 = (4, 5, 6)
 
-    def block(m, rows, cols):
-        return [[m[r][c] for c in cols] for r in rows]
-
     for tok in ("E1", "F1", ("K", 2, -1)):
         m = EXT.rep_token(tok)
-        lhs = mmul(phi, block(m, deg1, deg1), ZERO)
-        rhs = mmul(block(m, deg2, deg2), phi, ZERO)
-        assert meq(lhs, rhs), tok
+        assert phi @ m.block(deg1, deg1) == m.block(deg2, deg2) @ phi, tok
     # K2 does not intertwine, in either composition order
     k2 = EXT.K((-2, 2))
-    lhs = mmul(phi, block(k2, deg1, deg1), ZERO)
-    rhs = mmul(block(k2, deg2, deg2), phi, ZERO)
-    assert not meq(lhs, rhs)
-    inv_phi = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
-    inv_phi[1][1] = BR2
-    lhs = mmul(inv_phi, block(k2, deg2, deg2), ZERO)
-    rhs = mmul(block(k2, deg1, deg1), inv_phi, ZERO)
-    assert not meq(lhs, rhs)
+    assert phi @ k2.block(deg1, deg1) != k2.block(deg2, deg2) @ phi
+    inv_phi = Matrix.diagonal([ONE, BR2, ONE])
+    assert inv_phi @ k2.block(deg2, deg2) != k2.block(deg1, deg1) @ inv_phi
 
 
 def test_canonical_element_invariance():
     for name, m in canonical_element_invariance_residuals().items():
-        assert miszero(m), name
+        assert m.is_zero, name
 
 
 def test_gamma_equivariance():

@@ -4,11 +4,10 @@ centrality, eigenvalues."""
 import itertools
 import random
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 
-from qlg2.linalg import kron, madd, meq, mscale, meye, miszero, mmul
+from qlg2.linalg import Matrix
 from qlg2.scalar import BR2, ONE, Q_SC, ZERO, evaluate, laurent_q, q_power
 from qlg2.modules import FUND
 from qlg2.pbw import coproduct, coproduct_word, normal_form, root_E, star
@@ -46,7 +45,7 @@ def test_truncation_is_exact():
 def test_intertwiner_property():
     R = TruncatedRMatrix.build()
     for tok, m in R.intertwiner_residuals().items():
-        assert miszero(m), tok
+        assert m.is_zero, tok
 
 
 def test_kron_mixed_product():
@@ -54,18 +53,17 @@ def test_kron_mixed_product():
     rng = random.Random(20240801)
 
     def rand(n, m):
-        return [[laurent_q({e: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                            for e in rng.sample(range(-2, 3), 2)})
-                 if rng.random() < 0.7 else ZERO for _ in range(m)]
-                for _ in range(n)]
+        return Matrix({(i, j): laurent_q({e: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                          for e in rng.sample(range(-2, 3), 2)})
+                       for i in range(n) for j in range(m) if rng.random() < 0.7}, (n, m))
 
     for _ in range(3):
         a, b, c, d = rand(2, 3), rand(3, 2), rand(3, 2), rand(2, 4)
-        lhs = mmul(kron(a, b, ZERO), kron(c, d, ZERO), ZERO)
-        rhs = kron(mmul(a, c, ZERO), mmul(b, d, ZERO), ZERO)
-        assert [len(r) for r in lhs] == [len(r) for r in rhs] == [8] * 6
-        assert meq(lhs, rhs)
-    assert meq(kron(meye(2, ONE, ZERO), meye(3, ONE, ZERO), ZERO), meye(6, ONE, ZERO))
+        lhs = a.kron(b) @ c.kron(d)
+        rhs = (a @ c).kron(b @ d)
+        assert lhs.shape == rhs.shape == (6, 8)
+        assert lhs == rhs
+    assert Matrix.identity(2, ONE).kron(Matrix.identity(3, ONE)) == Matrix.identity(6, ONE)
 
 
 def test_casimir_equals_explicit_form():
@@ -117,25 +115,24 @@ def test_radical_bidegree_balanced():
 def test_casimir_scalar_on_fundamental():
     C = quantum_trace_pairing()
     c = casimir_eigenvalue((1, 0))
-    assert meq(FUND.rep(C), mscale(c, meye(4, ONE, ZERO)))
+    assert FUND.rep(C) == Matrix.identity(4, c)
 
 
 def test_inner_product_values_of_proof():
     # (F_b3 F_b1 v_1, F_b2 v_1) = q^-1 with the orthonormal basis
-    m31 = mmul(FUND.root_F(3), FUND.root_F(1), ZERO)
-    m2 = FUND.root_F(2)
-    val = sum((m31[i][0] * m2[i][0] for i in range(4)), ZERO)
-    assert val == _qp(-1)
+    def pair(a, b):
+        # (a v_1, b v_1) in the orthonormal basis: column 0 against column 0
+        a, b = a.terms, b.terms
+        return sum((a[i, 0] * b[i, 0] for i in range(4)
+                    if (i, 0) in a and (i, 0) in b), ZERO)
+
+    F = FUND.root_F
+    assert pair(F(3) @ F(1), F(2)) == _qp(-1)
     # (F_b4 F_b1 v_1, F_b3 v_1) = q^-3
-    m41 = mmul(FUND.root_F(4), FUND.root_F(1), ZERO)
-    m3 = FUND.root_F(3)
-    val = sum((m41[i][0] * m3[i][0] for i in range(4)), ZERO)
-    assert val == _qp(-3)
+    assert pair(F(4) @ F(1), F(3)) == _qp(-3)
     # (F_b1 v_1, F_b1 v_1) = q^-1,  (F_b2 v_1, F_b2 v_1) = q^-2
-    f1 = FUND.root_F(1)
-    assert sum((f1[i][0] * f1[i][0] for i in range(4)), ZERO) == _qp(-1)
-    f2 = FUND.root_F(2)
-    assert sum((f2[i][0] * f2[i][0] for i in range(4)), ZERO) == _qp(-2)
+    assert pair(F(1), F(1)) == _qp(-1)
+    assert pair(F(2), F(2)) == _qp(-2)
 
 
 def test_eigenvalue_closed_forms():
@@ -172,17 +169,17 @@ def test_coproduct_on_v_tensor_v_matches_the_matrix_table():
     the PBW coproduct represented leg by leg on V (x) V equals the product of
     the engine-free 16x16 coproduct matrices of its letters."""
     toks = ("E1", "E2", "F1", "F2", ("K", 1, 0), ("K", -1, 1), ("K", 0, -1))
-    delta = {t: reduce(madd, [kron(a, b, ZERO) for a, b in coproduct_matrices(t)])
+    zero = Matrix({}, (16, 16))
+    delta = {t: sum((a.kron(b) for a, b in coproduct_matrices(t)), zero)
              for t in toks}
-    eye16 = meye(16, ONE, ZERO)
     for n in range(4):
         for word in itertools.product(toks, repeat=n):
-            want = eye16
+            want = Matrix.identity(16, ONE)
             for t in word:
-                want = mmul(want, delta[t], ZERO)
-            got = reduce(madd, [kron(FUND.rep(a), FUND.rep(b), ZERO)
-                                for a, b in coproduct_word(word)])
-            assert meq(got, want), word
+                want = want @ delta[t]
+            got = sum((FUND.rep(a).kron(FUND.rep(b)) for a, b in coproduct_word(word)),
+                      zero)
+            assert got == want, word
 
 
 @pytest.mark.parametrize("tok", [("K", (2, -1)), ("K", (-2, 2))],
@@ -190,8 +187,8 @@ def test_coproduct_on_v_tensor_v_matches_the_matrix_table():
 def test_tuple_cartan_token_parses_like_the_flat_form(tok):
     flat = ("K",) + tok[1]
     (got,), (want,) = coproduct_matrices(tok), coproduct_matrices(flat)
-    assert meq(got[0], want[0]) and meq(got[1], want[1])
-    assert meq(FUND.rep_token(tok), FUND.rep_token(flat))
+    assert got == want
+    assert FUND.rep_token(tok) == FUND.rep_token(flat)
 
 
 @pytest.mark.parametrize("tok", [

@@ -44,6 +44,29 @@ def test_each_top_level_name_has_one_home():
     assert not shared, f"names defined in more than one module: {shared}"
 
 
+# the list-of-lists kernels that linalg.Matrix replaced; the tests keep
+# private copies as oracles
+DENSE_KERNELS = {"mzeros", "meye", "madd", "msub", "mscale", "mT", "meq", "miszero"}
+
+
+def test_no_dense_matrix_kernel_in_the_package():
+    # Matrix is the one matrix form: a second, dense one must not creep back
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [n for a in node.names for n in (a.name, a.asname)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in DENSE_KERNELS]
+    assert not found, f"dense matrix kernels defined or imported in src/qlg2: {found}"
+
+
 def _load_tracer():
     # loaded by path: perfbench is not a package on the test path
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -46,7 +46,7 @@ def _levi_degree_one(monkeypatch):
 
     def mutated():
         table = orig()
-        table["E1"][2][1] = BR2
+        table["E1"].terms[2, 1] = BR2
         return table
     monkeypatch.setattr(checks, "golden_levi_Lq", mutated)
 
