@@ -103,11 +103,11 @@ def _cmd_spectrum(args):
         return EXIT_USAGE
     with out as fh:
         sp = spectrum_growth(Fraction(args.v_num, args.v_den), args.shell_max)
-        header = "n1,n2,c_lambda_exact_num,c_lambda_exact_den,c_lambda_float"
-        lines = [header]
-        for n1, n2, val in sp.rows:
-            lines.append(f"{n1},{n2},{val.numerator},{val.denominator},{float(val)!r}")
-        fh.write("\n".join(lines) + "\n")
+        # one line at a time: the whole table as one string, joined and
+        # then encoded, would hold several copies of it at once
+        fh.write("n1,n2,c_lambda_exact_num,c_lambda_exact_den,c_lambda_float\n")
+        fh.writelines(f"{n1},{n2},{val.numerator},{val.denominator},{float(val)!r}\n"
+                      for n1, n2, val in sp.rows)
     mins = ", ".join(f"s={s}: {float(v):.6g}"
                      for s, v in sorted(sp.shell_minima.items()))
     print(f"# shell minima: {mins}")

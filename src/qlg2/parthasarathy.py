@@ -375,31 +375,66 @@ class SpectrumResult:
         self.positive = positive
 
 
+def _linear_exponents():
+    """(base, s1, s2) with casimir_exponents((n1, n2)) equal to
+    base + n1 s1 + n2 s2 term by term; the pairing is bilinear."""
+    base = casimir_exponents((0, 0))
+    steps = [[e - b for e, b in zip(casimir_exponents(lam), base)]
+             for lam in ((1, 0), (0, 1))]
+    return base, steps[0], steps[1]
+
+
 def spectrum_growth(v0, shell_max):
     """Exact Casimir eigenvalues over dominant weights with n1 + n2 <=
     shell_max, enumerated lexicographically; reports per-shell minima.
 
-    Each row is c_L(v0) = sum_j q0^(-2 (lambda_j, L + rho)) / (q0 - q0^-1)^2
-    at q0 = v0^2, in plain Fractions (Jantzen, Lectures on Quantum Groups,
-    1996); rmatrix.casimir_exponents is the one source of the exponents.
-    v0 must satisfy 0 < v0 < 1.
+    Each row is c_L(v0) = sum_j q0^e_j / (q0 - q0^-1)^2 at q0 = v0^2, with
+    e_j = -2 (lambda_j, L + rho) (Jantzen, Lectures on Quantum Groups,
+    1996).  Writing q0 = n/d and m = max_j |e_j|, the row is the single
+    integer fraction
+
+        sum_j n^(m + e_j) d^(m - e_j) n^2 d^2 / ((n d)^m (n^2 - d^2)^2),
+
+    with every power nonnegative and the denominator positive; one
+    normalising Fraction per row reduces it, so the row equals the sum of
+    Fractions exactly.  The exponents are linear in L = (n1, n2), so they
+    come from rmatrix.casimir_exponents, their one source, at (0, 0),
+    (1, 0) and (0, 1); |e_j| is largest at a corner of the shell triangle,
+    which bounds the powers of n and d.  v0 must satisfy 0 < v0 < 1.
     """
     v0 = Fraction(v0)
     if not (0 < v0 < 1):
         raise ValueError("evaluation point must satisfy 0 < v0 < 1")
     q0 = v0 * v0
-    den = (q0 - 1 / q0) ** 2
+    n, d = q0.numerator, q0.denominator
+    base, s1, s2 = _linear_exponents()
+    top = max(abs(b + c1 * a1 + c2 * a2)
+              for c1, c2 in ((0, 0), (shell_max, 0), (0, shell_max))
+              for b, a1, a2 in zip(base, s1, s2))
+    pn, pd = [1], [1]
+    for _ in range(2 * top):
+        pn.append(pn[-1] * n)
+        pd.append(pd[-1] * d)
+    scale = n * n * d * d
+    den = (n * n - d * d) ** 2
     rows = []
+    mins = [None] * (shell_max + 1)
+    positive = True
     for n1 in range(shell_max + 1):
+        first = [b + n1 * a for b, a in zip(base, s1)]
         for n2 in range(shell_max + 1 - n1):
-            val = sum(q0 ** e for e in casimir_exponents((n1, n2))) / den
+            exps = [b + n2 * a for b, a in zip(first, s2)]
+            m = max(map(abs, exps))
+            num = sum([pn[m + e] * pd[m - e] for e in exps]) * scale
+            rden = pn[m] * pd[m] * den
+            val = Fraction(num, rden)
             rows.append((n1, n2, val))
-    shell_minima = {}
-    for n1, n2, val in rows:
-        s = n1 + n2
-        if s not in shell_minima or val < shell_minima[s]:
-            shell_minima[s] = val
-    mins = [shell_minima[s] for s in range(shell_max + 1)]
-    monotone = all(a < b for a, b in zip(mins, mins[1:]))
-    positive = all(val > 0 for _, _, val in rows)
+            # exact sign and order on the integer pair, whose rden > 0
+            if num <= 0:
+                positive = False
+            low = mins[n1 + n2]
+            if low is None or num * low[1] < low[0] * rden:
+                mins[n1 + n2] = (num, rden, val)
+    shell_minima = {s: low[2] for s, low in enumerate(mins)}
+    monotone = all(a[2] < b[2] for a, b in zip(mins, mins[1:]))
     return SpectrumResult(v0, shell_max, rows, shell_minima, monotone, positive)

@@ -60,7 +60,8 @@ _MAX_ORDER = 2
 
 
 class TruncatedRMatrix:
-    """(id (x) rho)(R) as a 4x4 Matrix of PBW elements."""
+    """(id (x) rho)(R) as a 4x4 Matrix of PBW elements.  `build` keeps the
+    intertwiner residuals it checked in `intertwiner`."""
 
     def __init__(self, mat, truncation_checks):
         self.mat = mat
@@ -86,7 +87,8 @@ class TruncatedRMatrix:
             A = A @ Matrix(factor, (4, 4))
         # Cartan correction: right multiplication by diag(K_{-lambda_nu})
         inst = cls(A @ Matrix.diagonal([K(-lam) for lam in LAMBDA_V]), checks)
-        for tok, m in inst.intertwiner_residuals().items():
+        inst.intertwiner = inst.intertwiner_residuals()
+        for tok, m in inst.intertwiner.items():
             if not m.is_zero:
                 raise RuntimeError(
                     f"represented R-matrix fails the intertwiner "

@@ -10,14 +10,15 @@ from qlg2.checks import Context, check_parthasarathy
 from qlg2.modules import EXT
 from qlg2.pbw import K, antipode, normal_form, star
 from qlg2.rmatrix import (
-    casimir_eigenvalue, casimir_quantum_terms, quantum_trace_pairing,
+    casimir_eigenvalue, casimir_exponents, casimir_quantum_terms,
+    quantum_trace_pairing,
 )
 from qlg2.parthasarathy import (
     KAPPA2_RATIO, KAPPA3_RATIO, PARTHASARATHY_CONSTANT, casimir_in_M,
     dirac_self_adjoint, dirac_squared,
     dolbeault, dolbeault_invariance_residuals, gamma_identities_after_kappa,
     gamma_pair_formula, m_well_definedness_probe, parthasarathy_residual,
-    solve_kappa_constraints, spectrum_growth, _u_key,
+    solve_kappa_constraints, spectrum_growth, _linear_exponents, _u_key,
 )
 
 Q = Q_SC
@@ -204,3 +205,36 @@ def test_spectrum_rows_equal_symbolic_eigenvalues(v0):
         (n1, n2) for n1 in range(21) for n2 in range(21 - n1)]
     for n1, n2, val in sp.rows:
         assert val == casimir_eigenvalue((n1, n2)).evaluate(v0)
+
+
+def _fraction_row(v0, n1, n2):
+    """One row as a sum of Fraction powers: the oracle for the integer rows."""
+    q0 = Fraction(v0) ** 2
+    den = (q0 - 1 / q0) ** 2
+    return sum(q0 ** e for e in casimir_exponents((n1, n2))) / den
+
+
+@pytest.mark.parametrize("v0", [Fraction(1, 2), Fraction(2, 3), Fraction(2, 7),
+                                Fraction(99, 100)])
+@pytest.mark.parametrize("shell_max", [1, 30])
+def test_integer_rows_equal_fraction_oracle(v0, shell_max):
+    # at 1/2 every power of the numerator of q0 is 1; the other points have
+    # numerator and denominator above 1, and 99/100 puts q0 close to 1
+    sp = spectrum_growth(v0, shell_max)
+    expected = [(n1, n2, _fraction_row(v0, n1, n2))
+                for n1 in range(shell_max + 1) for n2 in range(shell_max + 1 - n1)]
+    assert sp.rows == expected
+    minima = {s: min(val for n1, n2, val in expected if n1 + n2 == s)
+              for s in range(shell_max + 1)}
+    assert sp.shell_minima == minima
+    assert list(sp.shell_minima) == list(range(shell_max + 1))
+    assert sp.monotone == all(minima[s] < minima[s + 1] for s in range(shell_max))
+    assert sp.positive == all(val > 0 for _, _, val in expected)
+
+
+def test_linear_exponents_equal_casimir_exponents():
+    base, s1, s2 = _linear_exponents()
+    for n1 in range(31):
+        for n2 in range(31 - n1):
+            assert [b + n1 * a1 + n2 * a2 for b, a1, a2 in zip(base, s1, s2)] \
+                == casimir_exponents((n1, n2))

@@ -48,6 +48,13 @@ def test_intertwiner_property():
         assert m.is_zero, tok
 
 
+def test_build_keeps_the_residuals_it_checked():
+    # prop-cas-general reads the stored dict instead of a second pass
+    R = TruncatedRMatrix.build()
+    assert list(R.intertwiner) == ["E1", "E2", "F1", "F2", "K1", "K2"]
+    assert R.intertwiner == R.intertwiner_residuals()
+
+
 def test_kron_mixed_product():
     # (A (x) B)(C (x) D) = AC (x) BD, with the sizes read off the operands
     rng = random.Random(20240801)
