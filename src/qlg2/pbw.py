@@ -43,10 +43,12 @@ _cross(B1, A2) is moved past the Cartan parts, and the blocks F^A1 F^A3 and
 E^B3 E^B2 are looked up already straightened in tables keyed by their
 exponent pairs (A1, A3) and (B3, B2); the straighteners run only on a miss.
 `_cross` memoises every pair of exponents in _CROSS_CACHE, a pair with an
-empty side included.  `normal_form` checks each token, then looks the token
-word up in _NF_CACHE, which holds the coefficient-one left fold, and scales
-that by the coefficient.  Memoised term maps are shared by every caller and
-are never mutated.
+empty side included, and _CROSS_ROW_CACHE holds its terms as the rows the
+loop reads, with the integer covectors that give the Cartan exponent.
+`normal_form` checks each token, then looks the token word up in _NF_CACHE,
+which holds the coefficient-one left fold, and scales that by the
+coefficient.  Memoised term maps are shared by every caller and are never
+mutated.
 
 The Hopf structure has one source: `coproduct` on generator tokens, with
 star and antipode given on the simple letters.  The adjoint action is the
@@ -263,11 +265,24 @@ def _cross(eexp, fexp):
     return got
 
 
+# _cross(B, A) as rows (A3, nu1, nu2, B3, c3, g1, g2, h1, h2), keyed by (B, A):
+# (g1, g2) and (h1, h2) pair a weight with wt F^A3 and wt E^B3 under the Gram
+# form [[1, 1], [1, 2]], so that (lam, wt F^A3) = lam1 g1 + lam2 g2
+_CROSS_ROW_CACHE = {}
+
+
+def _cross_rows(eexp, fexp):
+    rows = []
+    for (A3, nu, B3), c3 in _cross(eexp, fexp).items():
+        (f1, f2), (e1, e2) = _wt_f(A3), _wt_e(B3)
+        rows.append((A3, *nu, B3, c3, f1 + f2, f1 + 2 * f2, e1 + e2, e1 + 2 * e2))
+    rows = _CROSS_ROW_CACHE[(eexp, fexp)] = tuple(rows)
+    return rows
+
+
 # straightened blocks F^A1 F^A3 and E^B3 E^B2 keyed by their exponent pairs
 _F_PAIR_CACHE = {}
 _E_PAIR_CACHE = {}
-# Cartan factors q^k keyed by k
-_QP_CACHE = {}
 
 
 def _mul_terms(t1, t2):
@@ -276,30 +291,30 @@ def _mul_terms(t1, t2):
     For words F^A1 K_lam E^B1 and F^A2 K_mu E^B2 each term F^A3 K_nu E^B3
     of _cross(B1, A2) gives
 
-        q^-((lam, wt F^A3) + (mu, wt E^B3)) . F^A1 F^A3 K_(lam+nu+mu) E^B3 E^B2,
+        q^-k . F^A1 F^A3 K_(lam+nu+mu) E^B3 E^B2,  k = (lam, wt F^A3) + (mu, wt E^B3),
 
-    whose F and E blocks are straightened through the pair tables.  A
-    coefficient product with a factor ONE is skipped.
+    whose F and E blocks are straightened through the pair tables.  The
+    Cartan exponent k is an integer dot product of lam and mu with the
+    covectors that _cross_rows stores beside each term, and q^-k = v^-2k is
+    applied as a shift of the coefficient.  A coefficient product with a
+    factor ONE is skipped.
     """
     out = {}
     get = out.get
-    for (A1, lam, B1), c1 in t1.items():
-        lam0 = lam == W_ZERO
-        for (A2, mu, B2), c2 in t2.items():
+    rows_of = _CROSS_ROW_CACHE.get
+    new = tuple.__new__
+    for (A1, (l1, l2), B1), c1 in t1.items():
+        for (A2, (m1, m2), B2), c2 in t2.items():
             c12 = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
-            mu0 = mu == W_ZERO
-            lm = mu if lam0 else lam if mu0 else lam + mu
-            for (A3, nu, B3), c3 in _cross(B1, A2).items():
+            w1, w2 = l1 + m1, l2 + m2
+            for A3, n1, n2, B3, c3, g1, g2, h1, h2 in (
+                    rows_of((B1, A2)) or _cross_rows(B1, A2)):
                 c = c3 if c12 is ONE else c12 if c3 is ONE else c12 * c3
                 # K_lam across F^A3 to the right, K_mu across E^B3 to the left
-                k = -((0 if lam0 else lam.pair(_wt_f(A3)))
-                      + (0 if mu0 else mu.pair(_wt_e(B3))))
+                k = l1 * g1 + l2 * g2 + m1 * h1 + m2 * h2
                 if k:
-                    qp = _QP_CACHE.get(k)
-                    if qp is None:
-                        qp = _QP_CACHE[k] = _qp(k)
-                    c = c * qp
-                w = lm if nu == W_ZERO else lm + nu
+                    c = c.shift(-2 * k)
+                w = new(Weight, (w1 + n1, w2 + n2))
                 ftab = _F_PAIR_CACHE.get((A1, A3))
                 if ftab is None:
                     ftab = _F_PAIR_CACHE[(A1, A3)] = _straighten_f(

@@ -22,12 +22,15 @@ in the inner loops.  `canon_str` prints the same monic-over-Q form as a
 Fraction-coefficient representation would: numerator and denominator
 divided by the leading coefficient of cont * den.
 
-Two exact short-cuts serve the products the checks repeat.  `_cancel`
-memoises its gcd-bearing case (both polynomials of degree >= 1) in
-`_CANCEL_CACHE`, keyed by the pair (num, den): a few hundred distinct pairs
-recur thousands of times.  A product with a factor +-v^k (cont = 1, den = 1)
-is a sign and a shift of the other factor, already canonical, so it skips
-`_make`.
+Three exact short-cuts serve the sums and products the checks repeat.
+`_cancel` memoises its gcd-bearing case (both polynomials of degree >= 1)
+in `_CANCEL_CACHE`, keyed by the pair (num, den): a few hundred distinct
+pairs recur thousands of times.  A sum over two different denominators of
+degree >= 1 goes over their lcm L, not their product, with L and the
+cofactors L/d1, L/d2 memoised in `_LCM_CACHE`; the canonical form is
+unique, so the sum is the same.  A product with a factor +-v^k (cont = 1,
+den = 1) is a sign and a shift of the other factor, already canonical, so
+it skips `_make`, and `shift` multiplies by v^k with no product at all.
 
 KScalar extends Scalar by three commuting symbols kappa_1, kappa_2, kappa_3
 (the formal ratios of the graded inner-product constants) truncated at total
@@ -188,6 +191,18 @@ def _cancel(n, d):
     return n, d
 
 
+# (L/d1, L/d2, L) for L = lcm(d1, d2), keyed by the pair (d1, d2)
+_LCM_CACHE = {}
+
+
+def _lcm(d1, d2):
+    """Cofactors and lcm of two primitive denominators of degree >= 1."""
+    g = _pgcd(d1, d2)
+    u1 = _pexquo(d2, g)
+    got = _LCM_CACHE[(d1, d2)] = (u1, _pexquo(d1, g), _pmul(d1, u1))
+    return got
+
+
 class Scalar:
     __slots__ = ("_n", "_c", "_d", "_s", "_h")
 
@@ -272,10 +287,11 @@ class Scalar:
         d1, d2 = self._d, o._d
         if d1 == d2:
             return Scalar._make(_padd(n1, n2), c, d1, s, True)
-        num = _padd(_pmul(n1, d2), _pmul(n2, d1))
+        if len(d1) > 1 and len(d2) > 1:
+            u1, u2, den = _LCM_CACHE.get((d1, d2)) or _lcm(d1, d2)
+            return Scalar._make(_padd(_pmul(n1, u1), _pmul(n2, u2)), c, den, s, True)
         # a sum with a Laurent polynomial is already reduced
-        return Scalar._make(num, c, _pmul(d1, d2), s,
-                            len(d1) > 1 and len(d2) > 1)
+        return Scalar._make(_padd(_pmul(n1, d2), _pmul(n2, d1)), c, _pmul(d1, d2), s)
 
     __radd__ = __add__
 
@@ -322,6 +338,10 @@ class Scalar:
                             self._s + o._s)
 
     __rmul__ = __mul__
+
+    def shift(self, k):
+        """v**k * self: a shift of a canonical Scalar is canonical."""
+        return Scalar(self._n, self._c, self._d, self._s + k) if self._n else self
 
     def inv(self):
         if not self._n:

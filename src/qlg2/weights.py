@@ -28,14 +28,15 @@ class Weight(tuple):
     def __new__(cls, n1, n2):
         return tuple.__new__(cls, (int(n1), int(n2)))
 
+    # the operands are Weights already, so the result needs no int() coercion
     def __add__(self, other):
-        return Weight(self[0] + other[0], self[1] + other[1])
+        return tuple.__new__(Weight, (self[0] + other[0], self[1] + other[1]))
 
     def __sub__(self, other):
-        return Weight(self[0] - other[0], self[1] - other[1])
+        return tuple.__new__(Weight, (self[0] - other[0], self[1] - other[1]))
 
     def __neg__(self):
-        return Weight(-self[0], -self[1])
+        return tuple.__new__(Weight, (-self[0], -self[1]))
 
     def __rmul__(self, k):
         if not isinstance(k, int):

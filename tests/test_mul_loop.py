@@ -9,10 +9,10 @@ import sys
 from qlg2 import pbw
 from qlg2.linalg import accumulate
 from qlg2.pbw import (
-    _EXPAND_E, _EXPAND_F, _SIMPLE_CROSS, _ZEXP, _acc, _bump, _e_letters,
+    _EXPAND_E, _EXPAND_F, _QBR2, _SIMPLE_CROSS, _ZEXP, _acc, _bump, _e_letters,
     _f_letters, _straighten_e, _straighten_f, _wt_e, _wt_f,
 )
-from qlg2.scalar import ONE, q_power, scalar
+from qlg2.scalar import ONE, Q_SC, q_power, scalar
 from qlg2.weights import ALPHA1, ALPHA2, OMEGA1, OMEGA2, W_ZERO, Weight
 
 
@@ -103,19 +103,25 @@ def _letters_and_k():
     return unit + letters + ks
 
 
+# the last two have distinct denominators q - q^-1 and q^2 - q^-2 that share
+# a factor, so sums of their products meet the lcm branch of Scalar.__add__
 _COEFFS = (ONE, -ONE, scalar(3), scalar(-2) / 5, q_power(1), q_power(-2),
-           q_power(1) + q_power(-1))
+           q_power(1) + q_power(-1), ONE / Q_SC, ONE / _QBR2)
+
+# the K parts of the tokens the associativity probe of eq-comm-rel-uqg draws
+_PROBE_K = (Weight(1, 0), Weight(-1, 1), Weight(0, -1))
 
 
 def _random_terms(rng):
-    """One to three words of at most four letters, with random K parts and
-    coefficients."""
+    """One to three words of at most four letters, with K parts in -2..2
+    (every third one a probe token's) and random coefficients."""
     out = {}
     for _ in range(rng.randint(1, 3)):
         exps = [0] * 8
         for _ in range(rng.randint(0, 4)):
             exps[rng.randrange(8)] += 1
-        lam = Weight(rng.randint(-1, 1), rng.randint(-1, 1))
+        lam = (rng.choice(_PROBE_K) if rng.random() < 1 / 3
+               else Weight(rng.randint(-2, 2), rng.randint(-2, 2)))
         accumulate(out, (tuple(exps[:4]), lam, tuple(exps[4:])), rng.choice(_COEFFS))
     return out
 
@@ -162,8 +168,9 @@ def test_cold_tables_give_the_warm_products():
     pairs = list(itertools.product(_letters_and_k(), repeat=2)) + _random_pairs(100, 97)
     warm = [pbw._mul_terms(t1, t2) for t1, t2 in pairs]
     tables = _memo_tables()
-    assert {f"qlg2.pbw.{name}" for name in ("_F_PAIR_CACHE", "_E_PAIR_CACHE",
-                                            "_QP_CACHE", "_CROSS_CACHE")} <= set(tables)
+    assert {f"qlg2.pbw.{name}" for name in (
+        "_F_PAIR_CACHE", "_E_PAIR_CACHE", "_CROSS_CACHE", "_CROSS_ROW_CACHE")} <= set(tables)
+    assert {"qlg2.scalar._CANCEL_CACHE", "qlg2.scalar._LCM_CACHE"} <= set(tables)
     saved = {name: dict(table) for name, table in tables.items()}
     try:
         for table in tables.values():

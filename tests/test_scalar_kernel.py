@@ -6,6 +6,7 @@ plain Fraction arithmetic on the values of those pairs at random rational
 points, so the oracle shares no code with the kernel.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -13,9 +14,9 @@ from math import gcd, lcm
 import pytest
 
 from qlg2.scalar import (
-    _CANCEL_CACHE, BR2, ONE, Q_SC, ZERO, InexactDivisionError, Scalar, _cancel,
-    _pexquo, laurent_q, laurent_v, q_binomial, q_factorial, q_number, scalar,
-    v_power,
+    _CANCEL_CACHE, _LCM_CACHE, BR2, ONE, Q_SC, ZERO, InexactDivisionError, Scalar,
+    _cancel, _padd, _pexquo, _pmul, _pscale, laurent_q, laurent_v, q_binomial,
+    q_factorial, q_number, scalar, v_power,
 )
 
 
@@ -280,6 +281,69 @@ def test_cancel_matches_gcd_oracle_cold_and_warm():
         _CANCEL_CACHE.update(saved)
     assert cold == want
     assert warm == want
+
+
+# --- the lcm branch of Scalar.__add__ against the product formula ------------
+
+def _product_add(x, y):
+    """x + y over the product d1 d2 of the denominators, reduced after: the
+    formula Scalar.__add__ used for two denominators of degree >= 1 before it
+    went over their lcm."""
+    s = min(x._s, y._s)
+    n1 = (0,) * (x._s - s) + x._n
+    n2 = (0,) * (y._s - s) + y._n
+    g = gcd(x._c, y._c)
+    n1, n2 = _pscale(n1, y._c // g), _pscale(n2, x._c // g)
+    num = _padd(_pmul(n1, y._d), _pmul(n2, x._d))
+    return Scalar._make(num, x._c // g * y._c, _pmul(x._d, y._d), s, True)
+
+
+# v^4 - 1, v^4 + 1, v^8 - 1 and (v^4 - 1)^2: pairs that share cyclotomic
+# factors, so lcm(d1, d2) is a proper divisor of d1 d2
+_V4M1 = {0: -1, 4: 1}
+_LCM_PAIRS = {
+    "v4-1,v8-1": (_V4M1, {0: -1, 8: 1}),
+    "v4+1,v8-1": ({0: 1, 4: 1}, {0: -1, 8: 1}),
+    "(v4-1)^2,v4-1": (_dmul(_V4M1, _V4M1), _V4M1),
+}
+
+
+def _over(rng, den):
+    """(Scalar, num dict, den dict): a random numerator over den, drawn again
+    until it shares no factor with den, so the Scalar keeps den."""
+    inv = ONE / laurent_v(den)
+    while True:
+        num = _rand_laurent(rng, rng.randint(1, 4))
+        if rng.random() < 0.5:
+            num = {e: c * rng.choice((2, 3, Fraction(1, 6))) for e, c in num.items()}
+        x = laurent_v(num) * inv
+        if num and x._d == inv._d:
+            return x, num, den
+
+
+@pytest.mark.parametrize("name", sorted(_LCM_PAIRS))
+def test_lcm_sums_match_the_product_formula(name):
+    dens = _LCM_PAIRS[name]
+    rng = random.Random(sum(map(ord, name)))
+    saved = dict(_LCM_CACHE)
+    try:
+        _LCM_CACHE.clear()
+        for _ in range(30):
+            for (x, xn, xd), (y, yn, yd) in itertools.permutations(
+                    [_over(rng, dens[0]), _over(rng, dens[1])]):
+                assert x._d != y._d and len(x._d) > 1 and len(y._d) > 1
+                got, want = x + y, _product_add(x, y)
+                _check_canonical(got)
+                assert (got._n, got._c, got._d, got._s) == (
+                    want._n, want._c, want._d, want._s)
+                for pt in _points(rng, ((xn, xd), (yn, yd))):
+                    assert got.evaluate(pt) == (
+                        _dval(xn, pt) / _dval(xd, pt) + _dval(yn, pt) / _dval(yd, pt))
+        # both orders of the pair are memoised
+        assert len(_LCM_CACHE) == 2
+    finally:
+        _LCM_CACHE.clear()
+        _LCM_CACHE.update(saved)
 
 
 # canon_str of values recorded from the Fraction-coefficient kernel; report

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import qlg2
 
+from test_mul_loop import _memo_tables
+
 SRC = Path(qlg2.__file__).resolve().parent
 
 
@@ -42,6 +44,42 @@ def test_each_top_level_name_has_one_home():
             homes.setdefault(name, []).append(path.name)
     shared = {name: files for name, files in homes.items() if len(files) > 1}
     assert not shared, f"names defined in more than one module: {shared}"
+
+
+def _is_empty_dict(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict"
+            and not node.args and not node.keywords)
+
+
+# module-level dicts that start empty but are no memo: the check registry,
+# which @check fills at import
+REGISTRIES = {"qlg2.checks.CHECKS"}
+
+
+def test_every_module_level_empty_dict_is_a_cache():
+    # the cold-table tests clear every dict named *_CACHE; a memo under any
+    # other name would stay warm in them
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if _is_empty_dict(node.value):
+                found |= {f"qlg2.{path.stem}.{n.id}" for target in targets
+                          for n in ast.walk(target) if isinstance(n, ast.Name)}
+    misnamed = sorted(name for name in found - REGISTRIES
+                      if not name.endswith("_CACHE"))
+    assert not misnamed, f"module-level empty dicts not named *_CACHE: {misnamed}"
+    for name in found:
+        importlib.import_module(name.rsplit(".", 1)[0])
+    assert set(_memo_tables()) == found - REGISTRIES
 
 
 # the list-of-lists kernels that linalg.Matrix replaced; the tests keep
