@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
@@ -48,18 +47,26 @@ def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@dataclass
 class CheckResult:
-    check_id: str
-    status: str
-    statement: str
-    lhs_digest: str = ""
-    rhs_digest: str = ""
-    residual: str = ""
-    details: tuple = ()
-    elapsed_ms: float = 0.0
-    # the exception of a check that raised; never serialized
-    exception: Exception | None = field(default=None, repr=False, compare=False)
+    """One check's verdict; `exception` holds the exception of a check that
+    raised and is never serialized.  A plain class: `dataclasses` would pull
+    `inspect` and `ast` into every process's import."""
+
+    __slots__ = ("check_id", "status", "statement", "lhs_digest",
+                 "rhs_digest", "residual", "details", "elapsed_ms", "exception")
+
+    def __init__(self, check_id, status, statement, lhs_digest="",
+                 rhs_digest="", residual="", details=(), elapsed_ms=0.0,
+                 exception=None):
+        self.check_id = check_id
+        self.status = status
+        self.statement = statement
+        self.lhs_digest = lhs_digest
+        self.rhs_digest = rhs_digest
+        self.residual = residual
+        self.details = details
+        self.elapsed_ms = elapsed_ms
+        self.exception = exception
 
     def as_dict(self, timings=False):
         out = {

@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import json
 import sys
-import traceback
 from fractions import Fraction
 
 from .checks import CHECKS, Context, run_suite
@@ -83,6 +82,8 @@ def _cmd_verify(args):
                  else _render_md(results, args.timings))
     statuses = {r.status for r in results}
     if "error" in statuses:
+        import traceback  # error branches only: keeps it off the import path
+
         for r in results:
             if r.exception is not None:
                 print(f"check {r.check_id} raised:", file=sys.stderr)
@@ -152,6 +153,8 @@ def main(argv=None):
     except BrokenPipeError:
         return EXIT_INTERNAL
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -45,10 +45,10 @@ exponent pairs (A1, A3) and (B3, B2); the straighteners run only on a miss.
 `_cross` memoises every pair of exponents in _CROSS_CACHE, a pair with an
 empty side included, and _CROSS_ROW_CACHE holds its terms as the rows the
 loop reads, with the integer covectors that give the Cartan exponent.
-`normal_form` checks each token, then looks the token word up in _NF_CACHE,
-which holds the coefficient-one left fold, and scales that by the
-coefficient.  Memoised term maps are shared by every caller and are never
-mutated.
+`normal_form` checks each token with plain type tests, then looks the token
+word up in _NF_CACHE, which holds the coefficient-one left fold, and scales
+that by the coefficient; the tokens' term maps are built only on a miss.
+Memoised term maps are shared by every caller and are never mutated.
 
 The Hopf structure has one source: `coproduct` on generator tokens, with
 star and antipode given on the simple letters.  The adjoint action is the
@@ -548,6 +548,18 @@ def _token_terms(tok):
     return _GENERATORS[tok]
 
 
+def _plain_token(tok):
+    """True for a generator name or a Cartan token of exact ints: the tokens
+    `normal_form` accepts without building their term maps."""
+    if type(tok) is str:
+        return tok in _GENERATORS
+    if type(tok) is not tuple or not tok or tok[0] != "K":
+        return False
+    lam = tok[1] if len(tok) == 2 else tok[1:]
+    return (type(lam) is tuple and len(lam) == 2
+            and type(lam[0]) is int and type(lam[1]) is int)
+
+
 # coefficient-one normal forms keyed by the token word; the term maps are
 # shared by every result, so no caller may mutate them
 _NF_CACHE = {}
@@ -560,15 +572,18 @@ def normal_form(word, coeff=ONE):
     AlgebraElement, coeff times the left fold of the token products.  Any
     other token raises ValueError before any work, and before the word is
     looked up in _NF_CACHE: ("K", 1.0, 0) equals ("K", 1, 0) as a key but
-    is no token.  Idempotent on reduced data.
+    is no token.  The term maps of the tokens are built only on a miss.
+    Idempotent on reduced data.
     """
     word = tuple(word)
-    factors = [_token_terms(t) for t in word]
+    for t in word:
+        if not _plain_token(t):
+            _token_terms(t)  # raises ValueError unless `t` is a token
     out = _NF_CACHE.get(word)
     if out is None:
         out = AE_ONE.terms
-        for f in factors:
-            out = _mul_terms(out, f)
+        for t in word:
+            out = _mul_terms(out, _token_terms(t))
         _NF_CACHE[word] = out
     x = AlgebraElement(out)
     return x if coeff is ONE else x * coeff

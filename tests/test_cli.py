@@ -176,7 +176,22 @@ def test_raising_check_is_reported_as_error(tmp_path, capsys,
     assert results["lem-inner-prod"]["status"] == "pass"
     err = capsys.readouterr().err
     assert "check early-raise raised" in err
+    assert "Traceback (most recent call last)" in err
     assert "RuntimeError: engine defect" in err
+
+
+def test_engine_error_outside_a_check_prints_traceback(tmp_path, capsys,
+                                                       monkeypatch):
+    def broken(*args):
+        raise RuntimeError("spectrum engine defect")
+
+    monkeypatch.setattr(cli, "spectrum_growth", broken)
+    rc = cli.main(["spectrum", "--v-num", "1", "--v-den", "2",
+                   "--shell-max", "5", "--csv", str(tmp_path / "t.csv")])
+    assert rc == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert err.rstrip().endswith("RuntimeError: spectrum engine defect")
 
 
 def test_markdown_report_lists_errors(tmp_path, suite_with_raising_check):

@@ -366,6 +366,21 @@ def test_malformed_cartan_token_rejected(tok):
             call()
 
 
+@pytest.mark.parametrize("tok", [("K", True, 0), ("K", 1.0, 0), ("K", [1, 0])],
+                         ids=repr)
+def test_malformed_cartan_token_rejected_on_a_warm_memo(tok):
+    # ("K", True, 0) and ("K", 1.0, 0) equal the warm key ("K", 1, 0), and
+    # ("K", [1, 0]) is unhashable: each is checked before the memo lookup
+    normal_form((("K", 1, 0),))
+    keys = set(pbw._NF_CACHE)
+    with pytest.raises(ValueError, match="malformed Cartan token"):
+        normal_form((tok,))
+    with pytest.raises(ValueError, match="malformed Cartan token"):
+        normal_form(("E1", tok))
+    assert set(pbw._NF_CACHE) == keys
+    assert normal_form((("K", (1, 0)),)) == K(1, 0)
+
+
 def test_cartan_token_forms():
     assert normal_form((("K", 2, -1),)) == normal_form((("K", (2, -1)),)) == K(ALPHA1)
     assert token_name(("K", (1, 0))) == token_name(("K", 1, 0)) == "K(1, 0)"
