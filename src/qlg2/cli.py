@@ -107,8 +107,9 @@ def _cmd_spectrum(args):
         # one line at a time: the whole table as one string, joined and
         # then encoded, would hold several copies of it at once
         fh.write("n1,n2,c_lambda_exact_num,c_lambda_exact_den,c_lambda_float\n")
-        fh.writelines(f"{n1},{n2},{val.numerator},{val.denominator},{float(val)!r}\n"
-                      for n1, n2, val in sp.rows)
+        # int true division is correctly rounded, as float(Fraction) is
+        fh.writelines(f"{n1},{n2},{num},{den},{num / den!r}\n"
+                      for n1, n2, num, den in sp.rows)
     mins = ", ".join(f"s={s}: {float(v):.6g}"
                      for s, v in sorted(sp.shell_minima.items()))
     print(f"# shell minima: {mins}")

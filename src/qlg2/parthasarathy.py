@@ -27,6 +27,7 @@ c_L over dominant weights, whose per-shell minima grow strictly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .linalg import Combination, accumulate, nullspace
 from .scalar import BR2, ONE, ZERO, kappa, Q_SC as _Q, q_power as _qp
@@ -390,51 +391,69 @@ def spectrum_growth(v0, shell_max):
 
     Each row is c_L(v0) = sum_j q0^e_j / (q0 - q0^-1)^2 at q0 = v0^2, with
     e_j = -2 (lambda_j, L + rho) (Jantzen, Lectures on Quantum Groups,
-    1996).  Writing q0 = n/d and m = max_j |e_j|, the row is the single
-    integer fraction
+    1996).  The weights lambda_j of V are +-eps1 and +-eps2, so the
+    exponents come in two pairs +-e; this is checked once per call on the
+    linear form below.  Writing q0 = n/d, t_k = n^k + d^k, m for the
+    larger and e for the smaller |e_j|, q0^e + q0^-e = t_(2e) / (nd)^e and
+    (q0 - q0^-1)^2 = (n^2 - d^2)^2 / (nd)^2, so the row is
 
-        sum_j n^(m + e_j) d^(m - e_j) n^2 d^2 / ((n d)^m (n^2 - d^2)^2),
+        S / ((nd)^(m - 2) (n^2 - d^2)^2),  S = t_(2m) + (nd)^(m - e) t_(2e).
 
-    with every power nonnegative and the denominator positive; one
-    normalising Fraction per row reduces it, so the row equals the sum of
-    Fractions exactly.  The exponents are linear in L = (n1, n2), so they
-    come from rmatrix.casimir_exponents, their one source, at (0, 0),
-    (1, 0) and (0, 1); |e_j| is largest at a corner of the shell triangle,
-    which bounds the powers of n and d.  v0 must satisfy 0 < v0 < 1.
+    L + rho is strictly dominant, so m = 2 (n1 + n2 + 2) >= 4 and
+    m - e = 2 (n1 + 1) >= 2: both powers of nd are nonnegative integers,
+    the one in the denominator because m >= 2.  S is a sum of positive
+    terms over a positive denominator, so every row is positive by the
+    formula, and `positive` records that fact rather than finding it.
+    As m - e >= 1, S = d^(2m) (mod n) and S = n^(2m) (mod d), so S is
+    coprime to nd, and the one common factor left is g = gcd(S mod
+    (n^2 - d^2)^2, (n^2 - d^2)^2), a gcd with a small integer; a row is
+    the coprime integer tuple (n1, n2, S/g, (nd)^(m - 2) (n^2 - d^2)^2 / g).
+    The exponents are linear in L = (n1, n2), so they come from
+    rmatrix.casimir_exponents, their one source, at (0, 0), (1, 0) and
+    (0, 1); |e_j| is largest at a corner of the shell triangle, which
+    bounds the tables of t_k and (nd)^k.  v0 must satisfy 0 < v0 < 1.
     """
     v0 = Fraction(v0)
     if not (0 < v0 < 1):
         raise ValueError("evaluation point must satisfy 0 < v0 < 1")
+    linear = _linear_exponents()
+    if any(len(x) != 4 or x[::-1] != [-e for e in x] for x in linear):
+        raise ValueError("Casimir exponents do not come in pairs +-e")
     q0 = v0 * v0
     n, d = q0.numerator, q0.denominator
-    base, s1, s2 = _linear_exponents()
-    top = max(abs(b + c1 * a1 + c2 * a2)
-              for c1, c2 in ((0, 0), (shell_max, 0), (0, shell_max))
-              for b, a1, a2 in zip(base, s1, s2))
-    pn, pd = [1], [1]
+    (b1, b2), (a1, a2), (c1, c2) = (x[:2] for x in linear)
+    top = max(abs(b + k1 * a + k2 * c)
+              for k1, k2 in ((0, 0), (shell_max, 0), (0, shell_max))
+              for b, a, c in ((b1, a1, c1), (b2, a2, c2)))
+    t, pnd = [2], [1]
+    pn = pd = 1
     for _ in range(2 * top):
-        pn.append(pn[-1] * n)
-        pd.append(pd[-1] * d)
-    scale = n * n * d * d
+        pn *= n
+        pd *= d
+        t.append(pn + pd)
+    for _ in range(top):
+        pnd.append(pnd[-1] * n * d)
     den = (n * n - d * d) ** 2
     rows = []
     mins = [None] * (shell_max + 1)
     positive = True
     for n1 in range(shell_max + 1):
-        first = [b + n1 * a for b, a in zip(base, s1)]
+        x0, y0 = b1 + n1 * a1, b2 + n1 * a2
         for n2 in range(shell_max + 1 - n1):
-            exps = [b + n2 * a for b, a in zip(first, s2)]
-            m = max(map(abs, exps))
-            num = sum([pn[m + e] * pd[m - e] for e in exps]) * scale
-            rden = pn[m] * pd[m] * den
-            val = Fraction(num, rden)
-            rows.append((n1, n2, val))
-            # exact sign and order on the integer pair, whose rden > 0
+            m, e = abs(x0 + n2 * c1), abs(y0 + n2 * c2)
+            if m < e:
+                m, e = e, m
+            num = t[2 * m] + pnd[m - e] * t[2 * e]
+            g = gcd(num % den, den)
+            num //= g
+            rden = pnd[m - 2] * (den // g)
+            rows.append((n1, n2, num, rden))
+            # exact sign and order on the coprime pair, whose rden > 0
             if num <= 0:
                 positive = False
             low = mins[n1 + n2]
             if low is None or num * low[1] < low[0] * rden:
-                mins[n1 + n2] = (num, rden, val)
-    shell_minima = {s: low[2] for s, low in enumerate(mins)}
-    monotone = all(a[2] < b[2] for a, b in zip(mins, mins[1:]))
+                mins[n1 + n2] = (num, rden)
+    shell_minima = {s: Fraction(*low) for s, low in enumerate(mins)}
+    monotone = all(a[0] * b[1] < b[0] * a[1] for a, b in zip(mins, mins[1:]))
     return SpectrumResult(v0, shell_max, rows, shell_minima, monotone, positive)

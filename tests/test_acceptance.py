@@ -176,5 +176,6 @@ def test_criterion_9_parthasarathy(casimir, d2m):
 def test_criterion_10_spectrum():
     sp = spectrum_growth(Fraction(1, 2), 20)
     ok = sp.positive and sp.monotone and len(sp.rows) == 231
+    ok = ok and all(num > 0 and den > 0 for _, _, num, den in sp.rows)
     _report(10, "all 231 eigenvalues at v = 1/2 positive with strictly "
                 "increasing shell minima up to shell 20", ok)

@@ -2,10 +2,12 @@
 kappa constraints and the Casimir comparison."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from qlg2.scalar import BR2, ONE, Q_SC, kappa, q_power
+from qlg2 import parthasarathy
 from qlg2.checks import Context, check_parthasarathy
 from qlg2.modules import EXT
 from qlg2.pbw import K, antipode, normal_form, star
@@ -190,7 +192,8 @@ def test_spectrum_growth():
     assert sp.monotone and sp.positive
     # row (0,0) agrees with the eigenvalue at lam = 0
     from qlg2.rmatrix import casimir_eigenvalue
-    assert sp.rows[0][2] == casimir_eigenvalue((0, 0)).evaluate(Fraction(1, 2))
+    assert sp.rows[0][:2] == (0, 0)
+    assert Fraction(*sp.rows[0][2:]) == casimir_eigenvalue((0, 0)).evaluate(Fraction(1, 2))
     with pytest.raises(ValueError):
         spectrum_growth(Fraction(3, 2), 3)
     with pytest.raises(ValueError):
@@ -203,8 +206,8 @@ def test_spectrum_rows_equal_symbolic_eigenvalues(v0):
     sp = spectrum_growth(v0, 20)
     assert [row[:2] for row in sp.rows] == [
         (n1, n2) for n1 in range(21) for n2 in range(21 - n1)]
-    for n1, n2, val in sp.rows:
-        assert val == casimir_eigenvalue((n1, n2)).evaluate(v0)
+    for n1, n2, num, den in sp.rows:
+        assert Fraction(num, den) == casimir_eigenvalue((n1, n2)).evaluate(v0)
 
 
 def _fraction_row(v0, n1, n2):
@@ -214,22 +217,61 @@ def _fraction_row(v0, n1, n2):
     return sum(q0 ** e for e in casimir_exponents((n1, n2))) / den
 
 
-@pytest.mark.parametrize("v0", [Fraction(1, 2), Fraction(2, 3), Fraction(2, 7),
-                                Fraction(99, 100)])
+# at 1/2 and 1/3 every power of the numerator of q0 is 1; the other points
+# have numerator and denominator above 1, and 99/100 puts q0 close to 1.  At
+# 1/2, 2/3, 2/7 and 99/100 no row shares a factor with (n^2 - d^2)^2; at 1/3,
+# 3/5 and 5/7 every row does, so the division by g runs
+ORACLE_POINTS = [Fraction(1, 2), Fraction(2, 3), Fraction(2, 7), Fraction(99, 100),
+                 Fraction(1, 3), Fraction(3, 5), Fraction(5, 7)]
+
+
+@pytest.mark.parametrize("v0", ORACLE_POINTS)
 @pytest.mark.parametrize("shell_max", [1, 30])
 def test_integer_rows_equal_fraction_oracle(v0, shell_max):
-    # at 1/2 every power of the numerator of q0 is 1; the other points have
-    # numerator and denominator above 1, and 99/100 puts q0 close to 1
     sp = spectrum_growth(v0, shell_max)
     expected = [(n1, n2, _fraction_row(v0, n1, n2))
                 for n1 in range(shell_max + 1) for n2 in range(shell_max + 1 - n1)]
-    assert sp.rows == expected
+    assert len(sp.rows) == len(expected)
+    for row, (n1, n2, val) in zip(sp.rows, expected):
+        # the coprime integer pair of the row, with a positive denominator
+        assert len(row) == 4 and row[:2] == (n1, n2)
+        num, den = row[2:]
+        assert type(num) is int and type(den) is int
+        assert den > 0 and gcd(num, den) == 1
+        assert Fraction(num, den) == val
     minima = {s: min(val for n1, n2, val in expected if n1 + n2 == s)
               for s in range(shell_max + 1)}
     assert sp.shell_minima == minima
     assert list(sp.shell_minima) == list(range(shell_max + 1))
+    assert all(type(val) is Fraction for val in sp.shell_minima.values())
     assert sp.monotone == all(minima[s] < minima[s + 1] for s in range(shell_max))
     assert sp.positive == all(val > 0 for _, _, val in expected)
+
+
+def test_both_reductions_occur_at_the_oracle_points():
+    # with q0 = n/d and D = (n^2 - d^2)^2, a row's unreduced denominator is
+    # (nd)^(m - 2) D with nd coprime to D, so its reduced denominator is a
+    # multiple of D exactly when the row's gcd g is 1
+    seen = {False: 0, True: 0}
+    for v0 in ORACLE_POINTS:
+        q0 = v0 * v0
+        big = (q0.numerator ** 2 - q0.denominator ** 2) ** 2
+        for _, _, _, den in spectrum_growth(v0, 30).rows:
+            seen[den % big != 0] += 1
+    assert seen[False] > 0 and seen[True] > 0, seen
+
+
+@pytest.mark.parametrize("bad", [
+    ([-4, -2, 2, 5], [-2, 0, 0, 2], [-2, -2, 2, 2]),
+    ([-4, -2, 2, 4], [-2, 0, 1, 2], [-2, -2, 2, 2]),
+    ([-4, -2, 2, 4], [-2, 0, 0, 2], [-2, -2, 2, 3]),
+    ([-4, -2, 0, 0, 2, 4], [-2, 0, 0, 0, 0, 2], [-2, -2, 0, 0, 2, 2]),
+], ids=["base", "s1", "s2", "three-pairs"])
+def test_spectrum_requires_exponent_pairs(bad, monkeypatch):
+    # the row formula pairs q0^e with q0^-e; any other exponent list is an error
+    monkeypatch.setattr(parthasarathy, "_linear_exponents", lambda: bad)
+    with pytest.raises(ValueError, match="pairs"):
+        spectrum_growth(Fraction(1, 2), 3)
 
 
 def test_linear_exponents_equal_casimir_exponents():
