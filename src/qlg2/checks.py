@@ -702,7 +702,9 @@ def check_parthasarathy(ctx):
         residual.append("perturbed kappa_3 fails to break the identity")
     else:
         details.append("negative control: perturbed kappa_3 breaks the identity")
-    # reduce_to_M is linear: C minus quantum term k reduces to cm minus its image
+    # the reduction into M is linear in the first leg and splits each element
+    # once: C minus quantum term k reduces to cm minus the reduction of the
+    # term alone, from one split of that term
     for k, term in enumerate(casimir_quantum_terms()):
         bad, _ = parthasarathy_residual(cm - casimir_in_M(term, ctx.degree_cap), d2m)
         if bad.radical_is_zero:

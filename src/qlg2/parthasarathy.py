@@ -14,7 +14,10 @@ whose defining relation moves Levi factors across the tensor sign:
 X Y (x) T = X (x) T rho(S(Y)) for Y in the quantized Levi factor.  An
 MElement stores the components of that reduction, indexed by the ordered
 radical monomials E*_{xi}^A E_{xi}^B, with the identity monomial holding the
-pure Levi remainder.
+pure Levi remainder.  The relation is linear in the first leg and the split
+x = sum_u W(u) L_u of levi_right_split is unique and linear, so M's relation
+is applied once per simple tensor: x (x) T reduces to
+sum_u W(u) (x) T rho(S(L_u)) from one split of the whole element x.
 
 The main verification: with the inner-product ratios fixed by the vanishing
 of the mixed component (kappa_2 = kappa_1 [2]^-1 q^-2, kappa_3 =
@@ -80,11 +83,16 @@ class TensorOperator(Combination):
         return TensorOperator(out)
 
 
+def _dolbeault_tensors():
+    """The three simple tensors (E_{xi_i}, gamma(y_i)) of d."""
+    return [(xi_E(i), EXT.gamma(i)) for i in (1, 2, 3)]
+
+
 def dolbeault():
     """d = sum_i E_{xi_i} (x) gamma(y_i)."""
     out = TensorOperator({})
-    for i in (1, 2, 3):
-        out = out + TensorOperator.from_element(xi_E(i), EXT.gamma(i))
+    for x, op in _dolbeault_tensors():
+        out = out + TensorOperator.from_element(x, op)
     return out
 
 
@@ -135,26 +143,42 @@ class MElement(Combination):
 _SPLIT_CACHE = {}
 
 
-def _split_word(word, degree_cap):
-    got = _SPLIT_CACHE.get((word, degree_cap))
+def _split_word(x, degree_cap):
+    """The pieces (u, rho(S(L_u))) of the split x = sum_u W(u) L_u of a PBW
+    element, with the zero operators dropped; memoised per (x, degree_cap)."""
+    got = _SPLIT_CACHE.get((x, degree_cap))
     if got is None:
-        parts = levi_right_split(AlgebraElement.from_word(word), degree_cap)
-        got = tuple((u, EXT.rho(antipode(l))) for u, l in parts)
-        _SPLIT_CACHE[(word, degree_cap)] = got
+        pieces = ((u, EXT.rho(antipode(l))) for u, l in levi_right_split(x, degree_cap))
+        got = tuple((u, op) for u, op in pieces if not op.is_zero)
+        _SPLIT_CACHE[(x, degree_cap)] = got
     return got
 
 
-def reduce_to_M(t, degree_cap=3):
-    """Reduce a TensorOperator in M: X Y (x) T -> X (x) T rho(S(Y))."""
+def _reduce(pairs, degree_cap):
+    """Reduce sum x (x) T over the simple tensors (x, T) in M, one split per
+    x: x (x) T = sum_u W(u) (x) T rho(S(L_u))."""
     out = {}
-    for word, op in t.terms.items():
-        for u, rho_sl in _split_word(word, degree_cap):
+    for x, op in pairs:
+        for u, rho_sl in _split_word(x, degree_cap):
             accumulate(out, u, op @ rho_sl)
     return MElement(out)
 
 
+def reduce_to_M(t, degree_cap=3):
+    """Reduce a TensorOperator in M, each of its words w (x) T_w taken as
+    one simple tensor: X Y (x) T -> X (x) T rho(S(Y))."""
+    return _reduce(((AlgebraElement.from_word(w), op) for w, op in t.terms.items()),
+                   degree_cap)
+
+
 def dirac_squared(degree_cap=3):
-    """D^2 reduced in M with the kappa symbols still free."""
+    """D^2 reduced in M with the kappa symbols still free.
+
+    d^2 = 0 and (d*)^2 = 0 are checked, so D^2 = d d* + d* d.  With d =
+    sum_i xi_i (x) gamma_i and d* = sum_j xi*_j (x) gamma*_j, that is the 18
+    simple tensors xi_i xi*_j (x) gamma_i gamma*_j and xi*_j xi_i (x)
+    gamma*_j gamma_i, each reduced from one split of its first leg.
+    """
     d = dolbeault()
     ds = d.star()
     # the square-zero identities are part of the contract
@@ -162,8 +186,11 @@ def dirac_squared(degree_cap=3):
         raise RuntimeError("Dolbeault element does not square to zero")
     if not (ds * ds).is_zero:
         raise RuntimeError("adjoint Dolbeault element does not square to zero")
-    big = d * ds + ds * d
-    out = reduce_to_M(big, degree_cap)
+    d_pairs = _dolbeault_tensors()
+    ds_pairs = [(star(x), EXT.adjoint_wrt_gram(op)) for x, op in d_pairs]
+    out = _reduce([(x * y, a @ b) for x, a in d_pairs for y, b in ds_pairs]
+                  + [(y * x, b @ a) for y, b in ds_pairs for x, a in d_pairs],
+                  degree_cap)
     allowed = {_U_ZERO} | {_u_key(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
     extra = set(out.terms) - allowed
     if extra:
@@ -282,8 +309,8 @@ def gamma_identities_after_kappa(d2m):
 # ---------------------------------------------------------------------------
 
 def casimir_in_M(C, degree_cap=3):
-    t = TensorOperator.from_element(C, ModuleOperator.identity())
-    return reduce_to_M(t, degree_cap)
+    """C (x) 1 reduced in M from one split of the whole element C."""
+    return _reduce(((C, ModuleOperator.identity()),), degree_cap)
 
 
 PARTHASARATHY_CONSTANT = _qp(4) / (BR2 * BR2)     # times kappa_1
@@ -337,19 +364,30 @@ def dirac_self_adjoint():
     return (d.star() - d).is_zero
 
 
+# the space m_well_definedness_probe draws from: a Levi word of one or two
+# of PROBE_LEVI_TOKENS, a first factor xi_i or xi_i xi*_j with i and j in
+# PROBE_XI_INDICES, and one of probe_base_operators()
+PROBE_LEVI_TOKENS = ("E1", "F1", ("K", 1, 0), ("K", 0, -1))
+PROBE_XI_INDICES = (1, 2, 3)
+
+
+def probe_base_operators():
+    return (EXT.gamma(1), EXT.gamma(2), EXT.gamma_star(3), ModuleOperator.identity())
+
+
 def m_well_definedness_probe(seed=20240801, trials=12):
     """Randomized check of the defining relation of M: multiplying a tensor
     operator by Y (x) 1 and by 1 (x) rho(S(Y)) reduce identically for Levi Y."""
     import random
     rng = random.Random(seed)
-    levi_toks = ["E1", "F1", ("K", 1, 0), ("K", 0, -1)]
-    base_ops = [EXT.gamma(1), EXT.gamma(2), EXT.gamma_star(3), ModuleOperator.identity()]
+    base_ops = probe_base_operators()
     failures = 0
     for _ in range(trials):
-        y = normal_form(tuple(rng.choice(levi_toks) for _ in range(rng.randint(1, 2))))
-        first = xi_E(rng.randint(1, 3))
+        y = normal_form(tuple(rng.choice(PROBE_LEVI_TOKENS)
+                              for _ in range(rng.randint(1, 2))))
+        first = xi_E(rng.choice(PROBE_XI_INDICES))
         if rng.random() < 0.5:
-            first = first * xi_E_star(rng.randint(1, 3))
+            first = first * xi_E_star(rng.choice(PROBE_XI_INDICES))
         t = TensorOperator.from_element(first, rng.choice(base_ops))
         left = t * TensorOperator.from_element(y, ModuleOperator.identity())
         right = t * TensorOperator.from_element(
@@ -408,6 +446,11 @@ def spectrum_growth(v0, shell_max):
     coprime to nd, and the one common factor left is g = gcd(S mod
     (n^2 - d^2)^2, (n^2 - d^2)^2), a gcd with a small integer; a row is
     the coprime integer tuple (n1, n2, S/g, (nd)^(m - 2) (n^2 - d^2)^2 / g).
+    In shell s = n1 + n2, m = 2 (s + 2), so the rows of a shell share their
+    unreduced denominator and the shell minimum is the row of smallest S, by
+    plain integer comparison; a shell whose rows differ in m raises
+    ValueError.  Only the minima of adjacent shells are cross-multiplied,
+    for `monotone`.
     The exponents are linear in L = (n1, n2), so they come from
     rmatrix.casimir_exponents, their one source, at (0, 0), (1, 0) and
     (0, 1); |e_j| is largest at a corner of the shell triangle, which
@@ -435,6 +478,7 @@ def spectrum_growth(v0, shell_max):
         pnd.append(pnd[-1] * n * d)
     den = (n * n - d * d) ** 2
     rows = []
+    # per shell: (m, smallest unreduced S, its row)
     mins = [None] * (shell_max + 1)
     positive = True
     for n1 in range(shell_max + 1):
@@ -445,15 +489,21 @@ def spectrum_growth(v0, shell_max):
                 m, e = e, m
             num = t[2 * m] + pnd[m - e] * t[2 * e]
             g = gcd(num % den, den)
-            num //= g
-            rden = pnd[m - 2] * (den // g)
-            rows.append((n1, n2, num, rden))
-            # exact sign and order on the coprime pair, whose rden > 0
-            if num <= 0:
+            row = (n1, n2, num // g, pnd[m - 2] * (den // g))
+            rows.append(row)
+            # exact sign on the coprime pair, whose denominator is > 0
+            if row[2] <= 0:
                 positive = False
+            # a shell's rows share m, so their unreduced denominator: the
+            # smallest S is the smallest row
             low = mins[n1 + n2]
-            if low is None or num * low[1] < low[0] * rden:
-                mins[n1 + n2] = (num, rden)
-    shell_minima = {s: Fraction(*low) for s, low in enumerate(mins)}
-    monotone = all(a[0] * b[1] < b[0] * a[1] for a, b in zip(mins, mins[1:]))
+            if low is None:
+                mins[n1 + n2] = (m, num, row)
+            elif m != low[0]:
+                raise ValueError("rows of a shell do not share a denominator")
+            elif num < low[1]:
+                mins[n1 + n2] = (m, num, row)
+    low_rows = [low[2] for low in mins]
+    shell_minima = {s: Fraction(row[2], row[3]) for s, row in enumerate(low_rows)}
+    monotone = all(a[2] * b[3] < b[2] * a[3] for a, b in zip(low_rows, low_rows[1:]))
     return SpectrumResult(v0, shell_max, rows, shell_minima, monotone, positive)

@@ -6,21 +6,27 @@ from math import gcd
 
 import pytest
 
-from qlg2.scalar import BR2, ONE, Q_SC, kappa, q_power
+from qlg2.scalar import BR2, ONE, Q_SC, ZERO, kappa, q_power
 from qlg2 import parthasarathy
 from qlg2.checks import Context, check_parthasarathy
-from qlg2.modules import EXT
-from qlg2.pbw import K, antipode, normal_form, star
+from qlg2.linalg import accumulate
+from qlg2.modules import EXT, ModuleOperator
+from qlg2.pbw import (
+    AE_ONE, AlgebraElement, K, antipode, levi_right_split, normal_form, star,
+    xi_E, xi_E_star,
+)
 from qlg2.rmatrix import (
     casimir_eigenvalue, casimir_exponents, casimir_quantum_terms,
     quantum_trace_pairing,
 )
 from qlg2.parthasarathy import (
-    KAPPA2_RATIO, KAPPA3_RATIO, PARTHASARATHY_CONSTANT, casimir_in_M,
+    KAPPA2_RATIO, KAPPA3_RATIO, PARTHASARATHY_CONSTANT, PROBE_LEVI_TOKENS,
+    PROBE_XI_INDICES, MElement, TensorOperator, casimir_in_M,
     dirac_self_adjoint, dirac_squared,
     dolbeault, dolbeault_invariance_residuals, gamma_identities_after_kappa,
     gamma_pair_formula, m_well_definedness_probe, parthasarathy_residual,
-    solve_kappa_constraints, spectrum_growth, _linear_exponents, _u_key,
+    probe_base_operators, reduce_to_M, solve_kappa_constraints, spectrum_growth,
+    _linear_exponents, _u_key,
 )
 
 Q = Q_SC
@@ -186,6 +192,85 @@ def test_m_well_definedness():
     assert m_well_definedness_probe(seed=11, trials=4) == 0
 
 
+def _wordwise_reduce(t, degree_cap):
+    """The word-by-word reduction into M: each PBW word w (x) T_w of t split
+    on its own, sum over w and u of T_w rho(S(L_u(w))).  The oracle for the
+    reduction that splits each simple tensor's first leg once."""
+    out = {}
+    for word, op in t.terms.items():
+        for u, levi in levi_right_split(AlgebraElement.from_word(word), degree_cap):
+            accumulate(out, u, op @ EXT.rho(antipode(levi)))
+    return MElement(out)
+
+
+def _casimir_tensor(x):
+    return TensorOperator.from_element(x, ModuleOperator.identity())
+
+
+@pytest.mark.parametrize("degree_cap", [1, 3])
+def test_casimir_reduction_equals_wordwise_oracle(casimir, degree_cap):
+    assert casimir_in_M(casimir, degree_cap) == _wordwise_reduce(
+        _casimir_tensor(casimir), degree_cap)
+    terms = casimir_quantum_terms()
+    assert len(terms) == 6
+    for k, term in enumerate(terms):
+        assert casimir_in_M(term, degree_cap) == _wordwise_reduce(
+            _casimir_tensor(term), degree_cap), k
+
+
+@pytest.mark.parametrize("degree_cap", [1, 3])
+def test_dirac_square_equals_wordwise_oracle(degree_cap):
+    d = dolbeault()
+    ds = d.star()
+    want = _wordwise_reduce(d * ds + ds * d, degree_cap)
+    assert not want.radical_is_zero
+    assert dirac_squared(degree_cap) == want
+
+
+def test_reductions_split_each_simple_tensor_once(casimir, monkeypatch):
+    # D^2 is the 9 + 9 simple tensors xi_i xi*_j (x) gamma_i gamma*_j and
+    # xi*_j xi_i (x) gamma*_j gamma_i; C (x) 1 is one
+    firsts = []
+
+    def split(x, degree_cap, _orig=parthasarathy._split_word):
+        firsts.append(x)
+        return _orig(x, degree_cap)
+
+    monkeypatch.setattr(parthasarathy, "_split_word", split)
+    dirac_squared()
+    assert len(firsts) == 18
+    assert len(set(firsts)) == 18
+    assert set(firsts) == {xi_E(i) * xi_E_star(j) for i in (1, 2, 3) for j in (1, 2, 3)} \
+        | {xi_E_star(j) * xi_E(i) for i in (1, 2, 3) for j in (1, 2, 3)}
+    firsts.clear()
+    casimir_in_M(casimir)
+    assert firsts == [casimir]
+
+
+def test_m_relation_on_every_single_token_case():
+    """reduce_to_M(t (Y (x) 1)) == reduce_to_M(t (1 (x) rho(S(Y)))) for every
+    single-token case of the space m_well_definedness_probe draws from:
+    Y one of PROBE_LEVI_TOKENS, t = x (x) T with x = xi_i or xi_i xi*_j for
+    i, j in PROBE_XI_INDICES and T one of probe_base_operators().
+
+    Exhaustive on that finite domain only (the small scope hypothesis), not
+    a proof of the relation for all of U_q(l)."""
+    firsts = [xi_E(i) for i in PROBE_XI_INDICES] + [
+        xi_E(i) * xi_E_star(j) for i in PROBE_XI_INDICES for j in PROBE_XI_INDICES]
+    ops = probe_base_operators()
+    cases = 0
+    for tok in PROBE_LEVI_TOKENS:
+        y = normal_form((tok,))
+        by_y = TensorOperator.from_element(y, ModuleOperator.identity())
+        by_rho = TensorOperator.from_element(AE_ONE, EXT.rho(antipode(y)))
+        for first in firsts:
+            for op in ops:
+                t = TensorOperator.from_element(first, op)
+                assert reduce_to_M(t * by_y) == reduce_to_M(t * by_rho), (tok, first, op)
+                cases += 1
+    assert cases == len(PROBE_LEVI_TOKENS) * len(firsts) * len(ops) == 192
+
+
 def test_spectrum_growth():
     sp = spectrum_growth(Fraction(1, 2), 5)
     assert len(sp.rows) == 21
@@ -246,6 +331,59 @@ def test_integer_rows_equal_fraction_oracle(v0, shell_max):
     assert all(type(val) is Fraction for val in sp.shell_minima.values())
     assert sp.monotone == all(minima[s] < minima[s + 1] for s in range(shell_max))
     assert sp.positive == all(val > 0 for _, _, val in expected)
+
+
+def _cleared_eigenvalue(n1, n2):
+    """(q - q^-1)^2 c(n1, n2) = sum_j q^e_j over Q(v)."""
+    return sum(map(q_power, casimir_exponents((n1, n2))), ZERO)
+
+
+def _cleared_product(a, b):
+    """(q - q^-1)^2 [a] [b] = (q^a - q^-a)(q^b - q^-b) over Q(v)."""
+    return (q_power(a) - q_power(-a)) * (q_power(b) - q_power(-b))
+
+
+def test_shell_growth_identities_over_q_of_v():
+    """In shell s = n1 + n2, with the (q - q^-1)^2 cleared:
+
+        c(n1, n2) = c(s, 0) + [n2 + 2] [n2],   c(s + 1, 0) = c(s, 0) + [2s + 5].
+
+    The exponents of c(n1, n2) are +-m and +-e with m = 2 (s + 2) and
+    e = 2 (n2 + 1).  So c(n1, n2) - c(s, 0) clears to q^e + q^-e - q^2 - q^-2
+    = (q^(n2+2) - q^-(n2+2)) (q^n2 - q^-n2), and c(s + 1, 0) - c(s, 0) to
+    q^(m+2) + q^-(m+2) - q^m - q^-m = (q - q^-1) (q^(m+1) - q^-(m+1)), for
+    every shell.  Each added term is a q-number or a product of two, so
+    positive for q > 0, and zero only when n2 = 0: the minimum of every shell
+    is the row (s, 0), and the minima strictly increase.  Checked here
+    exactly, with the exponents read from rmatrix.casimir_exponents, on all
+    rows up to shell 60."""
+    heads = [_cleared_eigenvalue(s, 0) for s in range(61)]
+    rows = 0
+    for n1 in range(61):
+        for n2 in range(61 - n1):
+            assert _cleared_eigenvalue(n1, n2) == \
+                heads[n1 + n2] + _cleared_product(n2 + 2, n2), (n1, n2)
+            rows += 1
+    assert rows == 1891
+    for s in range(60):
+        assert heads[s + 1] == heads[s] + _cleared_product(2 * s + 5, 1), s
+
+
+@pytest.mark.parametrize("v0", ORACLE_POINTS)
+def test_shell_minima_are_the_first_rows(v0):
+    # the (s, 0) rows, from the Fraction oracle, are the shell minima
+    sp = spectrum_growth(v0, 30)
+    assert sp.shell_minima == {s: _fraction_row(v0, s, 0) for s in range(31)}
+    assert sp.monotone
+
+
+def test_spectrum_requires_one_denominator_per_shell(monkeypatch):
+    # exponent pairs whose larger |e| moves inside a shell: the minimum by
+    # unreduced numerators alone would be wrong, so the call raises
+    bad = ([-4, -2, 2, 4], [-2, 0, 0, 2], [-4, -2, 2, 4])
+    monkeypatch.setattr(parthasarathy, "_linear_exponents", lambda: bad)
+    with pytest.raises(ValueError, match="share a denominator"):
+        spectrum_growth(Fraction(1, 2), 3)
 
 
 def test_both_reductions_occur_at_the_oracle_points():
