@@ -10,15 +10,14 @@ the named verification checks and the numeric spectrum table.
 """
 
 from .scalar import (
-    KScalar, PoleError, Scalar, evaluate, kappa, laurent_q, laurent_v,
+    KScalar, PoleError, Scalar, kappa, laurent_q, laurent_v,
     q_binomial, q_factorial, q_number, q_power, v_power,
 )
-from .weights import Weight, pair
+from .weights import Weight
 from . import pbw, modules, rmatrix, parthasarathy, checks
 
 __all__ = [
-    "KScalar", "PoleError", "Scalar", "Weight", "checks", "evaluate",
-    "kappa", "laurent_q", "laurent_v", "modules", "pair", "parthasarathy",
-    "pbw", "q_binomial", "q_factorial", "q_number", "q_power", "rmatrix",
-    "v_power",
+    "KScalar", "PoleError", "Scalar", "Weight", "checks", "kappa",
+    "laurent_q", "laurent_v", "modules", "parthasarathy", "pbw",
+    "q_binomial", "q_factorial", "q_number", "q_power", "rmatrix", "v_power",
 ]

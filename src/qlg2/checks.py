@@ -18,10 +18,10 @@ from fractions import Fraction
 from math import prod
 
 from .linalg import Matrix
-from .scalar import BR2, ONE, ZERO, evaluate, laurent_q, Q_SC as _Q, q_power as _qp
+from .scalar import BR2, ONE, ZERO, laurent_q, Q_SC as _Q, q_power as _qp
 from . import pbw
 from .pbw import (
-    AE_ZERO, K, antipode, coproduct, counit, is_levi, levi_right_split,
+    AE_ZERO, K, antipode, coproduct, counit, levi_right_split,
     normal_form, root_E, root_F, star, token_name, unit, xi_E, xi_E_star,
 )
 from .modules import (
@@ -40,7 +40,8 @@ from .parthasarathy import (
     casimir_in_M, dirac_self_adjoint, dirac_squared, dolbeault,
     dolbeault_invariance_residuals, gamma_identities_after_kappa,
     gamma_pair_formula, m_well_definedness_probe, parthasarathy_residual,
-    solve_kappa_constraints, spectrum_growth, stated_levi_operators, _u_key,
+    solve_kappa_constraints, spectrum_growth, stated_levi_operators, _U_ZERO,
+    _u_key,
 )
 
 def digest(text):
@@ -460,8 +461,8 @@ def check_rel_xi_xis(ctx):
     rows = []
     for (i, j), want in sorted(REL_XI_XIS_GOLDEN.items()):
         parts = dict(levi_right_split(xi_E(i) * xi_E_star(j), ctx.degree_cap))
-        levi = parts.pop((0, 0, 0, 0, 0, 0), AE_ZERO)
-        ok = parts == {u: w * unit() for u, w in want.items()} and is_levi(levi)
+        levi = parts.pop(_U_ZERO, AE_ZERO)
+        ok = parts == {u: w * unit() for u, w in want.items()} and levi.is_levi()
         rows.append((f"xi{i} xi{j}*", ok, f"({i},{j})"))
     residual, details = _tally(rows)
     return "mod-Levi commutation decompositions", "six stated relations", \
@@ -544,7 +545,7 @@ def check_value_casimir(ctx):
         residual.append("c at omega1")
     details.append("omega1 value ok" if c1 == want1 else "omega1 MISMATCH")
     v0 = Fraction(1, 3)
-    vals = [evaluate(casimir_eigenvalue((n, n % 2)), v0) for n in range(5)]
+    vals = [casimir_eigenvalue((n, n % 2)).evaluate(v0) for n in range(5)]
     pos = all(v > 0 for v in vals)
     details.append(f"positivity at v=1/3 on 5 samples: {'ok' if pos else 'NO'}")
     if not pos:

@@ -136,9 +136,6 @@ class FundamentalModule(_WeightModule):
             2: ((f2 @ f1 @ f1).scale(inv2) - (f1 @ f2 @ f1).scale(_qp(1))
                 + (f1 @ f1 @ f2).scale(_qp(2) * inv2))}
 
-    def root_E(self, j):
-        return self._root_e[j]
-
     def root_F(self, j):
         return self._root_f[j]
 
@@ -243,14 +240,6 @@ class ModuleOperator(Matrix):
                 out[rc] = y
         return ModuleOperator(out)
 
-    def degree_shift(self):
-        """The unique d with entries only on blocks deg(row) = deg(col) + d,
-        or None if mixed."""
-        shifts = {DEGREES[r] - DEGREES[c] for r, c in self.terms}
-        if len(shifts) > 1:
-            return None
-        return shifts.pop() if shifts else 0
-
     def entries_str(self):
         return "; ".join(
             f"[{BASIS_NAMES[r]},{BASIS_NAMES[c]}] {self.terms[r, c].canon_str()}"
@@ -299,9 +288,6 @@ class ExteriorModule(_WeightModule):
               for (j, i), x in _ad_radical("F1").terms.items()}
         return {"E1": e1, "F1": f1}
 
-    def _vec(self, i):
-        return {i: ONE}
-
     def _act_rec(self, tok, word):
         """Module-algebra action of E1/F1 on a basis word, recursively."""
         if not word:
@@ -310,7 +296,7 @@ class ExteriorModule(_WeightModule):
             i = BASIS_INDEX[word]
             return {k + 1: x for (k, j), x in self._levi1[tok].items() if j == i - 1}
         head, tail = (word[0],), word[1:]
-        hv, tv = self._vec(BASIS_INDEX[head]), self._vec(BASIS_INDEX[tail])
+        hv, tv = {BASIS_INDEX[head]: ONE}, {BASIS_INDEX[tail]: ONE}
         if tok == "E1":
             # E1(u ^ v) = (E1 u) ^ v + (K1 u) ^ (E1 v)
             a = self.wedge(self._act_rec("E1", head), tv)
@@ -345,10 +331,6 @@ class ExteriorModule(_WeightModule):
     def rep_token(self, tok):
         return self.rep(pbw.normal_form((tok,)))
 
-    def rep_star_matrix(self, tok):
-        """Matrix of the star of a Levi generator."""
-        return self.rep(pbw.star(pbw.normal_form((tok,))))
-
     # --- invariant inner products ---------------------------------------
 
     def _normalized_gram(self):
@@ -362,7 +344,7 @@ class ExteriorModule(_WeightModule):
         free constant per degree, fixed by a unit top-left entry) and
         checks each solution space is one-dimensional.
         """
-        mats = [(self.rep_token(tok), self.rep_star_matrix(tok))
+        mats = [(self.rep_token(tok), self.rep(pbw.star(pbw.normal_form((tok,)))))
                 for tok in LEVI_GEN_TOKENS]
         blocks = []
         for deg in range(4):
@@ -402,9 +384,9 @@ class ExteriorModule(_WeightModule):
 
     def gamma(self, i):
         """Right wedge multiplication by y_i."""
-        yi = self._vec(i)
+        yi = {i: ONE}
         return ModuleOperator({(r, c): KScalar.from_scalar(x) for c in range(8)
-                               for r, x in self.wedge(self._vec(c), yi).items()})
+                               for r, x in self.wedge({c: ONE}, yi).items()})
 
     def gamma_star(self, i):
         """Gram adjoint of gamma(y_i); entries linear in kappa_1..kappa_3."""

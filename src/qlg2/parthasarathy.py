@@ -34,10 +34,9 @@ from math import gcd
 
 from .linalg import Combination, accumulate, nullspace
 from .scalar import BR2, ONE, ZERO, kappa, Q_SC as _Q, q_power as _qp
-from .weights import Weight
 from .pbw import (
-    AlgebraElement, K, adjoint_action, antipode, coproduct, levi_right_split,
-    normal_form, star, token_name, xi_E, xi_E_star,
+    AE_ONE, AlgebraElement, K, adjoint_action, antipode, coproduct,
+    levi_right_split, normal_form, star, token_name, xi_E, xi_E_star,
 )
 from .modules import EXT, LEVI_GEN_TOKENS, ModuleOperator
 from .rmatrix import casimir_exponents
@@ -390,9 +389,7 @@ def m_well_definedness_probe(seed=20240801, trials=12):
             first = first * xi_E_star(rng.choice(PROBE_XI_INDICES))
         t = TensorOperator.from_element(first, rng.choice(base_ops))
         left = t * TensorOperator.from_element(y, ModuleOperator.identity())
-        right = t * TensorOperator.from_element(
-            AlgebraElement.from_word(((0, 0, 0, 0), Weight(0, 0), (0, 0, 0, 0))),
-            EXT.rho(antipode(y)))
+        right = t * TensorOperator.from_element(AE_ONE, EXT.rho(antipode(y)))
         if reduce_to_M(left) != reduce_to_M(right):
             failures += 1
     return failures

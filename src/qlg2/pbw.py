@@ -132,12 +132,6 @@ def _wt_f(fexp):
     return _wt_e(fexp[::-1])
 
 
-def word_weight(word):
-    """Weight of a PBW word: sum of E betas minus sum of F betas."""
-    fexp, _lam, eexp = word
-    return _wt_e(eexp) - _wt_f(fexp)
-
-
 def _acc(out, terms, f):
     """out += f * terms on {word: Scalar} maps, dropping zeros."""
     for w, c in terms.items():
@@ -389,13 +383,6 @@ class AlgebraElement(Combination):
 
     # structure
 
-    def weight_components(self):
-        """Split into weight-homogeneous parts: {Weight: AlgebraElement}."""
-        comps = {}
-        for w, c in self.terms.items():
-            comps.setdefault(word_weight(w), {})[w] = c
-        return {mu: AlgebraElement(t) for mu, t in comps.items()}
-
     def radical_bidegree(self):
         """Max counts of radical F letters and radical E letters."""
         rf = re = 0
@@ -637,14 +624,6 @@ def coproduct(tok):
     return [(g, K(-alpha)), (AE_ONE, g)]
 
 
-def coproduct_word(word):
-    """Multiplicative extension of the coproduct to a generator word."""
-    pairs = [(AE_ONE, AE_ONE)]
-    for tok in word:
-        pairs = [(a * c, b * d) for a, b in pairs for c, d in coproduct(tok)]
-    return pairs
-
-
 def counit(x):
     """Counit: coefficient of the Cartan part with every exponent zero."""
     out = ZERO
@@ -668,28 +647,17 @@ def adjoint_action(word, y):
     return y
 
 
-def is_levi(x):
-    return x.is_levi()
-
-
 # --- decomposition into radical monomials times Levi factors ------------------
-
-_U_CACHE = {}
-
 
 def radical_monomial(s, t):
     """Ordered monomial E*_{xi}^s E_{xi}^t with s, t exponent triples."""
-    key = (tuple(s), tuple(t))
-    got = _U_CACHE.get(key)
-    if got is None:
-        got = AE_ONE
-        for i in (1, 2, 3):
-            for _ in range(s[i - 1]):
-                got = got * _STAR_E[i + 1]
-        for i in (1, 2, 3):
-            for _ in range(t[i - 1]):
-                got = got * root_E(i + 1)
-        _U_CACHE[key] = got
+    got = AE_ONE
+    for i in (1, 2, 3):
+        for _ in range(s[i - 1]):
+            got = got * _STAR_E[i + 1]
+    for i in (1, 2, 3):
+        for _ in range(t[i - 1]):
+            got = got * root_E(i + 1)
     return got
 
 
@@ -754,15 +722,15 @@ def _peel(terms):
     return out
 
 
-# starred monomials radical_monomial(u) in the letter basis
-_STAR_LETTER_CACHE = {}
+# the one memo of the starred monomials: radical_monomial(u) in the letter
+# basis, keyed by u = (s1, s2, s3, t1, t2, t3)
+_U_CACHE = {}
 
 
 def _starred_letters(u):
-    got = _STAR_LETTER_CACHE.get(u)
+    got = _U_CACHE.get(u)
     if got is None:
-        got = _peel(radical_monomial(u[:3], u[3:]).terms)
-        _STAR_LETTER_CACHE[u] = got
+        got = _U_CACHE[u] = _peel(radical_monomial(u[:3], u[3:]).terms)
     return got
 
 

@@ -33,7 +33,7 @@ Lectures on Quantum Groups, AMS GSM 6, 1996).
 from __future__ import annotations
 
 from .linalg import Matrix, accumulate
-from .scalar import BR2, ONE, ZERO, Q_SC as _Q, q_number, q_power as _qp
+from .scalar import BR2, ONE, ZERO, Q_SC as _Q, q_factorial, q_power as _qp
 from .weights import LAMBDA_V, RHO, SIMPLE, Weight
 from .pbw import (
     AE_ONE, AE_ZERO, K, normal_form, root_E, star, token_name, token_weight,
@@ -47,11 +47,8 @@ _ROOT_BASE = {1: 1, 2: 2, 3: 1, 4: 2}
 def factor_coefficient(j, r):
     """Coefficient of E^r (x) F^r in the rank-one quasi-R factor at beta_j."""
     d = _ROOT_BASE[j]
-    qd = _qp(d)
-    br = ONE
-    for k in range(2, r + 1):
-        br = br * q_number(k, base=d)
-    return ((-1) ** r) * _qp(-d * (r * (r - 1) // 2)) * (qd - _qp(-d)) ** r / br
+    top = ((-1) ** r) * _qp(-d * (r * (r - 1) // 2)) * (_qp(d) - _qp(-d)) ** r
+    return top / q_factorial(r, d)
 
 
 # orders r = 0..2 of each rank-one factor; the represented F_beta square to

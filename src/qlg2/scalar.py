@@ -247,11 +247,6 @@ class Scalar:
     def is_zero(self):
         return not self._n
 
-    @property
-    def is_polynomial(self):
-        """True when the denominator is trivial (value in Z[v, v^-1] over Q)."""
-        return self._d == (1,)
-
     def __bool__(self):
         return bool(self._n)
 
@@ -542,11 +537,6 @@ def q_binomial(m, k, base=1):
     return q_factorial(m, base) / (q_factorial(k, base) * q_factorial(m - k, base))
 
 
-def evaluate(s, v0):
-    """Exact rational value of the scalar s at v = v0."""
-    return s.evaluate(v0)
-
-
 # shared constants
 Q_SC = q_power(1) - q_power(-1)      # Q = q - q^-1
 BR2 = q_number(2)                    # [2]_q
@@ -581,9 +571,6 @@ class KScalar(Combination):
             return KScalar.from_scalar(other)
         return None
 
-    def degree(self):
-        return max((sum(m) for m in self.terms), default=0)
-
     def __mul__(self, other):
         o = KScalar._coerce(other)
         if o is None:
@@ -599,13 +586,6 @@ class KScalar(Combination):
         return KScalar(out)
 
     __rmul__ = __mul__
-
-    def substitute(self, k1, k2, k3):
-        """Full substitution kappa_i -> Scalar; a ring homomorphism."""
-        out = ZERO
-        for (e1, e2, e3), c in self.terms.items():
-            out = out + c * k1 ** e1 * k2 ** e2 * k3 ** e3
-        return out
 
     def substitute_ratios(self, s2, s3):
         """Impose kappa_2 = s2*kappa_1 and kappa_3 = s3*kappa_1."""

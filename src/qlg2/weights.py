@@ -49,16 +49,8 @@ class Weight(tuple):
         b1, b2 = other
         return a1 * (b1 + b2) + a2 * (b1 + 2 * b2)
 
-    @property
-    def is_zero(self):
-        return self[0] == 0 and self[1] == 0
-
     def __repr__(self):
         return f"({self[0]},{self[1]})"
-
-
-def pair(a, b):
-    return Weight(*a).pair(Weight(*b))
 
 
 W_ZERO = Weight(0, 0)

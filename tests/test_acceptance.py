@@ -13,9 +13,7 @@ import pytest
 from qlg2.linalg import Matrix
 from qlg2.scalar import BR2, ONE, Q_SC, q_power
 from qlg2 import pbw
-from qlg2.pbw import (
-    is_levi, levi_right_split, unit, xi_E, xi_E_star,
-)
+from qlg2.pbw import levi_right_split, unit, xi_E, xi_E_star
 from qlg2.modules import (
     DEGREES, EXT, FUND, quadratic_dual, span_equal, sq_relation_vectors,
     wedge_relation_vectors,
@@ -124,7 +122,7 @@ def test_criterion_5_mod_levi_commutation():
         radical = {u: l for u, l in parts.items() if u != (0, 0, 0, 0, 0, 0)}
         ok = ok and set(radical) == set(want)
         ok = ok and all(radical[u] == c * unit() for u, c in want.items())
-        ok = ok and all(is_levi(l) for u, l in parts.items()
+        ok = ok and all(l.is_levi() for u, l in parts.items()
                         if u == (0, 0, 0, 0, 0, 0))
     _report(5, "all six mod-Levi commutation relations recovered with exact "
                "coefficients", ok)

@@ -21,6 +21,8 @@ from qlg2.scalar import (
 )
 from qlg2.weights import ALPHA1, ALPHA2
 
+from test_scalar import is_polynomial
+
 # --- written-out tables ----------------------------------------------------
 
 F_RULES_LITERAL = {
@@ -146,7 +148,7 @@ def test_token_matrices_match_hand_branches():
             ("F1", EXT.F1, EXT.K(-ALPHA1) @ EXT.E1),
             (("K", 2, -1), EXT.K((2, -1)), EXT.K((2, -1)))):
         assert EXT.rep_token(tok) == m
-        assert EXT.rep_star_matrix(tok) == m_star
+        assert EXT.rep(star(normal_form((tok,)))) == m_star
 
 
 # --- Scalar.bar ------------------------------------------------------------
@@ -168,7 +170,7 @@ def test_bar_inputs_are_rich():
     # most denominators survive cancellation, and both sign cases of the
     # reversed denominator's leading coefficient (the constant term) occur
     xs = _scalars(60, 71)
-    assert sum(not x.is_polynomial for x in xs) >= 40
+    assert sum(not is_polynomial(x) for x in xs) >= 40
     assert any(x._d[0] < 0 for x in xs) and any(x._d[0] > 0 for x in xs)
     assert any(x._n[-1] < 0 for x in xs)
 

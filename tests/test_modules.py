@@ -15,6 +15,8 @@ from qlg2.modules import (
     quadratic_dual, span_equal, sq_relation_vectors, wedge_relation_vectors,
 )
 
+from test_scalar import substitute
+
 Q = Q_SC
 
 
@@ -152,10 +154,19 @@ def test_gamma_star_matches_golden_table():
         assert EXT.gamma_star(i) == g[i]
 
 
+def _degree_shift(op):
+    """The unique d with entries of op only on blocks deg(row) = deg(col) + d,
+    or None if mixed."""
+    shifts = {DEGREES[r] - DEGREES[c] for r, c in op.terms}
+    if len(shifts) > 1:
+        return None
+    return shifts.pop() if shifts else 0
+
+
 def test_gamma_degree_shifts():
     for i in (1, 2, 3):
-        assert EXT.gamma(i).degree_shift() == 1
-        assert EXT.gamma_star(i).degree_shift() == -1
+        assert _degree_shift(EXT.gamma(i)) == 1
+        assert _degree_shift(EXT.gamma_star(i)) == -1
 
 
 def test_adjoint_wrt_gram():
@@ -170,8 +181,9 @@ def test_adjoint_wrt_gram():
     def op(m):
         return ModuleOperator({rc: KScalar.from_scalar(x) for rc, x in m.terms.items()})
 
-    assert EXT.adjoint_wrt_gram(op(EXT.E1)) == op(EXT.rep_star_matrix("E1"))
-    assert EXT.adjoint_wrt_gram(op(EXT.F1)) == op(EXT.rep_star_matrix("F1"))
+    for tok, m in (("E1", EXT.E1), ("F1", EXT.F1)):
+        m_star = EXT.rep(pbw.star(pbw.normal_form((tok,))))
+        assert EXT.adjoint_wrt_gram(op(m)) == op(m_star)
 
 
 def test_iso_exterior_intertwines_levi_ss_only():
@@ -207,4 +219,4 @@ def test_module_operator_kappa_substitution():
     k2v = _qp(-2) / BR2
     k3v = _qp(-4)
     # spot value: gamma(y2)* y2 = kappa_1/[2]
-    assert op.terms[0, 2].substitute(k1, k2v, k3v) == ONE / BR2
+    assert substitute(op.terms[0, 2], k1, k2v, k3v) == ONE / BR2

@@ -77,7 +77,7 @@ def _plain_mul(t1, t2, memo):
             c12 = c1 * c2
             for (A3, nu, B3), c3 in _plain_cross(B1, A2, memo).items():
                 c = c12 * c3
-                if not (lam.is_zero and mu.is_zero):
+                if not (lam == W_ZERO and mu == W_ZERO):
                     c = c * q_power(-(lam.pair(_wt_f(A3)) + mu.pair(_wt_e(B3))))
                 _emit(out, _f_letters(A1) + _f_letters(A3), lam + nu + mu,
                       _e_letters(B3) + _e_letters(B2), c)

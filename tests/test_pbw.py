@@ -8,15 +8,39 @@ import pytest
 
 from qlg2 import pbw
 from qlg2.scalar import BR2, ONE, Q_SC, q_power
-from qlg2.weights import ALPHA1, ALPHA2, BETA, W_ZERO, Weight, pair
+from qlg2.weights import ALPHA1, ALPHA2, BETA, W_ZERO, Weight
 from qlg2.pbw import (
-    AE_ONE, AE_ZERO, E1, E2, F1, F2, K, _wt_e, _wt_f, adjoint_action, antipode,
-    coproduct, coproduct_word, counit, defining_relator_words, is_levi,
+    AE_ONE, AE_ZERO, E1, E2, F1, F2, K, AlgebraElement, _wt_e, _wt_f,
+    adjoint_action, antipode, coproduct, counit, defining_relator_words,
     levi_right_split, normal_form, root_E, root_F, serre_relator_words,
-    serre_relators, star, token_name, unit, word_weight, xi_E, xi_E_star,
+    serre_relators, star, token_name, unit, xi_E, xi_E_star,
 )
 
 Q = Q_SC
+
+
+# --- helpers on words and generator words, used by the tests only -----------
+
+def word_weight(word):
+    """Weight of a PBW word: sum of E betas minus sum of F betas."""
+    fexp, _lam, eexp = word
+    return _wt_e(eexp) - _wt_f(fexp)
+
+
+def weight_components(x):
+    """Split x into weight-homogeneous parts: {Weight: AlgebraElement}."""
+    comps = {}
+    for w, c in x.terms.items():
+        comps.setdefault(word_weight(w), {})[w] = c
+    return {mu: AlgebraElement(t) for mu, t in comps.items()}
+
+
+def coproduct_word(word):
+    """Multiplicative extension of the coproduct to a generator word."""
+    pairs = [(AE_ONE, AE_ONE)]
+    for tok in word:
+        pairs = [(a * c, b * d) for a, b in pairs for c, d in coproduct(tok)]
+    return pairs
 
 
 # --- weights ---------------------------------------------------------------
@@ -44,9 +68,9 @@ def test_beta_weight_memo_matches_direct_sum():
     assert len(pbw._WT_CACHE) == len(vecs)
 
 def test_gram_matrix():
-    assert pair((1, 0), (1, 0)) == 1
-    assert pair((1, 0), (0, 1)) == 1
-    assert pair((0, 1), (0, 1)) == 2
+    assert Weight(1, 0).pair(Weight(1, 0)) == 1
+    assert Weight(1, 0).pair(Weight(0, 1)) == 1
+    assert Weight(0, 1).pair(Weight(0, 1)) == 2
     assert ALPHA1.pair(ALPHA1) == 2
     assert ALPHA1.pair(ALPHA2) == -2
     assert ALPHA2.pair(ALPHA2) == 4
@@ -255,10 +279,10 @@ def test_adjoint_action_is_algebra_action():
 # --- Levi membership and the right split -----------------------------------
 
 def test_is_levi():
-    assert is_levi(F1() * K(0, 1) * E1())
-    assert not is_levi(xi_E(2))
+    assert (F1() * K(0, 1) * E1()).is_levi()
+    assert not xi_E(2).is_levi()
     x = xi_E(3) * star(xi_E(3)) - q_power(-4) * (star(xi_E(3)) * xi_E(3))
-    assert is_levi(x)
+    assert x.is_levi()
 
 
 def test_split_levi_letter_already_right():
@@ -303,7 +327,7 @@ def test_mod_levi_commutation_table(ij):
     # everything else is a pure Levi remainder
     for u, l in parts.items():
         if u == (0, 0, 0, 0, 0, 0):
-            assert is_levi(l)
+            assert l.is_levi()
 
 
 def test_split_recomposes_exactly():
@@ -391,8 +415,8 @@ def test_weight_additivity():
     for _ in range(20):
         x = normal_form(rand_word(rng, 3))
         y = normal_form(rand_word(rng, 3))
-        wx = x.weight_components()
-        wy = y.weight_components()
+        wx = weight_components(x)
+        wy = weight_components(y)
         for mx, cx in wx.items():
             for my, cy in wy.items():
                 prod = cx * cy

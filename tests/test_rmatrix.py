@@ -8,14 +8,16 @@ from fractions import Fraction
 import pytest
 
 from qlg2.linalg import Matrix
-from qlg2.scalar import BR2, ONE, Q_SC, ZERO, evaluate, laurent_q, q_power
+from qlg2.scalar import BR2, ONE, Q_SC, ZERO, laurent_q, q_power
 from qlg2.modules import FUND
-from qlg2.pbw import coproduct, coproduct_word, normal_form, root_E, star
+from qlg2.pbw import coproduct, normal_form, root_E, star
 from qlg2.rmatrix import (
     TruncatedRMatrix, casimir_eigenvalue, casimir_explicit, coproduct_matrices,
     casimir_quantum_parts, casimir_right_form, centrality_residuals,
     factor_coefficient, quantum_trace_pairing,
 )
+
+from test_pbw import coproduct_word
 
 Q = Q_SC
 
@@ -166,7 +168,7 @@ def test_eigenvalue_examples():
 
 def test_eigenvalue_monotone_numeric():
     v0 = Fraction(2, 5)
-    vals = [evaluate(casimir_eigenvalue((n, 0)), v0) for n in range(6)]
+    vals = [casimir_eigenvalue((n, 0)).evaluate(v0) for n in range(6)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert all(v > 0 for v in vals)
 

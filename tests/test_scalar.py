@@ -6,10 +6,22 @@ from fractions import Fraction
 import pytest
 
 from qlg2.scalar import (
-    KONE, KZERO, ONE, ZERO, KScalar, KappaDegreeError, PoleError, evaluate,
-    kappa, laurent_q, laurent_v, q_binomial, q_factorial, q_number, q_power,
+    KONE, KZERO, ONE, ZERO, KScalar, KappaDegreeError, PoleError, kappa, laurent_q, laurent_v, q_binomial, q_factorial, q_number, q_power,
     scalar, v_power,
 )
+
+
+def is_polynomial(s):
+    """True when the denominator of s is trivial (value in Z[v, v^-1] over Q)."""
+    return s._d == (1,)
+
+
+def substitute(x, k1, k2, k3):
+    """Full substitution kappa_i -> k_i in the KScalar x; a ring homomorphism."""
+    out = ZERO
+    for (e1, e2, e3), c in x.terms.items():
+        out = out + c * k1 ** e1 * k2 ** e2 * k3 ** e3
+    return out
 
 
 def rand_scalar(rng, deg=4):
@@ -29,7 +41,7 @@ def test_q_number_values():
 
 def test_q_number_is_laurent_polynomial():
     for n in range(-6, 7):
-        assert q_number(n).is_polynomial
+        assert is_polynomial(q_number(n))
 
 
 def test_q_number_antisymmetry():
@@ -57,11 +69,11 @@ def test_q_binomial():
 
 
 def test_evaluate():
-    assert evaluate(q_number(2), Fraction(1)) == 2
-    assert evaluate(q_power(1) - q_power(-1), Fraction(1)) == 0
-    assert evaluate(q_power(2), Fraction(1, 2)) == Fraction(1, 16)
+    assert q_number(2).evaluate(Fraction(1)) == 2
+    assert (q_power(1) - q_power(-1)).evaluate(Fraction(1)) == 0
+    assert q_power(2).evaluate(Fraction(1, 2)) == Fraction(1, 16)
     with pytest.raises(PoleError):
-        evaluate(ONE / (q_power(1) - q_power(-1)), Fraction(1))
+        (ONE / (q_power(1) - q_power(-1))).evaluate(Fraction(1))
 
 
 def test_exact_roundtrips():
@@ -120,10 +132,10 @@ def test_kappa_substitution_homomorphism():
     for _ in range(25):
         a = KScalar.from_scalar(rand_scalar(rng, deg=2)) + rand_scalar(rng, 2) * kappa(rng.randint(1, 3))
         b = KScalar.from_scalar(rand_scalar(rng, deg=2)) + rand_scalar(rng, 2) * kappa(rng.randint(1, 3))
-        sa = a.substitute(*vals)
-        sb = b.substitute(*vals)
-        assert (a * b).substitute(*vals) == sa * sb
-        assert (a + b).substitute(*vals) == sa + sb
+        sa = substitute(a, *vals)
+        sb = substitute(b, *vals)
+        assert substitute(a * b, *vals) == sa * sb
+        assert substitute(a + b, *vals) == sa + sb
 
 
 def test_kappa_ratio_substitution():

@@ -14,6 +14,8 @@ from qlg2.pbw import (
 from qlg2.scalar import BR2, Q_SC, q_power
 from qlg2.weights import W_ZERO
 
+from test_pbw import weight_components
+
 
 def _triples(max_deg):
     return [e for e in itertools.product(range(max_deg + 1), repeat=3)
@@ -97,7 +99,7 @@ def test_round_trip_with_several_weight_components():
     x = AE_ZERO
     for u, levi in cofactors.items():
         x = x + radical_monomial(u[:3], u[3:]) * levi
-    assert len(x.weight_components()) >= 4
+    assert len(weight_components(x)) >= 4
     assert dict(levi_right_split(x)) == cofactors
 
 
@@ -110,6 +112,19 @@ def test_split_output_is_sorted_and_recomposes():
         assert levi.is_levi()
         total = total + radical_monomial(u[:3], u[3:]) * levi
     assert total == x
+
+
+def test_starred_monomial_memo_holds_one_peeled_form_per_u(monkeypatch):
+    # _U_CACHE is the one memo of the starred monomials: keyed by u, it holds
+    # radical_monomial(u) in the letter basis, which the split solves against
+    us = [s + t for s in _triples(3) for t in _triples(3)]
+    assert len(us) == 400 and len({pbw._split_class(u) for u in us}) == 256
+    monkeypatch.setattr(pbw, "_U_CACHE", {})
+    for u in us:
+        got = pbw._starred_letters(u)
+        assert got == pbw._peel(radical_monomial(u[:3], u[3:]).terms)
+        assert pbw._starred_letters(u) is got
+    assert len(pbw._U_CACHE) == len(us) and set(pbw._U_CACHE) == set(us)
 
 
 def test_degree_cap_gate_raises_value_error():
@@ -135,6 +150,6 @@ def test_singular_class_block_raises(monkeypatch):
     u = (1, 0, 0, 0, 0, 0)
     letters = dict(pbw._starred_letters(u))
     letters.pop(u)
-    monkeypatch.setitem(pbw._STAR_LETTER_CACHE, u, letters)
+    monkeypatch.setitem(pbw._U_CACHE, u, letters)
     with pytest.raises(NotInSpanError, match="singular split block"):
         levi_right_split(xi_E_star(1))

@@ -1,0 +1,174 @@
+"""Reach-and-traffic census of src/qlg2.
+
+Runs, in one process under `sys.setprofile`:
+
+- `qlg2 verify --check all --report json` at seeds 20240801 and 97,
+- `qlg2 verify --check all --report md` at the default seed,
+- `qlg2 spectrum --v-num 1 --v-den 2 --shell-max 20`,
+
+with qlg2 imported under the profiler, so code that runs at import counts as
+reached.  It then prints
+
+- every function or method defined in src/qlg2 (each `def`, nested ones
+  included) that none of these runs entered, and
+- for each module-level `*_CACHE` memo: its entries at the end, and the
+  lookups and hits of the runs above.
+
+Memo traffic is counted from outside: after the import, each `*_CACHE` dict
+is swapped for a dict subclass that counts the calls of `get`, the one way
+the package reads its memos.  The package itself carries no counter.
+
+Exit status 1 when a definition is unreached and not in EXCEPTIONS, or when
+an entry of EXCEPTIONS is reached or no longer defined; 0 otherwise.
+
+    python tools/census.py
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import importlib
+import io
+import os
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qlg2"
+
+# definitions that no run above reaches, kept on purpose, each with its reason
+EXCEPTIONS = {
+    "linalg.py:Combination.__rsub__":
+        "number protocol beside __sub__; test_combination_laws asserts (1 - x) + x == 1",
+    "linalg.py:Matrix.__repr__": "debugging printer",
+    "pbw.py:AlgebraElement.__repr__": "debugging printer",
+    "scalar.py:Scalar.__rsub__": "number protocol beside __sub__, as Combination.__rsub__",
+    "scalar.py:Scalar.__rtruediv__":
+        "number protocol; traced by perfbench/tracer.py as scalar.Scalar.div",
+    "scalar.py:Scalar.__repr__": "debugging printer",
+    "scalar.py:KScalar.canon_str": "failure-path printer of a KScalar residual",
+    "scalar.py:KScalar.__repr__": "debugging printer",
+}
+
+
+def definitions():
+    """{"file:Qual.name": (file, first line)} for every def in src/qlg2; the
+    first line is that of the first decorator, as in co_firstlineno."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+        def walk(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                    name = prefix + child.name
+                    found[f"{path.name}:{name}"] = (str(path), first)
+                    walk(child, name + ".")
+                elif isinstance(child, ast.ClassDef):
+                    walk(child, prefix + child.name + ".")
+                else:
+                    walk(child, prefix)
+
+        walk(tree, "")
+    return found
+
+
+_MISS = object()
+
+
+class CountedDict(dict):
+    """A memo table that counts its `get` lookups and their hits."""
+
+    lookups = 0
+    hits = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        got = dict.get(self, key, _MISS)
+        if got is _MISS:
+            return default
+        self.hits += 1
+        return got
+
+
+def count_memos():
+    """Swap every module-level *_CACHE dict of qlg2 for a CountedDict."""
+    tables = {}
+    for name, module in sorted(sys.modules.items()):
+        if not name.startswith("qlg2."):
+            continue
+        for attr, table in sorted(vars(module).items()):
+            if attr.endswith("_CACHE") and type(table) is dict:
+                counted = CountedDict(table)
+                setattr(module, attr, counted)
+                tables[f"{name}.{attr}"] = counted
+    return tables
+
+
+def run_all(tmp):
+    from qlg2 import cli
+
+    runs = [["verify", "--check", "all", "--report", "json", "--seed", str(seed),
+             "--out", os.path.join(tmp, f"report-{seed}.json")]
+            for seed in (20240801, 97)]
+    runs.append(["verify", "--check", "all", "--report", "md",
+                 "--out", os.path.join(tmp, "report.md")])
+    runs.append(["spectrum", "--v-num", "1", "--v-den", "2", "--shell-max", "20",
+                 "--csv", os.path.join(tmp, "spectrum.csv")])
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"census: qlg2 {' '.join(argv[:2])} exited {code}")
+
+
+def main():
+    start = time.perf_counter()
+    sys.path.insert(0, str(SRC.parent))
+    seen = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        importlib.import_module("qlg2.cli")
+        tables = count_memos()
+        with tempfile.TemporaryDirectory() as tmp:
+            run_all(tmp)
+    finally:
+        sys.setprofile(None)
+
+    reached = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in seen}
+    defs = definitions()
+    unreached = sorted(k for k, (path, line) in defs.items()
+                       if (os.path.realpath(path), line) not in reached)
+
+    print(f"definitions in src/qlg2: {len(defs)}; unreached: {len(unreached)}")
+    for key in unreached:
+        print(f"  {key:<40} {EXCEPTIONS.get(key, 'NOT AN EXCEPTION')}")
+    print()
+    print(f"{'memo':<40} {'entries':>8} {'lookups':>9} {'hits':>9}")
+    for name, table in tables.items():
+        print(f"{name:<40} {len(table):>8} {table.lookups:>9} {table.hits:>9}")
+    print()
+
+    bad = [k for k in unreached if k not in EXCEPTIONS]
+    stale = [k for k in EXCEPTIONS if k not in unreached]
+    for key in bad:
+        print(f"census: unreached and not an exception: {key}")
+    for key in stale:
+        state = "reached" if key in defs else "no longer defined"
+        print(f"census: exception {state}: {key}")
+    print(f"census: {len(defs)} definitions, {len(unreached)} unreached, "
+          f"{len(tables)} memo tables, {time.perf_counter() - start:.1f} s")
+    return 1 if bad or stale else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
