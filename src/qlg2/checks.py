@@ -21,7 +21,7 @@ from .linalg import Matrix
 from .scalar import BR2, ONE, ZERO, laurent_q, Q_SC as _Q, q_power as _qp
 from . import pbw
 from .pbw import (
-    AE_ZERO, K, antipode, coproduct, counit, levi_right_split,
+    AE_ZERO, DEGREE_CAP, K, antipode, coproduct, counit, levi_right_split,
     normal_form, root_E, root_F, star, token_name, unit, xi_E, xi_E_star,
 )
 from .modules import (
@@ -84,10 +84,14 @@ class CheckResult:
         return out
 
 
+DEFAULT_SEED = 20240801  # of the randomized probes
+M_PROBE_TRIALS = 8  # the cases the probe of eq-relation-cliff draws
+
+
 class Context:
     """Shared lazily-computed heavyweight objects for the check suite."""
 
-    def __init__(self, seed=20240801, degree_cap=3):
+    def __init__(self, seed=DEFAULT_SEED, degree_cap=DEGREE_CAP):
         self.seed = seed
         self.degree_cap = degree_cap
         self._cache = {}
@@ -604,10 +608,10 @@ def check_cas_to_the_right(ctx):
 @check("eq-relation-cliff",
        "the quotient-module reduction is well defined (randomized probe)")
 def check_relation_cliff(ctx):
-    failures = m_well_definedness_probe(seed=ctx.seed, trials=8)
+    failures = m_well_definedness_probe(ctx.seed, M_PROBE_TRIALS)
     residual = "" if failures == 0 else f"{failures} probe failures"
     return "reduce(t (Y (x) 1))", "reduce(t (1 (x) rho(S(Y))))", residual, \
-        ("8 randomized probes",)
+        (f"{M_PROBE_TRIALS} randomized probes",)
 
 
 @check("prop-casimir-clifford",

@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .checks import CHECKS, Context, run_suite
+from .checks import CHECKS, DEFAULT_SEED, DEGREE_CAP, Context, run_suite
 from .parthasarathy import spectrum_growth
 
 EXIT_PASS = 0
@@ -129,9 +129,9 @@ def build_parser():
                    help="check id or 'all' (default)")
     v.add_argument("--report", choices=("json", "md"), default="md")
     v.add_argument("--out", metavar="PATH", help="write the report to a file")
-    v.add_argument("--seed", type=int, default=20240801,
+    v.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for the randomized probes")
-    v.add_argument("--degree-cap", type=int, default=3,
+    v.add_argument("--degree-cap", type=int, default=DEGREE_CAP,
                    help="radical degree cap for the quotient reduction")
     v.add_argument("--timings", action="store_true",
                    help="include wall-clock timings in the report")

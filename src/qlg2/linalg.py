@@ -6,8 +6,9 @@ AlgebraElement, KScalar, Matrix, TensorOperator and MElement.  `Matrix` is
 the one matrix type: a Combination over (row, column) that carries its
 shape, for the Scalar matrices on V, V (x) V and Lambda, the KScalar
 operators on Lambda (its subclass ModuleOperator) and the PBW-valued
-R-matrix; `mmul` is its product.  `nullspace` and `minv` are dense row
-reduction on lists of lists that their callers build.
+R-matrix; `mmul` is its product.  `nullspace` and `minv` share one dense
+Gauss-Jordan elimination on lists of lists; `rewrite` is the one word
+rewriter, for the PBW blocks and the wedge.
 """
 
 from __future__ import annotations
@@ -190,60 +191,69 @@ def mmul(a, b):
     return type(a)(out, (a.shape[0], b.shape[1]))
 
 
-def nullspace(rows, one):
-    """Basis of the right nullspace of a matrix over a field.
-
-    Returns a list of coefficient vectors; destructive on `rows`.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    nrows = len(rows)
-    piv_col_of_row = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                sel = i
+def rewrite(word, rules, cache, one):
+    """{normal word: coefficient} of a letter word, memoised in `cache`; treat
+    results as read only.  The first adjacent pair that is a key of `rules`
+    is replaced by each (coefficient, letters) of its rule, until no such
+    pair is left: every out-of-order pair must be a key."""
+    got = cache.get(word)
+    if got is None:
+        got = {word: one}
+        for i in range(len(word) - 1):
+            rule = rules.get(word[i:i + 2])
+            if rule is not None:
+                got = {}
+                for c, repl in rule:
+                    for w, x in rewrite(word[:i] + repl + word[i + 2:], rules,
+                                        cache, one).items():
+                        accumulate(got, w, c * x)
                 break
+        cache[word] = got
+    return got
+
+
+def _row_reduce(rows, one):
+    """Gauss-Jordan elimination of equal-length rows in place, to reduced row
+    echelon form; returns the pivot column of each leading row."""
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         inv = one / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_col_of_row.append(c)
-        r += 1
-    pivots = set(piv_col_of_row)
-    basis = []
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return pivots
+
+
+def nullspace(rows, one):
+    """Basis of the right nullspace of a matrix over a field, as a list of
+    coefficient vectors; destructive on `rows`."""
+    pivots = _row_reduce(rows, one)
+    ncols = len(rows[0]) if rows else 0
     zero = one - one
-    for free in range(ncols):
-        if free in pivots:
-            continue
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
         vec = [zero] * ncols
         vec[free] = one
-        for i, pc in enumerate(piv_col_of_row):
-            vec[pc] = -rows[i][free]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[free]
         basis.append(vec)
     return basis
 
 
 def minv(a, one):
-    """Inverse of a square matrix over a field, or None when it is singular."""
+    """Inverse of a square matrix over a field, or None when it is singular,
+    that is when the pivots of [a | I] are not the columns of a."""
     n = len(a)
     rows = [list(r) + [one if i == j else one - one for j in range(n)]
             for i, r in enumerate(a)]
-    for c in range(n):
-        sel = next((i for i in range(c, n) if rows[i][c]), None)
-        if sel is None:
-            return None
-        piv = rows.pop(sel)
-        rows.insert(c, [x / piv[c] for x in piv])
-        for i in range(n):
-            if i != c and rows[i][c]:
-                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[c])]
+    if _row_reduce(rows, one) != list(range(n)):
+        return None
     return [r[n:] for r in rows]

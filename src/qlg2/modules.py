@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .linalg import Matrix, accumulate, nullspace
+from .linalg import Matrix, accumulate, nullspace, rewrite
 from .scalar import (
     BR2, KONE, ONE, ZERO, KScalar, Scalar, kappa, Q_SC as _Q, q_power as _qp,
     v_power as _v,
@@ -109,11 +109,7 @@ class FundamentalModule(_WeightModule):
 
     def rep_token(self, tok):
         lam = pbw.token_weight(tok)
-        if lam is not None:
-            return self.K(lam)
-        if not (isinstance(tok, str) and tok in self._gen):
-            raise ValueError(f"unknown generator token {tok!r}")
-        return self._gen[tok]
+        return self._gen[tok] if lam is None else self.K(lam)
 
     def rep_word(self, word):
         """Matrix of a generator word, multiplied out directly."""
@@ -173,7 +169,8 @@ BASIS_INDEX = {w: i for i, w in enumerate(BASIS_WORDS)}
 DEGREES = (0, 1, 1, 1, 2, 2, 2, 3)
 BASIS_NAMES = ("1", "y1", "y2", "y3", "y21", "y31", "y32", "y321")
 
-# wedge rewriting toward strictly decreasing index words
+# wedge rewriting toward strictly decreasing index words (linalg.rewrite,
+# memo _WEDGE_CACHE); every pair i <= j is a key
 _WEDGE_RULES = {
     (1, 1): (),
     (3, 3): (),
@@ -184,27 +181,6 @@ _WEDGE_RULES = {
 }
 
 _WEDGE_CACHE = {}
-
-
-def _wedge_word(word):
-    got = _WEDGE_CACHE.get(word)
-    if got is not None:
-        return got
-    pos = -1
-    for i in range(len(word) - 1):
-        if word[i] <= word[i + 1]:
-            pos = i
-            break
-    if pos < 0:
-        out = {word: ONE} if word in BASIS_INDEX else {}
-        _WEDGE_CACHE[word] = out
-        return out
-    out = {}
-    for c, repl in _WEDGE_RULES[(word[pos], word[pos + 1])]:
-        for w, v in _wedge_word(word[:pos] + repl + word[pos + 2:]).items():
-            accumulate(out, w, c * v)
-    _WEDGE_CACHE[word] = out
-    return out
 
 
 class ModuleOperator(Matrix):
@@ -270,7 +246,8 @@ class ExteriorModule(_WeightModule):
                 c = ci * cj
                 if c.is_zero:
                     continue
-                for w, cw in _wedge_word(BASIS_WORDS[i] + BASIS_WORDS[j]).items():
+                for w, cw in rewrite(BASIS_WORDS[i] + BASIS_WORDS[j], _WEDGE_RULES,
+                                     _WEDGE_CACHE, ONE).items():
                     accumulate(out, BASIS_INDEX[w], c * cw)
         return out
 

@@ -35,7 +35,7 @@ from math import gcd
 from .linalg import Combination, accumulate, nullspace
 from .scalar import BR2, ONE, ZERO, kappa, Q_SC as _Q, q_power as _qp
 from .pbw import (
-    AE_ONE, AlgebraElement, K, adjoint_action, antipode, coproduct,
+    AE_ONE, DEGREE_CAP, AlgebraElement, K, adjoint_action, antipode, coproduct,
     levi_right_split, normal_form, star, token_name, xi_E, xi_E_star,
 )
 from .modules import EXT, LEVI_GEN_TOKENS, ModuleOperator
@@ -163,14 +163,14 @@ def _reduce(pairs, degree_cap):
     return MElement(out)
 
 
-def reduce_to_M(t, degree_cap=3):
+def reduce_to_M(t, degree_cap=DEGREE_CAP):
     """Reduce a TensorOperator in M, each of its words w (x) T_w taken as
     one simple tensor: X Y (x) T -> X (x) T rho(S(Y))."""
     return _reduce(((AlgebraElement.from_word(w), op) for w, op in t.terms.items()),
                    degree_cap)
 
 
-def dirac_squared(degree_cap=3):
+def dirac_squared(degree_cap=DEGREE_CAP):
     """D^2 reduced in M with the kappa symbols still free.
 
     d^2 = 0 and (d*)^2 = 0 are checked, so D^2 = d d* + d* d.  With d =
@@ -307,7 +307,7 @@ def gamma_identities_after_kappa(d2m):
 # the Casimir in M and the main comparison
 # ---------------------------------------------------------------------------
 
-def casimir_in_M(C, degree_cap=3):
+def casimir_in_M(C, degree_cap=DEGREE_CAP):
     """C (x) 1 reduced in M from one split of the whole element C."""
     return _reduce(((C, ModuleOperator.identity()),), degree_cap)
 
@@ -374,23 +374,34 @@ def probe_base_operators():
     return (EXT.gamma(1), EXT.gamma(2), EXT.gamma_star(3), ModuleOperator.identity())
 
 
-def m_well_definedness_probe(seed=20240801, trials=12):
-    """Randomized check of the defining relation of M: multiplying a tensor
-    operator by Y (x) 1 and by 1 (x) rho(S(Y)) reduce identically for Levi Y."""
+def probe_first_factors():
+    """The 12 first factors: xi_i keyed by (i, None), xi_i xi*_j by (i, j)."""
+    ks = PROBE_XI_INDICES
+    return {**{(i, None): xi_E(i) for i in ks},
+            **{(i, j): xi_E(i) * xi_E_star(j) for i in ks for j in ks}}
+
+
+def m_relation_holds(y, first, op):
+    """One case of M's defining relation, for a Levi element y and t = first
+    (x) op: reduce_to_M(t (y (x) 1)) == reduce_to_M(t (1 (x) rho(S(y))))."""
+    t = TensorOperator.from_element(first, op)
+    return (reduce_to_M(t * TensorOperator.from_element(y, ModuleOperator.identity()))
+            == reduce_to_M(t * TensorOperator.from_element(AE_ONE, EXT.rho(antipode(y)))))
+
+
+def m_well_definedness_probe(seed, trials):
+    """Randomized check of the defining relation of M on `trials` cases
+    drawn from the space above; returns the number of failing cases."""
     import random
     rng = random.Random(seed)
-    base_ops = probe_base_operators()
+    firsts, base_ops = probe_first_factors(), probe_base_operators()
     failures = 0
     for _ in range(trials):
         y = normal_form(tuple(rng.choice(PROBE_LEVI_TOKENS)
                               for _ in range(rng.randint(1, 2))))
-        first = xi_E(rng.choice(PROBE_XI_INDICES))
-        if rng.random() < 0.5:
-            first = first * xi_E_star(rng.choice(PROBE_XI_INDICES))
-        t = TensorOperator.from_element(first, rng.choice(base_ops))
-        left = t * TensorOperator.from_element(y, ModuleOperator.identity())
-        right = t * TensorOperator.from_element(AE_ONE, EXT.rho(antipode(y)))
-        if reduce_to_M(left) != reduce_to_M(right):
+        i = rng.choice(PROBE_XI_INDICES)
+        j = rng.choice(PROBE_XI_INDICES) if rng.random() < 0.5 else None
+        if not m_relation_holds(y, firsts[i, j], rng.choice(base_ops)):
             failures += 1
     return failures
 

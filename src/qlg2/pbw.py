@@ -41,19 +41,21 @@ The product of two words is one loop (_mul_terms), table-driven in the
 manner of de Graaf (J. Symbolic Comput. 32, 2001): each term of
 _cross(B1, A2) is moved past the Cartan parts, and the blocks F^A1 F^A3 and
 E^B3 E^B2 are looked up already straightened in tables keyed by their
-exponent pairs (A1, A3) and (B3, B2); the straighteners run only on a miss.
-`_cross` memoises every pair of exponents in _CROSS_CACHE, a pair with an
-empty side included, and _CROSS_ROW_CACHE holds its terms as the rows the
-loop reads, with the integer covectors that give the Cartan exponent.
-`normal_form` checks each token with plain type tests, then looks the token
+exponent pairs (A1, A3) and (B3, B2); only on a miss is a block's letter
+word rewritten (linalg.rewrite under _F_RULES or _E_RULES) and read back as
+exponents.  `_cross` memoises every pair of exponents in _CROSS_CACHE, a
+pair with an empty side included, and _CROSS_ROW_CACHE holds its terms as
+the rows the loop reads, with the integer covectors that give the Cartan
+exponent.  `normal_form` checks each token with _plain_token, the one token
+grammar (a generator name or ("K", n1, n2) of ints), then looks the token
 word up in _NF_CACHE, which holds the coefficient-one left fold, and scales
 that by the coefficient; the tokens' term maps are built only on a miss.
 Memoised term maps are shared by every caller and are never mutated.
 
 The Hopf structure has one source: `coproduct` on generator tokens, with
-star and antipode given on the simple letters.  The adjoint action is the
-Sweedler sum ad(X) y = X_(1) y S(X_(2)) over `coproduct`; the inverse
-antipode, where needed, is S^-1 = * o S o *.
+star and antipode given on the simple letters.  The adjoint action of one
+token X is the Sweedler sum ad(X) y = X_(1) y S(X_(2)) over `coproduct`; the
+inverse antipode, where needed, is S^-1 = * o S o *.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import heapq
 from fractions import Fraction
 
 from .scalar import ZERO, ONE, BR2, Q_SC, Scalar, scalar, q_power as _qp, q_binomial
-from .linalg import Combination, accumulate, minv
+from .linalg import Combination, accumulate, minv, rewrite
 from .weights import ALPHA1, ALPHA2, BETA, SIMPLE, W_ZERO, Weight
 
 
@@ -138,44 +140,10 @@ def _acc(out, terms, f):
         accumulate(out, w, f * c)
 
 
-# --- block straighteners ----------------------------------------------------
+# --- block straighteners: linalg.rewrite memos keyed by the letter word ------
 
 _E_STR_CACHE = {}
 _F_STR_CACHE = {}
-
-
-def _straighten(seq, rules, ascending, cache):
-    got = cache.get(seq)
-    if got is not None:
-        return got
-    pos = -1
-    for i in range(len(seq) - 1):
-        bad = seq[i] > seq[i + 1] if ascending else seq[i] < seq[i + 1]
-        if bad:
-            pos = i
-            break
-    if pos < 0:
-        exp = [0, 0, 0, 0]
-        for j in seq:
-            exp[j - 1] += 1
-        key = tuple(exp) if ascending else (exp[3], exp[2], exp[1], exp[0])
-        out = {key: ONE}
-        cache[seq] = out
-        return out
-    pair = (seq[pos], seq[pos + 1])
-    out = {}
-    for c, repl in rules[pair]:
-        _acc(out, _straighten(seq[:pos] + repl + seq[pos + 2:], rules, ascending, cache), c)
-    cache[seq] = out
-    return out
-
-
-def _straighten_e(seq):
-    return _straighten(seq, _E_RULES, True, _E_STR_CACHE)
-
-
-def _straighten_f(seq):
-    return _straighten(seq, _F_RULES, False, _F_STR_CACHE)
 
 
 def _f_letters(fexp):
@@ -311,12 +279,16 @@ def _mul_terms(t1, t2):
                 w = new(Weight, (w1 + n1, w2 + n2))
                 ftab = _F_PAIR_CACHE.get((A1, A3))
                 if ftab is None:
-                    ftab = _F_PAIR_CACHE[(A1, A3)] = _straighten_f(
-                        _f_letters(A1) + _f_letters(A3))
+                    ftab = _F_PAIR_CACHE[(A1, A3)] = {
+                        (u.count(4), u.count(3), u.count(2), u.count(1)): cu
+                        for u, cu in rewrite(_f_letters(A1) + _f_letters(A3),
+                                             _F_RULES, _F_STR_CACHE, ONE).items()}
                 etab = _E_PAIR_CACHE.get((B3, B2))
                 if etab is None:
-                    etab = _E_PAIR_CACHE[(B3, B2)] = _straighten_e(
-                        _e_letters(B3) + _e_letters(B2))
+                    etab = _E_PAIR_CACHE[(B3, B2)] = {
+                        (u.count(1), u.count(2), u.count(3), u.count(4)): cu
+                        for u, cu in rewrite(_e_letters(B3) + _e_letters(B2),
+                                             _E_RULES, _E_STR_CACHE, ONE).items()}
                 for fexp, cf in ftab.items():
                     cwf = c if cf is ONE else cf if c is ONE else c * cf
                     for eexp, ce in etab.items():
@@ -467,15 +439,11 @@ def K(lam, n2=None):
 
 def root_E(j):
     """Quantum root vector E_{beta_j} as a PBW letter, j in 1..4."""
-    exp = [0, 0, 0, 0]
-    exp[j - 1] = 1
-    return AlgebraElement({(_ZEXP, W_ZERO, tuple(exp)): ONE})
+    return AlgebraElement(_e_word(_bump(_ZEXP, j - 1, 1)))
 
 
 def root_F(j):
-    exp = [0, 0, 0, 0]
-    exp[4 - j] = 1
-    return AlgebraElement({(tuple(exp), W_ZERO, _ZEXP): ONE})
+    return AlgebraElement(_f_word(_bump(_ZEXP, 4 - j, 1)))
 
 
 def E1():
@@ -503,48 +471,39 @@ def xi_E_star(i):
     return _STAR_E[i + 1]
 
 
-def token_weight(tok):
-    """lam of a Cartan token ("K", n1, n2) or ("K", (n1, n2)) with int n1, n2;
-    None for a generator name such as "E1"; ValueError for another "K" tuple."""
-    if not (isinstance(tok, tuple) and tok and tok[0] == "K"):
-        return None
-    lam = tok[1] if len(tok) == 2 else tok[1:]
-    if not (isinstance(lam, tuple) and len(lam) == 2
-            and all(type(n) is int for n in lam)):
-        raise ValueError(f"malformed Cartan token {tok!r}")
-    return Weight(*lam)
-
-
-def token_name(tok):
-    """Report label of a token: "E1" stays, ("K", 2, -1) and ("K", (2, -1))
-    become "K(2, -1)"."""
-    return tok if isinstance(tok, str) else "K({}, {})".format(*token_weight(tok))
-
-
 # shared one-word term maps of the generator names; read only
 _GENERATORS = {"E1": E1().terms, "E2": E2().terms, "F1": F1().terms,
                "F2": F2().terms}
 
 
-def _token_terms(tok):
-    lam = token_weight(tok)
-    if lam is not None:
-        return {(_ZEXP, lam, _ZEXP): ONE}
-    if not (isinstance(tok, str) and tok in _GENERATORS):
-        raise ValueError(f"unknown generator token {tok!r}")
-    return _GENERATORS[tok]
-
-
 def _plain_token(tok):
-    """True for a generator name or a Cartan token of exact ints: the tokens
-    `normal_form` accepts without building their term maps."""
+    """True for a generator token: a name of _GENERATORS or a Cartan token
+    ("K", n1, n2) of exact ints.  The one token grammar."""
     if type(tok) is str:
         return tok in _GENERATORS
-    if type(tok) is not tuple or not tok or tok[0] != "K":
-        return False
-    lam = tok[1] if len(tok) == 2 else tok[1:]
-    return (type(lam) is tuple and len(lam) == 2
-            and type(lam[0]) is int and type(lam[1]) is int)
+    return (type(tok) is tuple and len(tok) == 3 and tok[0] == "K"
+            and type(tok[1]) is int and type(tok[2]) is int)
+
+
+def token_weight(tok):
+    """lam of a Cartan token ("K", n1, n2), None for a generator name such
+    as "E1"; ValueError for anything else: a malformed Cartan token for
+    another tuple led by "K", an unknown generator token otherwise."""
+    if not _plain_token(tok):
+        if isinstance(tok, tuple) and tok and tok[0] == "K":
+            raise ValueError(f"malformed Cartan token {tok!r}")
+        raise ValueError(f"unknown generator token {tok!r}")
+    return None if type(tok) is str else Weight(tok[1], tok[2])
+
+
+def token_name(tok):
+    """Report label of a token: "E1" stays, ("K", 2, -1) becomes "K(2, -1)"."""
+    return tok if isinstance(tok, str) else "K({}, {})".format(*token_weight(tok))
+
+
+def _token_terms(tok):
+    lam = token_weight(tok)
+    return _GENERATORS[tok] if lam is None else {(_ZEXP, lam, _ZEXP): ONE}
 
 
 # coefficient-one normal forms keyed by the token word; the term maps are
@@ -565,7 +524,7 @@ def normal_form(word, coeff=ONE):
     word = tuple(word)
     for t in word:
         if not _plain_token(t):
-            _token_terms(t)  # raises ValueError unless `t` is a token
+            token_weight(t)  # raises the ValueError that names `t`
     out = _NF_CACHE.get(word)
     if out is None:
         out = AE_ONE.terms
@@ -633,18 +592,10 @@ def counit(x):
     return out
 
 
-def _ad_token(tok, y):
-    """ad(X) y = sum X_(1) y S(X_(2)) over the coproduct of one token."""
+def adjoint_action(tok, y):
+    """Left adjoint action ad(X) y = X_(1) y S(X_(2)) of a generator token
+    X, summed over its coproduct."""
     return sum((a * y * antipode(b) for a, b in coproduct(tok)), AE_ZERO)
-
-
-def adjoint_action(word, y):
-    """Left adjoint action ad(X) y = X_(1) y S(X_(2)) for X a generator word."""
-    if isinstance(word, str) or token_weight(word) is not None:
-        word = (word,)
-    for tok in reversed(tuple(word)):
-        y = _ad_token(tok, y)
-    return y
 
 
 # --- decomposition into radical monomials times Levi factors ------------------
@@ -751,7 +702,10 @@ def _class_members(kappa):
     return [s + t for s in parts(ds, cs) for t in parts(dt, ct)]
 
 
-def levi_right_split(x, degree_cap=3):
+DEGREE_CAP = 3  # the default radical degree cap of the split and of M
+
+
+def levi_right_split(x, degree_cap=DEGREE_CAP):
     """Write x as a sum of ordered radical monomials times Levi factors.
 
     Returns the sorted list of pairs ((s1, s2, s3, t1, t2, t3), levi_element)

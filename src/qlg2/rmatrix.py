@@ -130,10 +130,8 @@ def coproduct_matrices(tok):
     return ((g, FUND.K(-alpha)), (eye4, g))
 
 
-def quantum_trace_pairing(R=None):
+def quantum_trace_pairing(R):
     """The central element (id (x) tau_q)(R* R) / (q - q^-1)^2."""
-    if R is None:
-        R = TruncatedRMatrix.build()
     Ast = R.star_transpose().terms
     A = R.mat.terms
     two_rho = 2 * RHO

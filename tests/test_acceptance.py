@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from qlg2.linalg import Matrix
-from qlg2.scalar import BR2, ONE, Q_SC, q_power
+from qlg2.scalar import BR2, ONE, Q_SC as Q, q_power as _qp
 from qlg2 import pbw
 from qlg2.pbw import levi_right_split, unit, xi_E, xi_E_star
 from qlg2.modules import (
@@ -19,7 +19,7 @@ from qlg2.modules import (
     wedge_relation_vectors,
 )
 from qlg2.rmatrix import (
-    casimir_eigenvalue, casimir_explicit, casimir_quantum_terms,
+    TruncatedRMatrix, casimir_eigenvalue, casimir_explicit, casimir_quantum_terms,
     casimir_right_form, centrality_residuals, quantum_trace_pairing,
 )
 from qlg2.parthasarathy import (
@@ -27,12 +27,6 @@ from qlg2.parthasarathy import (
     gamma_identities_after_kappa, gamma_pair_formula, parthasarathy_residual,
     solve_kappa_constraints, spectrum_growth,
 )
-
-Q = Q_SC
-
-
-def _qp(n):
-    return q_power(n)
 
 
 def _report(n, label, ok):
@@ -42,7 +36,7 @@ def _report(n, label, ok):
 
 @pytest.fixture(scope="module")
 def casimir():
-    return quantum_trace_pairing()
+    return quantum_trace_pairing(TruncatedRMatrix.build())
 
 
 @pytest.fixture(scope="module")

@@ -1,48 +1,24 @@
 """The sparse ModuleOperator against the dense 8x8 representation it
 replaced, kept here as the oracle: KZERO-padded lists of lists run through
-the dense kernels that linalg once held, and the old adjoint and entries_str
-bodies transcribed onto those lists."""
+the dense kernels that linalg once held (the copies in
+test_sparse_kernels), and the old adjoint and entries_str bodies
+transcribed onto those lists."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from qlg2.modules import BASIS_NAMES, DEGREES, EXT, ModuleOperator
 from qlg2.pbw import normal_form, star
-from qlg2.scalar import KONE, KZERO, ONE, ZERO, KScalar, laurent_q
+from qlg2.scalar import KONE, KZERO, ONE, ZERO, KScalar
+
+from test_sparse_kernels import _madd, _mmul, _mscale, _msub, _mzeros, _scalar
 
 
 # --- the dense oracles --------------------------------------------------------
 
-def mzeros(n, m, zero):
-    return [[zero] * m for _ in range(n)]
-
-
-def madd(a, b):
-    return [[x + y if x or y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def msub(a, b):
-    return [[x - y if x or y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mscale(c, a):
-    return [[c * x if x else x for x in row] for row in a]
-
-
-def mmul(a, b, zero):
-    out = mzeros(len(a), len(b[0]), zero)
-    for i, ra in enumerate(a):
-        for t, c in enumerate(ra):
-            for j, y in enumerate(b[t]):
-                if c and y:
-                    out[i][j] = out[i][j] + c * y
-    return out
-
-
 def _dense(op):
-    m = mzeros(8, 8, KZERO)
+    m = _mzeros(8, 8, KZERO)
     for (r, c), x in op.terms.items():
         m[r][c] = x
     return m
@@ -51,7 +27,7 @@ def _dense(op):
 def _dense_adjoint(mat):
     """The Gram adjoint of the dense operator, as the old body wrote it."""
     gh = EXT._gram_hat
-    m = mzeros(8, 8, KZERO)
+    m = _mzeros(8, 8, KZERO)
     for r in range(8):
         for c in range(8):
             x = mat[c][r]
@@ -92,11 +68,6 @@ def _same(op, mat):
 
 # --- random sparse operators --------------------------------------------------
 
-def _scalar(rng):
-    return laurent_q({e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
-                      for e in rng.sample(range(-3, 4), rng.randint(1, 2))})
-
-
 def _kscalar(rng, monos):
     return KScalar({m: _scalar(rng) for m in rng.sample(monos, rng.randint(1, len(monos)))})
 
@@ -122,13 +93,13 @@ def test_arithmetic_matches_the_dense_kernels(seed):
                                                  EXT.gamma_star(1 + seed // 4 % 3)]
     for a in ops:
         for b in ops:
-            _same(a @ b, mmul(_dense(a), _dense(b), KZERO))
-            _same(a + b, madd(_dense(a), _dense(b)))
-            _same(a - b, msub(_dense(a), _dense(b)))
+            _same(a @ b, _mmul(_dense(a), _dense(b), KZERO))
+            _same(a + b, _madd(_dense(a), _dense(b)))
+            _same(a - b, _msub(_dense(a), _dense(b)))
         for c in (_scalar(rng), _kscalar(rng, _LINEAR), ZERO, KZERO):
             k = c if isinstance(c, KScalar) else KScalar.from_scalar(c)
-            _same(a.scale(c), mscale(k, _dense(a)))
-        _same(-a, mscale(-KONE, _dense(a)))
+            _same(a.scale(c), _mscale(k, _dense(a)))
+        _same(-a, _mscale(-KONE, _dense(a)))
         assert a.entries_str() == _dense_entries_str(_dense(a))
 
 
@@ -162,7 +133,7 @@ def test_no_zero_entry_is_stored():
     prod = a @ b
     assert prod.terms == {(4, 3): -KONE}
     assert (0, 3) not in prod.terms
-    _same(prod, mmul(_dense(a), _dense(b), KZERO))
+    _same(prod, _mmul(_dense(a), _dense(b), KZERO))
 
 
 def test_rho_and_identity_match_the_dense_forms():

@@ -7,7 +7,7 @@ import pytest
 
 from qlg2 import pbw
 from qlg2.linalg import Matrix
-from qlg2.scalar import BR2, ONE, Q_SC, KScalar, q_power
+from qlg2.scalar import BR2, ONE, Q_SC as Q, KScalar, q_power as _qp
 from qlg2.modules import (
     BASIS_INDEX, DEGREES, EXT, FUND, ModuleOperator,
     canonical_element_invariance_residuals, gamma_equivariance_residuals,
@@ -16,12 +16,6 @@ from qlg2.modules import (
 )
 
 from test_scalar import substitute
-
-Q = Q_SC
-
-
-def _qp(n):
-    return q_power(n)
 
 
 # --- fundamental module -----------------------------------------------------

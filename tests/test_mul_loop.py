@@ -10,13 +10,16 @@ from qlg2 import pbw
 from qlg2.linalg import accumulate
 from qlg2.pbw import (
     _EXPAND_E, _EXPAND_F, _QBR2, _SIMPLE_CROSS, _ZEXP, _acc, _bump, _e_letters,
-    _f_letters, _straighten_e, _straighten_f, _wt_e, _wt_f,
+    _f_letters, _wt_e, _wt_f,
 )
 from qlg2.scalar import ONE, Q_SC, q_power, scalar
 from qlg2.weights import ALPHA1, ALPHA2, OMEGA1, OMEGA2, W_ZERO, Weight
 
+from test_rewrite_and_elimination import _straighten_e, _straighten_f
 
-# --- the plain loop: one _emit call and one accumulate per term ---------------
+
+# --- the plain loop: one _emit call and one accumulate per term, through the
+# old block straighteners ------------------------------------------------------
 
 def _emit(out, fseq, lam, eseq, coeff):
     etab = _straighten_e(eseq)

@@ -6,34 +6,27 @@ from math import gcd
 
 import pytest
 
-from qlg2.scalar import BR2, ONE, Q_SC, ZERO, kappa, q_power
+from qlg2.scalar import BR2, ONE, Q_SC as Q, ZERO, kappa, q_power as _qp
 from qlg2 import parthasarathy
 from qlg2.checks import Context, check_parthasarathy
 from qlg2.linalg import accumulate
 from qlg2.modules import EXT, ModuleOperator
 from qlg2.pbw import (
-    AE_ONE, AlgebraElement, K, antipode, levi_right_split, normal_form, star,
+    AlgebraElement, K, antipode, levi_right_split, normal_form, star,
     xi_E, xi_E_star,
 )
 from qlg2.rmatrix import (
-    casimir_eigenvalue, casimir_exponents, casimir_quantum_terms,
+    TruncatedRMatrix, casimir_eigenvalue, casimir_exponents, casimir_quantum_terms,
     quantum_trace_pairing,
 )
 from qlg2.parthasarathy import (
     KAPPA2_RATIO, KAPPA3_RATIO, PARTHASARATHY_CONSTANT, PROBE_LEVI_TOKENS,
-    PROBE_XI_INDICES, MElement, TensorOperator, casimir_in_M,
-    dirac_self_adjoint, dirac_squared,
+    MElement, TensorOperator, casimir_in_M, dirac_self_adjoint, dirac_squared,
     dolbeault, dolbeault_invariance_residuals, gamma_identities_after_kappa,
-    gamma_pair_formula, m_well_definedness_probe, parthasarathy_residual,
-    probe_base_operators, reduce_to_M, solve_kappa_constraints, spectrum_growth,
-    _linear_exponents, _u_key,
+    gamma_pair_formula, m_relation_holds, m_well_definedness_probe,
+    parthasarathy_residual, probe_base_operators, probe_first_factors,
+    solve_kappa_constraints, spectrum_growth, _linear_exponents, _u_key,
 )
-
-Q = Q_SC
-
-
-def _qp(n):
-    return q_power(n)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +36,7 @@ def d2m():
 
 @pytest.fixture(scope="module")
 def casimir():
-    return quantum_trace_pairing()
+    return quantum_trace_pairing(TruncatedRMatrix.build())
 
 
 def test_dolbeault_squares_to_zero():
@@ -250,23 +243,18 @@ def test_reductions_split_each_simple_tensor_once(casimir, monkeypatch):
 def test_m_relation_on_every_single_token_case():
     """reduce_to_M(t (Y (x) 1)) == reduce_to_M(t (1 (x) rho(S(Y)))) for every
     single-token case of the space m_well_definedness_probe draws from:
-    Y one of PROBE_LEVI_TOKENS, t = x (x) T with x = xi_i or xi_i xi*_j for
-    i, j in PROBE_XI_INDICES and T one of probe_base_operators().
+    Y one of PROBE_LEVI_TOKENS, t = x (x) T with x one of the 12
+    probe_first_factors() and T one of probe_base_operators().
 
     Exhaustive on that finite domain only (the small scope hypothesis), not
     a proof of the relation for all of U_q(l)."""
-    firsts = [xi_E(i) for i in PROBE_XI_INDICES] + [
-        xi_E(i) * xi_E_star(j) for i in PROBE_XI_INDICES for j in PROBE_XI_INDICES]
-    ops = probe_base_operators()
+    firsts, ops = probe_first_factors(), probe_base_operators()
     cases = 0
     for tok in PROBE_LEVI_TOKENS:
         y = normal_form((tok,))
-        by_y = TensorOperator.from_element(y, ModuleOperator.identity())
-        by_rho = TensorOperator.from_element(AE_ONE, EXT.rho(antipode(y)))
-        for first in firsts:
-            for op in ops:
-                t = TensorOperator.from_element(first, op)
-                assert reduce_to_M(t * by_y) == reduce_to_M(t * by_rho), (tok, first, op)
+        for key, first in firsts.items():
+            for b, op in enumerate(ops):
+                assert m_relation_holds(y, first, op), (tok, key, b)
                 cases += 1
     assert cases == len(PROBE_LEVI_TOKENS) * len(firsts) * len(ops) == 192
 
@@ -335,12 +323,12 @@ def test_integer_rows_equal_fraction_oracle(v0, shell_max):
 
 def _cleared_eigenvalue(n1, n2):
     """(q - q^-1)^2 c(n1, n2) = sum_j q^e_j over Q(v)."""
-    return sum(map(q_power, casimir_exponents((n1, n2))), ZERO)
+    return sum(map(_qp, casimir_exponents((n1, n2))), ZERO)
 
 
 def _cleared_product(a, b):
     """(q - q^-1)^2 [a] [b] = (q^a - q^-a)(q^b - q^-b) over Q(v)."""
-    return (q_power(a) - q_power(-a)) * (q_power(b) - q_power(-b))
+    return (_qp(a) - _qp(-a)) * (_qp(b) - _qp(-b))
 
 
 def test_shell_growth_identities_over_q_of_v():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qlg2.linalg import Matrix
-from qlg2.scalar import BR2, ONE, Q_SC, ZERO, laurent_q, q_power
+from qlg2.scalar import BR2, ONE, Q_SC as Q, ZERO, laurent_q, q_power as _qp
 from qlg2.modules import FUND
 from qlg2.pbw import coproduct, normal_form, root_E, star
 from qlg2.rmatrix import (
@@ -18,12 +18,6 @@ from qlg2.rmatrix import (
 )
 
 from test_pbw import coproduct_word
-
-Q = Q_SC
-
-
-def _qp(n):
-    return q_power(n)
 
 
 def test_factor_coefficients():
@@ -76,12 +70,12 @@ def test_kron_mixed_product():
 
 
 def test_casimir_equals_explicit_form():
-    C = quantum_trace_pairing()
+    C = quantum_trace_pairing(TruncatedRMatrix.build())
     assert C == casimir_explicit()
 
 
 def test_casimir_equals_right_form():
-    C = quantum_trace_pairing()
+    C = quantum_trace_pairing(TruncatedRMatrix.build())
     assert C == casimir_right_form()
 
 
@@ -109,20 +103,20 @@ def test_rel_rewrite_identities():
 
 
 def test_centrality():
-    C = quantum_trace_pairing()
+    C = quantum_trace_pairing(TruncatedRMatrix.build())
     for name, r in centrality_residuals(C).items():
         assert r.is_zero, name
 
 
 def test_radical_bidegree_balanced():
     # no words with one-sided radical content survive the trace pairing
-    C = quantum_trace_pairing()
+    C = quantum_trace_pairing(TruncatedRMatrix.build())
     for (fexp, _lam, eexp) in C.terms:
         assert sum(fexp[:3]) == sum(eexp[1:]) <= 1
 
 
 def test_casimir_scalar_on_fundamental():
-    C = quantum_trace_pairing()
+    C = quantum_trace_pairing(TruncatedRMatrix.build())
     c = casimir_eigenvalue((1, 0))
     assert FUND.rep(C) == Matrix.identity(4, c)
 
@@ -191,18 +185,9 @@ def test_coproduct_on_v_tensor_v_matches_the_matrix_table():
             assert got == want, word
 
 
-@pytest.mark.parametrize("tok", [("K", (2, -1)), ("K", (-2, 2))],
-                         ids=["K(2,-1)", "K(-2,2)"])
-def test_tuple_cartan_token_parses_like_the_flat_form(tok):
-    flat = ("K",) + tok[1]
-    (got,), (want,) = coproduct_matrices(tok), coproduct_matrices(flat)
-    assert got == want
-    assert FUND.rep_token(tok) == FUND.rep_token(flat)
-
-
 @pytest.mark.parametrize("tok", [
     "E3", "K1", ("K", 1.5, 0), ("K", 1.0, 0), ("K", 1, 0, 0), ("K", (1,)), ("E", 1),
-    ["E1"], {"E1"},
+    ["E1"], {"E1"}, ("K", (2, -1)),
 ], ids=repr)
 def test_bad_token_is_a_value_error_as_in_pbw_coproduct(tok):
     """normal_form, coproduct_matrices and FUND.rep_token read tokens through

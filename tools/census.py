@@ -10,13 +10,17 @@ with qlg2 imported under the profiler, so code that runs at import counts as
 reached.  It then prints
 
 - every function or method defined in src/qlg2 (each `def`, nested ones
-  included) that none of these runs entered, and
-- for each module-level `*_CACHE` memo: its entries at the end, and the
-  lookups and hits of the runs above.
+  included) that none of these runs entered,
+- for each run and each module-level `*_CACHE` memo: its entries after the
+  run, and the lookups and hits of that run, and
+- for each memo: the distinct keys it held over all the runs, which is its
+  size at the end of one warm process that makes the four runs in turn.
 
 Memo traffic is counted from outside: after the import, each `*_CACHE` dict
 is swapped for a dict subclass that counts the calls of `get`, the one way
-the package reads its memos.  The package itself carries no counter.
+the package reads its memos.  The package itself carries no counter.  Before
+each run every memo is put back to its contents right after the import, so
+each run's counts are those of a cold process.
 
 Exit status 1 when a definition is unreached and not in EXCEPTIONS, or when
 an entry of EXCEPTIONS is reached or no longer defined; 0 otherwise.
@@ -109,21 +113,38 @@ def count_memos():
     return tables
 
 
-def run_all(tmp):
+def run_all(tmp, tables):
+    """Run each job from the memo contents right after the import; returns
+    [(label, {memo: (entries, lookups, hits)})] and {memo: distinct keys}."""
     from qlg2 import cli
 
-    runs = [["verify", "--check", "all", "--report", "json", "--seed", str(seed),
-             "--out", os.path.join(tmp, f"report-{seed}.json")]
+    runs = [(f"verify --seed {seed}",
+             ["verify", "--check", "all", "--report", "json", "--seed", str(seed),
+              "--out", os.path.join(tmp, f"report-{seed}.json")])
             for seed in (20240801, 97)]
-    runs.append(["verify", "--check", "all", "--report", "md",
-                 "--out", os.path.join(tmp, "report.md")])
-    runs.append(["spectrum", "--v-num", "1", "--v-den", "2", "--shell-max", "20",
-                 "--csv", os.path.join(tmp, "spectrum.csv")])
-    for argv in runs:
+    runs.append(("verify --report md", ["verify", "--check", "all", "--report", "md",
+                                        "--out", os.path.join(tmp, "report.md")]))
+    runs.append(("spectrum --shell-max 20",
+                 ["spectrum", "--v-num", "1", "--v-den", "2", "--shell-max", "20",
+                  "--csv", os.path.join(tmp, "spectrum.csv")]))
+    at_import = {name: dict(table) for name, table in tables.items()}
+    keys = {name: set(table) for name, table in tables.items()}
+    traffic = []
+    for label, argv in runs:
+        for name, table in tables.items():
+            table.clear()
+            table.update(at_import[name])
+            table.lookups = table.hits = 0
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
         if code != 0:
             raise SystemExit(f"census: qlg2 {' '.join(argv[:2])} exited {code}")
+        traffic.append((label, {
+            name: (len(table), table.lookups, table.hits)
+            for name, table in tables.items()}))
+        for name, table in tables.items():
+            keys[name].update(table)
+    return traffic, {name: len(k) for name, k in keys.items()}
 
 
 def main():
@@ -140,7 +161,7 @@ def main():
         importlib.import_module("qlg2.cli")
         tables = count_memos()
         with tempfile.TemporaryDirectory() as tmp:
-            run_all(tmp)
+            traffic, distinct = run_all(tmp, tables)
     finally:
         sys.setprofile(None)
 
@@ -153,9 +174,15 @@ def main():
     for key in unreached:
         print(f"  {key:<40} {EXCEPTIONS.get(key, 'NOT AN EXCEPTION')}")
     print()
-    print(f"{'memo':<40} {'entries':>8} {'lookups':>9} {'hits':>9}")
-    for name, table in tables.items():
-        print(f"{name:<40} {len(table):>8} {table.lookups:>9} {table.hits:>9}")
+    for label, counts in traffic:
+        print(f"qlg2 {label}, from the memos at import:")
+        print(f"  {'memo':<38} {'entries':>8} {'lookups':>9} {'hits':>9}")
+        for name, (entries, lookups, hits) in counts.items():
+            print(f"  {name:<38} {entries:>8} {lookups:>9} {hits:>9}")
+        print()
+    print("distinct keys over the four runs (one warm process):")
+    for name, n in distinct.items():
+        print(f"  {name:<38} {n:>8}")
     print()
 
     bad = [k for k in unreached if k not in EXCEPTIONS]

@@ -1,8 +1,9 @@
 """The defining relation of M on the whole space that `eq-relation-cliff` samples.
 
 For every Levi word Y of one or two `PROBE_LEVI_TOKENS` (4 + 16 = 20), every
-first factor x = xi_i or xi_i xi*_j over `PROBE_XI_INDICES` (3 + 9 = 12) and
-every T of `probe_base_operators()` (4), checks exactly that
+first factor x of `probe_first_factors()`, xi_i or xi_i xi*_j over
+`PROBE_XI_INDICES` (3 + 9 = 12), and every T of `probe_base_operators()` (4),
+checks exactly with `m_relation_holds` that
 
     reduce_to_M(t (Y (x) 1)) == reduce_to_M(t (1 (x) rho(S(Y)))),  t = x (x) T,
 
@@ -22,35 +23,29 @@ import itertools
 import sys
 import time
 
-from qlg2.modules import EXT, ModuleOperator
 from qlg2.parthasarathy import (
-    PROBE_LEVI_TOKENS, PROBE_XI_INDICES, TensorOperator, probe_base_operators,
-    reduce_to_M,
+    PROBE_LEVI_TOKENS, PROBE_XI_INDICES, m_relation_holds, probe_base_operators,
+    probe_first_factors,
 )
-from qlg2.pbw import AE_ONE, antipode, normal_form, xi_E, xi_E_star
+from qlg2.pbw import normal_form
 
 
 def main():
     start = time.perf_counter()
     words = [w for n in (1, 2) for w in itertools.product(PROBE_LEVI_TOKENS, repeat=n)]
-    firsts = [xi_E(i) for i in PROBE_XI_INDICES] + [
-        xi_E(i) * xi_E_star(j) for i in PROBE_XI_INDICES for j in PROBE_XI_INDICES]
-    ops = probe_base_operators()
+    firsts, ops = probe_first_factors(), probe_base_operators()
     cases, failed = 0, []
     for word in words:
         y = normal_form(word)
-        by_y = TensorOperator.from_element(y, ModuleOperator.identity())
-        by_rho = TensorOperator.from_element(AE_ONE, EXT.rho(antipode(y)))
-        for a, first in enumerate(firsts):
+        for key, first in firsts.items():
             for b, op in enumerate(ops):
-                t = TensorOperator.from_element(first, op)
-                if reduce_to_M(t * by_y) != reduce_to_M(t * by_rho):
-                    failed.append((word, a, b))
+                if not m_relation_holds(y, first, op):
+                    failed.append((word, key, b))
                 cases += 1
     n, k = len(PROBE_LEVI_TOKENS), len(PROBE_XI_INDICES)
     want = (n + n * n) * (k + k * k) * len(ops)
-    for word, a, b in failed:
-        print(f"m_relation: fails at Y = {word}, first factor {a}, operator {b}")
+    for word, key, b in failed:
+        print(f"m_relation: fails at Y = {word}, first factor {key}, operator {b}")
     print(f"m_relation: {cases} cases ({len(words)} Levi words x {len(firsts)} "
           f"first factors x {len(ops)} operators), {len(failed)} failing, "
           f"{time.perf_counter() - start:.1f} s")
