@@ -32,7 +32,8 @@ class Combination:
 
     The vector-space operations live here; a subclass adds its products and
     constructors.  `_coerce` maps an operand to the subclass, or to None for
-    NotImplemented.  Treat instances as immutable.
+    NotImplemented; `_new` makes a result of self's kind from its terms.
+    Treat instances as immutable.
     """
 
     __slots__ = ("terms",)
@@ -43,6 +44,9 @@ class Combination:
     @classmethod
     def _coerce(cls, x):
         return x if isinstance(x, cls) else None
+
+    def _new(self, terms):
+        return type(self)(terms)
 
     @property
     def is_zero(self):
@@ -58,12 +62,12 @@ class Combination:
         out = dict(self.terms)
         for k, c in o.terms.items():
             accumulate(out, k, c)
-        return type(self)(out)
+        return self._new(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return self._new({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -111,25 +115,13 @@ class Matrix(Combination):
     def identity(cls, n, one):
         return cls.diagonal([one] * n)
 
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if other.shape != self.shape:
-            raise ValueError(f"matrix sum of shapes {self.shape} and {other.shape}")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            accumulate(out, k, c)
-        return type(self)(out, self.shape)
+    def _new(self, terms):
+        return type(self)(terms, self.shape)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()}, self.shape)
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self + (-other)
+    def _coerce(self, x):
+        if isinstance(x, Matrix) and x.shape != self.shape:
+            raise ValueError(f"matrix sum of shapes {self.shape} and {x.shape}")
+        return x if isinstance(x, Matrix) else None
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -143,8 +135,8 @@ class Matrix(Combination):
 
     def scale(self, c):
         if not c:
-            return type(self)({}, self.shape)
-        return type(self)({rc: c * x for rc, x in self.terms.items()}, self.shape)
+            return self._new({})
+        return self._new({rc: c * x for rc, x in self.terms.items()})
 
     def kron(self, other):
         """Kronecker product: entry (i, j) times entry (k, l) of `other`, of
@@ -191,23 +183,24 @@ def mmul(a, b):
     return type(a)(out, (a.shape[0], b.shape[1]))
 
 
-def rewrite(word, rules, cache, one):
-    """{normal word: coefficient} of a letter word, memoised in `cache`; treat
-    results as read only.  The first adjacent pair that is a key of `rules`
-    is replaced by each (coefficient, letters) of its rule, until no such
-    pair is left: every out-of-order pair must be a key."""
+def rewrite(word, rules, cache, one, key):
+    """{key(normal word): coefficient} of a letter word, memoised in `cache`;
+    treat results as read only.  The first adjacent pair that is a key of
+    `rules` is replaced by each (coefficient, letters) of its rule, until no
+    such pair is left: every out-of-order pair must be a key."""
     got = cache.get(word)
     if got is None:
-        got = {word: one}
         for i in range(len(word) - 1):
             rule = rules.get(word[i:i + 2])
             if rule is not None:
                 got = {}
                 for c, repl in rule:
                     for w, x in rewrite(word[:i] + repl + word[i + 2:], rules,
-                                        cache, one).items():
+                                        cache, one, key).items():
                         accumulate(got, w, c * x)
                 break
+        else:
+            got = {key(word): one}
         cache[word] = got
     return got
 

@@ -166,8 +166,8 @@ class FundamentalModule(_WeightModule):
 
 BASIS_WORDS = ((), (1,), (2,), (3,), (2, 1), (3, 1), (3, 2), (3, 2, 1))
 BASIS_INDEX = {w: i for i, w in enumerate(BASIS_WORDS)}
-DEGREES = (0, 1, 1, 1, 2, 2, 2, 3)
-BASIS_NAMES = ("1", "y1", "y2", "y3", "y21", "y31", "y32", "y321")
+DEGREES = tuple(map(len, BASIS_WORDS))
+BASIS_NAMES = tuple("y" + "".join(map(str, w)) if w else "1" for w in BASIS_WORDS)
 
 # wedge rewriting toward strictly decreasing index words (linalg.rewrite,
 # memo _WEDGE_CACHE); every pair i <= j is a key
@@ -246,9 +246,9 @@ class ExteriorModule(_WeightModule):
                 c = ci * cj
                 if c.is_zero:
                     continue
-                for w, cw in rewrite(BASIS_WORDS[i] + BASIS_WORDS[j], _WEDGE_RULES,
-                                     _WEDGE_CACHE, ONE).items():
-                    accumulate(out, BASIS_INDEX[w], c * cw)
+                for k, ck in rewrite(BASIS_WORDS[i] + BASIS_WORDS[j], _WEDGE_RULES,
+                                     _WEDGE_CACHE, ONE, BASIS_INDEX.__getitem__).items():
+                    accumulate(out, k, c * ck)
         return out
 
     # --- Levi action -----------------------------------------------------

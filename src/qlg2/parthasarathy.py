@@ -381,12 +381,17 @@ def probe_first_factors():
             **{(i, j): xi_E(i) * xi_E_star(j) for i in ks for j in ks}}
 
 
-def m_relation_holds(y, first, op):
-    """One case of M's defining relation, for a Levi element y and t = first
-    (x) op: reduce_to_M(t (y (x) 1)) == reduce_to_M(t (1 (x) rho(S(y))))."""
+def m_relation_sides(y):
+    """y (x) 1 and 1 (x) rho(S(y)), which M's relation identifies, for a Levi y."""
+    return (TensorOperator.from_element(y, ModuleOperator.identity()),
+            TensorOperator.from_element(AE_ONE, EXT.rho(antipode(y))))
+
+
+def m_relation_holds(sides, first, op):
+    """One case of M's defining relation, for sides = m_relation_sides(y) and
+    t = first (x) op: reduce_to_M(t (y (x) 1)) == reduce_to_M(t (1 (x) rho(S(y))))."""
     t = TensorOperator.from_element(first, op)
-    return (reduce_to_M(t * TensorOperator.from_element(y, ModuleOperator.identity()))
-            == reduce_to_M(t * TensorOperator.from_element(AE_ONE, EXT.rho(antipode(y)))))
+    return reduce_to_M(t * sides[0]) == reduce_to_M(t * sides[1])
 
 
 def m_well_definedness_probe(seed, trials):
@@ -401,7 +406,7 @@ def m_well_definedness_probe(seed, trials):
                               for _ in range(rng.randint(1, 2))))
         i = rng.choice(PROBE_XI_INDICES)
         j = rng.choice(PROBE_XI_INDICES) if rng.random() < 0.5 else None
-        if not m_relation_holds(y, firsts[i, j], rng.choice(base_ops)):
+        if not m_relation_holds(m_relation_sides(y), firsts[i, j], rng.choice(base_ops)):
             failures += 1
     return failures
 

@@ -41,16 +41,16 @@ The product of two words is one loop (_mul_terms), table-driven in the
 manner of de Graaf (J. Symbolic Comput. 32, 2001): each term of
 _cross(B1, A2) is moved past the Cartan parts, and the blocks F^A1 F^A3 and
 E^B3 E^B2 are looked up already straightened in tables keyed by their
-exponent pairs (A1, A3) and (B3, B2); only on a miss is a block's letter
-word rewritten (linalg.rewrite under _F_RULES or _E_RULES) and read back as
-exponents.  `_cross` memoises every pair of exponents in _CROSS_CACHE, a
-pair with an empty side included, and _CROSS_ROW_CACHE holds its terms as
-the rows the loop reads, with the integer covectors that give the Cartan
-exponent.  `normal_form` checks each token with _plain_token, the one token
-grammar (a generator name or ("K", n1, n2) of ints), then looks the token
-word up in _NF_CACHE, which holds the coefficient-one left fold, and scales
-that by the coefficient; the tokens' term maps are built only on a miss.
-Memoised term maps are shared by every caller and are never mutated.
+exponent pairs (A1, A3) and (B3, B2), which share their dicts with the
+rewrite memos _F_STR_CACHE and _E_STR_CACHE (linalg.rewrite under _F_RULES
+or _E_RULES, keyed by exponents).  `_cross` memoises every exponent pair,
+a pair with an empty side included, in _CROSS_CACHE as the rows the loop
+reads: terms with the integer covectors that give the Cartan exponent.
+`normal_form` checks each token with _plain_token, the one token grammar
+(a generator name or ("K", n1, n2) of ints), then looks the token word up
+in _NF_CACHE, which holds the coefficient-one left fold, and scales that by
+the coefficient; the tokens' term maps are built only on a miss.  Memoised
+term maps are shared by every caller and are never mutated.
 
 The Hopf structure has one source: `coproduct` on generator tokens, with
 star and antipode given on the simple letters.  The adjoint action of one
@@ -140,20 +140,27 @@ def _acc(out, terms, f):
         accumulate(out, w, f * c)
 
 
-# --- block straighteners: linalg.rewrite memos keyed by the letter word ------
+# --- block straighteners: linalg.rewrite memos, letter word -> {exponents: c} --
 
 _E_STR_CACHE = {}
 _F_STR_CACHE = {}
 
 
-def _f_letters(fexp):
-    a4, a3, a2, a1 = fexp
-    return (4,) * a4 + (3,) * a3 + (2,) * a2 + (1,) * a1
-
-
 def _e_letters(eexp):
     b1, b2, b3, b4 = eexp
     return (1,) * b1 + (2,) * b2 + (3,) * b3 + (4,) * b4
+
+
+def _f_letters(fexp):
+    return _e_letters(fexp[::-1])[::-1]
+
+
+def _e_exps(letters):
+    return (letters.count(1), letters.count(2), letters.count(3), letters.count(4))
+
+
+def _f_exps(letters):
+    return _e_exps(letters)[::-1]
 
 
 # --- crossing and multiplication -------------------------------------------
@@ -171,12 +178,14 @@ def _bump(exp, k, d):
     return exp[:k] + (exp[k] + d,) + exp[k + 1:]
 
 
-# cross products E^B . F^A used by multiplication
+# _cross(B, A) as rows (A3, nu1, nu2, B3, c3, g1, g2, h1, h2), keyed by (B, A):
+# (g1, g2) and (h1, h2) pair a weight with wt F^A3 and wt E^B3 under the Gram
+# form [[1, 1], [1, 2]], so that (lam, wt F^A3) = lam1 g1 + lam2 g2
 _CROSS_CACHE = {}
 
 
 def _cross(eexp, fexp):
-    """E^eexp . F^fexp as {word: Scalar}, memoised; treat results as read only.
+    """E^eexp . F^fexp as rows, memoised; treat results as read only.
 
     An empty side: the one word F^A E^B.  More than one E letter:
     E^B' . (E_last F^A).  One E letter and more than one F letter:
@@ -187,20 +196,19 @@ def _cross(eexp, fexp):
     simple E letter the E part of every term is empty or that letter.
     """
     key = (eexp, fexp)
-    got = _CROSS_CACHE.get(key)
-    if got is not None:
-        return got
-    if eexp == _ZEXP or fexp == _ZEXP:
-        got = _CROSS_CACHE[key] = {(fexp, W_ZERO, eexp): ONE}
-        return got
-    last = max(k for k in range(4) if eexp[k])
-    first = min(k for k in range(4) if fexp[k])
+    rows = _CROSS_CACHE.get(key)
+    if rows is not None:
+        return rows
+    last = max((k for k in range(4) if eexp[k]), default=0)
+    first = min((k for k in range(4) if fexp[k]), default=0)
     e_one, f_one = _bump(_ZEXP, last, 1), _bump(_ZEXP, first, 1)
     i, j = last + 1, 4 - first
-    if sum(eexp) > 1:
-        got = _mul_terms(_e_word(_bump(eexp, last, -1)), _cross(e_one, fexp))
+    if eexp == _ZEXP or fexp == _ZEXP:
+        got = {(fexp, W_ZERO, eexp): ONE}
+    elif sum(eexp) > 1:
+        got = _mul_terms(_e_word(_bump(eexp, last, -1)), _cross_terms(e_one, fexp))
     elif sum(fexp) > 1:
-        got = _mul_terms(_cross(eexp, f_one), _f_word(_bump(fexp, first, -1)))
+        got = _mul_terms(_cross_terms(eexp, f_one), _f_word(_bump(fexp, first, -1)))
     elif i in _EXPAND_E:
         # E_i = sum c E_x E_y (E_z): cross F_j by E_z first, then E_y, E_x
         got = {}
@@ -223,23 +231,18 @@ def _cross(eexp, fexp):
             alpha, c = _SIMPLE_CROSS[i]
             got[(_ZEXP, alpha, _ZEXP)] = c
             got[(_ZEXP, -alpha, _ZEXP)] = -c
-    _CROSS_CACHE[key] = got
-    return got
-
-
-# _cross(B, A) as rows (A3, nu1, nu2, B3, c3, g1, g2, h1, h2), keyed by (B, A):
-# (g1, g2) and (h1, h2) pair a weight with wt F^A3 and wt E^B3 under the Gram
-# form [[1, 1], [1, 2]], so that (lam, wt F^A3) = lam1 g1 + lam2 g2
-_CROSS_ROW_CACHE = {}
-
-
-def _cross_rows(eexp, fexp):
     rows = []
-    for (A3, nu, B3), c3 in _cross(eexp, fexp).items():
+    for (A3, nu, B3), c3 in got.items():
         (f1, f2), (e1, e2) = _wt_f(A3), _wt_e(B3)
         rows.append((A3, *nu, B3, c3, f1 + f2, f1 + 2 * f2, e1 + e2, e1 + 2 * e2))
-    rows = _CROSS_ROW_CACHE[(eexp, fexp)] = tuple(rows)
+    rows = _CROSS_CACHE[key] = tuple(rows)
     return rows
+
+
+def _cross_terms(eexp, fexp):
+    """E^eexp . F^fexp as {word: Scalar}, rebuilt from the rows of _cross."""
+    return {(A3, Weight(n1, n2), B3): c3
+            for A3, n1, n2, B3, c3, *_ in _cross(eexp, fexp)}
 
 
 # straightened blocks F^A1 F^A3 and E^B3 E^B2 keyed by their exponent pairs
@@ -257,20 +260,20 @@ def _mul_terms(t1, t2):
 
     whose F and E blocks are straightened through the pair tables.  The
     Cartan exponent k is an integer dot product of lam and mu with the
-    covectors that _cross_rows stores beside each term, and q^-k = v^-2k is
+    covectors that _cross stores beside each term, and q^-k = v^-2k is
     applied as a shift of the coefficient.  A coefficient product with a
     factor ONE is skipped.
     """
     out = {}
     get = out.get
-    rows_of = _CROSS_ROW_CACHE.get
+    rows_of = _CROSS_CACHE.get
     new = tuple.__new__
     for (A1, (l1, l2), B1), c1 in t1.items():
         for (A2, (m1, m2), B2), c2 in t2.items():
             c12 = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
             w1, w2 = l1 + m1, l2 + m2
             for A3, n1, n2, B3, c3, g1, g2, h1, h2 in (
-                    rows_of((B1, A2)) or _cross_rows(B1, A2)):
+                    rows_of((B1, A2)) or _cross(B1, A2)):
                 c = c3 if c12 is ONE else c12 if c3 is ONE else c12 * c3
                 # K_lam across F^A3 to the right, K_mu across E^B3 to the left
                 k = l1 * g1 + l2 * g2 + m1 * h1 + m2 * h2
@@ -279,16 +282,14 @@ def _mul_terms(t1, t2):
                 w = new(Weight, (w1 + n1, w2 + n2))
                 ftab = _F_PAIR_CACHE.get((A1, A3))
                 if ftab is None:
-                    ftab = _F_PAIR_CACHE[(A1, A3)] = {
-                        (u.count(4), u.count(3), u.count(2), u.count(1)): cu
-                        for u, cu in rewrite(_f_letters(A1) + _f_letters(A3),
-                                             _F_RULES, _F_STR_CACHE, ONE).items()}
+                    ftab = _F_PAIR_CACHE[(A1, A3)] = rewrite(
+                        _f_letters(A1) + _f_letters(A3), _F_RULES, _F_STR_CACHE, ONE,
+                        _f_exps)
                 etab = _E_PAIR_CACHE.get((B3, B2))
                 if etab is None:
-                    etab = _E_PAIR_CACHE[(B3, B2)] = {
-                        (u.count(1), u.count(2), u.count(3), u.count(4)): cu
-                        for u, cu in rewrite(_e_letters(B3) + _e_letters(B2),
-                                             _E_RULES, _E_STR_CACHE, ONE).items()}
+                    etab = _E_PAIR_CACHE[(B3, B2)] = rewrite(
+                        _e_letters(B3) + _e_letters(B2), _E_RULES, _E_STR_CACHE, ONE,
+                        _e_exps)
                 for fexp, cf in ftab.items():
                     cwf = c if cf is ONE else cf if c is ONE else c * cf
                     for eexp, ce in etab.items():

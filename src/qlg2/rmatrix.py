@@ -34,14 +34,14 @@ from __future__ import annotations
 
 from .linalg import Matrix, accumulate
 from .scalar import BR2, ONE, ZERO, Q_SC as _Q, q_factorial, q_power as _qp
-from .weights import LAMBDA_V, RHO, SIMPLE, Weight
+from .weights import BETA, LAMBDA_V, RHO, SIMPLE, Weight
 from .pbw import (
     AE_ONE, AE_ZERO, K, normal_form, root_E, star, token_name, token_weight,
 )
 from .modules import FUND
 
 # root lengths along w0 = s1 s2 s1 s2: bases of the rank-one sl2 factors
-_ROOT_BASE = {1: 1, 2: 2, 3: 1, 4: 2}
+_ROOT_BASE = {j: BETA[j].pair(BETA[j]) // 2 for j in BETA}
 
 
 def factor_coefficient(j, r):

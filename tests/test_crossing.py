@@ -1,14 +1,15 @@
-"""The letter-level crossing recursion `pbw._cross`: a digest of the old
-implementation's crossings, the crossings it could not finish, and the
-structural invariant that makes the recursion terminate."""
+"""The letter-level crossing recursion `pbw._cross`, read as term maps
+through `pbw._cross_terms`: a digest of the old implementation's
+crossings, the crossings it could not finish, and the structural invariant
+that makes the recursion terminate."""
 
 import hashlib
 import importlib
 import itertools
 
 from qlg2.pbw import (
-    AE_ZERO, AlgebraElement, F1, _ZEXP, _cross, levi_right_split, radical_monomial,
-    root_E, root_F,
+    AE_ZERO, AlgebraElement, F1, _ZEXP, _cross_terms, levi_right_split,
+    radical_monomial, root_E, root_F,
 )
 
 EXPS = [e for e in itertools.product(range(3), repeat=4) if 0 < sum(e) <= 2]
@@ -21,7 +22,7 @@ def test_crossing_digest_matches_generator_expansion():
     h = hashlib.sha256()
     for eexp in EXPS:
         for fexp in EXPS:
-            text = AlgebraElement(_cross(eexp, fexp)).canon_str()
+            text = AlgebraElement(_cross_terms(eexp, fexp)).canon_str()
             h.update(f"{eexp}{fexp}:{text}\n".encode())
     assert h.hexdigest()[:16] == "36ba807720012a0d"
 
@@ -30,7 +31,7 @@ def test_simple_e_letter_keeps_its_e_part():
     # a simple E letter crossed with any F word leaves E part empty or itself
     for eexp in ((1, 0, 0, 0), (0, 0, 0, 1)):
         for fexp in EXPS:
-            assert {B for (_A, _lam, B) in _cross(eexp, fexp)} <= {_ZEXP, eexp}
+            assert {B for (_A, _lam, B) in _cross_terms(eexp, fexp)} <= {_ZEXP, eexp}
 
 
 def test_crossings_that_exhausted_the_step_budget():

@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from qlg2 import pbw
+from qlg2 import pbw, rmatrix
 from qlg2.linalg import Matrix
 from qlg2.scalar import BR2, ONE, Q_SC as Q, KScalar, q_power as _qp
 from qlg2.modules import (
-    BASIS_INDEX, DEGREES, EXT, FUND, ModuleOperator,
+    BASIS_INDEX, BASIS_NAMES, DEGREES, EXT, FUND, ModuleOperator,
     canonical_element_invariance_residuals, gamma_equivariance_residuals,
     golden_action_gamma, golden_gamma_star, golden_levi_Lq, iso_exterior_map,
     quadratic_dual, span_equal, sq_relation_vectors, wedge_relation_vectors,
@@ -61,6 +61,14 @@ def test_f_vanish():
 def test_graded_dimensions():
     dims = [DEGREES.count(d) for d in range(4)]
     assert dims == [1, 3, 3, 1]
+
+
+def test_derived_tables_equal_their_literals():
+    # DEGREES and BASIS_NAMES are read off BASIS_WORDS, and the rank-one
+    # bases off the root lengths (beta_j, beta_j) / 2
+    assert DEGREES == (0, 1, 1, 1, 2, 2, 2, 3)
+    assert BASIS_NAMES == ("1", "y1", "y2", "y3", "y21", "y31", "y32", "y321")
+    assert rmatrix._ROOT_BASE == {1: 1, 2: 2, 3: 1, 4: 2}
 
 
 def test_wedge_relations():

@@ -2,6 +2,7 @@
 replaced: every pair of single letters and K tokens, seeded random element
 pairs, and the same products on cold and on warm memo tables."""
 
+import contextlib
 import itertools
 import random
 import sys
@@ -167,22 +168,69 @@ def test_random_element_pairs_match_the_plain_loop():
         _assert_same_product(t1, t2, memo)
 
 
+@contextlib.contextmanager
+def _cold_tables():
+    """Every memo table empty inside the block, and put back after it."""
+    tables = _memo_tables()
+    saved = {name: dict(table) for name, table in tables.items()}
+    try:
+        for table in tables.values():
+            table.clear()
+        yield
+    finally:
+        for name, table in tables.items():
+            table.clear()
+            table.update(saved[name])
+
+
 def test_cold_tables_give_the_warm_products():
     pairs = list(itertools.product(_letters_and_k(), repeat=2)) + _random_pairs(100, 97)
     warm = [pbw._mul_terms(t1, t2) for t1, t2 in pairs]
     tables = _memo_tables()
     assert {f"qlg2.pbw.{name}" for name in (
-        "_F_PAIR_CACHE", "_E_PAIR_CACHE", "_CROSS_CACHE", "_CROSS_ROW_CACHE")} <= set(tables)
+        "_F_PAIR_CACHE", "_E_PAIR_CACHE", "_F_STR_CACHE", "_E_STR_CACHE",
+        "_CROSS_CACHE")} <= set(tables)
     assert {"qlg2.scalar._CANCEL_CACHE", "qlg2.scalar._LCM_CACHE"} <= set(tables)
-    saved = {name: dict(table) for name, table in tables.items()}
-    try:
-        for table in tables.values():
-            table.clear()
+    with _cold_tables():
         cold = [pbw._mul_terms(t1, t2) for t1, t2 in pairs]
-    finally:
-        for name, table in tables.items():
-            table.clear()
-            table.update(saved[name])
     for got, want in zip(cold, warm):
         assert list(got) == list(want)
         assert got == want
+
+
+def test_pair_tables_hold_the_straightener_memos():
+    # one dict per straightened block: the pair table entry is the memo entry
+    # of the block's letter word, not a converted copy of it
+    for t1, t2 in _random_pairs(100, 5):
+        pbw._mul_terms(t1, t2)
+    for table, memo, letters in ((pbw._F_PAIR_CACHE, pbw._F_STR_CACHE, _f_letters),
+                                 (pbw._E_PAIR_CACHE, pbw._E_STR_CACHE, _e_letters)):
+        assert len(table) > 50
+        for (x, y), tab in table.items():
+            assert tab is memo[letters(x) + letters(y)]
+
+
+def _height(eexp, fexp):
+    """Sum of the root heights 1, 3, 2, 1 of beta_1..beta_4 over the letters
+    of E^eexp . F^fexp."""
+    return sum(h * (b + a) for h, b, a in zip((1, 3, 2, 1), eexp, fexp[::-1]))
+
+
+def test_cold_crossing_rows_give_the_plain_crossings():
+    # each row holds a term of the crossing and the covectors of its Cartan
+    # exponent: (lam, wt F^A3) = lam1 g1 + lam2 g2, (mu, wt E^B3) = mu1 h1 + mu2 h2
+    exps = list(itertools.product(range(5), repeat=4))
+    pairs = [(e, f) for e in exps for f in exps if _height(e, f) <= 4]
+    assert len(pairs) == 113
+    memo = {}
+    with _cold_tables():
+        for eexp, fexp in pairs:
+            rows = pbw._cross(eexp, fexp)
+            got = {(A3, Weight(n1, n2), B3): c3 for A3, n1, n2, B3, c3, *_ in rows}
+            want = _plain_cross(eexp, fexp, memo)
+            assert list(got.items()) == list(want.items()), (eexp, fexp)
+            for A3, _n1, _n2, B3, _c3, g1, g2, h1, h2 in rows:
+                assert (g1, g2) == (OMEGA1.pair(_wt_f(A3)), OMEGA2.pair(_wt_f(A3)))
+                assert (h1, h2) == (OMEGA1.pair(_wt_e(B3)), OMEGA2.pair(_wt_e(B3)))
+            terms = pbw._cross_terms(eexp, fexp)
+            assert terms == want and all(type(lam) is Weight for _A, lam, _B in terms)

@@ -23,7 +23,7 @@ from qlg2.parthasarathy import (
     KAPPA2_RATIO, KAPPA3_RATIO, PARTHASARATHY_CONSTANT, PROBE_LEVI_TOKENS,
     MElement, TensorOperator, casimir_in_M, dirac_self_adjoint, dirac_squared,
     dolbeault, dolbeault_invariance_residuals, gamma_identities_after_kappa,
-    gamma_pair_formula, m_relation_holds, m_well_definedness_probe,
+    gamma_pair_formula, m_relation_holds, m_relation_sides, m_well_definedness_probe,
     parthasarathy_residual, probe_base_operators, probe_first_factors,
     solve_kappa_constraints, spectrum_growth, _linear_exponents, _u_key,
 )
@@ -251,10 +251,10 @@ def test_m_relation_on_every_single_token_case():
     firsts, ops = probe_first_factors(), probe_base_operators()
     cases = 0
     for tok in PROBE_LEVI_TOKENS:
-        y = normal_form((tok,))
+        sides = m_relation_sides(normal_form((tok,)))
         for key, first in firsts.items():
             for b, op in enumerate(ops):
-                assert m_relation_holds(y, first, op), (tok, key, b)
+                assert m_relation_holds(sides, first, op), (tok, key, b)
                 cases += 1
     assert cases == len(PROBE_LEVI_TOKENS) * len(firsts) * len(ops) == 192
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from qlg2.linalg import accumulate, minv, nullspace, rewrite
 from qlg2.modules import _WEDGE_RULES, BASIS_INDEX
-from qlg2.pbw import _E_RULES, _F_RULES, _acc
+from qlg2.pbw import _E_RULES, _F_RULES, _acc, _e_exps, _f_exps
 from qlg2.scalar import ONE, ZERO
 
 from test_sparse_kernels import _scalar
@@ -146,28 +146,27 @@ def test_rewrite_matches_the_block_straighteners():
     table: the same terms in the same order, cold and then warm."""
     words = _words((1, 2, 3, 4), 5)
     assert len(words) == 1365
-    for rules, ascending, order in ((_E_RULES, True, (1, 2, 3, 4)),
-                                    (_F_RULES, False, (4, 3, 2, 1))):
+    for rules, ascending, key in ((_E_RULES, True, _e_exps), (_F_RULES, False, _f_exps)):
         memo, oracle = {}, {}
         for _ in range(2):
             for word in words:
-                got = {tuple(map(w.count, order)): c
-                       for w, c in rewrite(word, rules, memo, ONE).items()}
+                got = rewrite(word, rules, memo, ONE, key)
                 want = _straighten(word, rules, ascending, oracle)
                 assert list(got.items()) == list(want.items()), word
         assert len(memo) == len(oracle) >= len(words)
 
 
 def test_rewrite_matches_the_wedge_rewriter():
-    """Every word of length <= 4 over 1..3; each normal word is one of
-    BASIS_WORDS."""
+    """Every word of length <= 4 over 1..3, keyed by basis index; each
+    normal word is one of BASIS_WORDS."""
     words = _words((1, 2, 3), 4)
     assert len(words) == 121
     memo, oracle = {}, {}
     for word in words:
-        got = rewrite(word, _WEDGE_RULES, memo, ONE)
-        assert list(got.items()) == list(_wedge_word(word, oracle).items()), word
-        assert set(got) <= set(BASIS_INDEX)
+        got = rewrite(word, _WEDGE_RULES, memo, ONE, BASIS_INDEX.__getitem__)
+        want = [(BASIS_INDEX[w], c) for w, c in _wedge_word(word, oracle).items()]
+        assert list(got.items()) == want, word
+        assert set(got) <= set(BASIS_INDEX.values())
     assert len(memo) == len(oracle)
 
 

@@ -22,8 +22,9 @@ the package reads its memos.  The package itself carries no counter.  Before
 each run every memo is put back to its contents right after the import, so
 each run's counts are those of a cold process.
 
-Exit status 1 when a definition is unreached and not in EXCEPTIONS, or when
-an entry of EXCEPTIONS is reached or no longer defined; 0 otherwise.
+Exit status 1 when a definition is unreached and not in EXCEPTIONS, when
+an entry of EXCEPTIONS is reached or no longer defined, or when a memo has
+no hit over the four runs; 0 otherwise.
 
     python tools/census.py
 """
@@ -187,14 +188,18 @@ def main():
 
     bad = [k for k in unreached if k not in EXCEPTIONS]
     stale = [k for k in EXCEPTIONS if k not in unreached]
+    idle = [name for name in tables
+            if not any(counts[name][2] for _label, counts in traffic)]
     for key in bad:
         print(f"census: unreached and not an exception: {key}")
     for key in stale:
         state = "reached" if key in defs else "no longer defined"
         print(f"census: exception {state}: {key}")
+    for name in idle:
+        print(f"census: memo with no hit over the four runs: {name}")
     print(f"census: {len(defs)} definitions, {len(unreached)} unreached, "
           f"{len(tables)} memo tables, {time.perf_counter() - start:.1f} s")
-    return 1 if bad or stale else 0
+    return 1 if bad or stale or idle else 0
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ import sys
 import time
 
 from qlg2.parthasarathy import (
-    PROBE_LEVI_TOKENS, PROBE_XI_INDICES, m_relation_holds, probe_base_operators,
-    probe_first_factors,
+    PROBE_LEVI_TOKENS, PROBE_XI_INDICES, m_relation_holds, m_relation_sides,
+    probe_base_operators, probe_first_factors,
 )
 from qlg2.pbw import normal_form
 
@@ -36,10 +36,10 @@ def main():
     firsts, ops = probe_first_factors(), probe_base_operators()
     cases, failed = 0, []
     for word in words:
-        y = normal_form(word)
+        sides = m_relation_sides(normal_form(word))
         for key, first in firsts.items():
             for b, op in enumerate(ops):
-                if not m_relation_holds(y, first, op):
+                if not m_relation_holds(sides, first, op):
                     failed.append((word, key, b))
                 cases += 1
     n, k = len(PROBE_LEVI_TOKENS), len(PROBE_XI_INDICES)
