@@ -22,15 +22,26 @@ in the inner loops.  `canon_str` prints the same monic-over-Q form as a
 Fraction-coefficient representation would: numerator and denominator
 divided by the leading coefficient of cont * den.
 
-Three exact short-cuts serve the sums and products the checks repeat.
-`_cancel` memoises its gcd-bearing case (both polynomials of degree >= 1)
-in `_CANCEL_CACHE`, keyed by the pair (num, den): a few hundred distinct
-pairs recur thousands of times.  A sum over two different denominators of
-degree >= 1 goes over their lcm L, not their product, with L and the
-cofactors L/d1, L/d2 memoised in `_LCM_CACHE`; the canonical form is
-unique, so the sum is the same.  A product with a factor +-v^k (cont = 1,
-den = 1) is a sign and a shift of the other factor, already canonical, so
-it skips `_make`, and `shift` multiplies by v^k with no product at all.
+Four exact short-cuts serve the sums and products the checks repeat.
+Nearly every Scalar the checks build is v^s times a rational function of
+v^4, so the same operands recur at many shifts.  Sums and general products
+are therefore memoised by their shift-free fields: `_MUL_CACHE` maps
+(n1, c1, d1, n2, c2, d2) to the product of the operands at shift 0, and
+`_ADD_CACHE` maps the same six fields and k = s1 - s2 to their sum at
+relative shift k, taken with min(s1, s2) = 0.  The result is the entry
+shifted by s1 + s2 or by min(s1, s2) respectively.  These keys are exact
+because v^k is a unit: multiplying an operand by it multiplies the result
+by it and leaves num, cont and den as they are; an entry keeps the shift
+`_make` gives a sum whose low terms cancel.  Below them, `_cancel`
+memoises its gcd-bearing case (both polynomials of degree >= 1) in
+`_CANCEL_CACHE`, keyed by the pair (num, den), and a sum over two
+different denominators of degree >= 1 goes over their lcm L, not their
+product, with L and the cofactors L/d1, L/d2 memoised in `_LCM_CACHE`; the
+canonical form is unique, so the sum is the same.  A product with a factor
+c v^k (den = 1) skips the product memo and needs no gcd, and one with a
+factor +-v^k (cont = 1) is a sign and a shift of the other factor, already
+canonical, so it skips `_make`; `shift` multiplies by v^k with no product
+at all.
 
 KScalar extends Scalar by three commuting symbols kappa_1, kappa_2, kappa_3
 (the formal ratios of the graded inner-product constants) truncated at total
@@ -203,6 +214,14 @@ def _lcm(d1, d2):
     return got
 
 
+# sums at relative shift k = s1 - s2, keyed by (n1, c1, d1, n2, c2, d2, k);
+# see Scalar._sum
+_ADD_CACHE = {}
+
+# products of two operands at shift 0, keyed by (n1, c1, d1, n2, c2, d2)
+_MUL_CACHE = {}
+
+
 class Scalar:
     __slots__ = ("_n", "_c", "_d", "_s", "_h")
 
@@ -261,17 +280,31 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        o = Scalar._coerce(other)
+        o = other if type(other) is Scalar else Scalar._coerce(other)
         if o is None:
             return NotImplemented
         if not self._n:
             return o
         if not o._n:
             return self
-        s = min(self._s, o._s)
-        n1 = (0,) * (self._s - s) + self._n
-        n2 = (0,) * (o._s - s) + o._n
-        c1, c2 = self._c, o._c
+        k = self._s - o._s
+        key = (self._n, self._c, self._d, o._n, o._c, o._d, k)
+        got = _ADD_CACHE.get(key)
+        if got is None:
+            got = _ADD_CACHE[key] = Scalar._sum(*key)
+        return got.shift(o._s if k > 0 else self._s)
+
+    __radd__ = __add__
+
+    @staticmethod
+    def _sum(n1, c1, d1, n2, c2, d2, k):
+        """(v**k x1 + x2) / v**min(0, k) for x1 = n1/(c1 d1), x2 = n2/(c2 d2),
+        canonical: x1 v**s1 + x2 v**s2 with s1 - s2 = k is this sum shifted
+        by min(s1, s2)."""
+        if k > 0:
+            n1 = (0,) * k + n1
+        elif k < 0:
+            n2 = (0,) * -k + n2
         if c1 == c2:
             c = c1
         else:
@@ -279,16 +312,13 @@ class Scalar:
             c = c1 // g * c2
             n1 = _pscale(n1, c2 // g)
             n2 = _pscale(n2, c1 // g)
-        d1, d2 = self._d, o._d
         if d1 == d2:
-            return Scalar._make(_padd(n1, n2), c, d1, s, True)
+            return Scalar._make(_padd(n1, n2), c, d1, 0, True)
         if len(d1) > 1 and len(d2) > 1:
             u1, u2, den = _LCM_CACHE.get((d1, d2)) or _lcm(d1, d2)
-            return Scalar._make(_padd(_pmul(n1, u1), _pmul(n2, u2)), c, den, s, True)
+            return Scalar._make(_padd(_pmul(n1, u1), _pmul(n2, u2)), c, den, 0, True)
         # a sum with a Laurent polynomial is already reduced
-        return Scalar._make(_padd(_pmul(n1, d2), _pmul(n2, d1)), c, _pmul(d1, d2), s)
-
-    __radd__ = __add__
+        return Scalar._make(_padd(_pmul(n1, d2), _pmul(n2, d1)), c, _pmul(d1, d2), 0)
 
     def __neg__(self):
         if not self._n:
@@ -326,11 +356,15 @@ class Scalar:
                 return Scalar(a._n if k == 1 else _pneg(a._n), a._c, a._d,
                               a._s + m._s)
             return Scalar._make(_pscale(a._n, k), a._c * m._c, a._d, a._s + m._s)
-        # cross-reduce so the product of reduced fractions is reduced
-        n1, d2 = _cancel(self._n, o._d)
-        n2, d1 = _cancel(o._n, self._d)
-        return Scalar._make(_pmul(n1, n2), self._c * o._c, _pmul(d1, d2),
-                            self._s + o._s)
+        key = (self._n, self._c, self._d, o._n, o._c, o._d)
+        got = _MUL_CACHE.get(key)
+        if got is None:
+            # cross-reduce so the product of reduced fractions is reduced
+            n1, d2 = _cancel(self._n, o._d)
+            n2, d1 = _cancel(o._n, self._d)
+            got = _MUL_CACHE[key] = Scalar._make(_pmul(n1, n2), self._c * o._c,
+                                                 _pmul(d1, d2), 0)
+        return got.shift(self._s + o._s)
 
     __rmul__ = __mul__
 

@@ -1,13 +1,14 @@
 """The memoised normal forms against a plain left fold of the token
-products, and a warm rerun of every check against the cold run: the memo
+products, a warm rerun of every check against the cold run (the memo
 tables hand out shared term maps, so a caller that mutated one would change
-later results."""
+later results), and a run without the Scalar sum and product memos against
+a run with them."""
 
 import itertools
 
 import pytest
 
-from qlg2 import cli, pbw
+from qlg2 import cli, pbw, scalar
 from qlg2.checks import CHECKS
 from qlg2.pbw import AE_ONE, K, normal_form, root_E, root_F
 from qlg2.scalar import ONE, Q_SC, q_number
@@ -67,12 +68,46 @@ def test_bad_token_raises_on_a_warm_memo(good, bad):
         normal_form(bad)
 
 
+def _report(path):
+    """The bytes of a passing `verify --check all --report json`."""
+    rc = cli.main(["verify", "--check", "all", "--report", "json", "--out", str(path)])
+    assert rc == cli.EXIT_PASS
+    return path.read_bytes()
+
+
 def test_warm_rerun_gives_the_cold_report(cold_tables, tmp_path):
-    paths = [tmp_path / "cold.json", tmp_path / "warm.json"]
-    for path in paths:
-        rc = cli.main(["verify", "--check", "all", "--report", "json",
-                       "--out", str(path)])
-        assert rc == cli.EXIT_PASS
-    cold, warm = (p.read_bytes() for p in paths)
+    cold = _report(tmp_path / "cold.json")
+    warm = _report(tmp_path / "warm.json")
     assert warm == cold
     assert cold.count(b'"status": "pass"') == len(CHECKS) == 35
+
+
+class _NeverStored(dict):
+    """A memo table that keeps no entry and counts its lookups, which all
+    miss."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return default
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_report_without_the_result_memos_equals_the_plain_report(
+        cold_tables, monkeypatch, tmp_path):
+    # both runs from cold tables, so every Scalar of the first one is built
+    # without _ADD_CACHE and _MUL_CACHE
+    never = {attr: _NeverStored() for attr in ("_ADD_CACHE", "_MUL_CACHE")}
+    for attr, table in never.items():
+        monkeypatch.setattr(scalar, attr, table)
+    off = _report(tmp_path / "off.json")
+    assert all(table.lookups and not table for table in never.values())
+    monkeypatch.undo()
+    for table in cold_tables.values():
+        table.clear()
+    on = _report(tmp_path / "on.json")
+    assert cold_tables["qlg2.scalar._ADD_CACHE"] and cold_tables["qlg2.scalar._MUL_CACHE"]
+    assert off == on

@@ -190,7 +190,8 @@ def test_cold_tables_give_the_warm_products():
     assert {f"qlg2.pbw.{name}" for name in (
         "_F_PAIR_CACHE", "_E_PAIR_CACHE", "_F_STR_CACHE", "_E_STR_CACHE",
         "_CROSS_CACHE")} <= set(tables)
-    assert {"qlg2.scalar._CANCEL_CACHE", "qlg2.scalar._LCM_CACHE"} <= set(tables)
+    assert {f"qlg2.scalar.{name}" for name in (
+        "_CANCEL_CACHE", "_LCM_CACHE", "_ADD_CACHE", "_MUL_CACHE")} <= set(tables)
     with _cold_tables():
         cold = [pbw._mul_terms(t1, t2) for t1, t2 in pairs]
     for got, want in zip(cold, warm):

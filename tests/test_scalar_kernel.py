@@ -3,9 +3,11 @@
 Random rational functions are built as pairs of {exponent: Fraction}
 Laurent polynomials.  Every field operation on the Scalars is compared with
 plain Fraction arithmetic on the values of those pairs at random rational
-points, so the oracle shares no code with the kernel.
+points, so the oracle shares no code with the kernel.  The sum and product
+memos are compared with the kernel without them, kept here as an oracle.
 """
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -13,10 +15,12 @@ from math import gcd, lcm
 
 import pytest
 
+from qlg2 import pbw
 from qlg2.scalar import (
-    _CANCEL_CACHE, _LCM_CACHE, BR2, ONE, Q_SC, ZERO, InexactDivisionError, Scalar,
-    _cancel, _padd, _pexquo, _pmul, _pscale, laurent_q, laurent_v, q_binomial,
-    q_factorial, q_number, scalar, v_power,
+    _ADD_CACHE, _CANCEL_CACHE, _LCM_CACHE, _MUL_CACHE, BR2, ONE, Q_SC, ZERO,
+    InexactDivisionError, KScalar, Scalar, _cancel, _lcm, _padd, _pexquo, _pmul,
+    _pscale, laurent_q, laurent_v, q_binomial, q_factorial, q_number, scalar,
+    v_power,
 )
 
 
@@ -344,6 +348,184 @@ def test_lcm_sums_match_the_product_formula(name):
     finally:
         _LCM_CACHE.clear()
         _LCM_CACHE.update(saved)
+
+
+# --- the sum and product memos against the kernel without them ---------------
+
+def _plain_add(x, y):
+    """x + y as Scalar.__add__ computed it before _ADD_CACHE."""
+    if not x._n:
+        return y
+    if not y._n:
+        return x
+    s = min(x._s, y._s)
+    n1 = (0,) * (x._s - s) + x._n
+    n2 = (0,) * (y._s - s) + y._n
+    c1, c2 = x._c, y._c
+    if c1 == c2:
+        c = c1
+    else:
+        g = gcd(c1, c2)
+        c = c1 // g * c2
+        n1 = _pscale(n1, c2 // g)
+        n2 = _pscale(n2, c1 // g)
+    d1, d2 = x._d, y._d
+    if d1 == d2:
+        return Scalar._make(_padd(n1, n2), c, d1, s, True)
+    if len(d1) > 1 and len(d2) > 1:
+        u1, u2, den = _lcm(d1, d2)
+        return Scalar._make(_padd(_pmul(n1, u1), _pmul(n2, u2)), c, den, s, True)
+    return Scalar._make(_padd(_pmul(n1, d2), _pmul(n2, d1)), c, _pmul(d1, d2), s)
+
+
+def _plain_mul(x, y):
+    """x * y for nonzero x and y by the general path of Scalar.__mul__ before
+    _MUL_CACHE; canonical for a c v^k factor as well."""
+    n1, d2 = _cancel(x._n, y._d)
+    n2, d1 = _cancel(y._n, x._d)
+    return Scalar._make(_pmul(n1, n2), x._c * y._c, _pmul(d1, d2), x._s + y._s)
+
+
+def _fields(s):
+    return s._n, s._c, s._d, s._s
+
+
+def _general(s):
+    """True unless s is c v^k, which Scalar.__mul__ multiplies without its memo."""
+    return not (len(s._n) == 1 and s._d == (1,))
+
+
+@contextlib.contextmanager
+def _cold_result_memos():
+    """_ADD_CACHE and _MUL_CACHE empty inside the block, and put back after it."""
+    saved = [(table, dict(table)) for table in (_ADD_CACHE, _MUL_CACHE)]
+    try:
+        for table, _entries in saved:
+            table.clear()
+        yield
+    finally:
+        for table, entries in saved:
+            table.clear()
+            table.update(entries)
+
+
+def _memo_corpus():
+    """Shift-free operands of the kind the checks repeat: the crossing-row
+    coefficients of the PBW product loop, q-numbers, BR2 and 1/Q_SC, two of
+    them halved (content 2), and sums of them."""
+    exps = list(itertools.product(range(2), repeat=4))
+    rows = {}
+    for e, f in itertools.product(exps, repeat=2):
+        if sum(e) + sum(f) <= 3:
+            for row in pbw._cross(e, f):
+                rows.setdefault(_fields(row[4].shift(-row[4]._s)), row[4])
+    crossing = sorted(rows.values(), key=lambda s: s.canon_str())[:12]
+    named = [q_number(2, 2), q_number(3), q_number(4), BR2, ONE / Q_SC, ONE / BR2]
+    halves = [x * scalar(Fraction(1, 2)) for x in (q_number(3), ONE / Q_SC)]
+    sums = [a + b for a, b in zip(crossing[:4], named)]
+    out = {}
+    for x in crossing + named + halves + sums:
+        if x:
+            x = x.shift(-x._s)
+            out.setdefault(_fields(x), x)
+    return list(out.values())
+
+
+# (s1, s2): (0, 0) and (4, 4) share s1 - s2, as do (3, -2) and (1, -4)
+_SHIFTS = ((0, 0), (4, 4), (3, -2), (1, -4), (-5, 2))
+
+
+def test_result_memos_match_the_plain_kernel_cold_and_warm():
+    corpus = _memo_corpus()
+    assert len(corpus) >= 20
+    assert any(x._c == 2 for x in corpus) and sum(map(_general, corpus)) >= 15
+    cases = [(x.shift(s1), y.shift(s2)) for x, y in itertools.product(corpus, repeat=2)
+             for s1, s2 in _SHIFTS]
+    want = [(_fields(_plain_add(x, y)), _fields(_plain_mul(x, y))) for x, y in cases]
+    with _cold_result_memos():
+        for _pass in ("cold", "warm"):
+            got = [(_fields(x + y), _fields(x * y)) for x, y in cases]
+            assert got == want, _pass
+        # one entry per shift-free pair and relative shift, none per shift
+        pairs = list(itertools.product(corpus, repeat=2))
+        assert len(_MUL_CACHE) == sum(_general(x) and _general(y) for x, y in pairs)
+        assert len(_ADD_CACHE) == len(pairs) * len({s1 - s2 for s1, s2 in _SHIFTS})
+
+
+def test_shifted_operands_share_one_memo_entry():
+    corpus = [x for x in _memo_corpus() if _general(x)]
+    with _cold_result_memos():
+        for x, y in itertools.product(corpus, repeat=2):
+            for j in (0, 3, -2):
+                xj = x.shift(j)
+                prod, total = xj * y, xj + y
+                sizes = len(_MUL_CACHE), len(_ADD_CACHE)
+                for k in (-7, 1, 4):
+                    assert _fields(xj.shift(k) * y) == _fields(prod.shift(k))
+                    assert _fields(xj * y.shift(k)) == _fields(prod.shift(k))
+                    assert _fields(xj.shift(k) + y.shift(k)) == _fields(total.shift(k))
+                    assert (len(_MUL_CACHE), len(_ADD_CACHE)) == sizes
+                    assert prod.shift(k) == prod * v_power(k)
+                    assert total.shift(k) == total * v_power(k)
+
+
+def test_a_sum_with_its_negative_is_zero_cold_and_warm():
+    corpus = _memo_corpus()
+    with _cold_result_memos():
+        for _pass in ("cold", "warm"):
+            for x in corpus:
+                for s in (0, 5, -3):
+                    assert x.shift(s) + (-x).shift(s) is ZERO
+                    assert (-x).shift(s) + x.shift(s) is ZERO
+        # a zero sum is stored as ZERO, so a repeat at any shift returns it
+        assert _ADD_CACHE and all(got is ZERO for got in _ADD_CACHE.values())
+
+
+# (x, y, the shift of x + y): the low coefficients cancel, so the sum's shift
+# is above min(s1, s2)
+_CANCELLING = [
+    (laurent_v({0: 1, 1: 1}), laurent_v({0: -1, 3: 1}), 1),
+    (laurent_v({-2: 1, 0: 1}), laurent_v({-2: -1}), 0),
+    (laurent_v({0: 1, 1: 1, 3: 1}) / laurent_v({0: 1, 4: 1}),
+     laurent_v({0: -1, 2: 1}) / laurent_v({0: 1, 4: 1}), 1),
+    (q_number(3) / Q_SC, -(v_power(-4) / Q_SC), 2),
+]
+
+
+@pytest.mark.parametrize("x,y,low", _CANCELLING,
+                         ids=["laurent", "negative-shift", "over-v4+1", "over-Q"])
+def test_a_cancelling_sum_keeps_its_relative_shift(x, y, low):
+    with _cold_result_memos():
+        for _pass in ("cold", "warm"):
+            for s in (0, 5, -3):
+                got = x.shift(s) + y.shift(s)
+                assert _fields(got) == _fields(_plain_add(x.shift(s), y.shift(s)))
+                assert got._s == s + low > s + min(x._s, y._s)
+                assert _fields(x.shift(s + 2) + y.shift(s)) == _fields(
+                    _plain_add(x.shift(s + 2), y.shift(s)))
+
+
+def test_kscalar_products_match_the_plain_kernel():
+    corpus = _memo_corpus()
+    monos = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    rng = random.Random(25)
+    elements = []
+    for _ in range(24):
+        terms = {m: rng.choice(corpus).shift(rng.randint(-4, 4))
+                 for m in rng.sample(monos, rng.randint(1, 3))}
+        elements.append(KScalar(terms))
+    with _cold_result_memos():
+        for _pass in ("cold", "warm"):
+            for a, b in itertools.product(elements, repeat=2):
+                want = {}
+                for (m1, c1), (m2, c2) in itertools.product(a.terms.items(),
+                                                            b.terms.items()):
+                    m = tuple(i + j for i, j in zip(m1, m2))
+                    c = _plain_mul(c1, c2)
+                    want[m] = _plain_add(want[m], c) if m in want else c
+                want = {m: _fields(c) for m, c in want.items() if c}
+                got = (a * b).terms
+                assert {m: _fields(c) for m, c in got.items()} == want
 
 
 # canon_str of values recorded from the Fraction-coefficient kernel; report
