@@ -190,29 +190,32 @@ def check_uqg_relations(ctx):
     return lhs, "0", residual, details
 
 
+# the generator tokens the probes of eq-comm-rel-uqg draw their words from
+PROBE_TOKENS = ("E1", "E2", "F1", "F2", ("K", 1, 0), ("K", -1, 1), ("K", 0, -1))
+
+
 @check("eq-comm-rel-uqg",
        "randomized associativity, relator-insertion and representation "
        "probes for the straightening rules")
 def check_comm_rel(ctx):
     rng = random.Random(ctx.seed)
-    toks = ["E1", "E2", "F1", "F2", ("K", 1, 0), ("K", -1, 1), ("K", 0, -1)]
     failures = []
     n_assoc = 1000
     for k in range(n_assoc):
-        a = normal_form(tuple(rng.choice(toks) for _ in range(3)))
-        b = normal_form(tuple(rng.choice(toks) for _ in range(3)))
-        c = normal_form(tuple(rng.choice(toks) for _ in range(2)))
+        a = normal_form(tuple(rng.choice(PROBE_TOKENS) for _ in range(3)))
+        b = normal_form(tuple(rng.choice(PROBE_TOKENS) for _ in range(3)))
+        c = normal_form(tuple(rng.choice(PROBE_TOKENS) for _ in range(2)))
         if (a * b) * c != a * (b * c):
             failures.append(f"assoc-{k}")
     rels = pbw.serre_relators()
     for k in range(50):
-        a = normal_form(tuple(rng.choice(toks) for _ in range(2)))
-        b = normal_form(tuple(rng.choice(toks) for _ in range(2)))
+        a = normal_form(tuple(rng.choice(PROBE_TOKENS) for _ in range(2)))
+        b = normal_form(tuple(rng.choice(PROBE_TOKENS) for _ in range(2)))
         if not (a * rels[k % 4] * b).is_zero:
             failures.append(f"relator-insertion-{k}")
     # representation probe and weight additivity
     for k in range(100):
-        w = tuple(rng.choice(toks) for _ in range(4))
+        w = tuple(rng.choice(PROBE_TOKENS) for _ in range(4))
         if FUND.rep(normal_form(w)) != FUND.rep_word(w):
             failures.append(f"rep-{k}")
     residual = "; ".join(failures)

@@ -8,15 +8,13 @@ import itertools
 
 import pytest
 
-from qlg2 import cli, pbw, scalar
-from qlg2.checks import CHECKS
+from qlg2 import cli, pbw
+from qlg2.checks import CHECKS, PROBE_TOKENS
 from qlg2.pbw import AE_ONE, K, normal_form, root_E, root_F
 from qlg2.scalar import ONE, Q_SC, q_number
 
-from test_mul_loop import _memo_tables
+import memos
 
-# the generator tokens the associativity probe of eq-comm-rel-uqg draws from
-TOKENS = ("E1", "E2", "F1", "F2", ("K", 1, 0), ("K", -1, 1), ("K", 0, -1))
 _LETTERS = {"E1": root_E(1), "E2": root_E(4), "F1": root_F(1), "F2": root_F(4)}
 
 
@@ -29,30 +27,18 @@ def _fold(word, coeff):
     return out
 
 
-@pytest.fixture
-def cold_tables():
-    """Every qlg2 memo table emptied for the test and restored after it."""
-    tables = _memo_tables()
-    saved = {name: dict(table) for name, table in tables.items()}
-    for table in tables.values():
-        table.clear()
-    yield tables
-    for name, table in tables.items():
-        table.clear()
-        table.update(saved[name])
-
-
-def test_normal_forms_match_the_plain_fold(cold_tables):
-    assert "qlg2.pbw._NF_CACHE" in cold_tables
-    words = [w for n in range(4) for w in itertools.product(TOKENS, repeat=n)]
-    # the first coefficient of each word misses the memo, the others hit it
-    for word in words:
-        for coeff in (ONE, 2, q_number(3) / Q_SC, 0):
-            got = normal_form(word, coeff).terms
-            want = _fold(word, coeff)
-            assert list(got) == list(want)
-            assert got == want
-    assert len(pbw._NF_CACHE) == len(words)
+def test_normal_forms_match_the_plain_fold():
+    assert "qlg2.pbw._NF_CACHE" in memos.tables()
+    words = [w for n in range(4) for w in itertools.product(PROBE_TOKENS, repeat=n)]
+    with memos.cold():
+        # the first coefficient of each word misses the memo, the others hit it
+        for word in words:
+            for coeff in (ONE, 2, q_number(3) / Q_SC, 0):
+                got = normal_form(word, coeff).terms
+                want = _fold(word, coeff)
+                assert list(got) == list(want)
+                assert got == want
+        assert len(pbw._NF_CACHE) == len(words)
 
 
 @pytest.mark.parametrize("good,bad", [
@@ -75,39 +61,23 @@ def _report(path):
     return path.read_bytes()
 
 
-def test_warm_rerun_gives_the_cold_report(cold_tables, tmp_path):
-    cold = _report(tmp_path / "cold.json")
-    warm = _report(tmp_path / "warm.json")
+def test_warm_rerun_gives_the_cold_report(tmp_path):
+    with memos.cold():
+        cold = _report(tmp_path / "cold.json")
+        warm = _report(tmp_path / "warm.json")
     assert warm == cold
     assert cold.count(b'"status": "pass"') == len(CHECKS) == 35
 
 
-class _NeverStored(dict):
-    """A memo table that keeps no entry and counts its lookups, which all
-    miss."""
-
-    lookups = 0
-
-    def get(self, key, default=None):
-        self.lookups += 1
-        return default
-
-    def __setitem__(self, key, value):
-        pass
-
-
-def test_report_without_the_result_memos_equals_the_plain_report(
-        cold_tables, monkeypatch, tmp_path):
+def test_report_without_the_result_memos_equals_the_plain_report(tmp_path):
     # both runs from cold tables, so every Scalar of the first one is built
     # without _ADD_CACHE and _MUL_CACHE
-    never = {attr: _NeverStored() for attr in ("_ADD_CACHE", "_MUL_CACHE")}
-    for attr, table in never.items():
-        monkeypatch.setattr(scalar, attr, table)
-    off = _report(tmp_path / "off.json")
-    assert all(table.lookups and not table for table in never.values())
-    monkeypatch.undo()
-    for table in cold_tables.values():
-        table.clear()
-    on = _report(tmp_path / "on.json")
-    assert cold_tables["qlg2.scalar._ADD_CACHE"] and cold_tables["qlg2.scalar._MUL_CACHE"]
+    names = ("qlg2.scalar._ADD_CACHE", "qlg2.scalar._MUL_CACHE")
+    with memos.cold():
+        with memos.swapped(names, memos.NeverStored) as never:
+            off = _report(tmp_path / "off.json")
+        assert all(table.lookups and not table for table in never.values())
+        memos.restore({})
+        on = _report(tmp_path / "on.json")
+        assert all(memos.tables()[name] for name in names)
     assert off == on

@@ -2,10 +2,8 @@
 replaced: every pair of single letters and K tokens, seeded random element
 pairs, and the same products on cold and on warm memo tables."""
 
-import contextlib
 import itertools
 import random
-import sys
 
 from qlg2 import pbw
 from qlg2.linalg import accumulate
@@ -16,6 +14,7 @@ from qlg2.pbw import (
 from qlg2.scalar import ONE, Q_SC, q_power, scalar
 from qlg2.weights import ALPHA1, ALPHA2, OMEGA1, OMEGA2, W_ZERO, Weight
 
+import memos
 from test_rewrite_and_elimination import _straighten_e, _straighten_f
 
 
@@ -135,15 +134,6 @@ def _random_pairs(n, seed):
     return [(_random_terms(rng), _random_terms(rng)) for _ in range(n)]
 
 
-def _memo_tables():
-    """Every module-level dict named *_CACHE in the qlg2 modules, by
-    qualified name."""
-    return {f"{name}.{attr}": table for name, mod in sorted(sys.modules.items())
-            if name == "qlg2" or name.startswith("qlg2.")
-            for attr, table in vars(mod).items()
-            if attr.endswith("_CACHE") and isinstance(table, dict)}
-
-
 # --- tests ----------------------------------------------------------------------
 
 def test_letter_and_k_pairs_match_the_plain_loop():
@@ -168,31 +158,16 @@ def test_random_element_pairs_match_the_plain_loop():
         _assert_same_product(t1, t2, memo)
 
 
-@contextlib.contextmanager
-def _cold_tables():
-    """Every memo table empty inside the block, and put back after it."""
-    tables = _memo_tables()
-    saved = {name: dict(table) for name, table in tables.items()}
-    try:
-        for table in tables.values():
-            table.clear()
-        yield
-    finally:
-        for name, table in tables.items():
-            table.clear()
-            table.update(saved[name])
-
-
 def test_cold_tables_give_the_warm_products():
     pairs = list(itertools.product(_letters_and_k(), repeat=2)) + _random_pairs(100, 97)
     warm = [pbw._mul_terms(t1, t2) for t1, t2 in pairs]
-    tables = _memo_tables()
+    tables = memos.tables()
     assert {f"qlg2.pbw.{name}" for name in (
         "_F_PAIR_CACHE", "_E_PAIR_CACHE", "_F_STR_CACHE", "_E_STR_CACHE",
         "_CROSS_CACHE")} <= set(tables)
     assert {f"qlg2.scalar.{name}" for name in (
         "_CANCEL_CACHE", "_LCM_CACHE", "_ADD_CACHE", "_MUL_CACHE")} <= set(tables)
-    with _cold_tables():
+    with memos.cold():
         cold = [pbw._mul_terms(t1, t2) for t1, t2 in pairs]
     for got, want in zip(cold, warm):
         assert list(got) == list(want)
@@ -224,7 +199,7 @@ def test_cold_crossing_rows_give_the_plain_crossings():
     pairs = [(e, f) for e in exps for f in exps if _height(e, f) <= 4]
     assert len(pairs) == 113
     memo = {}
-    with _cold_tables():
+    with memos.cold():
         for eexp, fexp in pairs:
             rows = pbw._cross(eexp, fexp)
             got = {(A3, Weight(n1, n2), B3): c3 for A3, n1, n2, B3, c3, *_ in rows}

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from qlg2 import pbw
+from qlg2.checks import PROBE_TOKENS
 from qlg2.scalar import BR2, ONE, Q_SC as Q, q_power
 from qlg2.weights import ALPHA1, ALPHA2, BETA, W_ZERO, Weight
 from qlg2.pbw import (
@@ -15,6 +16,8 @@ from qlg2.pbw import (
     levi_right_split, normal_form, root_E, root_F, serre_relator_words,
     serre_relators, star, token_name, unit, xi_E, xi_E_star,
 )
+
+import memos
 
 
 # --- helpers on words and generator words, used by the tests only -----------
@@ -55,15 +58,16 @@ def test_beta_weight_memo_matches_direct_sum():
     # the direct sums once per vector, in E and F order, off the memo
     on_e = {e: _beta_sum(e, (1, 2, 3, 4)) for e in vecs}
     on_f = {f: _beta_sum(f, (4, 3, 2, 1)) for f in vecs}
-    pbw._WT_CACHE.clear()
-    for _memo in ("cold", "warm"):
-        for e in vecs:
-            assert _wt_e(e) == on_e[e]
-            assert _wt_f(e) == on_f[e]
-        for f, e in itertools.product(vecs, repeat=2):
-            assert word_weight((f, W_ZERO, e)) == on_e[e] - on_f[f]
-    # one entry per exponent vector, shared by the E and F sides
-    assert len(pbw._WT_CACHE) == len(vecs)
+    with memos.cold():
+        for _memo in ("cold", "warm"):
+            for e in vecs:
+                assert _wt_e(e) == on_e[e]
+                assert _wt_f(e) == on_f[e]
+            for f, e in itertools.product(vecs, repeat=2):
+                assert word_weight((f, W_ZERO, e)) == on_e[e] - on_f[f]
+        # one entry per exponent vector, shared by the E and F sides
+        assert len(pbw._WT_CACHE) == len(vecs)
+
 
 def test_gram_matrix():
     assert Weight(1, 0).pair(Weight(1, 0)) == 1
@@ -330,11 +334,8 @@ def test_split_recomposes_exactly():
 
 # --- randomized probes ------------------------------------------------------
 
-TOKENS = ["E1", "E2", "F1", "F2", ("K", 1, 0), ("K", -1, 1), ("K", 0, -1)]
-
-
 def rand_word(rng, n):
-    return tuple(rng.choice(TOKENS) for _ in range(n))
+    return tuple(rng.choice(PROBE_TOKENS) for _ in range(n))
 
 
 def test_associativity_probe():

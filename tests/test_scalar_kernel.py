@@ -7,7 +7,6 @@ points, so the oracle shares no code with the kernel.  The sum and product
 memos are compared with the kernel without them, kept here as an oracle.
 """
 
-import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -22,6 +21,8 @@ from qlg2.scalar import (
     _pscale, laurent_q, laurent_v, q_binomial, q_factorial, q_number, scalar,
     v_power,
 )
+
+import memos
 
 
 def _dmul(a, b):
@@ -272,17 +273,12 @@ def test_cancel_matches_gcd_oracle_cold_and_warm():
     want = [_oracle_cancel(n, d) for n, d in corpus]
     # most pairs share a factor, so the division is exercised
     assert sum(w != p for w, p in zip(want, corpus)) > 150
-    saved = dict(_CANCEL_CACHE)
-    try:
-        _CANCEL_CACHE.clear()
+    with memos.cold():
         cold = [_cancel(n, d) for n, d in corpus]
         warm = [_cancel(n, d) for n, d in corpus]
         # only the gcd-bearing case is memoised
         assert set(_CANCEL_CACHE) == {(n, d) for n, d in corpus
                                       if len(n) > 1 and len(d) > 1}
-    finally:
-        _CANCEL_CACHE.clear()
-        _CANCEL_CACHE.update(saved)
     assert cold == want
     assert warm == want
 
@@ -329,9 +325,7 @@ def _over(rng, den):
 def test_lcm_sums_match_the_product_formula(name):
     dens = _LCM_PAIRS[name]
     rng = random.Random(sum(map(ord, name)))
-    saved = dict(_LCM_CACHE)
-    try:
-        _LCM_CACHE.clear()
+    with memos.cold():
         for _ in range(30):
             for (x, xn, xd), (y, yn, yd) in itertools.permutations(
                     [_over(rng, dens[0]), _over(rng, dens[1])]):
@@ -345,9 +339,6 @@ def test_lcm_sums_match_the_product_formula(name):
                         _dval(xn, pt) / _dval(xd, pt) + _dval(yn, pt) / _dval(yd, pt))
         # both orders of the pair are memoised
         assert len(_LCM_CACHE) == 2
-    finally:
-        _LCM_CACHE.clear()
-        _LCM_CACHE.update(saved)
 
 
 # --- the sum and product memos against the kernel without them ---------------
@@ -395,20 +386,6 @@ def _general(s):
     return not (len(s._n) == 1 and s._d == (1,))
 
 
-@contextlib.contextmanager
-def _cold_result_memos():
-    """_ADD_CACHE and _MUL_CACHE empty inside the block, and put back after it."""
-    saved = [(table, dict(table)) for table in (_ADD_CACHE, _MUL_CACHE)]
-    try:
-        for table, _entries in saved:
-            table.clear()
-        yield
-    finally:
-        for table, entries in saved:
-            table.clear()
-            table.update(entries)
-
-
 def _memo_corpus():
     """Shift-free operands of the kind the checks repeat: the crossing-row
     coefficients of the PBW product loop, q-numbers, BR2 and 1/Q_SC, two of
@@ -442,7 +419,7 @@ def test_result_memos_match_the_plain_kernel_cold_and_warm():
     cases = [(x.shift(s1), y.shift(s2)) for x, y in itertools.product(corpus, repeat=2)
              for s1, s2 in _SHIFTS]
     want = [(_fields(_plain_add(x, y)), _fields(_plain_mul(x, y))) for x, y in cases]
-    with _cold_result_memos():
+    with memos.cold():
         for _pass in ("cold", "warm"):
             got = [(_fields(x + y), _fields(x * y)) for x, y in cases]
             assert got == want, _pass
@@ -454,7 +431,7 @@ def test_result_memos_match_the_plain_kernel_cold_and_warm():
 
 def test_shifted_operands_share_one_memo_entry():
     corpus = [x for x in _memo_corpus() if _general(x)]
-    with _cold_result_memos():
+    with memos.cold():
         for x, y in itertools.product(corpus, repeat=2):
             for j in (0, 3, -2):
                 xj = x.shift(j)
@@ -471,7 +448,7 @@ def test_shifted_operands_share_one_memo_entry():
 
 def test_a_sum_with_its_negative_is_zero_cold_and_warm():
     corpus = _memo_corpus()
-    with _cold_result_memos():
+    with memos.cold():
         for _pass in ("cold", "warm"):
             for x in corpus:
                 for s in (0, 5, -3):
@@ -495,7 +472,7 @@ _CANCELLING = [
 @pytest.mark.parametrize("x,y,low", _CANCELLING,
                          ids=["laurent", "negative-shift", "over-v4+1", "over-Q"])
 def test_a_cancelling_sum_keeps_its_relative_shift(x, y, low):
-    with _cold_result_memos():
+    with memos.cold():
         for _pass in ("cold", "warm"):
             for s in (0, 5, -3):
                 got = x.shift(s) + y.shift(s)
@@ -514,7 +491,7 @@ def test_kscalar_products_match_the_plain_kernel():
         terms = {m: rng.choice(corpus).shift(rng.randint(-4, 4))
                  for m in rng.sample(monos, rng.randint(1, 3))}
         elements.append(KScalar(terms))
-    with _cold_result_memos():
+    with memos.cold():
         for _pass in ("cold", "warm"):
             for a, b in itertools.product(elements, repeat=2):
                 want = {}

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import qlg2
 
-from test_mul_loop import _memo_tables
+import memos
 
 SRC = Path(qlg2.__file__).resolve().parent
 
@@ -59,8 +59,8 @@ REGISTRIES = {"qlg2.checks.CHECKS"}
 
 
 def test_every_module_level_empty_dict_is_a_cache():
-    # the cold-table tests clear every dict named *_CACHE; a memo under any
-    # other name would stay warm in them
+    # memos.tables() holds every dict named *_CACHE, and the cold-table tests
+    # empty those; a memo under any other name would stay warm in them
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -79,7 +79,7 @@ def test_every_module_level_empty_dict_is_a_cache():
     assert not misnamed, f"module-level empty dicts not named *_CACHE: {misnamed}"
     for name in found:
         importlib.import_module(name.rsplit(".", 1)[0])
-    assert set(_memo_tables()) == found - REGISTRIES
+    assert set(memos.tables()) == found - REGISTRIES
 
 
 # the list-of-lists kernels that linalg.Matrix replaced; the tests keep

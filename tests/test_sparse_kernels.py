@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from qlg2 import pbw
+from qlg2.checks import PROBE_TOKENS
 from qlg2.linalg import Matrix
 from qlg2.modules import EXT, FUND
 from qlg2.pbw import AE_ZERO, AlgebraElement, normal_form
@@ -122,9 +123,6 @@ def _same(got, want):
 
 # --- random sparse matrices ---------------------------------------------------
 
-TOKENS = ("E1", "E2", "F1", "F2", ("K", 1, 0), ("K", -1, 1), ("K", 0, -1))
-
-
 def _scalar(rng):
     return laurent_q({e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
                       for e in rng.sample(range(-3, 4), rng.randint(1, 2))})
@@ -138,7 +136,7 @@ def _kscalar(rng):
 
 def _algebra(rng):
     # a word of length <= 2, like the entries of the R-matrix's factors
-    return normal_form(tuple(rng.choice(TOKENS) for _ in range(rng.randint(0, 2))),
+    return normal_form(tuple(rng.choice(PROBE_TOKENS) for _ in range(rng.randint(0, 2))),
                        _scalar(rng))
 
 
@@ -276,7 +274,7 @@ def _element(rng):
     coefficients."""
     out = pbw.AE_ZERO
     for _ in range(rng.randint(1, 3)):
-        word = tuple(rng.choice(TOKENS) for _ in range(rng.randint(0, 3)))
+        word = tuple(rng.choice(PROBE_TOKENS) for _ in range(rng.randint(0, 3)))
         out = out + normal_form(word, _scalar(rng))
     return out
 
@@ -294,7 +292,7 @@ def test_rep_word_is_the_plain_generator_product():
     # the independent side of the representation probe of eq-comm-rel-uqg
     rng = random.Random(7)
     for _ in range(50):
-        word = tuple(rng.choice(TOKENS) for _ in range(rng.randint(0, 4)))
+        word = tuple(rng.choice(PROBE_TOKENS) for _ in range(rng.randint(0, 4)))
         want = _dense_chain([_meye(4)] + [_dense(FUND.rep_token(t)) for t in word])
         _same(FUND.rep_word(word), want)
         _same(FUND.rep(normal_form(word)), want)

@@ -14,6 +14,7 @@ from qlg2.pbw import (
 from qlg2.scalar import BR2, Q_SC, q_power
 from qlg2.weights import W_ZERO
 
+import memos
 from test_pbw import weight_components
 
 
@@ -114,17 +115,17 @@ def test_split_output_is_sorted_and_recomposes():
     assert total == x
 
 
-def test_starred_monomial_memo_holds_one_peeled_form_per_u(monkeypatch):
+def test_starred_monomial_memo_holds_one_peeled_form_per_u():
     # _U_CACHE is the one memo of the starred monomials: keyed by u, it holds
     # radical_monomial(u) in the letter basis, which the split solves against
     us = [s + t for s in _triples(3) for t in _triples(3)]
     assert len(us) == 400 and len({pbw._split_class(u) for u in us}) == 256
-    monkeypatch.setattr(pbw, "_U_CACHE", {})
-    for u in us:
-        got = pbw._starred_letters(u)
-        assert got == pbw._peel(radical_monomial(u[:3], u[3:]).terms)
-        assert pbw._starred_letters(u) is got
-    assert len(pbw._U_CACHE) == len(us) and set(pbw._U_CACHE) == set(us)
+    with memos.cold():
+        for u in us:
+            got = pbw._starred_letters(u)
+            assert got == pbw._peel(radical_monomial(u[:3], u[3:]).terms)
+            assert pbw._starred_letters(u) is got
+        assert len(pbw._U_CACHE) == len(us) and set(pbw._U_CACHE) == set(us)
 
 
 def test_degree_cap_gate_raises_value_error():

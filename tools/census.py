@@ -16,11 +16,11 @@ reached.  It then prints
 - for each memo: the distinct keys it held over all the runs, which is its
   size at the end of one warm process that makes the four runs in turn.
 
-Memo traffic is counted from outside: after the import, each `*_CACHE` dict
-is swapped for a dict subclass that counts the calls of `get`, the one way
-the package reads its memos.  The package itself carries no counter.  Before
-each run every memo is put back to its contents right after the import, so
-each run's counts are those of a cold process.
+Memo traffic is counted from outside: after the import, each memo table of
+`tools/memos.py` is swapped for a dict subclass that counts the calls of
+`get`, the one way the package reads its memos.  The package itself carries
+no counter.  Before each run every memo is put back to its contents right
+after the import, so each run's counts are those of a cold process.
 
 Exit status 1 when a definition is unreached and not in EXCEPTIONS, when
 an entry of EXCEPTIONS is reached or no longer defined, or when a memo has
@@ -40,6 +40,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import memos
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qlg2"
@@ -100,23 +102,10 @@ class CountedDict(dict):
         return got
 
 
-def count_memos():
-    """Swap every module-level *_CACHE dict of qlg2 for a CountedDict."""
-    tables = {}
-    for name, module in sorted(sys.modules.items()):
-        if not name.startswith("qlg2."):
-            continue
-        for attr, table in sorted(vars(module).items()):
-            if attr.endswith("_CACHE") and type(table) is dict:
-                counted = CountedDict(table)
-                setattr(module, attr, counted)
-                tables[f"{name}.{attr}"] = counted
-    return tables
-
-
-def run_all(tmp, tables):
-    """Run each job from the memo contents right after the import; returns
-    [(label, {memo: (entries, lookups, hits)})] and {memo: distinct keys}."""
+def run_all(tmp, tables, at_import):
+    """Run each job from `at_import`, the memo contents right after the
+    import; returns [(label, {memo: (entries, lookups, hits)})] and
+    {memo: distinct keys}."""
     from qlg2 import cli
 
     runs = [(f"verify --seed {seed}",
@@ -128,13 +117,11 @@ def run_all(tmp, tables):
     runs.append(("spectrum --shell-max 20",
                  ["spectrum", "--v-num", "1", "--v-den", "2", "--shell-max", "20",
                   "--csv", os.path.join(tmp, "spectrum.csv")]))
-    at_import = {name: dict(table) for name, table in tables.items()}
-    keys = {name: set(table) for name, table in tables.items()}
+    keys = {name: set(entries) for name, entries in at_import.items()}
     traffic = []
     for label, argv in runs:
-        for name, table in tables.items():
-            table.clear()
-            table.update(at_import[name])
+        memos.restore(at_import)
+        for table in tables.values():
             table.lookups = table.hits = 0
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
@@ -160,9 +147,10 @@ def main():
     sys.setprofile(profile)
     try:
         importlib.import_module("qlg2.cli")
-        tables = count_memos()
-        with tempfile.TemporaryDirectory() as tmp:
-            traffic, distinct = run_all(tmp, tables)
+        at_import = memos.snapshot()
+        with memos.swapped(memos.tables(), CountedDict) as tables, \
+                tempfile.TemporaryDirectory() as tmp:
+            traffic, distinct = run_all(tmp, tables, at_import)
     finally:
         sys.setprofile(None)
 
