@@ -223,7 +223,7 @@ _MUL_CACHE = {}
 
 
 class Scalar:
-    __slots__ = ("_n", "_c", "_d", "_s", "_h")
+    __slots__ = ("_n", "_c", "_d", "_s")
 
     def __init__(self, n, c, d, s):
         # trusted canonical inputs only; use the factory functions below
@@ -231,7 +231,6 @@ class Scalar:
         self._c = c
         self._d = d
         self._s = s
-        self._h = None
 
     # -- construction -------------------------------------------------------
 
@@ -430,9 +429,7 @@ class Scalar:
                 and self._s == o._s)
 
     def __hash__(self):
-        if self._h is None:
-            self._h = hash((self._n, self._c, self._d, self._s))
-        return self._h
+        return hash((self._n, self._c, self._d, self._s))
 
     # -- evaluation ---------------------------------------------------------
 

@@ -3,12 +3,16 @@ registry covering every named statement."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qlg2 import cli
-from qlg2.checks import CHECKS, Context, run_check, run_suite
+from qlg2.checks import CHECKS, DEGREE_CAP, Context, run_check, run_suite
 from qlg2.rmatrix import casimir_eigenvalue
+
+import memos
+import outputs
 
 # every named statement in scope must have a check id
 REQUIRED_CHECK_IDS = {
@@ -242,3 +246,21 @@ def test_unwritable_output_is_usage_error_before_any_work(argv, tmp_path, capsys
     assert err.err.count("\n") == 1
     assert err.out == ""
     assert not path.parent.exists()
+
+
+def test_frozen_output_set_parses_and_covers_the_seeds_and_the_cap():
+    # tools/outputs.py appends each file's path to its argv; the tool itself
+    # is not run here
+    parser = cli.build_parser()
+    names = [name for name, _argv in outputs.RUNS]
+    parsed = [parser.parse_args([*argv, name]) for name, argv in outputs.RUNS]
+    # each argv ends in the flag that names its output file
+    assert [a.out if a.command == "verify" else a.csv for a in parsed] == names
+    stems = [Path(name).stem for name in names]
+    assert len(set(names)) == len(set(stems)) == len(names)
+    assert "exit-codes" not in stems
+    verify = [a for a in parsed if a.command == "verify"]
+    assert all(a.check == "all" for a in verify)
+    assert {a.seed for a in verify if a.report == "json"
+            and a.degree_cap == DEGREE_CAP} >= set(memos.SEEDS)
+    assert any(a.report == "json" and a.degree_cap == 1 for a in verify)

@@ -1,20 +1,17 @@
-"""Reach-and-traffic census of src/qlg2.
+"""Reach-and-traffic census of the qlg2 package on the import path.
 
-Runs, in one process under `sys.setprofile`:
+Runs each entry of `outputs.RUNS`, the frozen output set (verify at both
+seeds and at `--degree-cap 1`, the markdown report and five spectrum
+tables), with its path appended in a temporary directory, in one process
+under `sys.setprofile`, with qlg2 imported under the profiler, so code that
+runs at import counts as reached.  It then prints
 
-- `qlg2 verify --check all --report json` at seeds 20240801 and 97,
-- `qlg2 verify --check all --report md` at the default seed,
-- `qlg2 spectrum --v-num 1 --v-den 2 --shell-max 20`,
-
-with qlg2 imported under the profiler, so code that runs at import counts as
-reached.  It then prints
-
-- every function or method defined in src/qlg2 (each `def`, nested ones
+- every function or method defined in the package (each `def`, nested ones
   included) that none of these runs entered,
 - for each run and each module-level `*_CACHE` memo: its entries after the
   run, and the lookups and hits of that run, and
 - for each memo: the distinct keys it held over all the runs, which is its
-  size at the end of one warm process that makes the four runs in turn.
+  size at the end of one warm process that makes the runs in turn.
 
 Memo traffic is counted from outside: after the import, each memo table of
 `tools/memos.py` is swapped for a dict subclass that counts the calls of
@@ -22,11 +19,11 @@ Memo traffic is counted from outside: after the import, each memo table of
 no counter.  Before each run every memo is put back to its contents right
 after the import, so each run's counts are those of a cold process.
 
-Exit status 1 when a definition is unreached and not in EXCEPTIONS, when
-an entry of EXCEPTIONS is reached or no longer defined, or when a memo has
-no hit over the four runs; 0 otherwise.
+Exit status 1 when a run exits non-zero, when a definition is unreached
+and not in EXCEPTIONS, when an entry of EXCEPTIONS is reached or no longer
+defined, or when a memo has no hit over all the runs; 0 otherwise.
 
-    python tools/census.py
+    PYTHONPATH=src python tools/census.py
 """
 
 from __future__ import annotations
@@ -42,9 +39,7 @@ import time
 from pathlib import Path
 
 import memos
-
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src" / "qlg2"
+import outputs
 
 # definitions that no run above reaches, kept on purpose, each with its reason
 EXCEPTIONS = {
@@ -62,10 +57,13 @@ EXCEPTIONS = {
 
 
 def definitions():
-    """{"file:Qual.name": (file, first line)} for every def in src/qlg2; the
-    first line is that of the first decorator, as in co_firstlineno."""
+    """{"file:Qual.name": (file, first line)} for every def in the directory
+    of the imported qlg2; the first line is that of the first decorator, as
+    in co_firstlineno."""
+    import qlg2
+
     found = {}
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(Path(qlg2.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
         def walk(node, prefix):
@@ -103,31 +101,22 @@ class CountedDict(dict):
 
 
 def run_all(tmp, tables, at_import):
-    """Run each job from `at_import`, the memo contents right after the
-    import; returns [(label, {memo: (entries, lookups, hits)})] and
-    {memo: distinct keys}."""
+    """Run each entry of outputs.RUNS from `at_import`, the memo contents
+    right after the import; returns [(file name, {memo: (entries, lookups,
+    hits)})] and {memo: distinct keys}."""
     from qlg2 import cli
 
-    runs = [(f"verify --seed {seed}",
-             ["verify", "--check", "all", "--report", "json", "--seed", str(seed),
-              "--out", os.path.join(tmp, f"report-{seed}.json")])
-            for seed in (20240801, 97)]
-    runs.append(("verify --report md", ["verify", "--check", "all", "--report", "md",
-                                        "--out", os.path.join(tmp, "report.md")]))
-    runs.append(("spectrum --shell-max 20",
-                 ["spectrum", "--v-num", "1", "--v-den", "2", "--shell-max", "20",
-                  "--csv", os.path.join(tmp, "spectrum.csv")]))
     keys = {name: set(entries) for name, entries in at_import.items()}
     traffic = []
-    for label, argv in runs:
+    for file, args in outputs.RUNS:
         memos.restore(at_import)
         for table in tables.values():
             table.lookups = table.hits = 0
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv)
+            code = cli.main([*args, os.path.join(tmp, file)])
         if code != 0:
-            raise SystemExit(f"census: qlg2 {' '.join(argv[:2])} exited {code}")
-        traffic.append((label, {
+            raise SystemExit(f"census: the run writing {file} exited {code}")
+        traffic.append((file, {
             name: (len(table), table.lookups, table.hits)
             for name, table in tables.items()}))
         for name, table in tables.items():
@@ -137,7 +126,6 @@ def run_all(tmp, tables, at_import):
 
 def main():
     start = time.perf_counter()
-    sys.path.insert(0, str(SRC.parent))
     seen = set()
 
     def profile(frame, event, _arg):
@@ -159,17 +147,17 @@ def main():
     unreached = sorted(k for k, (path, line) in defs.items()
                        if (os.path.realpath(path), line) not in reached)
 
-    print(f"definitions in src/qlg2: {len(defs)}; unreached: {len(unreached)}")
+    print(f"definitions in qlg2: {len(defs)}; unreached: {len(unreached)}")
     for key in unreached:
         print(f"  {key:<40} {EXCEPTIONS.get(key, 'NOT AN EXCEPTION')}")
     print()
-    for label, counts in traffic:
-        print(f"qlg2 {label}, from the memos at import:")
+    for file, counts in traffic:
+        print(f"the run writing {file}, from the memos at import:")
         print(f"  {'memo':<38} {'entries':>8} {'lookups':>9} {'hits':>9}")
         for name, (entries, lookups, hits) in counts.items():
             print(f"  {name:<38} {entries:>8} {lookups:>9} {hits:>9}")
         print()
-    print("distinct keys over the four runs (one warm process):")
+    print(f"distinct keys over the {len(traffic)} runs (one warm process):")
     for name, n in distinct.items():
         print(f"  {name:<38} {n:>8}")
     print()
@@ -177,14 +165,14 @@ def main():
     bad = [k for k in unreached if k not in EXCEPTIONS]
     stale = [k for k in EXCEPTIONS if k not in unreached]
     idle = [name for name in tables
-            if not any(counts[name][2] for _label, counts in traffic)]
+            if not any(counts[name][2] for _file, counts in traffic)]
     for key in bad:
         print(f"census: unreached and not an exception: {key}")
     for key in stale:
         state = "reached" if key in defs else "no longer defined"
         print(f"census: exception {state}: {key}")
     for name in idle:
-        print(f"census: memo with no hit over the four runs: {name}")
+        print(f"census: memo with no hit over the {len(traffic)} runs: {name}")
     print(f"census: {len(defs)} definitions, {len(unreached)} unreached, "
           f"{len(tables)} memo tables, {time.perf_counter() - start:.1f} s")
     return 1 if bad or stale or idle else 0

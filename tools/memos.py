@@ -20,7 +20,7 @@ and on a shared host the times drift.
 Exit status 1, naming each table, when a report with that table never
 storing differs from the plain one; 0 otherwise.
 
-    python tools/memos.py
+    PYTHONPATH=src python tools/memos.py
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ class NeverStored(dict):
 
 def main():
     start = time.perf_counter()
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     from qlg2 import cli
 
     at_import = snapshot()
