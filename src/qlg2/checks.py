@@ -171,10 +171,7 @@ def _same(lhs, rhs, agree):
 def check_uqg_relations(ctx):
     named = []
     for idx, rel in enumerate(pbw.defining_relator_words()):
-        total = AE_ZERO
-        for c, w in rel:
-            total = total + normal_form(w, c)
-        named.append((f"relation-{idx}", total))
+        named.append((f"relation-{idx}", pbw.reduce_listing(rel)))
     for idx, r in enumerate(pbw.serre_relators()):
         named.append((f"serre-{idx}", r))
     # Hopf antipode axiom and star involution on generators

@@ -105,7 +105,8 @@ class FundamentalModule(_WeightModule):
         self.F1 = Matrix({(1, 0): _v(-1), (3, 2): _v(-1)}, (4, 4))
         self.F2 = Matrix({(2, 1): _qp(-1)}, (4, 4))
         self._gen = {"E1": self.E1, "E2": self.E2, "F1": self.F1, "F2": self.F2}
-        self._build_root_matrices()
+        self._root_e = self._root_matrices("E", pbw._EXPAND_E)
+        self._root_f = self._root_matrices("F", pbw._EXPAND_F)
 
     def rep_token(self, tok):
         lam = pbw.token_weight(tok)
@@ -118,19 +119,17 @@ class FundamentalModule(_WeightModule):
             out = out @ self.rep_token(t)
         return out
 
-    def _build_root_matrices(self):
-        e1, e2, f1, f2 = self.E1, self.E2, self.F1, self.F2
-        inv2 = ONE / BR2
-        self._root_e = {
-            1: e1, 4: e2,
-            3: e1 @ e2 - (e2 @ e1).scale(_qp(-2)),
-            2: ((e1 @ e1 @ e2).scale(inv2) - (e1 @ e2 @ e1).scale(_qp(-1))
-                + (e2 @ e1 @ e1).scale(_qp(-2) * inv2))}
-        self._root_f = {
-            1: f1, 4: f2,
-            3: f2 @ f1 - (f1 @ f2).scale(_qp(2)),
-            2: ((f2 @ f1 @ f1).scale(inv2) - (f1 @ f2 @ f1).scale(_qp(1))
-                + (f1 @ f1 @ f2).scale(_qp(2) * inv2))}
+    def _root_matrices(self, side, expand):
+        """{j: matrix of the root vector} on `side` "E" or "F": letters 1 and
+        4 are the simple generators, and each composite letter is its
+        simple-letter expansion in pbw, the one source of the closed forms,
+        multiplied out in generator matrices."""
+        gens = {1: f"{side}1", 4: f"{side}2"}
+        roots = {j: self._gen[tok] for j, tok in gens.items()}
+        for j, rule in expand.items():
+            roots[j] = sum((self.rep_word([gens[x] for x in letters]).scale(c)
+                            for c, letters in rule), Matrix({}, (4, 4)))
+        return roots
 
     def root_F(self, j):
         return self._root_f[j]

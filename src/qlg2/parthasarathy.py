@@ -35,7 +35,7 @@ from math import gcd
 from .linalg import Combination, accumulate, nullspace
 from .scalar import BR2, ONE, ZERO, kappa, Q_SC as _Q, q_power as _qp
 from .pbw import (
-    AE_ONE, DEGREE_CAP, AlgebraElement, K, adjoint_action, antipode, coproduct,
+    DEGREE_CAP, AlgebraElement, K, adjoint_action, antipode, coproduct,
     levi_right_split, normal_form, star, token_name, xi_E, xi_E_star,
 )
 from .modules import EXT, LEVI_GEN_TOKENS, ModuleOperator
@@ -382,16 +382,17 @@ def probe_first_factors():
 
 
 def m_relation_sides(y):
-    """y (x) 1 and 1 (x) rho(S(y)), which M's relation identifies, for a Levi y."""
-    return (TensorOperator.from_element(y, ModuleOperator.identity()),
-            TensorOperator.from_element(AE_ONE, EXT.rho(antipode(y))))
+    """y and rho(S(y)), the two legs M's relation moves a Levi y between."""
+    return y, EXT.rho(antipode(y))
 
 
 def m_relation_holds(sides, first, op):
-    """One case of M's defining relation, for sides = m_relation_sides(y) and
-    t = first (x) op: reduce_to_M(t (y (x) 1)) == reduce_to_M(t (1 (x) rho(S(y))))."""
-    t = TensorOperator.from_element(first, op)
-    return reduce_to_M(t * sides[0]) == reduce_to_M(t * sides[1])
+    """One case of M's defining relation X Y (x) T = X (x) T rho(S(Y)), for
+    sides = m_relation_sides(Y), X = first and T = op: each side is one
+    simple tensor, reduced from one split of its first leg."""
+    y, rho_sy = sides
+    return (_reduce(((first * y, op),), DEGREE_CAP)
+            == _reduce(((first, op @ rho_sy),), DEGREE_CAP))
 
 
 def m_well_definedness_probe(seed, trials):
@@ -416,11 +417,9 @@ def m_well_definedness_probe(seed, trials):
 # ---------------------------------------------------------------------------
 
 class SpectrumResult:
-    __slots__ = ("v0", "shell_max", "rows", "shell_minima", "monotone", "positive")
+    __slots__ = ("rows", "shell_minima", "monotone", "positive")
 
-    def __init__(self, v0, shell_max, rows, shell_minima, monotone, positive):
-        self.v0 = v0
-        self.shell_max = shell_max
+    def __init__(self, rows, shell_minima, monotone, positive):
         self.rows = rows
         self.shell_minima = shell_minima
         self.monotone = monotone
@@ -519,4 +518,4 @@ def spectrum_growth(v0, shell_max):
     low_rows = [low[2] for low in mins]
     shell_minima = {s: Fraction(row[2], row[3]) for s, row in enumerate(low_rows)}
     monotone = all(a[2] * b[3] < b[2] * a[3] for a, b in zip(low_rows, low_rows[1:]))
-    return SpectrumResult(v0, shell_max, rows, shell_minima, monotone, positive)
+    return SpectrumResult(rows, shell_minima, monotone, positive)

@@ -805,15 +805,18 @@ def serre_relator_words():
     return rels
 
 
+def reduce_listing(terms):
+    """The sum of normal_form(word, coeff) over a (coefficient, word)
+    listing, added left to right."""
+    total = AE_ZERO
+    for coeff, word in terms:
+        total = total + normal_form(word, coeff)
+    return total
+
+
 def serre_relators():
     """The four quantum Serre relators reduced in the engine; all zero."""
-    rels = []
-    for terms in serre_relator_words():
-        total = AE_ZERO
-        for coeff, word in terms:
-            total = total + normal_form(word, coeff)
-        rels.append(total)
-    return rels
+    return [reduce_listing(terms) for terms in serre_relator_words()]
 
 
 def defining_relator_words():

@@ -264,3 +264,20 @@ def test_frozen_output_set_parses_and_covers_the_seeds_and_the_cap():
     assert {a.seed for a in verify if a.report == "json"
             and a.degree_cap == DEGREE_CAP} >= set(memos.SEEDS)
     assert any(a.report == "json" and a.degree_cap == 1 for a in verify)
+
+
+@pytest.mark.parametrize("where", ["file", "below-file"])
+def test_frozen_output_set_on_a_file_path_is_usage_error(where, tmp_path, capsys,
+                                                          monkeypatch):
+    def no_child(*args, **kwargs):
+        raise RuntimeError("a child process started before DIR was checked")
+
+    monkeypatch.setattr(outputs.subprocess, "run", no_child)
+    path = tmp_path / "file.txt"
+    path.write_text("kept\n", encoding="utf-8")
+    target = path if where == "file" else path / "out"
+    assert outputs.main([str(target)]) == 2
+    err = capsys.readouterr()
+    assert err.err.startswith("usage: python tools/outputs.py DIR")
+    assert err.out == ""
+    assert path.read_text(encoding="utf-8") == "kept\n"

@@ -1,8 +1,9 @@
 """Differential tests for the derived Hopf tables.
 
-The F-side PBW tables, the wedge relation vectors and the Sweedler-sum
-actions are computed from one source each (the E-side tables, the wedge
-rules, `pbw.coproduct`).  The literals and hand-branched formulas below are
+The F-side PBW tables, the wedge relation vectors, the root-vector
+matrices on V and the Sweedler-sum actions are computed from one source
+each (the E-side tables, the wedge rules, the simple-letter expansions of
+`pbw`, `pbw.coproduct`).  The literals and hand-branched formulas below are
 the written-out forms they replace; each derived table must agree with them
 exactly.  `Scalar.bar` (v -> v^-1) is tested on its own.
 """
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from qlg2 import pbw
-from qlg2.modules import EXT, ModuleOperator, _pair_index, wedge_relation_vectors
+from qlg2.modules import EXT, FUND, ModuleOperator, _pair_index, wedge_relation_vectors
 from qlg2.parthasarathy import _ad_tilde_S
 from qlg2.pbw import E1, E2, F1, F2, K, antipode, normal_form, star
 from qlg2.scalar import (
@@ -43,6 +44,24 @@ EXPAND_F_LITERAL = {
 }
 
 
+def fundamental_root_matrices_literal():
+    """E_beta_j and F_beta_j on V, the composite ones written out in the
+    generator matrices."""
+    e1, e2, f1, f2 = FUND.E1, FUND.E2, FUND.F1, FUND.F2
+    inv2 = ONE / BR2
+    root_e = {
+        1: e1, 4: e2,
+        3: e1 @ e2 - (e2 @ e1).scale(_qp(-2)),
+        2: ((e1 @ e1 @ e2).scale(inv2) - (e1 @ e2 @ e1).scale(_qp(-1))
+            + (e2 @ e1 @ e1).scale(_qp(-2) * inv2))}
+    root_f = {
+        1: f1, 4: f2,
+        3: f2 @ f1 - (f1 @ f2).scale(_qp(2)),
+        2: ((f2 @ f1 @ f1).scale(inv2) - (f1 @ f2 @ f1).scale(_qp(1))
+            + (f1 @ f1 @ f2).scale(_qp(2) * inv2))}
+    return root_e, root_f
+
+
 def wedge_relation_vectors_literal():
     out = []
     for entries in (
@@ -66,6 +85,13 @@ def test_f_rules_are_the_omega_image_of_the_e_rules():
 
 def test_f_expansions_are_the_omega_image_of_the_e_expansions():
     assert pbw._EXPAND_F == EXPAND_F_LITERAL
+
+
+def test_fundamental_root_matrices_multiply_out_the_expansions():
+    root_e, root_f = fundamental_root_matrices_literal()
+    assert FUND._root_e == root_e
+    assert FUND._root_f == root_f
+    assert all(not m.is_zero for m in (*root_e.values(), *root_f.values()))
 
 
 def test_wedge_relation_vectors_read_off_the_wedge_rules():

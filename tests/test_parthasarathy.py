@@ -1,6 +1,7 @@
 """Dirac-square tests: the Dolbeault element, the quotient module M, the
 kappa constraints and the Casimir comparison."""
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -21,7 +22,8 @@ from qlg2.rmatrix import (
 )
 from qlg2.parthasarathy import (
     KAPPA2_RATIO, KAPPA3_RATIO, PARTHASARATHY_CONSTANT, PROBE_LEVI_TOKENS,
-    MElement, TensorOperator, casimir_in_M, dirac_self_adjoint, dirac_squared,
+    PROBE_XI_INDICES, MElement, TensorOperator, casimir_in_M, dirac_self_adjoint,
+    dirac_squared,
     dolbeault, dolbeault_invariance_residuals, gamma_identities_after_kappa,
     gamma_pair_formula, m_relation_holds, m_relation_sides, m_well_definedness_probe,
     parthasarathy_residual, probe_base_operators, probe_first_factors,
@@ -240,23 +242,25 @@ def test_reductions_split_each_simple_tensor_once(casimir, monkeypatch):
     assert firsts == [casimir]
 
 
-def test_m_relation_on_every_single_token_case():
-    """reduce_to_M(t (Y (x) 1)) == reduce_to_M(t (1 (x) rho(S(Y)))) for every
-    single-token case of the space m_well_definedness_probe draws from:
-    Y one of PROBE_LEVI_TOKENS, t = x (x) T with x one of the 12
-    probe_first_factors() and T one of probe_base_operators().
+def test_m_relation_on_every_probe_case():
+    """(x Y) (x) T == x (x) T rho(S(Y)) in M for every case of the space
+    m_well_definedness_probe draws from: Y a Levi word of one or two
+    PROBE_LEVI_TOKENS, x one of the 12 probe_first_factors() (xi_i or
+    xi_i xi*_j over PROBE_XI_INDICES) and T one of probe_base_operators().
 
     Exhaustive on that finite domain only (the small scope hypothesis), not
     a proof of the relation for all of U_q(l)."""
     firsts, ops = probe_first_factors(), probe_base_operators()
     cases = 0
-    for tok in PROBE_LEVI_TOKENS:
-        sides = m_relation_sides(normal_form((tok,)))
-        for key, first in firsts.items():
-            for b, op in enumerate(ops):
-                assert m_relation_holds(sides, first, op), (tok, key, b)
-                cases += 1
-    assert cases == len(PROBE_LEVI_TOKENS) * len(firsts) * len(ops) == 192
+    for n in (1, 2):
+        for word in itertools.product(PROBE_LEVI_TOKENS, repeat=n):
+            sides = m_relation_sides(normal_form(word))
+            for key, first in firsts.items():
+                for b, op in enumerate(ops):
+                    assert m_relation_holds(sides, first, op), (word, key, b)
+                    cases += 1
+    n, k = len(PROBE_LEVI_TOKENS), len(PROBE_XI_INDICES)
+    assert cases == (n + n * n) * (k + k * k) * len(ops) == 960
 
 
 def test_spectrum_growth():

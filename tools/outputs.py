@@ -11,13 +11,14 @@ runs (`PYTHONDEVMODE=1 PYTHONWARNINGS=error` is `-X dev -W error`).  Two
 sets agree when `diff -r` finds their directories equal.
 
 Exit status 1, after the whole set is written, when a run exited non-zero;
-2 when DIR is not given or not empty; 0 otherwise.
+2 when DIR is not given, not empty or not a directory; 0 otherwise.
 
     PYTHONPATH=src python tools/outputs.py DIR
 """
 
 from __future__ import annotations
 
+import contextlib
 import subprocess
 import sys
 import time
@@ -56,11 +57,14 @@ RUNS = (
 
 def main(argv):
     out = Path(argv[0]) if len(argv) == 1 else None
-    if out is None or out.is_dir() and any(out.iterdir()):
+    if out is not None and not out.exists():
+        # a path below a file fails here and is reported as usage below
+        with contextlib.suppress(OSError):
+            out.mkdir(parents=True)
+    if out is None or not out.is_dir() or any(out.iterdir()):
         print("usage: python tools/outputs.py DIR, a new or empty directory",
               file=sys.stderr)
         return 2
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     codes = []
     for name, args in RUNS:
