@@ -3,7 +3,8 @@ prints the exact eigenvalue table.
 
 Exit codes: 0 all selected checks pass, 1 verification failure, 2 usage
 error, 3 internal engine error.  A check that raises is reported with status
-"error" and `verify` exits 3 after writing the report.
+"error" and `verify` exits 3 after writing the report.  Output into a pipe
+whose reader has closed (BrokenPipeError) exits 3 with nothing on stderr.
 """
 
 from __future__ import annotations

@@ -386,13 +386,15 @@ def m_relation_sides(y):
     return y, EXT.rho(antipode(y))
 
 
-def m_relation_holds(sides, first, op):
-    """One case of M's defining relation X Y (x) T = X (x) T rho(S(Y)), for
-    sides = m_relation_sides(Y), X = first and T = op: each side is one
-    simple tensor, reduced from one split of its first leg."""
+def m_relation_holds(sides, first, ops):
+    """Whether M's defining relation X Y (x) T = X (x) T rho(S(Y)) holds for
+    sides = m_relation_sides(Y), X = first and every T in `ops`: each side is
+    one simple tensor, reduced from one split of its first leg, and X Y is
+    formed once for all of them."""
     y, rho_sy = sides
-    return (_reduce(((first * y, op),), DEGREE_CAP)
-            == _reduce(((first, op @ rho_sy),), DEGREE_CAP))
+    first_y = first * y
+    return all(_reduce(((first_y, op),), DEGREE_CAP)
+               == _reduce(((first, op @ rho_sy),), DEGREE_CAP) for op in ops)
 
 
 def m_well_definedness_probe(seed, trials):
@@ -407,7 +409,8 @@ def m_well_definedness_probe(seed, trials):
                               for _ in range(rng.randint(1, 2))))
         i = rng.choice(PROBE_XI_INDICES)
         j = rng.choice(PROBE_XI_INDICES) if rng.random() < 0.5 else None
-        if not m_relation_holds(m_relation_sides(y), firsts[i, j], rng.choice(base_ops)):
+        op = rng.choice(base_ops)
+        if not m_relation_holds(m_relation_sides(y), firsts[i, j], (op,)):
             failures += 1
     return failures
 

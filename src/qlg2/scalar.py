@@ -7,39 +7,40 @@ of q; every formula written in q embeds via q = v**2.
 
 A Scalar is a reduced fraction of integer Laurent polynomials,
 
-    value = v**shift * num(v) / (cont * den(v)),
+    value = v**shift * num(v) / den(v),
 
 kept canonical at all times: num and den are tuples of int with nonzero
-constant and leading terms; den is primitive (its coefficients have gcd 1)
-with a positive leading coefficient; cont >= 1 is an int coprime to the
-content of num; and gcd(num, den) = 1 in Q[v].  Zero is represented as
-num = ().  This form is unique, so equality of values is structural equality
-of the four fields, and "x == y" and "x - y is zero" agree bit for bit.
+constant and leading terms, den has a positive leading coefficient, and
+gcd(num, den) = 1 in Z[v], which covers both the polynomial gcd and the
+integer content (Gauss's lemma; the rule Fraction keeps over Z).  Zero is
+represented as num = ().  This form is unique, so equality of values is
+structural equality of the three fields, and "x == y" and "x - y is zero"
+agree bit for bit.
 
 Reduction uses the primitive polynomial remainder sequence over Z (Collins,
 J. ACM 14, 1967) and exact integer division, so no rational number appears
 in the inner loops.  `canon_str` prints the same monic-over-Q form as a
 Fraction-coefficient representation would: numerator and denominator
-divided by the leading coefficient of cont * den.
+divided by the leading coefficient of den.
 
 Four exact short-cuts serve the sums and products the checks repeat.
 Nearly every Scalar the checks build is v^s times a rational function of
 v^4, so the same operands recur at many shifts.  Sums and general products
 are therefore memoised by their shift-free fields: `_MUL_CACHE` maps
-(n1, c1, d1, n2, c2, d2) to the product of the operands at shift 0, and
-`_ADD_CACHE` maps the same six fields and k = s1 - s2 to their sum at
+(n1, d1, n2, d2) to the product of the operands at shift 0, and
+`_ADD_CACHE` maps the same four fields and k = s1 - s2 to their sum at
 relative shift k, taken with min(s1, s2) = 0.  The result is the entry
 shifted by s1 + s2 or by min(s1, s2) respectively.  These keys are exact
 because v^k is a unit: multiplying an operand by it multiplies the result
-by it and leaves num, cont and den as they are; an entry keeps the shift
+by it and leaves num and den as they are; an entry keeps the shift
 `_make` gives a sum whose low terms cancel.  Below them, `_cancel`
 memoises its gcd-bearing case (both polynomials of degree >= 1) in
 `_CANCEL_CACHE`, keyed by the pair (num, den), and a sum over two
 different denominators of degree >= 1 goes over their lcm L, not their
 product, with L and the cofactors L/d1, L/d2 memoised in `_LCM_CACHE`; the
 canonical form is unique, so the sum is the same.  A product with a factor
-c v^k (den = 1) skips the product memo and needs no gcd, and one with a
-factor +-v^k (cont = 1) is a sign and a shift of the other factor, already
+c v^k (a constant den) skips the product memo and needs no polynomial gcd,
+and one with a factor +-v^k is a sign and a shift of the other factor, already
 canonical, so it skips `_make`; `shift` multiplies by v^k with no product
 at all.
 
@@ -190,7 +191,7 @@ _CANCEL_CACHE = {}
 
 
 def _cancel(n, d):
-    """Divide n and d by their gcd; d stays primitive with lc > 0."""
+    """Divide n and d by their primitive gcd in Z[v]; lc(d) stays > 0."""
     if len(n) > 1 and len(d) > 1:
         key = (n, d)
         got = _CANCEL_CACHE.get(key)
@@ -207,39 +208,40 @@ _LCM_CACHE = {}
 
 
 def _lcm(d1, d2):
-    """Cofactors and lcm of two primitive denominators of degree >= 1."""
+    """Cofactors and lcm, up to an integer factor, of two denominators of
+    degree >= 1."""
     g = _pgcd(d1, d2)
     u1 = _pexquo(d2, g)
     got = _LCM_CACHE[(d1, d2)] = (u1, _pexquo(d1, g), _pmul(d1, u1))
     return got
 
 
-# sums at relative shift k = s1 - s2, keyed by (n1, c1, d1, n2, c2, d2, k);
+# sums at relative shift k = s1 - s2, keyed by (n1, d1, n2, d2, k);
 # see Scalar._sum
 _ADD_CACHE = {}
 
-# products of two operands at shift 0, keyed by (n1, c1, d1, n2, c2, d2)
+# products of two operands at shift 0, keyed by (n1, d1, n2, d2)
 _MUL_CACHE = {}
 
 
 class Scalar:
-    __slots__ = ("_n", "_c", "_d", "_s")
+    __slots__ = ("_n", "_d", "_s")
 
-    def __init__(self, n, c, d, s):
+    def __init__(self, n, d, s):
         # trusted canonical inputs only; use the factory functions below
         self._n = n
-        self._c = c
         self._d = d
         self._s = s
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _make(num, c, den, shift, reduce=False):
-        """Canonical v**shift * num / (c * den).
+    def _make(num, den, shift, reduce=False):
+        """Canonical v**shift * num / den.
 
-        den is primitive with lc > 0 and a nonzero constant term, and c >= 1;
-        unless `reduce` is set, gcd(num, den) = 1 already.
+        den has lc > 0 and a nonzero constant term; unless `reduce` is set,
+        num and den share no factor of degree >= 1.  A common integer
+        content is divided out here.
         """
         num = _trim(num)
         if not num:
@@ -252,12 +254,12 @@ class Scalar:
             num = num[i:]
         if reduce:
             num, den = _cancel(num, den)
-        if c != 1:
-            g = gcd(c, *num)
+        if den != (1,):
+            g = gcd(*num, *den)
             if g != 1:
-                c //= g
                 num = tuple(x // g for x in num)
-        return Scalar(num, c, den, shift)
+                den = tuple(x // g for x in den)
+        return Scalar(num, den, shift)
 
     # -- predicates ---------------------------------------------------------
 
@@ -287,7 +289,7 @@ class Scalar:
         if not o._n:
             return self
         k = self._s - o._s
-        key = (self._n, self._c, self._d, o._n, o._c, o._d, k)
+        key = (self._n, self._d, o._n, o._d, k)
         got = _ADD_CACHE.get(key)
         if got is None:
             got = _ADD_CACHE[key] = Scalar._sum(*key)
@@ -296,33 +298,26 @@ class Scalar:
     __radd__ = __add__
 
     @staticmethod
-    def _sum(n1, c1, d1, n2, c2, d2, k):
-        """(v**k x1 + x2) / v**min(0, k) for x1 = n1/(c1 d1), x2 = n2/(c2 d2),
+    def _sum(n1, d1, n2, d2, k):
+        """(v**k x1 + x2) / v**min(0, k) for x1 = n1/d1, x2 = n2/d2,
         canonical: x1 v**s1 + x2 v**s2 with s1 - s2 = k is this sum shifted
         by min(s1, s2)."""
         if k > 0:
             n1 = (0,) * k + n1
         elif k < 0:
             n2 = (0,) * -k + n2
-        if c1 == c2:
-            c = c1
-        else:
-            g = gcd(c1, c2)
-            c = c1 // g * c2
-            n1 = _pscale(n1, c2 // g)
-            n2 = _pscale(n2, c1 // g)
         if d1 == d2:
-            return Scalar._make(_padd(n1, n2), c, d1, 0, True)
+            return Scalar._make(_padd(n1, n2), d1, 0, True)
         if len(d1) > 1 and len(d2) > 1:
             u1, u2, den = _LCM_CACHE.get((d1, d2)) or _lcm(d1, d2)
-            return Scalar._make(_padd(_pmul(n1, u1), _pmul(n2, u2)), c, den, 0, True)
-        # a sum with a Laurent polynomial is already reduced
-        return Scalar._make(_padd(_pmul(n1, d2), _pmul(n2, d1)), c, _pmul(d1, d2), 0)
+            return Scalar._make(_padd(_pmul(n1, u1), _pmul(n2, u2)), den, 0, True)
+        # a sum with a Laurent polynomial is reduced in Q[v]
+        return Scalar._make(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2), 0)
 
     def __neg__(self):
         if not self._n:
             return self
-        return Scalar(_pneg(self._n), self._c, self._d, self._s)
+        return Scalar(_pneg(self._n), self._d, self._s)
 
     def __sub__(self, other):
         o = Scalar._coerce(other)
@@ -342,46 +337,40 @@ class Scalar:
             return NotImplemented
         if not self._n or not o._n:
             return ZERO
-        a, m = (self, o) if len(o._n) == 1 and o._d == (1,) else (o, self)
-        if len(m._n) == 1 and m._d == (1,):
-            # m = c v^k needs no gcd, and ONE leaves the other factor as it is
-            k = m._n[0]
-            if k == 1 and m._c == 1 and not m._s:
+        a, m = (self, o) if len(o._n) == 1 and len(o._d) == 1 else (o, self)
+        if len(m._n) == 1 and len(m._d) == 1:
+            # m = c v^k needs no polynomial gcd, and ONE leaves the other
+            # factor as it is
+            k, c = m._n[0], m._d[0]
+            if k == 1 and c == 1 and not m._s:
                 return a
-            if a._n == (1,) and a._c == 1 and not a._s and a._d == (1,):
+            if a._n == (1,) and a._d == (1,) and not a._s:
                 return m
-            if m._c == 1 and (k == 1 or k == -1):
+            if c == 1 and (k == 1 or k == -1):
                 # m = +-v^k: a sign and a shift of a canonical a are canonical
-                return Scalar(a._n if k == 1 else _pneg(a._n), a._c, a._d,
-                              a._s + m._s)
-            return Scalar._make(_pscale(a._n, k), a._c * m._c, a._d, a._s + m._s)
-        key = (self._n, self._c, self._d, o._n, o._c, o._d)
+                return Scalar(a._n if k == 1 else _pneg(a._n), a._d, a._s + m._s)
+            return Scalar._make(_pscale(a._n, k), _pscale(a._d, c), a._s + m._s)
+        key = (self._n, self._d, o._n, o._d)
         got = _MUL_CACHE.get(key)
         if got is None:
             # cross-reduce so the product of reduced fractions is reduced
             n1, d2 = _cancel(self._n, o._d)
             n2, d1 = _cancel(o._n, self._d)
-            got = _MUL_CACHE[key] = Scalar._make(_pmul(n1, n2), self._c * o._c,
-                                                 _pmul(d1, d2), 0)
+            got = _MUL_CACHE[key] = Scalar._make(_pmul(n1, n2), _pmul(d1, d2), 0)
         return got.shift(self._s + o._s)
 
     __rmul__ = __mul__
 
     def shift(self, k):
         """v**k * self: a shift of a canonical Scalar is canonical."""
-        return Scalar(self._n, self._c, self._d, self._s + k) if self._n else self
+        return Scalar(self._n, self._d, self._s + k) if self._n else self
 
     def inv(self):
         if not self._n:
             raise ZeroDivisionError("inverse of zero scalar")
-        # num = k * den' with den' primitive, lc > 0; k is coprime to c
-        n = self._n
-        k = gcd(*n)
-        if n[-1] < 0:
-            k = -k
-        num = _pscale(self._d, self._c if k > 0 else -self._c)
-        den = n if k == 1 else tuple(x // k for x in n)
-        return Scalar(num, abs(k), den, -self._s)
+        if self._n[-1] < 0:
+            return Scalar(_pneg(self._d), _pneg(self._n), -self._s)
+        return Scalar(self._d, self._n, -self._s)
 
     def bar(self):
         """Image under the field automorphism v -> v^-1, canonical without a
@@ -391,7 +380,7 @@ class Scalar:
         n, d = self._n[::-1], self._d[::-1]
         if d[-1] < 0:
             n, d = _pneg(n), _pneg(d)
-        return Scalar(n, self._c, d, len(self._d) - len(self._n) - self._s)
+        return Scalar(n, d, len(self._d) - len(self._n) - self._s)
 
     def __truediv__(self, other):
         o = Scalar._coerce(other)
@@ -425,11 +414,10 @@ class Scalar:
         o = Scalar._coerce(other)
         if o is None:
             return NotImplemented
-        return (self._n == o._n and self._d == o._d and self._c == o._c
-                and self._s == o._s)
+        return self._n == o._n and self._d == o._d and self._s == o._s
 
     def __hash__(self):
-        return hash((self._n, self._c, self._d, self._s))
+        return hash((self._n, self._d, self._s))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -452,7 +440,6 @@ class Scalar:
         if not den:
             raise PoleError(f"denominator vanishes at v = {v0}")
         num = horner(self._n)
-        den *= self._c
         # v0**s * q**(deg d - deg n) moves to whichever side keeps exponents >= 0
         e = len(self._d) - len(self._n)
         for base, k in ((p, self._s), (q, e - self._s)):
@@ -470,7 +457,7 @@ class Scalar:
         """Canonical string form; equal scalars stringify identically.
 
         Printed monic over Q: both sides divided by the leading coefficient
-        of c * den.
+        of den.
         """
         if not self._n:
             return "0"
@@ -493,8 +480,8 @@ class Scalar:
             return " + ".join(parts).replace("+ -", "- ")
 
         lc = self._d[-1]
-        num = poly_str(self._n, self._s, self._c * lc)
-        if self._d == (1,):
+        num = poly_str(self._n, self._s, lc)
+        if len(self._d) == 1:
             return num
         return f"({num}) / ({poly_str(self._d, 0, lc)})"
 
@@ -502,8 +489,8 @@ class Scalar:
         return self.canon_str()
 
 
-ZERO = Scalar((), 1, (1,), 0)
-ONE = Scalar((1,), 1, (1,), 0)
+ZERO = Scalar((), (1,), 0)
+ONE = Scalar((1,), (1,), 0)
 
 
 def scalar(c):
@@ -511,17 +498,17 @@ def scalar(c):
     c = Fraction(c)
     if not c:
         return ZERO
-    return Scalar((c.numerator,), c.denominator, (1,), 0)
+    return Scalar((c.numerator,), (c.denominator,), 0)
 
 
 def v_power(k):
     """v**k."""
-    return Scalar((1,), 1, (1,), k)
+    return Scalar((1,), (1,), k)
 
 
 def q_power(k):
     """q**k = v**(2k)."""
-    return Scalar((1,), 1, (1,), 2 * k)
+    return Scalar((1,), (1,), 2 * k)
 
 
 def laurent_v(coeffs):
@@ -535,7 +522,7 @@ def laurent_v(coeffs):
         cs[e - lo] += Fraction(c)
     den = lcm(*(c.denominator for c in cs))
     return Scalar._make([c.numerator * (den // c.denominator) for c in cs],
-                        den, (1,), lo)
+                        (den,), lo)
 
 
 def laurent_q(coeffs):

@@ -2,6 +2,9 @@
 registry covering every named statement."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -124,6 +127,26 @@ def test_spectrum_csv(tmp_path, capsys):
     assert (int(num), int(den)) == (val.numerator, val.denominator)
     err = capsys.readouterr()
     assert "strictly increasing: True" in err.out
+
+
+def test_spectrum_into_a_closed_pipe_exits_3_silently():
+    # the reader stops after the header; the table to shell 200 (20,301 rows,
+    # about 1 MB) outgrows the pipe's buffer, so a later write meets the
+    # closed end: BrokenPipeError, exit 3, no traceback and nothing left to
+    # flush at exit (a failed flush there would make the status 120)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qlg2.cli", "spectrum", "--v-num", "1",
+         "--v-den", "2", "--shell-max", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    with proc:
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == cli.EXIT_INTERNAL
+    assert header == b"n1,n2,c_lambda_exact_num,c_lambda_exact_den,c_lambda_float\n"
+    assert err == b""
 
 
 def test_spectrum_rejects_bad_v(capsys):

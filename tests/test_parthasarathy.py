@@ -256,9 +256,8 @@ def test_m_relation_on_every_probe_case():
         for word in itertools.product(PROBE_LEVI_TOKENS, repeat=n):
             sides = m_relation_sides(normal_form(word))
             for key, first in firsts.items():
-                for b, op in enumerate(ops):
-                    assert m_relation_holds(sides, first, op), (word, key, b)
-                    cases += 1
+                assert m_relation_holds(sides, first, ops), (word, key)
+                cases += len(ops)
     n, k = len(PROBE_LEVI_TOKENS), len(PROBE_XI_INDICES)
     assert cases == (n + n * n) * (k + k * k) * len(ops) == 960
 

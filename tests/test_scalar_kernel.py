@@ -14,7 +14,7 @@ from math import gcd, lcm
 
 import pytest
 
-from qlg2 import pbw
+from qlg2 import cli, pbw
 from qlg2.scalar import (
     _ADD_CACHE, _CANCEL_CACHE, _LCM_CACHE, _MUL_CACHE, BR2, ONE, Q_SC, ZERO,
     InexactDivisionError, KScalar, Scalar, _cancel, _lcm, _padd, _pexquo, _pmul,
@@ -79,12 +79,16 @@ def _points(rng, pairs, n=3):
 
 
 def _check_canonical(s):
-    n, c, d = s._n, s._c, s._d
+    """v^s n/d with n, d of nonzero end terms, lc(d) > 0 and gcd(n, d) = 1 in
+    Z[v]: no common integer content and, by a Euclid over Fraction, no common
+    factor of degree >= 1; zero is ((), (1,), 0)."""
+    n, d = s._n, s._d
     if not n:
+        assert (d, s._s) == ((1,), 0)
         return
     assert n[0] and n[-1] and d[0] and d[-1] > 0
-    assert gcd(*d) == 1
-    assert c >= 1 and gcd(c, *n) == 1
+    assert gcd(*n, *d) == 1
+    assert len(_qgcd(n, d)) == 1
     assert all(isinstance(x, int) for x in n + d)
 
 
@@ -145,7 +149,15 @@ def test_integer_content_is_canonical():
     z = laurent_v({0: -3, 1: -6}) / laurent_v({0: -3, 2: -3})
     assert x == y == z
     assert hash(x) == hash(y) == hash(z)
-    assert scalar(Fraction(6, 4)) == laurent_v({0: 3}) / laurent_v({0: 2})
+    assert (x._n, x._d, x._s) == ((1, 2), (1, 0, 1), 0)
+    w = scalar(Fraction(6, 4))
+    assert w == laurent_v({0: 3}) / laurent_v({0: 2})
+    assert (w._n, w._d, w._s) == ((3,), (2,), 0)
+    # content shared by n and d, on either side of a product, is divided out
+    h = laurent_v({0: 2, 4: 2}) / laurent_v({0: 3, 1: 3})
+    assert (h._n, h._d) == ((2, 0, 0, 0, 2), (3, 3))
+    assert (h * scalar(Fraction(3, 2)))._d == (1, 1)
+    assert (h / laurent_v({0: 4}))._n == (1, 0, 0, 0, 1)
 
 
 def test_evaluate_pole_and_zero_point():
@@ -208,6 +220,15 @@ def _tmul(a, b):
     return tuple(out)
 
 
+def _qgcd(a, b):
+    """A gcd of two nonzero coefficient tuples over Q, as a Fraction list, by
+    Euclid's algorithm."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    while b:
+        a, b = b, _qdivmod(a, b)[1]
+    return a
+
+
 def _qdivmod(a, b):
     """Quotient and remainder of a by b over Q, as Fraction lists."""
     r = [Fraction(x) for x in a]
@@ -227,9 +248,7 @@ def _oracle_cancel(n, d):
     unchanged when either is a monomial, as in the kernel."""
     if len(n) == 1 or len(d) == 1:
         return n, d
-    a, b = [Fraction(x) for x in n], [Fraction(x) for x in d]
-    while b:
-        a, b = b, _qdivmod(a, b)[1]
+    a = _qgcd(n, d)
     g = [x * lcm(*(y.denominator for y in a)) for x in a]
     k = gcd(*(int(x) for x in g)) * (1 if g[-1] > 0 else -1)
     g = [x / k for x in g]
@@ -292,10 +311,8 @@ def _product_add(x, y):
     s = min(x._s, y._s)
     n1 = (0,) * (x._s - s) + x._n
     n2 = (0,) * (y._s - s) + y._n
-    g = gcd(x._c, y._c)
-    n1, n2 = _pscale(n1, y._c // g), _pscale(n2, x._c // g)
     num = _padd(_pmul(n1, y._d), _pmul(n2, x._d))
-    return Scalar._make(num, x._c // g * y._c, _pmul(x._d, y._d), s, True)
+    return Scalar._make(num, _pmul(x._d, y._d), s, True)
 
 
 # v^4 - 1, v^4 + 1, v^8 - 1 and (v^4 - 1)^2: pairs that share cyclotomic
@@ -310,14 +327,15 @@ _LCM_PAIRS = {
 
 def _over(rng, den):
     """(Scalar, num dict, den dict): a random numerator over den, drawn again
-    until it shares no factor with den, so the Scalar keeps den."""
+    until it shares no polynomial factor with den, so the Scalar keeps den up
+    to an integer factor."""
     inv = ONE / laurent_v(den)
     while True:
         num = _rand_laurent(rng, rng.randint(1, 4))
         if rng.random() < 0.5:
             num = {e: c * rng.choice((2, 3, Fraction(1, 6))) for e, c in num.items()}
         x = laurent_v(num) * inv
-        if num and x._d == inv._d:
+        if num and tuple(c // gcd(*x._d) for c in x._d) == inv._d:
             return x, num, den
 
 
@@ -325,6 +343,7 @@ def _over(rng, den):
 def test_lcm_sums_match_the_product_formula(name):
     dens = _LCM_PAIRS[name]
     rng = random.Random(sum(map(ord, name)))
+    pairs = set()
     with memos.cold():
         for _ in range(30):
             for (x, xn, xd), (y, yn, yd) in itertools.permutations(
@@ -332,13 +351,16 @@ def test_lcm_sums_match_the_product_formula(name):
                 assert x._d != y._d and len(x._d) > 1 and len(y._d) > 1
                 got, want = x + y, _product_add(x, y)
                 _check_canonical(got)
-                assert (got._n, got._c, got._d, got._s) == (
-                    want._n, want._c, want._d, want._s)
+                assert (got._n, got._d, got._s) == (want._n, want._d, want._s)
                 for pt in _points(rng, ((xn, xd), (yn, yd))):
                     assert got.evaluate(pt) == (
                         _dval(xn, pt) / _dval(xd, pt) + _dval(yn, pt) / _dval(yd, pt))
-        # both orders of the pair are memoised
-        assert len(_LCM_CACHE) == 2
+                pairs.add((x._d, y._d))
+        # both orders of each pair of denominators are memoised, and some
+        # denominators carry an integer content
+        assert set(_LCM_CACHE) == pairs
+        assert {(d2, d1) for d1, d2 in pairs} == pairs
+        assert any(gcd(*d) > 1 for d, _ in pairs)
 
 
 # --- the sum and product memos against the kernel without them ---------------
@@ -352,21 +374,13 @@ def _plain_add(x, y):
     s = min(x._s, y._s)
     n1 = (0,) * (x._s - s) + x._n
     n2 = (0,) * (y._s - s) + y._n
-    c1, c2 = x._c, y._c
-    if c1 == c2:
-        c = c1
-    else:
-        g = gcd(c1, c2)
-        c = c1 // g * c2
-        n1 = _pscale(n1, c2 // g)
-        n2 = _pscale(n2, c1 // g)
     d1, d2 = x._d, y._d
     if d1 == d2:
-        return Scalar._make(_padd(n1, n2), c, d1, s, True)
+        return Scalar._make(_padd(n1, n2), d1, s, True)
     if len(d1) > 1 and len(d2) > 1:
         u1, u2, den = _lcm(d1, d2)
-        return Scalar._make(_padd(_pmul(n1, u1), _pmul(n2, u2)), c, den, s, True)
-    return Scalar._make(_padd(_pmul(n1, d2), _pmul(n2, d1)), c, _pmul(d1, d2), s)
+        return Scalar._make(_padd(_pmul(n1, u1), _pmul(n2, u2)), den, s, True)
+    return Scalar._make(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2), s)
 
 
 def _plain_mul(x, y):
@@ -374,22 +388,22 @@ def _plain_mul(x, y):
     _MUL_CACHE; canonical for a c v^k factor as well."""
     n1, d2 = _cancel(x._n, y._d)
     n2, d1 = _cancel(y._n, x._d)
-    return Scalar._make(_pmul(n1, n2), x._c * y._c, _pmul(d1, d2), x._s + y._s)
+    return Scalar._make(_pmul(n1, n2), _pmul(d1, d2), x._s + y._s)
 
 
 def _fields(s):
-    return s._n, s._c, s._d, s._s
+    return s._n, s._d, s._s
 
 
 def _general(s):
     """True unless s is c v^k, which Scalar.__mul__ multiplies without its memo."""
-    return not (len(s._n) == 1 and s._d == (1,))
+    return not (len(s._n) == 1 and len(s._d) == 1)
 
 
 def _memo_corpus():
     """Shift-free operands of the kind the checks repeat: the crossing-row
     coefficients of the PBW product loop, q-numbers, BR2 and 1/Q_SC, two of
-    them halved (content 2), and sums of them."""
+    them halved (a denominator of content 2), and sums of them."""
     exps = list(itertools.product(range(2), repeat=4))
     rows = {}
     for e, f in itertools.product(exps, repeat=2):
@@ -415,7 +429,7 @@ _SHIFTS = ((0, 0), (4, 4), (3, -2), (1, -4), (-5, 2))
 def test_result_memos_match_the_plain_kernel_cold_and_warm():
     corpus = _memo_corpus()
     assert len(corpus) >= 20
-    assert any(x._c == 2 for x in corpus) and sum(map(_general, corpus)) >= 15
+    assert any(gcd(*x._d) == 2 for x in corpus) and sum(map(_general, corpus)) >= 15
     cases = [(x.shift(s1), y.shift(s2)) for x, y in itertools.product(corpus, repeat=2)
              for s1, s2 in _SHIFTS]
     want = [(_fields(_plain_add(x, y)), _fields(_plain_mul(x, y))) for x, y in cases]
@@ -503,6 +517,73 @@ def test_kscalar_products_match_the_plain_kernel():
                 want = {m: _fields(c) for m, c in want.items() if c}
                 got = (a * b).terms
                 assert {m: _fields(c) for m, c in got.items()} == want
+
+
+# --- the four Scalar memos left by a default-seed verify, entry by entry -----
+
+def _laurent(cs, shift=0):
+    """{exponent: coefficient} of v**shift * cs(v)."""
+    return {e + shift: c for e, c in enumerate(cs) if c}
+
+
+def _dadd(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _memo_faults(adds, muls, cancels, lcms):
+    """The entries of the four Scalar memos whose defining identity fails,
+    cross-multiplied with the schoolbook _dmul, and the stored values that
+    are not canonical."""
+    faults = []
+    for key, got in muls.items():
+        # n1/d1 * n2/d2 = v^s n/d
+        n1, d1, n2, d2 = map(_laurent, key)
+        if (_dmul(_dmul(n1, n2), _laurent(got._d))
+                != _dmul(_laurent(got._n, got._s), _dmul(d1, d2))):
+            faults.append(("mul", key))
+    for key, got in adds.items():
+        # (v^k n1/d1 + n2/d2) / v^min(0, k) = v^s n/d
+        n1, d1, n2, d2 = map(_laurent, key[:4])
+        k = key[4]
+        total = _dadd(_dmul({e + k: c for e, c in n1.items()}, d2), _dmul(n2, d1))
+        if (_dmul(total, _laurent(got._d))
+                != _dmul(_laurent(got._n, got._s + min(0, k)), _dmul(d1, d2))):
+            faults.append(("add", key))
+    for (n, d), (n2, d2) in cancels.items():
+        # n/d = n2/d2, with no common factor of degree >= 1 left
+        if _tmul(n, d2) != _tmul(n2, d) or len(_qgcd(n2, d2)) > 1 or d2[-1] < 0:
+            faults.append(("cancel", (n, d)))
+    for (d1, d2), (u1, u2, big) in lcms.items():
+        # d1 u1 = L = d2 u2, with cofactors that share no factor
+        if not _tmul(d1, u1) == big == _tmul(d2, u2) or len(_qgcd(u1, u2)) > 1:
+            faults.append(("lcm", (d1, d2)))
+    for s in {*adds.values(), *muls.values()}:
+        try:
+            _check_canonical(s)
+        except AssertionError:
+            faults.append(("value", s))
+    return faults
+
+
+def test_scalar_memos_left_by_verify_hold_entry_by_entry(tmp_path):
+    with memos.cold():
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--check", "all", "--report", "json",
+                         "--out", str(out)]) == cli.EXIT_PASS
+        tables = [dict(t) for t in (_ADD_CACHE, _MUL_CACHE, _CANCEL_CACHE, _LCM_CACHE)]
+    adds, muls, cancels, lcms = tables
+    assert all(tables) and len(adds) > 1000 and len(muls) > 500
+    assert not _memo_faults(adds, muls, cancels, lcms)
+    # the check is entry by entry, and finds a wrong product and a right one
+    # in a non-canonical form
+    key, got = next(iter(muls.items()))
+    wrong = got * scalar(2)
+    unreduced = Scalar(_pscale(got._n, 3), _pscale(got._d, 3), got._s)
+    assert _memo_faults({}, {key: wrong}, {}, {}) == [("mul", key)]
+    assert _memo_faults({}, {key: unreduced}, {}, {}) == [("value", unreduced)]
 
 
 # canon_str of values recorded from the Fraction-coefficient kernel; report
