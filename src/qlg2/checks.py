@@ -37,7 +37,7 @@ from .rmatrix import (
 )
 from .parthasarathy import (
     KAPPA2_RATIO, KAPPA3_RATIO, PARTHASARATHY_CONSTANT, TensorOperator,
-    casimir_in_M, dirac_self_adjoint, dirac_squared, dolbeault,
+    casimir_in_M, dirac_self_adjoint, dirac_squared, dolbeault_squares,
     dolbeault_invariance_residuals, gamma_identities_after_kappa,
     gamma_pair_formula, m_well_definedness_probe, parthasarathy_residual,
     solve_kappa_constraints, spectrum_growth, stated_levi_operators, _U_ZERO,
@@ -241,10 +241,8 @@ def check_equiv_maps(ctx):
 @check("lem-canonical-square",
        "the Dolbeault element and its adjoint square to zero")
 def check_canonical_square(ctx):
-    d = dolbeault()
-    ds = d.star()
     residual, details = _zero_residuals(
-        [("dolbeault^2", d * d), ("dolbeault-star^2", ds * ds)])
+        zip(("dolbeault^2", "dolbeault-star^2"), dolbeault_squares()))
     return "squares of the (co)boundary", "0", residual, details
 
 
@@ -608,7 +606,7 @@ def check_cas_to_the_right(ctx):
 @check("eq-relation-cliff",
        "the quotient-module reduction is well defined (randomized probe)")
 def check_relation_cliff(ctx):
-    failures = m_well_definedness_probe(ctx.seed, M_PROBE_TRIALS)
+    failures = m_well_definedness_probe(ctx.seed, M_PROBE_TRIALS, ctx.degree_cap)
     residual = "" if failures == 0 else f"{failures} probe failures"
     return "reduce(t (Y (x) 1))", "reduce(t (1 (x) rho(S(Y))))", residual, \
         (f"{M_PROBE_TRIALS} randomized probes",)

@@ -5,7 +5,10 @@ The Dolbeault element is
     d = sum_i E_{xi_i} (x) gamma(y_i)
 
 inside the tensor product of the quantized enveloping algebra with the
-operators on the exterior module, and D = d + d*.  Operators acting on the
+operators on the exterior module, and D = d + d*.  Everything here works on
+simple tensors x (x) T: products and stars are taken pair by pair
+(dolbeault_squares gives d^2 and (d*)^2), and TensorOperator.of is the one
+way to their canonical sum {PBW word: operator}.  Operators acting on the
 invariant-forms space factor through the quotient module
 
     M = U_q(g) (x)_{U_q(l)} End(Lambda),
@@ -15,9 +18,9 @@ X Y (x) T = X (x) T rho(S(Y)) for Y in the quantized Levi factor.  An
 MElement stores the components of that reduction, indexed by the ordered
 radical monomials E*_{xi}^A E_{xi}^B, with the identity monomial holding the
 pure Levi remainder.  The relation is linear in the first leg and the split
-x = sum_u W(u) L_u of levi_right_split is unique and linear, so M's relation
-is applied once per simple tensor: x (x) T reduces to
-sum_u W(u) (x) T rho(S(L_u)) from one split of the whole element x.
+x = sum_u W(u) L_u of levi_right_split is unique and linear, so
+reduce_to_M(x, T), the one place M's relation is applied, reduces a simple
+tensor to sum_u W(u) (x) T rho(S(L_u)) from one split of the whole element x.
 
 The main verification: with the inner-product ratios fixed by the vanishing
 of the mixed component (kappa_2 = kappa_1 [2]^-1 q^-2, kappa_3 =
@@ -35,8 +38,8 @@ from math import gcd
 from .linalg import Combination, accumulate, nullspace
 from .scalar import BR2, ONE, ZERO, kappa, Q_SC as _Q, q_power as _qp
 from .pbw import (
-    DEGREE_CAP, AlgebraElement, K, adjoint_action, antipode, coproduct,
-    levi_right_split, normal_form, star, token_name, xi_E, xi_E_star,
+    DEGREE_CAP, K, adjoint_action, antipode, coproduct, levi_right_split,
+    normal_form, star, token_name, xi_E, xi_E_star,
 )
 from .modules import EXT, LEVI_GEN_TOKENS, ModuleOperator
 from .rmatrix import casimir_exponents
@@ -49,36 +52,19 @@ _U_ZERO = (0, 0, 0, 0, 0, 0)
 # ---------------------------------------------------------------------------
 
 class TensorOperator(Combination):
-    """Element of U_q(g) (x) End(Lambda): {PBW word: ModuleOperator}."""
+    """Element of U_q(g) (x) End(Lambda) in its canonical form {PBW word:
+    ModuleOperator}, built only by `of` from simple tensors (x, T); products
+    and stars are taken on the simple tensors, never word by word."""
 
     __slots__ = ()
 
     @staticmethod
-    def from_element(x, op):
-        if op.is_zero:
-            return TensorOperator({})
-        return TensorOperator({w: op.scale(c) for w, c in x.terms.items()})
-
-    def __mul__(self, other):
+    def of(pairs):
+        """The canonical form of sum x (x) T over the simple tensors (x, T)."""
         out = {}
-        for w1, op1 in self.terms.items():
-            x1 = AlgebraElement.from_word(w1)
-            for w2, op2 in other.terms.items():
-                prod = x1 * AlgebraElement.from_word(w2)
-                if prod.is_zero:
-                    continue
-                op12 = op1 @ op2
-                for w, c in prod.terms.items():
-                    accumulate(out, w, op12.scale(c))
-        return TensorOperator(out)
-
-    def star(self):
-        """(x (x) T)* = x* (x) T* with the Gram adjoint on the second leg."""
-        out = {}
-        for w, op in self.terms.items():
-            ops = EXT.adjoint_wrt_gram(op)
-            for ws, c in star(AlgebraElement.from_word(w)).terms.items():
-                accumulate(out, ws, ops.scale(c))
+        for x, op in pairs:
+            for w, c in x.terms.items():
+                accumulate(out, w, op.scale(c))
         return TensorOperator(out)
 
 
@@ -87,17 +73,21 @@ def _dolbeault_tensors():
     return [(xi_E(i), EXT.gamma(i)) for i in (1, 2, 3)]
 
 
-def dolbeault():
-    """d = sum_i E_{xi_i} (x) gamma(y_i)."""
-    out = TensorOperator({})
-    for x, op in _dolbeault_tensors():
-        out = out + TensorOperator.from_element(x, op)
-    return out
+def _star_tensors(pairs):
+    """(x (x) T)* = x* (x) T* with the Gram adjoint on the second leg."""
+    return [(star(x), EXT.adjoint_wrt_gram(op)) for x, op in pairs]
 
 
-def dirac():
-    d = dolbeault()
-    return d + d.star()
+def _products(left, right):
+    """The simple tensors x y (x) A B of (sum x (x) A)(sum y (x) B)."""
+    return [(x * y, a @ b) for x, a in left for y, b in right]
+
+
+def dolbeault_squares():
+    """d^2 and (d*)^2, each the canonical sum of its 9 simple tensors."""
+    d = _dolbeault_tensors()
+    ds = _star_tensors(d)
+    return TensorOperator.of(_products(d, d)), TensorOperator.of(_products(ds, ds))
 
 
 # ---------------------------------------------------------------------------
@@ -153,21 +143,13 @@ def _split_word(x, degree_cap):
     return got
 
 
-def _reduce(pairs, degree_cap):
-    """Reduce sum x (x) T over the simple tensors (x, T) in M, one split per
-    x: x (x) T = sum_u W(u) (x) T rho(S(L_u))."""
+def reduce_to_M(x, op, degree_cap=DEGREE_CAP):
+    """The simple tensor x (x) T reduced in M from one split of x:
+    x (x) T = sum_u W(u) (x) T rho(S(L_u))."""
     out = {}
-    for x, op in pairs:
-        for u, rho_sl in _split_word(x, degree_cap):
-            accumulate(out, u, op @ rho_sl)
+    for u, rho_sl in _split_word(x, degree_cap):
+        accumulate(out, u, op @ rho_sl)
     return MElement(out)
-
-
-def reduce_to_M(t, degree_cap=DEGREE_CAP):
-    """Reduce a TensorOperator in M, each of its words w (x) T_w taken as
-    one simple tensor: X Y (x) T -> X (x) T rho(S(Y))."""
-    return _reduce(((AlgebraElement.from_word(w), op) for w, op in t.terms.items()),
-                   degree_cap)
 
 
 def dirac_squared(degree_cap=DEGREE_CAP):
@@ -178,18 +160,16 @@ def dirac_squared(degree_cap=DEGREE_CAP):
     simple tensors xi_i xi*_j (x) gamma_i gamma*_j and xi*_j xi_i (x)
     gamma*_j gamma_i, each reduced from one split of its first leg.
     """
-    d = dolbeault()
-    ds = d.star()
+    d_sq, ds_sq = dolbeault_squares()
     # the square-zero identities are part of the contract
-    if not (d * d).is_zero:
+    if not d_sq.is_zero:
         raise RuntimeError("Dolbeault element does not square to zero")
-    if not (ds * ds).is_zero:
+    if not ds_sq.is_zero:
         raise RuntimeError("adjoint Dolbeault element does not square to zero")
-    d_pairs = _dolbeault_tensors()
-    ds_pairs = [(star(x), EXT.adjoint_wrt_gram(op)) for x, op in d_pairs]
-    out = _reduce([(x * y, a @ b) for x, a in d_pairs for y, b in ds_pairs]
-                  + [(y * x, b @ a) for y, b in ds_pairs for x, a in d_pairs],
-                  degree_cap)
+    d = _dolbeault_tensors()
+    ds = _star_tensors(d)
+    out = sum((reduce_to_M(x, op, degree_cap)
+               for x, op in _products(d, ds) + _products(ds, d)), MElement({}))
     allowed = {_U_ZERO} | {_u_key(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
     extra = set(out.terms) - allowed
     if extra:
@@ -309,7 +289,7 @@ def gamma_identities_after_kappa(d2m):
 
 def casimir_in_M(C, degree_cap=DEGREE_CAP):
     """C (x) 1 reduced in M from one split of the whole element C."""
-    return _reduce(((C, ModuleOperator.identity()),), degree_cap)
+    return reduce_to_M(C, ModuleOperator.identity(), degree_cap)
 
 
 PARTHASARATHY_CONSTANT = _qp(4) / (BR2 * BR2)     # times kappa_1
@@ -346,21 +326,20 @@ def _ad_tilde_S(tok, ops):
 def dolbeault_invariance_residuals():
     """(ad(X) (x) id)(d) - (id (x) ad~(S(X)))(d) for Levi generators X."""
     res = {}
-    gammas = [EXT.gamma(i) for i in (1, 2, 3)]
+    d = _dolbeault_tensors()
+    xis, gammas = zip(*d)
     for tok in LEVI_GEN_TOKENS:
-        lhs = TensorOperator({})
-        rhs = TensorOperator({})
-        for i, g, twisted in zip((1, 2, 3), gammas, _ad_tilde_S(tok, gammas)):
-            lhs = lhs + TensorOperator.from_element(adjoint_action(tok, xi_E(i)), g)
-            rhs = rhs + TensorOperator.from_element(xi_E(i), twisted)
+        lhs = TensorOperator.of((adjoint_action(tok, x), g) for x, g in d)
+        rhs = TensorOperator.of(zip(xis, _ad_tilde_S(tok, gammas)))
         res[token_name(tok)] = lhs - rhs
     return res
 
 
 def dirac_self_adjoint():
-    """D* == D, symbolically in the kappa ratios."""
-    d = dirac()
-    return (d.star() - d).is_zero
+    """D* == D, symbolically in the kappa ratios, with D = d + d*."""
+    d = _dolbeault_tensors()
+    dirac = d + _star_tensors(d)
+    return TensorOperator.of(_star_tensors(dirac)) == TensorOperator.of(dirac)
 
 
 # the space m_well_definedness_probe draws from: a Levi word of one or two
@@ -386,18 +365,18 @@ def m_relation_sides(y):
     return y, EXT.rho(antipode(y))
 
 
-def m_relation_holds(sides, first, ops):
+def m_relation_holds(sides, first, ops, degree_cap=DEGREE_CAP):
     """Whether M's defining relation X Y (x) T = X (x) T rho(S(Y)) holds for
     sides = m_relation_sides(Y), X = first and every T in `ops`: each side is
     one simple tensor, reduced from one split of its first leg, and X Y is
     formed once for all of them."""
     y, rho_sy = sides
     first_y = first * y
-    return all(_reduce(((first_y, op),), DEGREE_CAP)
-               == _reduce(((first, op @ rho_sy),), DEGREE_CAP) for op in ops)
+    return all(reduce_to_M(first_y, op, degree_cap)
+               == reduce_to_M(first, op @ rho_sy, degree_cap) for op in ops)
 
 
-def m_well_definedness_probe(seed, trials):
+def m_well_definedness_probe(seed, trials, degree_cap=DEGREE_CAP):
     """Randomized check of the defining relation of M on `trials` cases
     drawn from the space above; returns the number of failing cases."""
     import random
@@ -410,7 +389,7 @@ def m_well_definedness_probe(seed, trials):
         i = rng.choice(PROBE_XI_INDICES)
         j = rng.choice(PROBE_XI_INDICES) if rng.random() < 0.5 else None
         op = rng.choice(base_ops)
-        if not m_relation_holds(m_relation_sides(y), firsts[i, j], (op,)):
+        if not m_relation_holds(m_relation_sides(y), firsts[i, j], (op,), degree_cap):
             failures += 1
     return failures
 

@@ -312,21 +312,15 @@ class AlgebraElement(Combination):
 
     __slots__ = ()
 
-    # construction helpers
-
-    @staticmethod
-    def from_word(word, coeff=ONE):
-        if coeff.is_zero:
-            return AE_ZERO
-        return AlgebraElement({word: coeff})
+    # coercion and arithmetic
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, AlgebraElement):
             return x
         if isinstance(x, (int, Fraction, Scalar)):
-            return AlgebraElement.from_word(
-                _UNIT_WORD, x if isinstance(x, Scalar) else scalar(x))
+            s = x if isinstance(x, Scalar) else scalar(x)
+            return AE_ZERO if s.is_zero else AlgebraElement({_UNIT_WORD: s})
         return None
 
     def __mul__(self, other):

@@ -23,7 +23,7 @@ from qlg2.rmatrix import (
     casimir_right_form, centrality_residuals, quantum_trace_pairing,
 )
 from qlg2.parthasarathy import (
-    KAPPA2_RATIO, KAPPA3_RATIO, casimir_in_M, dirac_squared, dolbeault,
+    KAPPA2_RATIO, KAPPA3_RATIO, casimir_in_M, dirac_squared, dolbeault_squares,
     gamma_identities_after_kappa, gamma_pair_formula, parthasarathy_residual,
     solve_kappa_constraints, spectrum_growth,
 )
@@ -133,9 +133,8 @@ def test_criterion_6_casimir(casimir):
 
 
 def test_criterion_7_square_zero():
-    d = dolbeault()
-    ds = d.star()
-    ok = (d * d).is_zero and (ds * ds).is_zero
+    d_sq, ds_sq = dolbeault_squares()
+    ok = d_sq.is_zero and ds_sq.is_zero
     _report(7, "the Dolbeault element and its adjoint square to zero as "
                "matrix-valued identities", ok)
 

@@ -19,8 +19,8 @@ def _kscalar():
 
 
 def _tensor_operator():
-    return (TensorOperator.from_element(xi_E(1), EXT.gamma(1))
-            + TensorOperator.from_element(E1() + 1, EXT.gamma_star(2)))
+    return TensorOperator.of([(xi_E(1), EXT.gamma(1)),
+                              (E1() + 1, EXT.gamma_star(2))])
 
 
 def _module_operator():

@@ -9,7 +9,7 @@ import pytest
 
 from qlg2.scalar import BR2, ONE, Q_SC as Q, ZERO, kappa, q_power as _qp
 from qlg2 import parthasarathy
-from qlg2.checks import Context, check_parthasarathy
+from qlg2.checks import Context, check_parthasarathy, run_check
 from qlg2.linalg import accumulate
 from qlg2.modules import EXT, ModuleOperator
 from qlg2.pbw import (
@@ -23,8 +23,8 @@ from qlg2.rmatrix import (
 from qlg2.parthasarathy import (
     KAPPA2_RATIO, KAPPA3_RATIO, PARTHASARATHY_CONSTANT, PROBE_LEVI_TOKENS,
     PROBE_XI_INDICES, MElement, TensorOperator, casimir_in_M, dirac_self_adjoint,
-    dirac_squared,
-    dolbeault, dolbeault_invariance_residuals, gamma_identities_after_kappa,
+    dirac_squared, dolbeault_squares,
+    dolbeault_invariance_residuals, gamma_identities_after_kappa,
     gamma_pair_formula, m_relation_holds, m_relation_sides, m_well_definedness_probe,
     parthasarathy_residual, probe_base_operators, probe_first_factors,
     solve_kappa_constraints, spectrum_growth, _linear_exponents, _u_key,
@@ -42,11 +42,11 @@ def casimir():
 
 
 def test_dolbeault_squares_to_zero():
-    d = dolbeault()
+    d = TensorOperator.of(parthasarathy._dolbeault_tensors())
     assert len(d.terms) == 3
-    assert (d * d).is_zero
-    ds = d.star()
-    assert (ds * ds).is_zero
+    d_sq, ds_sq = dolbeault_squares()
+    assert d_sq.is_zero
+    assert ds_sq.is_zero
 
 
 def test_dirac_formally_self_adjoint():
@@ -183,6 +183,55 @@ def test_parthasarathy_check_reduces_at_context_degree_cap(d2m, casimir):
         check_parthasarathy(ctx)
 
 
+def test_relation_cliff_reduces_at_context_degree_cap():
+    # at a cap of 0 the probe's first split raises, as the D^2 and Casimir
+    # reductions of the other checks do
+    ctx = Context(degree_cap=0)
+    want = "ValueError: radical bidegree (1,1) exceeds degree cap 0"
+    for check_id in ("eq-relation-cliff", "prop-d-squared"):
+        got = run_check(check_id, ctx)
+        assert (got.status, got.residual) == ("error", want), check_id
+
+
+def _dolbeault_tensors_with_2_gamma_2():
+    # gamma(y2) doubled: the (2,2) term of d^2 no longer cancels against
+    # (1,3) and (3,1), and likewise in (d*)^2; d is no longer invariant under
+    # E1 and F1, and D stays self-adjoint
+    return [(xi_E(i), EXT.gamma(i).scale(2 * ONE) if i == 2 else EXT.gamma(i))
+            for i in (1, 2, 3)]
+
+
+def test_square_zero_guard_negative_control(monkeypatch):
+    monkeypatch.setattr(parthasarathy, "_dolbeault_tensors",
+                        _dolbeault_tensors_with_2_gamma_2)
+    ctx = Context()
+    assert run_check("lem-canonical-square", ctx).as_dict() == {
+        "check_id": "lem-canonical-square",
+        "status": "fail",
+        "statement": "the Dolbeault element and its adjoint square to zero",
+        "lhs_digest": "a1a66561479a0c20",
+        "rhs_digest": "5feceb66ffc86f38",
+        "residual": "dolbeault^2: ((0, 0, 0, 0), (0,0), (0, 0, 2, 0)); "
+                    "dolbeault-star^2: ((0, 2, 0, 0), (0,2), (0, 0, 0, 0)); "
+                    "((1, 0, 1, 0), (0,2), (0, 0, 0, 0)); "
+                    "((1, 1, 0, 1), (0,2), (0, 0, 0, 0)); "
+                    "((2, 0, 0, 2), (0,2), (0, 0, 0, 0))",
+        "details": ["dolbeault^2: NONZERO", "dolbeault-star^2: NONZERO"],
+    }
+    for check_id in ("prop-d-squared", "lem-clifford-diag", "lem-clifford-off",
+                     "thm-parthasarathy"):
+        got = run_check(check_id, ctx)
+        assert (got.status, got.residual) == (
+            "error", "RuntimeError: Dolbeault element does not square to zero"), check_id
+    got = run_check("prop-dolbeault-invariant", ctx)
+    assert (got.status, got.residual, got.details) == (
+        "fail",
+        "E1: ((0, 0, 0, 0), (0,0), (0, 0, 1, 0)); ((0, 0, 0, 0), (0,0), (0, 1, 0, 0)); "
+        "F1: ((0, 0, 0, 0), (0,0), (0, 0, 0, 1)); ((0, 0, 0, 0), (0,0), (0, 0, 1, 0))",
+        ("K(2, -1): ok", "K(-2, 2): ok", "E1: NONZERO", "F1: NONZERO"))
+    assert run_check("def-dolb-dirac", ctx).status == "pass"
+
+
 def test_m_well_definedness():
     assert m_well_definedness_probe(seed=11, trials=4) == 0
 
@@ -193,13 +242,13 @@ def _wordwise_reduce(t, degree_cap):
     reduction that splits each simple tensor's first leg once."""
     out = {}
     for word, op in t.terms.items():
-        for u, levi in levi_right_split(AlgebraElement.from_word(word), degree_cap):
+        for u, levi in levi_right_split(AlgebraElement({word: ONE}), degree_cap):
             accumulate(out, u, op @ EXT.rho(antipode(levi)))
     return MElement(out)
 
 
 def _casimir_tensor(x):
-    return TensorOperator.from_element(x, ModuleOperator.identity())
+    return TensorOperator.of([(x, ModuleOperator.identity())])
 
 
 @pytest.mark.parametrize("degree_cap", [1, 3])
@@ -215,31 +264,45 @@ def test_casimir_reduction_equals_wordwise_oracle(casimir, degree_cap):
 
 @pytest.mark.parametrize("degree_cap", [1, 3])
 def test_dirac_square_equals_wordwise_oracle(degree_cap):
-    d = dolbeault()
-    ds = d.star()
-    want = _wordwise_reduce(d * ds + ds * d, degree_cap)
+    # d d* + d* d from the simple tensors of d, with the star and the
+    # products written out here
+    d = [(xi_E(i), EXT.gamma(i)) for i in (1, 2, 3)]
+    ds = [(star(x), EXT.adjoint_wrt_gram(op)) for x, op in d]
+    want = _wordwise_reduce(TensorOperator.of(
+        [(x * y, a @ b) for x, a in d for y, b in ds]
+        + [(y * x, b @ a) for y, b in ds for x, a in d]), degree_cap)
     assert not want.radical_is_zero
     assert dirac_squared(degree_cap) == want
 
 
 def test_reductions_split_each_simple_tensor_once(casimir, monkeypatch):
     # D^2 is the 9 + 9 simple tensors xi_i xi*_j (x) gamma_i gamma*_j and
-    # xi*_j xi_i (x) gamma*_j gamma_i; C (x) 1 is one
+    # xi*_j xi_i (x) gamma*_j gamma_i; C (x) 1 is one; each is one call of
+    # reduce_to_M, the span the benchmark's tracer times
     firsts = []
+    reduced = []
 
     def split(x, degree_cap, _orig=parthasarathy._split_word):
         firsts.append(x)
         return _orig(x, degree_cap)
 
+    def reduce(x, op, degree_cap, _orig=parthasarathy.reduce_to_M):
+        reduced.append(x)
+        return _orig(x, op, degree_cap)
+
     monkeypatch.setattr(parthasarathy, "_split_word", split)
+    monkeypatch.setattr(parthasarathy, "reduce_to_M", reduce)
     dirac_squared()
     assert len(firsts) == 18
     assert len(set(firsts)) == 18
     assert set(firsts) == {xi_E(i) * xi_E_star(j) for i in (1, 2, 3) for j in (1, 2, 3)} \
         | {xi_E_star(j) * xi_E(i) for i in (1, 2, 3) for j in (1, 2, 3)}
+    assert reduced == firsts
     firsts.clear()
+    reduced.clear()
     casimir_in_M(casimir)
     assert firsts == [casimir]
+    assert reduced == [casimir]
 
 
 def test_m_relation_on_every_probe_case():

@@ -46,10 +46,6 @@ EXCEPTIONS = {
     "linalg.py:Combination.__rsub__":
         "number protocol beside __sub__; test_combination_laws asserts (1 - x) + x == 1",
     "linalg.py:Matrix.__repr__": "debugging printer",
-    "parthasarathy.py:reduce_to_M":
-        "no caller since m_relation_holds reduces one simple tensor per side; "
-        "perfbench/tracer.py lists it in SPAN_TARGETS, and Tier-1's traced-names "
-        "rule checks that it is defined",
     "pbw.py:AlgebraElement.__repr__": "debugging printer",
     "scalar.py:Scalar.__rsub__": "number protocol beside __sub__, as Combination.__rsub__",
     "scalar.py:Scalar.__rtruediv__":
