@@ -6,7 +6,11 @@ lazily-cached context) and records canonical serializations, so the report
 doubles as a verification index.  `@check(id, statement)` registers each
 check beside its code.  A check passes exactly when its residual
 serialization is empty; a check that raises gets the status "error" and the
-exception as its residual, and the other checks still run.
+exception as its residual, and the other checks still run.  A check states
+its verdict as rows (ok, shown, passed, failed), which `_verdict` turns into
+the residual and the details; only eq-comm-rel-uqg, def-dolb-dirac and
+eq-relation-cliff, whose details are fixed notes, join their residual
+themselves.
 """
 
 from __future__ import annotations
@@ -132,13 +136,21 @@ def check(check_id, statement):
     return register
 
 
-def _tally(rows, bad="NO"):
-    """(residual, details) of rows (label, ok, shown): one detail "label: ok"
-    or "label: <bad>" per row; the residual joins the shown texts of the
-    failing rows."""
+def _verdict(rows):
+    """(residual, details) of rows (ok, shown, passed, failed): the residual
+    joins the shown texts of the failing rows; each row adds the detail
+    `passed` or `failed` by its outcome, or nothing where that is None."""
     rows = list(rows)
-    return ("; ".join(shown for _label, ok, shown in rows if not ok),
-            tuple(f"{label}: {'ok' if ok else bad}" for label, ok, _shown in rows))
+    details = (passed if ok else failed for ok, _shown, passed, failed in rows)
+    return ("; ".join(shown for ok, shown, _p, _f in rows if not ok),
+            tuple(d for d in details if d is not None))
+
+
+def _tally(rows, bad="NO"):
+    """_verdict over rows (label, ok, shown): one detail "label: ok" or
+    "label: <bad>" per row."""
+    return _verdict((ok, shown, f"{label}: ok", f"{label}: {bad}")
+                    for label, ok, shown in rows)
 
 
 def _nonzero_str(x):
@@ -160,9 +172,8 @@ def _zero_residuals(named):
 def _same(lhs, rhs, agree):
     """The check tuple of the identity lhs == rhs between PBW elements."""
     diff = lhs - rhs
-    residual = "" if diff.is_zero else diff.canon_str()
-    return lhs.canon_str(), rhs.canon_str(), residual, \
-        (agree if not residual else "MISMATCH",)
+    return lhs.canon_str(), rhs.canon_str(), \
+        *_verdict([(diff.is_zero, diff.canon_str(), agree, "MISMATCH")])
 
 
 @check("uqg-relations",
@@ -341,18 +352,9 @@ def check_levi_um(ctx):
        "the quadratic dual is 6-dimensional and spans the wedge relations; "
        "graded dimensions (1,3,3,1)")
 def check_lq_relations(ctx):
-    details = []
-    residual = []
     basis = quadratic_dual(sq_relation_vectors())
-    details.append(f"orthogonal complement dimension {len(basis)}")
-    if not span_equal(basis, wedge_relation_vectors()):
-        residual.append("complement span differs from wedge relations")
-    else:
-        details.append("complement spans the six wedge relations")
     dims = [DEGREES.count(d) for d in range(4)]
-    details.append(f"graded dimensions {tuple(dims)}")
-    if dims != [1, 3, 3, 1]:
-        residual.append(f"graded dimensions {dims}")
+    graded = f"graded dimensions {tuple(dims)}"
     v = lambda i: {i: ONE}
     w = EXT.wedge
     pairs = [
@@ -360,13 +362,13 @@ def check_lq_relations(ctx):
         ("y3y3", w(v(3), v(3)), {}),
         ("y2y2", w(v(2), v(2)), {5: -(_Q * _qp(1) / BR2)}),
     ]
-    for name, got, want in pairs:
-        if got != want:
-            residual.append(name)
-        else:
-            details.append(f"{name} ok")
-    return "quadratic dual of radical relations", "wedge relations", \
-        "; ".join(residual), tuple(details)
+    return "quadratic dual of radical relations", "wedge relations", *_verdict([
+        (True, "", f"orthogonal complement dimension {len(basis)}", None),
+        (span_equal(basis, wedge_relation_vectors()),
+         "complement span differs from wedge relations",
+         "complement spans the six wedge relations", None),
+        (dims == [1, 3, 3, 1], f"graded dimensions {dims}", graded, graded),
+    ] + [(got == want, name, f"{name} ok", None) for name, got, want in pairs])
 
 
 @check("lem-levi-lq",
@@ -405,23 +407,19 @@ def check_iso_exterior(ctx):
 def check_inner_prod(ctx):
     # the normalized Gram diagonal that adjoint_wrt_gram uses
     blocks = EXT.solve_invariant_inner_products()
-    residual = []
-    details = []
+    rows = []
     for deg in (1, 2):
         first = DEGREES.index(deg)
         for i in range(3):
             got = blocks[deg].terms.get((i, i), ZERO)
-            ok = got == EXT._gram_hat[first + i]
-            details.append(f"deg{deg} entry {i}: {'ok' if ok else got.canon_str()}")
-            if not ok:
-                residual.append(f"deg{deg}[{i}]")
+            rows.append((got == EXT._gram_hat[first + i], f"deg{deg}[{i}]",
+                         f"deg{deg} entry {i}: ok",
+                         f"deg{deg} entry {i}: {got.canon_str()}"))
     for deg in (1, 2):
         off = [(i, j) for i, j in sorted(blocks[deg].terms) if i != j]
-        if off:
-            residual.append(f"deg{deg} off-diagonal {off}")
-    details.append("one free constant per degree")
-    return "invariant-form solve", "stated diagonal values", \
-        "; ".join(residual), tuple(details)
+        rows.append((not off, f"deg{deg} off-diagonal {off}", None, None))
+    rows.append((True, "", "one free constant per degree", None))
+    return "invariant-form solve", "stated diagonal values", *_verdict(rows)
 
 
 @check("lem-action-gamma", "right wedge multiplication matches the table")
@@ -520,39 +518,33 @@ def check_casimir_rmatrix(ctx):
     C = ctx.casimir
     Cx = casimir_explicit()
     diff = C - Cx
-    residual = [] if diff.is_zero else [diff.canon_str()]
-    details = ["constructed equals explicit form" if diff.is_zero else "MISMATCH"]
     c = casimir_eigenvalue((1, 0))
     scalar_ok = FUND.rep(C) == Matrix.identity(4, c)
-    details.append(f"acts as c_omega1 on the fundamental module: "
-                   f"{'ok' if scalar_ok else 'NO'}")
-    if not scalar_ok:
-        residual.append("fundamental eigenvalue")
-    return C.canon_str(), Cx.canon_str(), "; ".join(residual), tuple(details)
+    acts = ("acts as c_omega1 on the fundamental module: "
+            f"{'ok' if scalar_ok else 'NO'}")
+    return C.canon_str(), Cx.canon_str(), *_verdict([
+        (diff.is_zero, diff.canon_str(), "constructed equals explicit form",
+         "MISMATCH"),
+        (scalar_ok, "fundamental eigenvalue", acts, acts),
+    ])
 
 
 @check("cor-value-casimir",
        "the eigenvalue formula matches the pairing oracles and is positive")
 def check_value_casimir(ctx):
-    residual = []
-    details = []
     c0 = casimir_eigenvalue((0, 0))
     want0 = laurent_q({-4: 1, -2: 1, 2: 1, 4: 1}) / (_Q * _Q)
-    if c0 != want0:
-        residual.append("c at weight 0")
-    details.append("weight 0 value ok" if c0 == want0 else "weight 0 MISMATCH")
     c1 = casimir_eigenvalue((1, 0))
     want1 = laurent_q({-6: 1, -2: 1, 2: 1, 6: 1}) / (_Q * _Q)
-    if c1 != want1:
-        residual.append("c at omega1")
-    details.append("omega1 value ok" if c1 == want1 else "omega1 MISMATCH")
     v0 = Fraction(1, 3)
     vals = [casimir_eigenvalue((n, n % 2)).evaluate(v0) for n in range(5)]
     pos = all(v > 0 for v in vals)
-    details.append(f"positivity at v=1/3 on 5 samples: {'ok' if pos else 'NO'}")
-    if not pos:
-        residual.append("positivity")
-    return "eigenvalue formula", "pairing oracles", "; ".join(residual), tuple(details)
+    positivity = f"positivity at v=1/3 on 5 samples: {'ok' if pos else 'NO'}"
+    return "eigenvalue formula", "pairing oracles", *_verdict([
+        (c0 == want0, "c at weight 0", "weight 0 value ok", "weight 0 MISMATCH"),
+        (c1 == want1, "c at omega1", "omega1 value ok", "omega1 MISMATCH"),
+        (pos, "positivity", positivity, positivity),
+    ])
 
 
 @check("lem-rel-e-es",
@@ -644,19 +636,19 @@ def check_casimir_clifford(ctx):
 def check_kappa_constraints(ctx):
     s2, s3 = solve_kappa_constraints()
     g13 = gamma_pair_formula(1, 3)
-    residual, details = _tally([
+    rows = [
         (f"kappa_2/kappa_1 = {s2.canon_str()}", s2 == KAPPA2_RATIO, "kappa2 ratio"),
         (f"kappa_3/kappa_1 = {s3.canon_str()}", s3 == KAPPA3_RATIO, "kappa3 ratio"),
         ("degrees 0 and 3 unconstrained",
          all(c not in (0, 7) for _r, c in g13.terms),
          "degree 0/3 constraints"),
-    ])
-    if g13.substitute_ratios(s2, s3).is_zero:
-        details += ("mixed component vanishes on all eight vectors",)
-    else:
-        residual += ("; " if residual else "") + "mixed component after substitution"
+    ]
     return "vanishing of the mixed (1,3) component", "unique ratio solution", \
-        residual, details
+        *_verdict([(ok, shown, f"{label}: ok", f"{label}: NO")
+                   for label, ok, shown in rows]
+                  + [(g13.substitute_ratios(s2, s3).is_zero,
+                      "mixed component after substitution",
+                      "mixed component vanishes on all eight vectors", None)])
 
 
 @check("lem-clifford-off",
@@ -686,36 +678,32 @@ def check_clifford_diag(ctx):
        "the Dirac square equals the scaled Casimir up to a pure Levi "
        "remainder; negative controls fail")
 def check_parthasarathy(ctx):
-    residual = []
-    details = [f"constant kappa_1 * {PARTHASARATHY_CONSTANT.canon_str()}"]
     d2m = ctx.d2m
     cm = ctx.casimir_m
     diff, levi = parthasarathy_residual(cm, d2m)
-    if diff.radical_is_zero:
-        details.append("all nine radical components vanish")
-    else:
-        residual.append(" | ".join(
-            f"{u}: {op.entries_str()}"
-            for u, op in sorted(diff.radical_components().items())))
-    details.append("pure Levi remainder retained (reported, nonzero: "
-                   f"{not levi.is_zero})")
     # negative controls
     bad, _ = parthasarathy_residual(cm, d2m, kappa3_ratio=KAPPA3_RATIO * (1 + _Q))
-    if bad.radical_is_zero:
-        residual.append("perturbed kappa_3 fails to break the identity")
-    else:
-        details.append("negative control: perturbed kappa_3 breaks the identity")
+    rows = [
+        (True, "", f"constant kappa_1 * {PARTHASARATHY_CONSTANT.canon_str()}", None),
+        (diff.radical_is_zero, " | ".join(
+            f"{u}: {op.entries_str()}"
+            for u, op in sorted(diff.radical_components().items())),
+         "all nine radical components vanish", None),
+        (True, "", "pure Levi remainder retained (reported, nonzero: "
+         f"{not levi.is_zero})", None),
+        (not bad.radical_is_zero, "perturbed kappa_3 fails to break the identity",
+         "negative control: perturbed kappa_3 breaks the identity", None),
+    ]
     # the reduction into M is linear in the first leg and splits each element
     # once: C minus quantum term k reduces to cm minus the reduction of the
     # term alone, from one split of that term
     for k, term in enumerate(casimir_quantum_terms()):
         bad, _ = parthasarathy_residual(cm - casimir_in_M(term, ctx.degree_cap), d2m)
-        if bad.radical_is_zero:
-            residual.append(f"dropping quantum term {k} fails to break the identity")
-        else:
-            details.append(f"negative control: dropped quantum term {k} breaks it")
+        rows.append((not bad.radical_is_zero,
+                     f"dropping quantum term {k} fails to break the identity",
+                     f"negative control: dropped quantum term {k} breaks it", None))
     return "Dirac square minus scaled Casimir in the quotient", \
-        "pure Levi element", "; ".join(residual), tuple(details)
+        "pure Levi element", *_verdict(rows)
 
 
 @check("thm-spectral-triple",
@@ -723,18 +711,14 @@ def check_parthasarathy(ctx):
        "strictly increasing shell minima")
 def check_spectral_triple(ctx):
     sp = spectrum_growth(Fraction(1, 2), 20)
-    residual = []
-    details = [f"{len(sp.rows)} dominant weights, shells 0..20"]
-    if not sp.positive:
-        residual.append("nonpositive eigenvalue")
-    else:
-        details.append("all eigenvalues positive (exact comparisons)")
-    if not sp.monotone:
-        residual.append("shell minima not strictly increasing")
-    else:
-        details.append("per-shell minima strictly increasing")
     return "eigenvalue growth at v = 1/2 up to shell 20", \
-        "strictly increasing shell minima", "; ".join(residual), tuple(details)
+        "strictly increasing shell minima", *_verdict([
+            (True, "", f"{len(sp.rows)} dominant weights, shells 0..20", None),
+            (sp.positive, "nonpositive eigenvalue",
+             "all eigenvalues positive (exact comparisons)", None),
+            (sp.monotone, "shell minima not strictly increasing",
+             "per-shell minima strictly increasing", None),
+        ])
 
 
 def run_check(check_id, ctx):
