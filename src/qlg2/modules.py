@@ -512,8 +512,8 @@ def quadratic_dual(relations):
     """Orthogonal complement of the given relation space under the flipped
     pairing < x_i (x) x_j, y_k (x) y_l > = delta_il delta_jk.
 
-    Returns a basis of the complement in u- (x) u- coordinates; raises if
-    its dimension is not 6.
+    Returns a basis of the complement in u- (x) u- coordinates, of whatever
+    dimension it has; prop-lq-relations checks that it is 6.
     """
     rows = []
     for X in relations:
@@ -523,10 +523,7 @@ def quadratic_dual(relations):
             for l in (1, 2, 3):
                 row[_pair_index(l, k)] = X[_pair_index(k, l)]
         rows.append(row)
-    basis = nullspace(rows, ONE)
-    if len(basis) != 6:
-        raise ValueError(f"quadratic dual has rank {len(basis)}, expected 6")
-    return basis
+    return nullspace(rows, ONE)
 
 
 def span_equal(vs, ws):

@@ -40,17 +40,18 @@ root-vector commutators, Levendorskii-Soibelman 1991).
 The product of two words is one loop (_mul_terms), table-driven in the
 manner of de Graaf (J. Symbolic Comput. 32, 2001): each term of
 _cross(B1, A2) is moved past the Cartan parts, and the blocks F^A1 F^A3 and
-E^B3 E^B2 are looked up already straightened in tables keyed by their
-exponent pairs (A1, A3) and (B3, B2), which share their dicts with the
-rewrite memos _F_STR_CACHE and _E_STR_CACHE (linalg.rewrite under _F_RULES
-or _E_RULES, keyed by exponents).  `_cross` memoises every exponent pair,
-a pair with an empty side included, in _CROSS_CACHE as the rows the loop
-reads: terms with the integer covectors that give the Cartan exponent.
-`normal_form` checks each token with _plain_token, the one token grammar
-(a generator name or ("K", n1, n2) of ints), then looks the token word up
-in _NF_CACHE, which holds the coefficient-one left fold, and scales that by
-the coefficient; the tokens' term maps are built only on a miss.  Memoised
-term maps are shared by every caller and are never mutated.
+E^B3 E^B2 are looked up already straightened in tables of rows,
+_F_PAIR_CACHE[A1][A3] and _E_PAIR_CACHE[B2][B3], which share their dicts
+with the rewrite memos _F_STR_CACHE and _E_STR_CACHE (linalg.rewrite under
+_F_RULES or _E_RULES, keyed by exponents).  `_cross` memoises every
+exponent pair, a pair with an empty side included, in _CROSS_CACHE as the
+rows the loop reads: terms with the integer covectors that give the Cartan
+exponent.  `normal_form` checks each token with _plain_token, the one token
+grammar (a generator name or ("K", n1, n2) of ints), then looks the token
+word up in _NF_CACHE, which holds the coefficient-one left fold, and scales
+that by the coefficient; the tokens' term maps are built only on a miss.
+Memoised term maps and pair-table rows are shared by every caller and are
+never mutated.
 
 The Hopf structure has one source: `coproduct` on generator tokens, with
 star and antipode given on the simple letters.  The adjoint action of one
@@ -245,7 +246,9 @@ def _cross_terms(eexp, fexp):
             for A3, n1, n2, B3, c3, *_ in _cross(eexp, fexp)}
 
 
-# straightened blocks F^A1 F^A3 and E^B3 E^B2 keyed by their exponent pairs
+# straightened blocks F^A1 F^A3 and E^B3 E^B2, as _F_PAIR_CACHE[A1][A3] and
+# _E_PAIR_CACHE[B2][B3]; a row gains an entry as a new dict, so no stored
+# row is ever mutated
 _F_PAIR_CACHE = {}
 _E_PAIR_CACHE = {}
 
@@ -258,11 +261,12 @@ def _mul_terms(t1, t2):
 
         q^-k . F^A1 F^A3 K_(lam+nu+mu) E^B3 E^B2,  k = (lam, wt F^A3) + (mu, wt E^B3),
 
-    whose F and E blocks are straightened through the pair tables.  The
-    Cartan exponent k is an integer dot product of lam and mu with the
-    covectors that _cross stores beside each term, and q^-k = v^-2k is
-    applied as a shift of the coefficient.  A coefficient product with a
-    factor ONE is skipped.
+    whose F and E blocks are straightened through the pair tables: the row
+    of F blocks after F^A1 and the row of E blocks before E^B2 are looked up
+    once per pair of terms.  The Cartan exponent k is an integer dot
+    product of lam and mu with the covectors that _cross stores beside each
+    term, and q^-k = v^-2k is applied as a shift of the coefficient.  A
+    coefficient product with a factor ONE is skipped.
     """
     out = {}
     get = out.get
@@ -272,24 +276,28 @@ def _mul_terms(t1, t2):
         for (A2, (m1, m2), B2), c2 in t2.items():
             c12 = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
             w1, w2 = l1 + m1, l2 + m2
-            for A3, n1, n2, B3, c3, g1, g2, h1, h2 in (
-                    rows_of((B1, A2)) or _cross(B1, A2)):
+            # the rows are read after the crossing: building one multiplies
+            # words, which may add rows
+            rows = rows_of((B1, A2)) or _cross(B1, A2)
+            frow = _F_PAIR_CACHE.get(A1) or {}
+            erow = _E_PAIR_CACHE.get(B2) or {}
+            for A3, n1, n2, B3, c3, g1, g2, h1, h2 in rows:
                 c = c3 if c12 is ONE else c12 if c3 is ONE else c12 * c3
                 # K_lam across F^A3 to the right, K_mu across E^B3 to the left
                 k = l1 * g1 + l2 * g2 + m1 * h1 + m2 * h2
                 if k:
                     c = c.shift(-2 * k)
                 w = new(Weight, (w1 + n1, w2 + n2))
-                ftab = _F_PAIR_CACHE.get((A1, A3))
+                ftab = frow.get(A3)
                 if ftab is None:
-                    ftab = _F_PAIR_CACHE[(A1, A3)] = rewrite(
-                        _f_letters(A1) + _f_letters(A3), _F_RULES, _F_STR_CACHE, ONE,
-                        _f_exps)
-                etab = _E_PAIR_CACHE.get((B3, B2))
+                    ftab = rewrite(_f_letters(A1) + _f_letters(A3), _F_RULES,
+                                   _F_STR_CACHE, ONE, _f_exps)
+                    frow = _F_PAIR_CACHE[A1] = {**frow, A3: ftab}
+                etab = erow.get(B3)
                 if etab is None:
-                    etab = _E_PAIR_CACHE[(B3, B2)] = rewrite(
-                        _e_letters(B3) + _e_letters(B2), _E_RULES, _E_STR_CACHE, ONE,
-                        _e_exps)
+                    etab = rewrite(_e_letters(B3) + _e_letters(B2), _E_RULES,
+                                   _E_STR_CACHE, ONE, _e_exps)
+                    erow = _E_PAIR_CACHE[B2] = {**erow, B3: etab}
                 for fexp, cf in ftab.items():
                     cwf = c if cf is ONE else cf if c is ONE else c * cf
                     for eexp, ce in etab.items():
@@ -324,15 +332,15 @@ class AlgebraElement(Combination):
         return None
 
     def __mul__(self, other):
+        if type(other) is AlgebraElement or isinstance(other, AlgebraElement):
+            if not self.terms or not other.terms:
+                return AE_ZERO
+            return AlgebraElement(_mul_terms(self.terms, other.terms))
         if isinstance(other, (int, Fraction, Scalar)):
             s = other if isinstance(other, Scalar) else scalar(other)
             if s.is_zero:
                 return AE_ZERO
             return AlgebraElement({w: c * s for w, c in self.terms.items()})
-        if isinstance(other, AlgebraElement):
-            if not self.terms or not other.terms:
-                return AE_ZERO
-            return AlgebraElement(_mul_terms(self.terms, other.terms))
         return NotImplemented
 
     def __rmul__(self, other):

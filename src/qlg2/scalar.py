@@ -5,17 +5,19 @@ single deformation variable.  The base variable is v = q^(1/2) rather than q
 itself, because the fundamental representation involves half-integer powers
 of q; every formula written in q embeds via q = v**2.
 
-A Scalar is a reduced fraction of integer Laurent polynomials,
+A Scalar is a signed, reduced fraction of integer Laurent polynomials,
 
-    value = v**shift * num(v) / den(v),
+    value = sign * v**shift * num(v) / den(v),
 
-kept canonical at all times: num and den are tuples of int with nonzero
-constant and leading terms, den has a positive leading coefficient, and
+kept canonical at all times: sign is 1 or -1, num and den are tuples of
+int with nonzero constant terms and positive leading coefficients, and
 gcd(num, den) = 1 in Z[v], which covers both the polynomial gcd and the
 integer content (Gauss's lemma; the rule Fraction keeps over Z).  Zero is
-represented as num = ().  This form is unique, so equality of values is
-structural equality of the three fields, and "x == y" and "x - y is zero"
-agree bit for bit.
+represented as num = () with sign 1.  This form is unique (Knuth, TAOCP
+Vol. 2, 4.6.1, on canonical forms), so equality of values is structural
+equality of the four fields, and "x == y" and "x - y is zero" agree bit
+for bit.  The sign is a field of its own so that a negation, an inverse
+and a product with +-v^k build no coefficient tuple.
 
 Reduction uses the primitive polynomial remainder sequence over Z (Collins,
 J. ACM 14, 1967) and exact integer division, so no rational number appears
@@ -24,25 +26,28 @@ Fraction-coefficient representation would: numerator and denominator
 divided by the leading coefficient of den.
 
 Four exact short-cuts serve the sums and products the checks repeat.
-Nearly every Scalar the checks build is v^s times a rational function of
-v^4, so the same operands recur at many shifts.  Sums and general products
-are therefore memoised by their shift-free fields: `_MUL_CACHE` maps
-(n1, d1, n2, d2) to the product of the operands at shift 0, and
-`_ADD_CACHE` maps the same four fields and k = s1 - s2 to their sum at
-relative shift k, taken with min(s1, s2) = 0.  The result is the entry
-shifted by s1 + s2 or by min(s1, s2) respectively.  These keys are exact
-because v^k is a unit: multiplying an operand by it multiplies the result
-by it and leaves num and den as they are; an entry keeps the shift
-`_make` gives a sum whose low terms cancel.  Below them, `_cancel`
+Nearly every Scalar the checks build is +-v^s times a rational function of
+v^4, so the same operands recur at many shifts and with both signs.  Sums
+and general products are therefore memoised by their shift-free and
+sign-free fields: `_MUL_CACHE` maps (n1, d1, n2, d2) to the product
+n1/d1 * n2/d2, and `_ADD_CACHE` maps the same four fields, k = s1 - s2 and
+the relative sign h = g1 g2 to v**k n1/d1 + h n2/d2 divided by
+v**min(0, k).  The result is the entry shifted by s1 + s2 and signed by
+g1 g2, or shifted by min(s1, s2) and signed by g1, respectively.  These
+keys are exact because +-v^k is a unit: multiplying an operand by it
+multiplies the result by it and leaves num and den as they are; so x*y,
+(-x)*y and x*(-y) share one entry, and so do x + y and (-x) + (-y).  An
+entry keeps the shift and the sign `_make` gives a sum whose low terms
+cancel.  Below them, `_cancel`
 memoises its gcd-bearing case (both polynomials of degree >= 1) in
 `_CANCEL_CACHE`, keyed by the pair (num, den), and a sum over two
 different denominators of degree >= 1 goes over their lcm L, not their
 product, with L and the cofactors L/d1, L/d2 memoised in `_LCM_CACHE`; the
 canonical form is unique, so the sum is the same.  A product with a factor
 c v^k (a constant den) skips the product memo and needs no polynomial gcd,
-and one with a factor +-v^k is a sign and a shift of the other factor, already
-canonical, so it skips `_make`; `shift` multiplies by v^k with no product
-at all.
+and one with a factor +-v^k flips the sign and moves the shift of the other
+factor, already canonical, so it skips `_make`; `shift` multiplies by v^k
+and negation flips the sign, with no product and no new tuple at all.
 
 KScalar extends Scalar by three commuting symbols kappa_1, kappa_2, kappa_3
 (the formal ratios of the graded inner-product constants) truncated at total
@@ -216,32 +221,35 @@ def _lcm(d1, d2):
     return got
 
 
-# sums at relative shift k = s1 - s2, keyed by (n1, d1, n2, d2, k);
-# see Scalar._sum
+# sums at relative shift k = s1 - s2 and relative sign h = g1 g2, keyed by
+# (n1, d1, n2, d2, k, h); see Scalar._sum
 _ADD_CACHE = {}
 
-# products of two operands at shift 0, keyed by (n1, d1, n2, d2)
+# products of two operands at shift 0 and sign 1, keyed by (n1, d1, n2, d2);
+# every entry has sign 1
 _MUL_CACHE = {}
 
 
 class Scalar:
-    __slots__ = ("_n", "_d", "_s")
+    __slots__ = ("_n", "_d", "_s", "_g")
 
-    def __init__(self, n, d, s):
+    def __init__(self, n, d, s, g):
         # trusted canonical inputs only; use the factory functions below
         self._n = n
         self._d = d
         self._s = s
+        self._g = g
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _make(num, den, shift, reduce=False):
-        """Canonical v**shift * num / den.
+    def _make(num, den, shift, sign=1, reduce=False):
+        """Canonical sign * v**shift * num / den.
 
         den has lc > 0 and a nonzero constant term; unless `reduce` is set,
-        num and den share no factor of degree >= 1.  A common integer
-        content is divided out here.
+        num and den share no factor of degree >= 1.  The sign of lc(num)
+        moves into the sign field, and a common integer content is divided
+        out here.
         """
         num = _trim(num)
         if not num:
@@ -252,6 +260,8 @@ class Scalar:
         if i:
             shift += i
             num = num[i:]
+        if num[-1] < 0:
+            num, sign = _pneg(num), -sign
         if reduce:
             num, den = _cancel(num, den)
         if den != (1,):
@@ -259,7 +269,7 @@ class Scalar:
             if g != 1:
                 num = tuple(x // g for x in num)
                 den = tuple(x // g for x in den)
-        return Scalar(num, den, shift)
+        return Scalar(num, den, shift, sign)
 
     # -- predicates ---------------------------------------------------------
 
@@ -289,35 +299,41 @@ class Scalar:
         if not o._n:
             return self
         k = self._s - o._s
-        key = (self._n, self._d, o._n, o._d, k)
+        key = (self._n, self._d, o._n, o._d, k, self._g * o._g)
         got = _ADD_CACHE.get(key)
         if got is None:
             got = _ADD_CACHE[key] = Scalar._sum(*key)
-        return got.shift(o._s if k > 0 else self._s)
+        if not got._n:
+            return got
+        return Scalar(got._n, got._d, got._s + (o._s if k > 0 else self._s),
+                      got._g * self._g)
 
     __radd__ = __add__
 
     @staticmethod
-    def _sum(n1, d1, n2, d2, k):
-        """(v**k x1 + x2) / v**min(0, k) for x1 = n1/d1, x2 = n2/d2,
-        canonical: x1 v**s1 + x2 v**s2 with s1 - s2 = k is this sum shifted
-        by min(s1, s2)."""
+    def _sum(n1, d1, n2, d2, k, h):
+        """(v**k x1 + h x2) / v**min(0, k) for x1 = n1/d1, x2 = n2/d2 and
+        h = +-1, canonical: g1 v**s1 x1 + g2 v**s2 x2 with s1 - s2 = k and
+        g1 g2 = h is this sum shifted by min(s1, s2) and signed by g1."""
+        if h < 0:
+            n2 = _pneg(n2)
         if k > 0:
             n1 = (0,) * k + n1
         elif k < 0:
             n2 = (0,) * -k + n2
         if d1 == d2:
-            return Scalar._make(_padd(n1, n2), d1, 0, True)
+            return Scalar._make(_padd(n1, n2), d1, 0, reduce=True)
         if len(d1) > 1 and len(d2) > 1:
             u1, u2, den = _LCM_CACHE.get((d1, d2)) or _lcm(d1, d2)
-            return Scalar._make(_padd(_pmul(n1, u1), _pmul(n2, u2)), den, 0, True)
+            return Scalar._make(_padd(_pmul(n1, u1), _pmul(n2, u2)), den, 0,
+                                reduce=True)
         # a sum with a Laurent polynomial is reduced in Q[v]
         return Scalar._make(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2), 0)
 
     def __neg__(self):
         if not self._n:
             return self
-        return Scalar(_pneg(self._n), self._d, self._s)
+        return Scalar(self._n, self._d, self._s, -self._g)
 
     def __sub__(self, other):
         o = Scalar._coerce(other)
@@ -339,48 +355,51 @@ class Scalar:
             return ZERO
         a, m = (self, o) if len(o._n) == 1 and len(o._d) == 1 else (o, self)
         if len(m._n) == 1 and len(m._d) == 1:
-            # m = c v^k needs no polynomial gcd, and ONE leaves the other
+            # m = +-c v^k needs no polynomial gcd, and ONE leaves the other
             # factor as it is
             k, c = m._n[0], m._d[0]
-            if k == 1 and c == 1 and not m._s:
+            if k == 1 and c == 1 and not m._s and m._g == 1:
                 return a
-            if a._n == (1,) and a._d == (1,) and not a._s:
+            if a._n == (1,) and a._d == (1,) and not a._s and a._g == 1:
                 return m
-            if c == 1 and (k == 1 or k == -1):
+            if k == 1 and c == 1:
                 # m = +-v^k: a sign and a shift of a canonical a are canonical
-                return Scalar(a._n if k == 1 else _pneg(a._n), a._d, a._s + m._s)
-            return Scalar._make(_pscale(a._n, k), _pscale(a._d, c), a._s + m._s)
+                return Scalar(a._n, a._d, a._s + m._s, a._g * m._g)
+            return Scalar._make(_pscale(a._n, k), _pscale(a._d, c), a._s + m._s,
+                                a._g * m._g)
         key = (self._n, self._d, o._n, o._d)
         got = _MUL_CACHE.get(key)
         if got is None:
-            # cross-reduce so the product of reduced fractions is reduced
+            # cross-reduce so the product of reduced fractions is reduced;
+            # positive leading coefficients give a positive product
             n1, d2 = _cancel(self._n, o._d)
             n2, d1 = _cancel(o._n, self._d)
             got = _MUL_CACHE[key] = Scalar._make(_pmul(n1, n2), _pmul(d1, d2), 0)
-        return got.shift(self._s + o._s)
+        return Scalar(got._n, got._d, got._s + self._s + o._s, self._g * o._g)
 
     __rmul__ = __mul__
 
     def shift(self, k):
         """v**k * self: a shift of a canonical Scalar is canonical."""
-        return Scalar(self._n, self._d, self._s + k) if self._n else self
+        return Scalar(self._n, self._d, self._s + k, self._g) if self._n else self
 
     def inv(self):
         if not self._n:
             raise ZeroDivisionError("inverse of zero scalar")
-        if self._n[-1] < 0:
-            return Scalar(_pneg(self._d), _pneg(self._n), -self._s)
-        return Scalar(self._d, self._n, -self._s)
+        return Scalar(self._d, self._n, -self._s, self._g)
 
     def bar(self):
         """Image under the field automorphism v -> v^-1, canonical without a
-        gcd: reversing n and d keeps them coprime with nonzero end terms."""
+        gcd: reversing n and d keeps them coprime with nonzero end terms,
+        and the sign of each new leading coefficient moves into the sign."""
         if not self._n:
             return self
-        n, d = self._n[::-1], self._d[::-1]
+        n, d, g = self._n[::-1], self._d[::-1], self._g
+        if n[-1] < 0:
+            n, g = _pneg(n), -g
         if d[-1] < 0:
-            n, d = _pneg(n), _pneg(d)
-        return Scalar(n, d, len(self._d) - len(self._n) - self._s)
+            d, g = _pneg(d), -g
+        return Scalar(n, d, len(self._d) - len(self._n) - self._s, g)
 
     def __truediv__(self, other):
         o = Scalar._coerce(other)
@@ -414,10 +433,11 @@ class Scalar:
         o = Scalar._coerce(other)
         if o is None:
             return NotImplemented
-        return self._n == o._n and self._d == o._d and self._s == o._s
+        return (self._n == o._n and self._d == o._d and self._s == o._s
+                and self._g == o._g)
 
     def __hash__(self):
-        return hash((self._n, self._d, self._s))
+        return hash((self._n, self._d, self._s, self._g))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -439,7 +459,7 @@ class Scalar:
         den = horner(self._d)
         if not den:
             raise PoleError(f"denominator vanishes at v = {v0}")
-        num = horner(self._n)
+        num = self._g * horner(self._n)
         # v0**s * q**(deg d - deg n) moves to whichever side keeps exponents >= 0
         e = len(self._d) - len(self._n)
         for base, k in ((p, self._s), (q, e - self._s)):
@@ -480,7 +500,7 @@ class Scalar:
             return " + ".join(parts).replace("+ -", "- ")
 
         lc = self._d[-1]
-        num = poly_str(self._n, self._s, lc)
+        num = poly_str(self._n, self._s, self._g * lc)
         if len(self._d) == 1:
             return num
         return f"({num}) / ({poly_str(self._d, 0, lc)})"
@@ -489,8 +509,8 @@ class Scalar:
         return self.canon_str()
 
 
-ZERO = Scalar((), (1,), 0)
-ONE = Scalar((1,), (1,), 0)
+ZERO = Scalar((), (1,), 0, 1)
+ONE = Scalar((1,), (1,), 0, 1)
 
 
 def scalar(c):
@@ -498,17 +518,18 @@ def scalar(c):
     c = Fraction(c)
     if not c:
         return ZERO
-    return Scalar((c.numerator,), (c.denominator,), 0)
+    n = c.numerator
+    return Scalar((abs(n),), (c.denominator,), 0, 1 if n > 0 else -1)
 
 
 def v_power(k):
     """v**k."""
-    return Scalar((1,), (1,), k)
+    return Scalar((1,), (1,), k, 1)
 
 
 def q_power(k):
     """q**k = v**(2k)."""
-    return Scalar((1,), (1,), 2 * k)
+    return Scalar((1,), (1,), 2 * k, 1)
 
 
 def laurent_v(coeffs):

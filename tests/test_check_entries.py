@@ -170,6 +170,11 @@ def _kappa2_half(orig=checks.solve_kappa_constraints):
     return scalar(Fraction(1, 2)), orig()[1]
 
 
+def _sq_relations_but_one(orig=checks.sq_relation_vectors):
+    # one relation fewer: the orthogonal complement is 7-dimensional
+    return orig()[:-1]
+
+
 
 # each case: the names perturbed in qlg2.checks, and the failing entry; a
 # long residual is pinned by the first 16 hex digits of its sha256
@@ -268,6 +273,19 @@ FAILURES = {
             "lhs_digest": "3dee37f82776419e",
             "residual": "complement span differs from wedge relations; "
                         "graded dimensions [1, 2, 1, 0]",
+            "rhs_digest": "65106790db4938d4",
+            "statement": "the quadratic dual is 6-dimensional and spans the "
+                         "wedge relations; graded dimensions (1,3,3,1)",
+        }),
+    "prop-lq-relations/complement-rank": (
+        {"sq_relation_vectors": _sq_relations_but_one}, {
+            "check_id": "prop-lq-relations",
+            "details": ["orthogonal complement dimension 7",
+                        "graded dimensions (1, 3, 3, 1)",
+                        "y1y1 ok", "y3y3 ok", "y2y2 ok"],
+            "lhs_digest": "3dee37f82776419e",
+            "residual": "orthogonal complement dimension 7; "
+                        "complement span differs from wedge relations",
             "rhs_digest": "65106790db4938d4",
             "statement": "the quadratic dual is 6-dimensional and spans the "
                          "wedge relations; graded dimensions (1,3,3,1)",

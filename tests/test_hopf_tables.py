@@ -193,12 +193,15 @@ def _scalars(n, seed):
 
 
 def test_bar_inputs_are_rich():
-    # most denominators survive cancellation, and both sign cases of the
-    # reversed denominator's leading coefficient (the constant term) occur
+    # most denominators survive cancellation; both sign cases of the reversed
+    # numerator's and denominator's leading coefficients (the constant
+    # terms) occur, and so do values with a negative leading coefficient,
+    # which the sign field carries
     xs = _scalars(60, 71)
     assert sum(not is_polynomial(x) for x in xs) >= 40
     assert any(x._d[0] < 0 for x in xs) and any(x._d[0] > 0 for x in xs)
-    assert any(x._n[-1] < 0 for x in xs)
+    assert any(x._n[0] < 0 for x in xs) and any(x._n[0] > 0 for x in xs)
+    assert any(x._g < 0 for x in xs)
 
 
 def test_bar_is_an_involution():

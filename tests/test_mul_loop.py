@@ -176,14 +176,37 @@ def test_cold_tables_give_the_warm_products():
 
 def test_pair_tables_hold_the_straightener_memos():
     # one dict per straightened block: the pair table entry is the memo entry
-    # of the block's letter word, not a converted copy of it
+    # of the block's letter word, not a converted copy of it; the F table is
+    # keyed A1 then A3 for F^A1 F^A3, the E table B2 then B3 for E^B3 E^B2
     for t1, t2 in _random_pairs(100, 5):
         pbw._mul_terms(t1, t2)
-    for table, memo, letters in ((pbw._F_PAIR_CACHE, pbw._F_STR_CACHE, _f_letters),
-                                 (pbw._E_PAIR_CACHE, pbw._E_STR_CACHE, _e_letters)):
-        assert len(table) > 50
-        for (x, y), tab in table.items():
-            assert tab is memo[letters(x) + letters(y)]
+    for table, memo, word in (
+            (pbw._F_PAIR_CACHE, pbw._F_STR_CACHE,
+             lambda a1, a3: _f_letters(a1) + _f_letters(a3)),
+            (pbw._E_PAIR_CACHE, pbw._E_STR_CACHE,
+             lambda b2, b3: _e_letters(b3) + _e_letters(b2))):
+        assert sum(map(len, table.values())) > 50
+        for x, row in table.items():
+            for y, tab in row.items():
+                assert tab is memo[word(x, y)]
+
+
+def test_pair_table_rows_are_never_mutated():
+    # a row gains an entry as a new dict, so a shallow copy of a table, as
+    # memos.snapshot() takes it, keeps the rows it saw as they were
+    with memos.cold():
+        for t1, t2 in _random_pairs(30, 11):
+            pbw._mul_terms(t1, t2)
+        tables = (pbw._F_PAIR_CACHE, pbw._E_PAIR_CACHE)
+        seen = [{x: (row, dict(row)) for x, row in table.items()} for table in tables]
+        for t1, t2 in _random_pairs(100, 5):
+            pbw._mul_terms(t1, t2)
+        grown = 0
+        for table, rows in zip(tables, seen):
+            for x, (row, items) in rows.items():
+                assert row == items
+                grown += table[x] is not row
+        assert grown > 10
 
 
 def _height(eexp, fexp):

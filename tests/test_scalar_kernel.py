@@ -3,8 +3,10 @@
 Random rational functions are built as pairs of {exponent: Fraction}
 Laurent polynomials.  Every field operation on the Scalars is compared with
 plain Fraction arithmetic on the values of those pairs at random rational
-points, so the oracle shares no code with the kernel.  The sum and product
-memos are compared with the kernel without them, kept here as an oracle.
+points, so the oracle shares no code with the kernel.  The sign field and
+the sum and product memos are compared with the three-field kernel without
+memos, kept here as an oracle: its values are triples v**s n/d whose n
+carries the sign.
 """
 
 import itertools
@@ -17,9 +19,9 @@ import pytest
 from qlg2 import cli, pbw
 from qlg2.scalar import (
     _ADD_CACHE, _CANCEL_CACHE, _LCM_CACHE, _MUL_CACHE, BR2, ONE, Q_SC, ZERO,
-    InexactDivisionError, KScalar, Scalar, _cancel, _lcm, _padd, _pexquo, _pmul,
-    _pscale, laurent_q, laurent_v, q_binomial, q_factorial, q_number, scalar,
-    v_power,
+    InexactDivisionError, KScalar, Scalar, _cancel, _padd, _pexquo, _pgcd, _pmul,
+    _pneg, _pscale, laurent_q, laurent_v, q_binomial, q_factorial, q_number,
+    scalar, v_power,
 )
 
 import memos
@@ -79,14 +81,16 @@ def _points(rng, pairs, n=3):
 
 
 def _check_canonical(s):
-    """v^s n/d with n, d of nonzero end terms, lc(d) > 0 and gcd(n, d) = 1 in
-    Z[v]: no common integer content and, by a Euclid over Fraction, no common
-    factor of degree >= 1; zero is ((), (1,), 0)."""
+    """g v^s n/d with g = +-1, n, d of nonzero end terms, lc(n) > 0, lc(d) > 0
+    and gcd(n, d) = 1 in Z[v]: no common integer content and, by a Euclid
+    over Fraction, no common factor of degree >= 1; zero is ((), (1,), 0)
+    with g = 1."""
     n, d = s._n, s._d
+    assert s._g in (1, -1)
     if not n:
-        assert (d, s._s) == ((1,), 0)
+        assert (d, s._s, s._g) == ((1,), 0, 1)
         return
-    assert n[0] and n[-1] and d[0] and d[-1] > 0
+    assert n[0] and n[-1] > 0 and d[0] and d[-1] > 0
     assert gcd(*n, *d) == 1
     assert len(_qgcd(n, d)) == 1
     assert all(isinstance(x, int) for x in n + d)
@@ -158,6 +162,28 @@ def test_integer_content_is_canonical():
     assert (h._n, h._d) == ((2, 0, 0, 0, 2), (3, 3))
     assert (h * scalar(Fraction(3, 2)))._d == (1, 1)
     assert (h / laurent_v({0: 4}))._n == (1, 0, 0, 0, 1)
+    # the sign of lc(num) is the sign field; constant terms keep their signs
+    m = laurent_v({0: 3, 2: -6}) / laurent_v({0: -2, 1: 4})
+    assert (m._n, m._d, m._s, m._g) == ((-3, 0, 6), (-2, 4), 0, -1)
+    assert (-m)._g == 1 and (-m)._n is m._n
+
+
+def test_sign_and_unit_factors_build_no_tuple():
+    # negation, inverse and a product with +-v^k move the fields of the
+    # canonical operand into the result as they are
+    rng = random.Random(32)
+    checked = 0
+    while checked < 60:
+        x = rand_rational(rng)[0]
+        if x.is_zero or not _general(x):
+            continue
+        checked += 1
+        for y in (-x, x.inv(), x * v_power(-3), x * -v_power(5),
+                  -v_power(2) * x, x * scalar(-1)):
+            _check_canonical(y)
+            assert {id(y._n), id(y._d)} == {id(x._n), id(x._d)}
+        assert (-x)._g == -x._g and (-(-x)) == x
+        assert x.inv()._g == x._g
 
 
 def test_evaluate_pole_and_zero_point():
@@ -302,17 +328,84 @@ def test_cancel_matches_gcd_oracle_cold_and_warm():
     assert warm == want
 
 
+# --- the three-field kernel without memos: the oracle of the sections below --
+#
+# A value is a triple (n, d, s) = v**s n/d, canonical when n and d have
+# nonzero end terms, lc(d) > 0 and gcd(n, d) = 1 in Z[v]; lc(n) has either
+# sign.  This is the kernel Scalar had before its sign field and its memos.
+
+def _three(x):
+    """The triple of a Scalar: its sign field moved into n."""
+    return (_pneg(x._n) if x._g < 0 else x._n), x._d, x._s
+
+
+def _make3(num, den, shift, reduce=False):
+    """The canonical triple of v**shift num/den, as Scalar._make built it:
+    den has lc > 0 and a nonzero constant term."""
+    num = list(num)
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return (), (1,), 0
+    i = 0
+    while not num[i]:
+        i += 1
+    num = tuple(num[i:])
+    if reduce and len(num) > 1 and len(den) > 1:
+        g = _pgcd(num, den)
+        num, den = _pexquo(num, g), _pexquo(den, g)
+    c = gcd(*num, *den)
+    return (tuple(x // c for x in num), tuple(x // c for x in den), shift + i)
+
+
+def _plain_cancel(n, d):
+    if len(n) > 1 and len(d) > 1:
+        g = _pgcd(n, d)
+        return _pexquo(n, g), _pexquo(d, g)
+    return n, d
+
+
+def _aligned(x, y):
+    """The numerators of two triples over v**min(s1, s2), and that shift."""
+    s = min(x[2], y[2])
+    return (0,) * (x[2] - s) + x[0], (0,) * (y[2] - s) + y[0], s
+
+
+def _plain_add(x, y):
+    """x + y of two triples, as Scalar.__add__ computed it before its memo and
+    its sign field."""
+    if not x[0]:
+        return y
+    if not y[0]:
+        return x
+    n1, n2, s = _aligned(x, y)
+    d1, d2 = x[1], y[1]
+    if d1 == d2:
+        return _make3(_padd(n1, n2), d1, s, True)
+    if len(d1) > 1 and len(d2) > 1:
+        g = _pgcd(d1, d2)
+        u1, u2 = _pexquo(d2, g), _pexquo(d1, g)
+        return _make3(_padd(_pmul(n1, u1), _pmul(n2, u2)), _pmul(d1, u1), s, True)
+    return _make3(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2), s)
+
+
+def _plain_mul(x, y):
+    """x * y of two nonzero triples by the general path of Scalar.__mul__
+    before its memo and its sign field; canonical for a c v^k factor too."""
+    n1, d2 = _plain_cancel(x[0], y[1])
+    n2, d1 = _plain_cancel(y[0], x[1])
+    return _make3(_pmul(n1, n2), _pmul(d1, d2), x[2] + y[2])
+
+
 # --- the lcm branch of Scalar.__add__ against the product formula ------------
 
 def _product_add(x, y):
-    """x + y over the product d1 d2 of the denominators, reduced after: the
-    formula Scalar.__add__ used for two denominators of degree >= 1 before it
-    went over their lcm."""
-    s = min(x._s, y._s)
-    n1 = (0,) * (x._s - s) + x._n
-    n2 = (0,) * (y._s - s) + y._n
-    num = _padd(_pmul(n1, y._d), _pmul(n2, x._d))
-    return Scalar._make(num, _pmul(x._d, y._d), s, True)
+    """x + y of two triples over the product d1 d2 of the denominators,
+    reduced after: the formula Scalar.__add__ used for two denominators of
+    degree >= 1 before it went over their lcm."""
+    n1, n2, s = _aligned(x, y)
+    num = _padd(_pmul(n1, y[1]), _pmul(n2, x[1]))
+    return _make3(num, _pmul(x[1], y[1]), s, True)
 
 
 # v^4 - 1, v^4 + 1, v^8 - 1 and (v^4 - 1)^2: pairs that share cyclotomic
@@ -349,9 +442,9 @@ def test_lcm_sums_match_the_product_formula(name):
             for (x, xn, xd), (y, yn, yd) in itertools.permutations(
                     [_over(rng, dens[0]), _over(rng, dens[1])]):
                 assert x._d != y._d and len(x._d) > 1 and len(y._d) > 1
-                got, want = x + y, _product_add(x, y)
+                got, want = x + y, _product_add(_three(x), _three(y))
                 _check_canonical(got)
-                assert (got._n, got._d, got._s) == (want._n, want._d, want._s)
+                assert _three(got) == want
                 for pt in _points(rng, ((xn, xd), (yn, yd))):
                     assert got.evaluate(pt) == (
                         _dval(xn, pt) / _dval(xd, pt) + _dval(yn, pt) / _dval(yd, pt))
@@ -365,34 +458,13 @@ def test_lcm_sums_match_the_product_formula(name):
 
 # --- the sum and product memos against the kernel without them ---------------
 
-def _plain_add(x, y):
-    """x + y as Scalar.__add__ computed it before _ADD_CACHE."""
-    if not x._n:
-        return y
-    if not y._n:
-        return x
-    s = min(x._s, y._s)
-    n1 = (0,) * (x._s - s) + x._n
-    n2 = (0,) * (y._s - s) + y._n
-    d1, d2 = x._d, y._d
-    if d1 == d2:
-        return Scalar._make(_padd(n1, n2), d1, s, True)
-    if len(d1) > 1 and len(d2) > 1:
-        u1, u2, den = _lcm(d1, d2)
-        return Scalar._make(_padd(_pmul(n1, u1), _pmul(n2, u2)), den, s, True)
-    return Scalar._make(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2), s)
-
-
-def _plain_mul(x, y):
-    """x * y for nonzero x and y by the general path of Scalar.__mul__ before
-    _MUL_CACHE; canonical for a c v^k factor as well."""
-    n1, d2 = _cancel(x._n, y._d)
-    n2, d1 = _cancel(y._n, x._d)
-    return Scalar._make(_pmul(n1, n2), _pmul(d1, d2), x._s + y._s)
-
-
 def _fields(s):
-    return s._n, s._d, s._s
+    return s._n, s._d, s._s, s._g
+
+
+def _free(s):
+    """The shift-free and sign-free fields of s: its part of a memo key."""
+    return s._n, s._d
 
 
 def _general(s):
@@ -414,8 +486,9 @@ def _memo_corpus():
     named = [q_number(2, 2), q_number(3), q_number(4), BR2, ONE / Q_SC, ONE / BR2]
     halves = [x * scalar(Fraction(1, 2)) for x in (q_number(3), ONE / Q_SC)]
     sums = [a + b for a, b in zip(crossing[:4], named)]
+    twins = [-x for x in crossing[:3] + named[:3]]
     out = {}
-    for x in crossing + named + halves + sums:
+    for x in crossing + named + halves + sums + twins:
         if x:
             x = x.shift(-x._s)
             out.setdefault(_fields(x), x)
@@ -432,15 +505,56 @@ def test_result_memos_match_the_plain_kernel_cold_and_warm():
     assert any(gcd(*x._d) == 2 for x in corpus) and sum(map(_general, corpus)) >= 15
     cases = [(x.shift(s1), y.shift(s2)) for x, y in itertools.product(corpus, repeat=2)
              for s1, s2 in _SHIFTS]
-    want = [(_fields(_plain_add(x, y)), _fields(_plain_mul(x, y))) for x, y in cases]
+    want = [(_plain_add(_three(x), _three(y)), _plain_mul(_three(x), _three(y)))
+            for x, y in cases]
     with memos.cold():
         for _pass in ("cold", "warm"):
-            got = [(_fields(x + y), _fields(x * y)) for x, y in cases]
+            got = [(_three(x + y), _three(x * y)) for x, y in cases]
             assert got == want, _pass
-        # one entry per shift-free pair and relative shift, none per shift
+            for x, y in cases:
+                _check_canonical(x + y)
+                _check_canonical(x * y)
+        # one entry per shift-free and sign-free pair, and for a sum per
+        # relative shift and relative sign; none per shift or per sign
         pairs = list(itertools.product(corpus, repeat=2))
-        assert len(_MUL_CACHE) == sum(_general(x) and _general(y) for x, y in pairs)
-        assert len(_ADD_CACHE) == len(pairs) * len({s1 - s2 for s1, s2 in _SHIFTS})
+        muls = {(_free(x), _free(y)) for x, y in pairs if _general(x) and _general(y)}
+        adds = {(_free(x), _free(y), s1 - s2, x._g * y._g)
+                for x, y in pairs for s1, s2 in _SHIFTS}
+        assert len(_MUL_CACHE) == len(muls) < sum(
+            _general(x) and _general(y) for x, y in pairs)
+        assert len(_ADD_CACHE) == len(adds) < len(pairs) * len(
+            {s1 - s2 for s1, s2 in _SHIFTS})
+        # every product entry is sign-free
+        assert all(got._g == 1 for got in _MUL_CACHE.values())
+
+
+def test_sign_twins_share_one_memo_entry():
+    # x + y and (-x) + (-y) read one sum entry, x - y another, and x y,
+    # (-x) y, x (-y) and (-x) (-y) one product entry
+    corpus = {}
+    for x in _memo_corpus():
+        if _general(x):
+            corpus.setdefault(_free(x), x if x._g > 0 else -x)
+    corpus = list(corpus.values())
+    assert len(corpus) >= 15
+    with memos.cold():
+        for x, y in itertools.product(corpus, repeat=2):
+            for j in (0, 3, -2):
+                xj = x.shift(j)
+                # a product entry is shift-free, so only j = 0 adds one
+                sizes = len(_ADD_CACHE) + 1, len(_MUL_CACHE) + (j == 0)
+                total, prod = xj + y, xj * y
+                assert (len(_ADD_CACHE), len(_MUL_CACHE)) == sizes
+                assert _fields((-xj) + (-y)) == _fields(-total)
+                assert _fields((-xj) * y) == _fields(xj * (-y)) == _fields(-prod)
+                assert _fields((-xj) * (-y)) == _fields(prod)
+                assert (len(_ADD_CACHE), len(_MUL_CACHE)) == sizes
+                diff = xj - y
+                assert _fields((-xj) + y) == _fields(-diff)
+                assert (len(_ADD_CACHE), len(_MUL_CACHE)) == (sizes[0] + 1, sizes[1])
+                assert _three(total) == _plain_add(_three(xj), _three(y))
+                assert _three(diff) == _plain_add(_three(xj), _three(-y))
+                assert _three(prod) == _plain_mul(_three(xj), _three(y))
 
 
 def test_shifted_operands_share_one_memo_entry():
@@ -490,10 +604,10 @@ def test_a_cancelling_sum_keeps_its_relative_shift(x, y, low):
         for _pass in ("cold", "warm"):
             for s in (0, 5, -3):
                 got = x.shift(s) + y.shift(s)
-                assert _fields(got) == _fields(_plain_add(x.shift(s), y.shift(s)))
+                assert _three(got) == _plain_add(_three(x.shift(s)), _three(y.shift(s)))
                 assert got._s == s + low > s + min(x._s, y._s)
-                assert _fields(x.shift(s + 2) + y.shift(s)) == _fields(
-                    _plain_add(x.shift(s + 2), y.shift(s)))
+                assert _three(x.shift(s + 2) + y.shift(s)) == _plain_add(
+                    _three(x.shift(s + 2)), _three(y.shift(s)))
 
 
 def test_kscalar_products_match_the_plain_kernel():
@@ -512,11 +626,11 @@ def test_kscalar_products_match_the_plain_kernel():
                 for (m1, c1), (m2, c2) in itertools.product(a.terms.items(),
                                                             b.terms.items()):
                     m = tuple(i + j for i, j in zip(m1, m2))
-                    c = _plain_mul(c1, c2)
+                    c = _plain_mul(_three(c1), _three(c2))
                     want[m] = _plain_add(want[m], c) if m in want else c
-                want = {m: _fields(c) for m, c in want.items() if c}
+                want = {m: c for m, c in want.items() if c[0]}
                 got = (a * b).terms
-                assert {m: _fields(c) for m, c in got.items()} == want
+                assert {m: _three(c) for m, c in got.items()} == want
 
 
 # --- the four Scalar memos left by a default-seed verify, entry by entry -----
@@ -539,18 +653,20 @@ def _memo_faults(adds, muls, cancels, lcms):
     are not canonical."""
     faults = []
     for key, got in muls.items():
-        # n1/d1 * n2/d2 = v^s n/d
+        # n1/d1 * n2/d2 = g v^s n/d
         n1, d1, n2, d2 = map(_laurent, key)
         if (_dmul(_dmul(n1, n2), _laurent(got._d))
-                != _dmul(_laurent(got._n, got._s), _dmul(d1, d2))):
+                != _dmul(_laurent(_three(got)[0], got._s), _dmul(d1, d2))):
             faults.append(("mul", key))
     for key, got in adds.items():
-        # (v^k n1/d1 + n2/d2) / v^min(0, k) = v^s n/d
+        # (v^k n1/d1 + h n2/d2) / v^min(0, k) = g v^s n/d
         n1, d1, n2, d2 = map(_laurent, key[:4])
-        k = key[4]
-        total = _dadd(_dmul({e + k: c for e, c in n1.items()}, d2), _dmul(n2, d1))
+        k, h = key[4:]
+        total = _dadd(_dmul({e + k: c for e, c in n1.items()}, d2),
+                      _dmul({e: h * c for e, c in n2.items()}, d1))
         if (_dmul(total, _laurent(got._d))
-                != _dmul(_laurent(got._n, got._s + min(0, k)), _dmul(d1, d2))):
+                != _dmul(_laurent(_three(got)[0], got._s + min(0, k)),
+                         _dmul(d1, d2))):
             faults.append(("add", key))
     for (n, d), (n2, d2) in cancels.items():
         # n/d = n2/d2, with no common factor of degree >= 1 left
@@ -575,15 +691,23 @@ def test_scalar_memos_left_by_verify_hold_entry_by_entry(tmp_path):
                          "--out", str(out)]) == cli.EXIT_PASS
         tables = [dict(t) for t in (_ADD_CACHE, _MUL_CACHE, _CANCEL_CACHE, _LCM_CACHE)]
     adds, muls, cancels, lcms = tables
-    assert all(tables) and len(adds) > 1000 and len(muls) > 500
+    assert all(tables) and len(adds) > 1000 and len(muls) > 300
+    # both relative signs occur in the sum keys
+    assert {key[5] for key in adds} == {1, -1}
     assert not _memo_faults(adds, muls, cancels, lcms)
-    # the check is entry by entry, and finds a wrong product and a right one
-    # in a non-canonical form
+    # the check is entry by entry, and finds a wrong product, a sum of the
+    # other relative sign, and right values in a non-canonical form
     key, got = next(iter(muls.items()))
     wrong = got * scalar(2)
-    unreduced = Scalar(_pscale(got._n, 3), _pscale(got._d, 3), got._s)
+    unreduced = Scalar(_pscale(got._n, 3), _pscale(got._d, 3), got._s, got._g)
+    unsigned = Scalar(_pneg(got._n), got._d, got._s, -got._g)
     assert _memo_faults({}, {key: wrong}, {}, {}) == [("mul", key)]
+    assert _memo_faults({}, {key: -got}, {}, {}) == [("mul", key)]
     assert _memo_faults({}, {key: unreduced}, {}, {}) == [("value", unreduced)]
+    assert _memo_faults({}, {key: unsigned}, {}, {}) == [("value", unsigned)]
+    key, got = next((k, x) for k, x in adds.items() if x and k[4] and k[5] < 0)
+    other = adds.get(key[:5] + (1,)) or Scalar._sum(*key[:5], 1)
+    assert _memo_faults({key: other}, {}, {}, {}) == [("add", key)]
 
 
 # canon_str of values recorded from the Fraction-coefficient kernel; report
