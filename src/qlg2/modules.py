@@ -27,8 +27,6 @@ instances, printed with numeric [row,column] labels.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .linalg import Matrix, accumulate, nullspace, rewrite
 from .scalar import (
     BR2, KONE, ONE, ZERO, KScalar, Scalar, kappa, Q_SC as _Q, q_power as _qp,
@@ -42,54 +40,47 @@ from . import pbw
 # fundamental module
 # ---------------------------------------------------------------------------
 
-def _walk(vec, path):
-    """Sparse vector {row: entry} times the column-sparse matrices of
-    `path`, the first one applied first."""
-    for cols in path:
-        nxt = {}
-        for r0, y0 in vec.items():
-            for r, y in cols[r0]:
-                accumulate(nxt, r, y * y0)
-        vec = nxt
-    return vec
-
-
 class _WeightModule:
-    """A module with a weight basis (`weights`) and root-vector matrices
-    `_root_e`/`_root_f` keyed by j for E_{beta_j}/F_{beta_j}."""
+    """A module with a weight basis (`weights`), generator matrices `_gen`
+    keyed by token name, and root-vector matrices `_root_e`/`_root_f` keyed
+    by j for E_{beta_j}/F_{beta_j}."""
 
     def K(self, lam):
         lam = Weight(*lam)
         return Matrix.diagonal([_qp(lam.pair(w)) for w in self.weights])
 
-    @cached_property
-    def _columns(self):
-        """The E and F root tables as {j: cols}, cols[c] holding the nonzero
-        (row, entry) pairs of column c."""
-        def cols(m):
-            out = [[] for _ in range(self.dim)]
-            for (r, c), y in m.terms.items():
-                out[c].append((r, y))
-            return out
-        return ({j: cols(m) for j, m in self._root_e.items()},
-                {j: cols(m) for j, m in self._root_f.items()})
+    def rep_token(self, tok):
+        """Matrix of one generator token; ValueError for a name that does
+        not act here."""
+        lam = pbw.token_weight(tok)
+        if lam is None and tok not in self._gen:
+            raise ValueError(f"generator {tok} does not act on this module")
+        return self._gen[tok] if lam is None else self.K(lam)
+
+    def rep_word(self, word):
+        """Matrix of a generator word, multiplied out directly: the side of
+        the representation probes that does not use the PBW engine."""
+        out = Matrix.identity(self.dim, ONE)
+        for t in word:
+            out = out @ self.rep_token(t)
+        return out
 
     def rep(self, x):
-        """Matrix of a PBW element, walked one weight vector at a time: for
-        each word c F^a K_lam E^b, the sparse column c e_j goes through the
-        E letters right to left, then the K diagonal q^(lam, wt), then the F
-        letters right to left, through the column-sparse root tables."""
-        ce, cf = self._columns
+        """Matrix of a PBW element: for each word c F^a K_lam E^b, the
+        diagonal c q^(lam, wt) times the F root matrices on the left and the
+        E root matrices on the right (`linalg.mmul`), every word summed into
+        one dict."""
         out = {}
         for (fexp, lam, eexp), c in x.terms.items():
-            lam = Weight(*lam)
-            es = [ce[k + 1] for k in (3, 2, 1, 0) for _ in range(eexp[k])]
-            fs = [cf[4 - k] for k in (3, 2, 1, 0) for _ in range(fexp[k])]
-            for j in range(self.dim):
-                vec = {r: _qp(lam.pair(self.weights[r])) * y
-                       for r, y in _walk({j: c}, es).items()}
-                for r, y in _walk(vec, fs).items():
-                    accumulate(out, (r, j), y)
+            m = Matrix.diagonal([c * _qp(w.pair(lam)) for w in self.weights])
+            for k in (3, 2, 1, 0):
+                for _ in range(fexp[k]):
+                    m = self._root_f[4 - k] @ m
+            for k in (0, 1, 2, 3):
+                for _ in range(eexp[k]):
+                    m = m @ self._root_e[k + 1]
+            for rc, y in m.terms.items():
+                accumulate(out, rc, y)
         return Matrix(out, (self.dim, self.dim))
 
 
@@ -107,17 +98,6 @@ class FundamentalModule(_WeightModule):
         self._gen = {"E1": self.E1, "E2": self.E2, "F1": self.F1, "F2": self.F2}
         self._root_e = self._root_matrices("E", pbw._EXPAND_E)
         self._root_f = self._root_matrices("F", pbw._EXPAND_F)
-
-    def rep_token(self, tok):
-        lam = pbw.token_weight(tok)
-        return self._gen[tok] if lam is None else self.K(lam)
-
-    def rep_word(self, word):
-        """Matrix of a generator word, multiplied out directly."""
-        out = Matrix.identity(4, ONE)
-        for t in word:
-            out = out @ self.rep_token(t)
-        return out
 
     def _root_matrices(self, side, expand):
         """{j: matrix of the root vector} on `side` "E" or "F": letters 1 and
@@ -232,6 +212,7 @@ class ExteriorModule(_WeightModule):
         self._levi1 = self._derive_degree_one_action()
         self.E1 = self._module_algebra_extend("E1")
         self.F1 = self._module_algebra_extend("F1")
+        self._gen = {"E1": self.E1, "F1": self.F1}
         self._root_e, self._root_f = {1: self.E1}, {1: self.F1}
         self._gram_hat = self._normalized_gram()
 
@@ -303,9 +284,6 @@ class ExteriorModule(_WeightModule):
         rejects any other element."""
         return ModuleOperator({rc: KScalar.from_scalar(y)
                                for rc, y in self.rep(x).terms.items()})
-
-    def rep_token(self, tok):
-        return self.rep(pbw.normal_form((tok,)))
 
     # --- invariant inner products ---------------------------------------
 

@@ -353,7 +353,10 @@ class Scalar:
             return NotImplemented
         if not self._n or not o._n:
             return ZERO
-        a, m = (self, o) if len(o._n) == 1 and len(o._d) == 1 else (o, self)
+        # m is a factor c v^k, +-v^k on either side first: it moves the other
+        # factor's tuples into the product as they are
+        a, m = ((self, o) if len(o._n) == len(o._d) == 1
+                and not self._n == self._d == (1,) else (o, self))
         if len(m._n) == 1 and len(m._d) == 1:
             # m = +-c v^k needs no polynomial gcd, and ONE leaves the other
             # factor as it is

@@ -6,7 +6,8 @@ Root data for C2 with alpha_1 short and alpha_2 long, normalized so that
     (alpha_1, alpha_1) = 2,  (alpha_1, alpha_2) = -2,  (alpha_2, alpha_2) = 4.
 
 A Weight stores integer coordinates (n1, n2) with respect to (omega_1,
-omega_2); in this basis the invariant form has Gram matrix [[1, 1], [1, 2]].
+omega_2), exact ints only (anything else is a TypeError); in this basis the
+invariant form has Gram matrix [[1, 1], [1, 2]].
 
 The reduced word w0 = s1 s2 s1 s2 for the longest Weyl element orders the
 positive roots as
@@ -26,9 +27,12 @@ class Weight(tuple):
     __slots__ = ()
 
     def __new__(cls, n1, n2):
-        return tuple.__new__(cls, (int(n1), int(n2)))
+        # exact ints only, the rule of the Cartan tokens (pbw._plain_token)
+        if type(n1) is not int or type(n2) is not int:
+            raise TypeError(f"weight coordinates must be ints, not {n1!r}, {n2!r}")
+        return tuple.__new__(cls, (n1, n2))
 
-    # the operands are Weights already, so the result needs no int() coercion
+    # the operands are Weights already, so the result needs no type check
     def __add__(self, other):
         return tuple.__new__(Weight, (self[0] + other[0], self[1] + other[1]))
 

@@ -109,17 +109,18 @@ def test_levi_action_is_representation():
     toks = ["E1", "F1", ("K", 1, 0), ("K", 0, -1)]
     for _ in range(15):
         w = tuple(rng.choice(toks) for _ in range(3))
-        x = pbw.normal_form(w)
-        direct = None
-        for tok in w:
-            m = EXT.rep_token(tok)
-            direct = m if direct is None else direct @ m
-        assert EXT.rep(x) == direct
+        # rep_word multiplies the generator matrices without the PBW engine
+        assert EXT.rep(pbw.normal_form(w)) == EXT.rep_word(w)
 
 
 def test_rho_rejects_an_element_outside_the_levi_factor():
-    with pytest.raises(ValueError):
-        EXT.rho(pbw.xi_E(1))
+    # every entry point: radical E letters, radical F letters (xi_E_star(1)
+    # is K_(2,0) times F words with radical letters), and a generator name
+    # outside the Levi factor
+    for call, arg in ((EXT.rho, pbw.xi_E(1)), (EXT.rep, pbw.xi_E(1)),
+                      (EXT.rep, pbw.xi_E_star(1)), (EXT.rep_token, "E2")):
+        with pytest.raises(ValueError):
+            call(arg)
 
 
 def test_quadratic_dual():

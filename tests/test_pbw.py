@@ -8,6 +8,7 @@ import pytest
 
 from qlg2 import pbw
 from qlg2.checks import PROBE_TOKENS
+from qlg2.modules import FUND
 from qlg2.scalar import BR2, ONE, Q_SC as Q, q_power
 from qlg2.weights import ALPHA1, ALPHA2, BETA, W_ZERO, Weight
 from qlg2.pbw import (
@@ -360,6 +361,14 @@ def test_relator_insertion_probe():
         for rel in rels:
             total = sum((normal_form(a + u + b, c) for c, u in rel), AE_ZERO)
             assert total.is_zero, (a, rel, b)
+
+
+def test_weight_coordinates_are_exact_ints():
+    # int() would truncate these to K_(0,0), K_(1,0) and the identity
+    for call in (lambda: K(0.5, 0), lambda: K((1.9, 0)), lambda: FUND.K((0.7, 0)),
+                 lambda: Weight("2", "-1")):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_unknown_token_rejected():

@@ -184,6 +184,11 @@ def test_sign_and_unit_factors_build_no_tuple():
             assert {id(y._n), id(y._d)} == {id(x._n), id(x._d)}
         assert (-x)._g == -x._g and (-(-x)) == x
         assert x.inv()._g == x._g
+    # both factors c v^k: the +-v^k one shifts the other, on either side
+    c = laurent_v({5: 3})
+    for y in (-v_power(2) * c, c * -v_power(2)):
+        _check_canonical(y)
+        assert y._n is c._n and y._d is c._d and y == -laurent_v({7: 3})
 
 
 def test_evaluate_pole_and_zero_point():
@@ -508,12 +513,18 @@ def test_result_memos_match_the_plain_kernel_cold_and_warm():
     want = [(_plain_add(_three(x), _three(y)), _plain_mul(_three(x), _three(y)))
             for x, y in cases]
     with memos.cold():
-        for _pass in ("cold", "warm"):
-            got = [(_three(x + y), _three(x * y)) for x, y in cases]
-            assert got == want, _pass
-            for x, y in cases:
-                _check_canonical(x + y)
-                _check_canonical(x * y)
+        cold = [(x + y, x * y) for x, y in cases]
+        assert [(_three(s), _three(p)) for s, p in cold] == want
+        # _check_canonical reads the shift of zero only: each distinct
+        # (n, d, g) form, and each zero, is checked once
+        forms = {(s._n, s._d, s._g, 0 if s._n else s._s): s for r in cold for s in r}
+        for s in forms.values():
+            _check_canonical(s)
+        # the warm pass reads the memos; it is compared field by field,
+        # since _three folds the sign into n
+        warm = [(x + y, x * y) for x, y in cases]
+        assert [(_fields(s), _fields(p)) for s, p in warm] == \
+            [(_fields(s), _fields(p)) for s, p in cold]
         # one entry per shift-free and sign-free pair, and for a sum per
         # relative shift and relative sign; none per shift or per sign
         pairs = list(itertools.product(corpus, repeat=2))

@@ -1,8 +1,7 @@
-"""The sparse Matrix and the weight-path `rep` against the dense list-of-lists
-kernels they replaced, kept here as the oracle: entrywise sums, scaling,
-products, Kronecker products and transposes that touch every entry, and
-`rep` as the product of each word's F letters, K matrix and E letters
-multiplied out."""
+"""The sparse Matrix and `rep` against the dense list-of-lists kernels they
+replaced, kept here as the oracle: entrywise sums, scaling, products,
+Kronecker products and transposes that touch every entry, and `rep` as the
+product of each word's F letters, K matrix and E letters multiplied out."""
 
 import itertools
 import operator

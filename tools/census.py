@@ -19,6 +19,11 @@ Memo traffic is counted from outside: after the import, each memo table of
 no counter.  Before each run every memo is put back to its contents right
 after the import, so each run's counts are those of a cold process.
 
+The PBW pair tables of ROW_TABLES hold rows, one dict {inner key: entry}
+per outer key.  Their entries are the pairs stored in the rows, and their
+distinct keys the distinct (outer, inner) pairs; their lookups and hits are
+those of the rows, and a lookup inside a row stays uncounted.
+
 Exit status 1 when a run exits non-zero, when a definition is unreached
 and not in EXCEPTIONS, when an entry of EXCEPTIONS is reached or no longer
 defined, or when a memo has no hit over all the runs; 0 otherwise.
@@ -82,6 +87,17 @@ def definitions():
     return found
 
 
+# the memos whose entries are rows: _F_PAIR_CACHE[A1][A3], _E_PAIR_CACHE[B2][B3]
+ROW_TABLES = ("qlg2.pbw._F_PAIR_CACHE", "qlg2.pbw._E_PAIR_CACHE")
+
+
+def stored(name, table):
+    """The keys of a memo's entries: (outer, inner) pairs for a row table."""
+    if name in ROW_TABLES:
+        return {(k, j) for k, row in table.items() for j in row}
+    return set(table)
+
+
 _MISS = object()
 
 
@@ -106,7 +122,7 @@ def run_all(tmp, tables, at_import):
     hits)})] and {memo: distinct keys}."""
     from qlg2 import cli
 
-    keys = {name: set(entries) for name, entries in at_import.items()}
+    keys = {name: stored(name, entries) for name, entries in at_import.items()}
     traffic = []
     for file, args in outputs.RUNS:
         memos.restore(at_import)
@@ -116,11 +132,12 @@ def run_all(tmp, tables, at_import):
             code = cli.main([*args, os.path.join(tmp, file)])
         if code != 0:
             raise SystemExit(f"census: the run writing {file} exited {code}")
+        held = {name: stored(name, table) for name, table in tables.items()}
         traffic.append((file, {
-            name: (len(table), table.lookups, table.hits)
+            name: (len(held[name]), table.lookups, table.hits)
             for name, table in tables.items()}))
-        for name, table in tables.items():
-            keys[name].update(table)
+        for name, k in held.items():
+            keys[name].update(k)
     return traffic, {name: len(k) for name, k in keys.items()}
 
 
