@@ -73,12 +73,10 @@ class _WeightModule:
         out = {}
         for (fexp, lam, eexp), c in x.terms.items():
             m = Matrix.diagonal([c * _qp(w.pair(lam)) for w in self.weights])
-            for k in (3, 2, 1, 0):
-                for _ in range(fexp[k]):
-                    m = self._root_f[4 - k] @ m
-            for k in (0, 1, 2, 3):
-                for _ in range(eexp[k]):
-                    m = m @ self._root_e[k + 1]
+            for j in reversed(pbw._f_letters(fexp)):
+                m = self._root_f[j] @ m
+            for j in pbw._e_letters(eexp):
+                m = m @ self._root_e[j]
             for rc, y in m.terms.items():
                 accumulate(out, rc, y)
         return Matrix(out, (self.dim, self.dim))
@@ -224,8 +222,6 @@ class ExteriorModule(_WeightModule):
         for i, ci in u.items():
             for j, cj in v.items():
                 c = ci * cj
-                if c.is_zero:
-                    continue
                 for k, ck in rewrite(BASIS_WORDS[i] + BASIS_WORDS[j], _WEDGE_RULES,
                                      _WEDGE_CACHE, ONE, BASIS_INDEX.__getitem__).items():
                     accumulate(out, k, c * ck)
@@ -294,9 +290,13 @@ class ExteriorModule(_WeightModule):
     def solve_invariant_inner_products(self):
         """Solve (X y, y') = (y, X* y') degreewise for a symmetric form.
 
-        Returns the list of normalized degree-block Gram matrices (one
-        free constant per degree, fixed by a unit top-left entry) and
-        checks each solution space is one-dimensional.
+        On a degree block, G = sum_u x_u U_u over the symmetric unit
+        matrices U_u (u = (i, j), i <= j), and X^T G - G X* = 0 for each
+        Levi generator X is linear in the x_u: the column of x_u stacks the
+        entries of X^T U_u - U_u X* (`Matrix` products).  Returns the list of
+        normalized degree-block Gram matrices (one free constant per degree,
+        fixed by a unit top-left entry) and checks each solution space is
+        one-dimensional.
         """
         mats = [(self.rep_token(tok), self.rep(pbw.star(pbw.normal_form((tok,)))))
                 for tok in LEVI_GEN_TOKENS]
@@ -304,34 +304,19 @@ class ExteriorModule(_WeightModule):
         for deg in range(4):
             idxs = [i for i in range(8) if DEGREES[i] == deg]
             n = len(idxs)
-            unknowns = [(i, j) for i in range(n) for j in range(i, n)]
-            upos = {u: k for k, u in enumerate(unknowns)}
-            rows = []
-            for X, Xs in mats:
-                Xb, Xsb = X.block(idxs, idxs).terms, Xs.block(idxs, idxs).terms
-                # X^T G - G X* = 0, G symmetric
-                for r in range(n):
-                    for c in range(n):
-                        row = [ZERO] * len(unknowns)
-                        for t in range(n):
-                            # (X^T G)[r][c] = sum_t X[t][r] G[t][c]
-                            u = (min(t, c), max(t, c))
-                            row[upos[u]] = row[upos[u]] + Xb.get((t, r), ZERO)
-                            # (G X*)[r][c] = sum_t G[r][t] X*[t][c]
-                            u = (min(r, t), max(r, t))
-                            row[upos[u]] = row[upos[u]] - Xsb.get((t, c), ZERO)
-                        rows.append(row)
-            basis = nullspace(rows, ONE)
+            units = [Matrix({(i, j): ONE, (j, i): ONE}, (n, n))
+                     for i in range(n) for j in range(i, n)]
+            sides = [(X.block(idxs, idxs).T, Xs.block(idxs, idxs)) for X, Xs in mats]
+            # one equation per generator X and entry (r, c), one column per unknown
+            eqs = [[(XT @ U - U @ Xsb).terms for U in units] for XT, Xsb in sides]
+            basis = nullspace([[m.get((r, c), ZERO) for m in ms]
+                               for ms in eqs for r in range(n) for c in range(n)], ONE)
             if len(basis) != 1:
                 raise RuntimeError(
                     f"invariant form space at degree {deg} has dimension {len(basis)}")
-            vec = basis[0]
-            G = {}
-            for (i, j), k in upos.items():
-                if vec[k]:
-                    G[i, j] = G[j, i] = vec[k]
+            G = sum((U.scale(x) for U, x in zip(units, basis[0])), Matrix({}, (n, n)))
             # normalize so the first diagonal entry is 1
-            blocks.append(Matrix(G, (n, n)).scale(G.get((0, 0), ZERO).inv()))
+            blocks.append(G.scale(G.terms.get((0, 0), ZERO).inv()))
         return blocks
 
     # --- wedge operators --------------------------------------------------

@@ -118,9 +118,6 @@ class MElement(Combination):
     def component(self, u):
         return self.terms.get(tuple(u), ModuleOperator.zero())
 
-    def levi_component(self):
-        return self.component(_U_ZERO)
-
     def radical_components(self):
         return {u: op for u, op in self.terms.items() if u != _U_ZERO}
 
@@ -307,7 +304,7 @@ def parthasarathy_residual(cm, d2m, kappa3_ratio=None):
     s3 = KAPPA3_RATIO if kappa3_ratio is None else kappa3_ratio
     d2m = d2m.substitute_ratios(s2, s3)
     diff = d2m - cm.scale(kappa(1) * PARTHASARATHY_CONSTANT)
-    return diff, diff.levi_component()
+    return diff, diff.component(_U_ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -193,8 +193,10 @@ def _cross(eexp, fexp):
     (E_e F_first) . F^A'.  Two letters with a composite one: its
     simple-letter expansion, multiplied in so that every crossing meets a
     simple E letter.  Two simple letters: F_j E_i, plus the Cartan term
-    when i = j.  Each recursive call has a smaller total height, and for a
-    simple E letter the E part of every term is empty or that letter.
+    when i = j.  Every product, the inner crossing of two one-block words
+    included, goes through _mul_terms, which reads these rows.  Each
+    recursive call has a smaller total height, and for a simple E letter
+    the E part of every term is empty or that letter.
     """
     key = (eexp, fexp)
     rows = _CROSS_CACHE.get(key)
@@ -207,9 +209,11 @@ def _cross(eexp, fexp):
     if eexp == _ZEXP or fexp == _ZEXP:
         got = {(fexp, W_ZERO, eexp): ONE}
     elif sum(eexp) > 1:
-        got = _mul_terms(_e_word(_bump(eexp, last, -1)), _cross_terms(e_one, fexp))
+        got = _mul_terms(_e_word(_bump(eexp, last, -1)),
+                         _mul_terms(_e_word(e_one), _f_word(fexp)))
     elif sum(fexp) > 1:
-        got = _mul_terms(_cross_terms(eexp, f_one), _f_word(_bump(fexp, first, -1)))
+        got = _mul_terms(_mul_terms(_e_word(eexp), _f_word(f_one)),
+                         _f_word(_bump(fexp, first, -1)))
     elif i in _EXPAND_E:
         # E_i = sum c E_x E_y (E_z): cross F_j by E_z first, then E_y, E_x
         got = {}
@@ -238,12 +242,6 @@ def _cross(eexp, fexp):
         rows.append((A3, *nu, B3, c3, f1 + f2, f1 + 2 * f2, e1 + e2, e1 + 2 * e2))
     rows = _CROSS_CACHE[key] = tuple(rows)
     return rows
-
-
-def _cross_terms(eexp, fexp):
-    """E^eexp . F^fexp as {word: Scalar}, rebuilt from the rows of _cross."""
-    return {(A3, Weight(n1, n2), B3): c3
-            for A3, n1, n2, B3, c3, *_ in _cross(eexp, fexp)}
 
 
 # straightened blocks F^A1 F^A3 and E^B3 E^B2, as _F_PAIR_CACHE[A1][A3] and
@@ -381,12 +379,10 @@ class AlgebraElement(Combination):
         out = {}
         for (fexp, lam, eexp), c in self.terms.items():
             elt = AlgebraElement({(_ZEXP, lam_sign * lam, _ZEXP): c})
-            for j in (1, 2, 3, 4):
-                for _ in range(eexp[j - 1]):
-                    elt = img_e[j] * elt
-            for j in (1, 2, 3, 4):
-                for _ in range(fexp[4 - j]):
-                    elt = elt * img_f[j]
+            for j in _e_letters(eexp):
+                elt = img_e[j] * elt
+            for j in reversed(_f_letters(fexp)):
+                elt = elt * img_f[j]
             for w, cc in elt.terms.items():
                 accumulate(out, w, cc)
         return AlgebraElement(out)
@@ -606,12 +602,10 @@ def adjoint_action(tok, y):
 def radical_monomial(s, t):
     """Ordered monomial E*_{xi}^s E_{xi}^t with s, t exponent triples."""
     got = AE_ONE
-    for i in (1, 2, 3):
-        for _ in range(s[i - 1]):
-            got = got * _STAR_E[i + 1]
-    for i in (1, 2, 3):
-        for _ in range(t[i - 1]):
-            got = got * root_E(i + 1)
+    for j in _e_letters((0, *s)):
+        got = got * _STAR_E[j]
+    for j in _e_letters((0, *t)):
+        got = got * root_E(j)
     return got
 
 

@@ -58,7 +58,8 @@ _MAX_ORDER = 2
 
 class TruncatedRMatrix:
     """(id (x) rho)(R) as a 4x4 Matrix of PBW elements.  `build` keeps the
-    intertwiner residuals it checked in `intertwiner`."""
+    intertwiner residuals in `intertwiner` and does not raise on a nonzero
+    one: prop-cas-general reports them."""
 
     def __init__(self, mat, truncation_checks):
         self.mat = mat
@@ -85,15 +86,7 @@ class TruncatedRMatrix:
         # Cartan correction: right multiplication by diag(K_{-lambda_nu})
         inst = cls(A @ Matrix.diagonal([K(-lam) for lam in LAMBDA_V]), checks)
         inst.intertwiner = inst.intertwiner_residuals()
-        for tok, m in inst.intertwiner.items():
-            if not m.is_zero:
-                raise RuntimeError(
-                    f"represented R-matrix fails the intertwiner "
-                    f"property against {tok}")
         return inst
-
-    def star_transpose(self):
-        return Matrix({rc: star(x) for rc, x in self.mat.T.terms.items()}, (4, 4))
 
     def represented(self):
         """(rho (x) rho)(R) as a 16x16 Scalar Matrix, rows indexed 4i + k."""
@@ -131,8 +124,9 @@ def coproduct_matrices(tok):
 
 
 def quantum_trace_pairing(R):
-    """The central element (id (x) tau_q)(R* R) / (q - q^-1)^2."""
-    Ast = R.star_transpose().terms
+    """The central element (id (x) tau_q)(R* R) / (q - q^-1)^2; R* is the
+    star transpose, so diagonal entry j of R* R is the sum over i of
+    star(R[i, j]) R[i, j]."""
     A = R.mat.terms
     two_rho = 2 * RHO
     total = AE_ZERO
@@ -140,7 +134,7 @@ def quantum_trace_pairing(R):
         diag = AE_ZERO
         for i in range(4):
             if (i, j) in A:
-                diag = diag + Ast[j, i] * A[i, j]
+                diag = diag + star(A[i, j]) * A[i, j]
         total = total + _qp(-two_rho.pair(LAMBDA_V[j])) * diag
     return total * (ONE / (_Q * _Q))
 

@@ -1,6 +1,7 @@
 """Puts tools/ on the import path, so that the tests reach tools/memos.py,
 the one home of what a memo table is and how to empty or swap one, as
-`memos`, and tools/outputs.py, the frozen output set, as `outputs`."""
+`memos`, tools/outputs.py, the frozen output set, as `outputs`, and
+tools/code_lines.py, the line count, as `code_lines`."""
 
 import sys
 from pathlib import Path

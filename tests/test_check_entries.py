@@ -7,7 +7,9 @@ reads from `qlg2.checks` and pin the entry of the failing check, so the
 detail and residual texts of a failure are fixed as well as those of a
 pass.  Between them they reach every failing row of the checks that build
 their own rows for `checks._verdict`; a case id is the check id, or the
-check id and the perturbation when a check has more than one case."""
+check id and the perturbation when a check has more than one case.  A
+wrong R-matrix is built in `qlg2.rmatrix`, so its pin perturbs a name there
+and keeps a stage cache of its own."""
 
 import hashlib
 from fractions import Fraction
@@ -16,6 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 import qlg2.checks as checks
+import qlg2.rmatrix as rmatrix
 from qlg2.checks import Context, run_check
 from qlg2.linalg import Matrix
 from qlg2.parthasarathy import SpectrumResult
@@ -433,3 +436,38 @@ def test_failing_entry_is_pinned(case, monkeypatch, stages):
         got["residual"] = "sha256:" + hashlib.sha256(
             got["residual"].encode()).hexdigest()[:16]
     assert got == want
+
+
+def _beta4_factor_doubled(j, r, orig=rmatrix.factor_coefficient):
+    c = orig(j, r)
+    return c * 2 if (j, r) == (4, 1) else c
+
+
+def test_failing_rmatrix_entry_is_pinned(monkeypatch):
+    # a wrong R-matrix fails prop-cas-general on its intertwiner and
+    # centrality rows instead of raising in the build, and the checks that
+    # read R fail too; a stage cache of its own keeps this R-matrix out of
+    # the shared `stages`, where it would be skipped or carried into the
+    # other pins
+    monkeypatch.setattr(rmatrix, "factor_coefficient", _beta4_factor_doubled)
+    ctx = Context()
+    got = run_check("prop-cas-general", ctx).as_dict()
+    got["residual"] = "sha256:" + hashlib.sha256(
+        got["residual"].encode()).hexdigest()[:16]
+    assert got == {
+        "check_id": "prop-cas-general",
+        "details": [f"beta{j}-order-2-vanishes: ok" for j in (4, 3, 2, 1)]
+        + [f"intertwiner {g}: NO" for g in ("E1", "E2", "F1", "F2")]
+        + ["intertwiner K1: ok", "intertwiner K2: ok"]
+        + [f"central against {g}: NO" for g in ("E1", "E2", "F1", "F2")]
+        + ["central against K(2, -1): ok", "central against K(-2, 2): ok"],
+        "lhs_digest": "60d918ddafea10d9",
+        "residual": "sha256:a74883367c602544",
+        "rhs_digest": "984bc100c13c335a",
+        "statement": "the truncated R-matrix is an exact intertwiner and the "
+                     "quantum trace pairing is central",
+        "status": "fail",
+    }
+    for check_id in ("prop-casimir-rmatrix", "prop-cas-to-the-right",
+                     "prop-casimir-clifford", "thm-parthasarathy"):
+        assert run_check(check_id, ctx).status == "fail", check_id

@@ -1,18 +1,23 @@
 """The letter-level crossing recursion `pbw._cross`, read as term maps
-through `pbw._cross_terms`: a digest of the old implementation's
-crossings, the crossings it could not finish, and the structural invariant
-that makes the recursion terminate."""
+through `pbw._mul_terms` of the two one-block words E^B and F^A, which
+turns the rows of `_cross(B, A)` into terms: a digest of the old
+implementation's crossings, the crossings it could not finish, and the
+structural invariant that makes the recursion terminate."""
 
 import hashlib
 import importlib
 import itertools
 
 from qlg2.pbw import (
-    AE_ZERO, AlgebraElement, F1, _ZEXP, _cross_terms, levi_right_split,
-    radical_monomial, root_E, root_F,
+    AE_ZERO, AlgebraElement, F1, _ZEXP, _e_word, _f_word, _mul_terms,
+    levi_right_split, radical_monomial, root_E, root_F,
 )
 
 EXPS = [e for e in itertools.product(range(3), repeat=4) if 0 < sum(e) <= 2]
+
+
+def _crossing(eexp, fexp):
+    return _mul_terms(_e_word(eexp), _f_word(fexp))
 
 
 def test_crossing_digest_matches_generator_expansion():
@@ -22,7 +27,7 @@ def test_crossing_digest_matches_generator_expansion():
     h = hashlib.sha256()
     for eexp in EXPS:
         for fexp in EXPS:
-            text = AlgebraElement(_cross_terms(eexp, fexp)).canon_str()
+            text = AlgebraElement(_crossing(eexp, fexp)).canon_str()
             h.update(f"{eexp}{fexp}:{text}\n".encode())
     assert h.hexdigest()[:16] == "36ba807720012a0d"
 
@@ -31,7 +36,7 @@ def test_simple_e_letter_keeps_its_e_part():
     # a simple E letter crossed with any F word leaves E part empty or itself
     for eexp in ((1, 0, 0, 0), (0, 0, 0, 1)):
         for fexp in EXPS:
-            assert {B for (_A, _lam, B) in _cross_terms(eexp, fexp)} <= {_ZEXP, eexp}
+            assert {B for (_A, _lam, B) in _crossing(eexp, fexp)} <= {_ZEXP, eexp}
 
 
 def test_crossings_that_exhausted_the_step_budget():

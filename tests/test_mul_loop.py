@@ -231,5 +231,5 @@ def test_cold_crossing_rows_give_the_plain_crossings():
             for A3, _n1, _n2, B3, _c3, g1, g2, h1, h2 in rows:
                 assert (g1, g2) == (OMEGA1.pair(_wt_f(A3)), OMEGA2.pair(_wt_f(A3)))
                 assert (h1, h2) == (OMEGA1.pair(_wt_e(B3)), OMEGA2.pair(_wt_e(B3)))
-            terms = pbw._cross_terms(eexp, fexp)
+            terms = pbw._mul_terms(pbw._e_word(eexp), pbw._f_word(fexp))
             assert terms == want and all(type(lam) is Weight for _A, lam, _B in terms)
