@@ -505,7 +505,7 @@ def check_cas_general(ctx):
     R = ctx.rmat
     rows = [(name, ok, name) for name, ok in R.truncation_checks.items()]
     rows += [(f"intertwiner {tok}", m.is_zero, f"intertwiner-{tok}")
-             for tok, m in R.intertwiner.items()]
+             for tok, m in R.intertwiner_residuals().items()]
     rows += [(f"central against {name}", r.is_zero,
               f"centrality-{name}: {r.canon_str()}")
              for name, r in centrality_residuals(ctx.casimir).items()]

@@ -5,6 +5,8 @@ Exit codes: 0 all selected checks pass, 1 verification failure, 2 usage
 error, 3 internal engine error.  A check that raises is reported with status
 "error" and `verify` exits 3 after writing the report.  Output into a pipe
 whose reader has closed (BrokenPipeError) exits 3 with nothing on stderr.
+An output file that cannot be opened, written or closed exits 2 with one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -59,8 +61,18 @@ def _open_out(path):
     try:
         return open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
-        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        _cannot_write(path, exc)
         return None
+
+
+def _cannot_write(path, exc):
+    """EXIT_USAGE after printing why the file at `path` failed; a closed pipe
+    (BrokenPipeError), or an error on stdout (no path), is raised again.  The
+    engine opens no file, so an OSError inside `with out` is the output's."""
+    if not path or isinstance(exc, BrokenPipeError):
+        raise exc
+    print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _cmd_verify(args):
@@ -77,10 +89,13 @@ def _cmd_verify(args):
         return EXIT_USAGE
     ctx = Context(seed=args.seed, degree_cap=args.degree_cap)
     ids = sorted(CHECKS) if args.check == "all" else [args.check]
-    with out as fh:
-        results = run_suite(ids, ctx)
-        fh.write(_render_json(results, ctx, args.timings) if args.report == "json"
-                 else _render_md(results, args.timings))
+    try:
+        with out as fh:
+            results = run_suite(ids, ctx)
+            fh.write(_render_json(results, ctx, args.timings) if args.report == "json"
+                     else _render_md(results, args.timings))
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     statuses = {r.status for r in results}
     if "error" in statuses:
         import traceback  # error branches only: keeps it off the import path
@@ -103,14 +118,17 @@ def _cmd_spectrum(args):
     out = _open_out(args.csv)
     if out is None:
         return EXIT_USAGE
-    with out as fh:
-        sp = spectrum_growth(Fraction(args.v_num, args.v_den), args.shell_max)
-        # one line at a time: the whole table as one string, joined and
-        # then encoded, would hold several copies of it at once
-        fh.write("n1,n2,c_lambda_exact_num,c_lambda_exact_den,c_lambda_float\n")
-        # int true division is correctly rounded, as float(Fraction) is
-        fh.writelines(f"{n1},{n2},{num},{den},{num / den!r}\n"
-                      for n1, n2, num, den in sp.rows)
+    try:
+        with out as fh:
+            sp = spectrum_growth(Fraction(args.v_num, args.v_den), args.shell_max)
+            # one line at a time: the whole table as one string, joined and
+            # then encoded, would hold several copies of it at once
+            fh.write("n1,n2,c_lambda_exact_num,c_lambda_exact_den,c_lambda_float\n")
+            # int true division is correctly rounded, as float(Fraction) is
+            fh.writelines(f"{n1},{n2},{num},{den},{num / den!r}\n"
+                          for n1, n2, num, den in sp.rows)
+    except OSError as exc:
+        return _cannot_write(args.csv, exc)
     mins = ", ".join(f"s={s}: {float(v):.6g}"
                      for s, v in sorted(sp.shell_minima.items()))
     print(f"# shell minima: {mins}")

@@ -57,9 +57,10 @@ _MAX_ORDER = 2
 
 
 class TruncatedRMatrix:
-    """(id (x) rho)(R) as a 4x4 Matrix of PBW elements.  `build` keeps the
-    intertwiner residuals in `intertwiner` and does not raise on a nonzero
-    one: prop-cas-general reports them."""
+    """(id (x) rho)(R) as a 4x4 Matrix of PBW elements.  `build` returns R
+    and its truncation checks only; prop-cas-general calls
+    `intertwiner_residuals` and reports them, and nothing raises on a
+    nonzero one."""
 
     def __init__(self, mat, truncation_checks):
         self.mat = mat
@@ -84,9 +85,7 @@ class TruncatedRMatrix:
                     checks[f"beta{j}-order-{r}-vanishes"] = powers[r].is_zero
             A = A @ Matrix(factor, (4, 4))
         # Cartan correction: right multiplication by diag(K_{-lambda_nu})
-        inst = cls(A @ Matrix.diagonal([K(-lam) for lam in LAMBDA_V]), checks)
-        inst.intertwiner = inst.intertwiner_residuals()
-        return inst
+        return cls(A @ Matrix.diagonal([K(-lam) for lam in LAMBDA_V]), checks)
 
     def represented(self):
         """(rho (x) rho)(R) as a 16x16 Scalar Matrix, rows indexed 4i + k."""

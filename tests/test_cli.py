@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, deterministic reports, CSV format, and the
 registry covering every named statement."""
 
+import errno
 import json
 import os
 import subprocess
@@ -249,10 +250,14 @@ def test_run_suite_continues_after_an_error(suite_with_raising_check):
     assert [r.status for r in results] == ["error", "pass", "pass"]
 
 
-@pytest.mark.parametrize("argv", [
+# each argv ends in the flag that names the output file
+_OUTPUT_ARGVS = pytest.mark.parametrize("argv", [
     ["verify", "--check", "lem-f-vanish", "--report", "json", "--out"],
     ["spectrum", "--v-num", "1", "--v-den", "2", "--shell-max", "5", "--csv"],
 ], ids=["verify", "spectrum"])
+
+
+@_OUTPUT_ARGVS
 def test_unwritable_output_is_usage_error_before_any_work(argv, tmp_path, capsys,
                                                           monkeypatch):
     def no_work(*args):
@@ -269,6 +274,17 @@ def test_unwritable_output_is_usage_error_before_any_work(argv, tmp_path, capsys
     assert err.err.count("\n") == 1
     assert err.out == ""
     assert not path.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@_OUTPUT_ARGVS
+def test_write_error_after_the_output_opened_is_usage_error(argv, capsys):
+    # /dev/full opens, and every write or flush to it fails with ENOSPC: the
+    # same one line as an unopenable path, no traceback
+    assert cli.main(argv + ["/dev/full"]) == cli.EXIT_USAGE
+    err = capsys.readouterr()
+    assert err.err == f"cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+    assert err.out == ""
 
 
 def test_frozen_output_set_parses_and_covers_the_seeds_and_the_cap():

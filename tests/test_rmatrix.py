@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from qlg2 import cli
+from qlg2.checks import Context, run_check
 from qlg2.linalg import Matrix
 from qlg2.scalar import BR2, ONE, Q_SC as Q, ZERO, laurent_q, q_power as _qp
 from qlg2.modules import FUND
@@ -44,11 +46,29 @@ def test_intertwiner_property():
         assert m.is_zero, tok
 
 
-def test_build_keeps_the_residuals_it_checked():
-    # prop-cas-general reads the stored dict instead of a second pass
+def test_only_prop_cas_general_computes_the_residuals(monkeypatch, tmp_path):
+    # the rmat stage builds R and its truncation checks only; the check that
+    # reports the residuals computes them, once per run, and every other
+    # check that builds R pays nothing for them
     R = TruncatedRMatrix.build()
-    assert list(R.intertwiner) == ["E1", "E2", "F1", "F2", "K1", "K2"]
-    assert R.intertwiner == R.intertwiner_residuals()
+    assert not hasattr(R, "intertwiner")
+    assert list(R.intertwiner_residuals()) == ["E1", "E2", "F1", "F2", "K1", "K2"]
+
+    calls = []
+
+    def counted(self, orig=TruncatedRMatrix.intertwiner_residuals):
+        calls.append(self)
+        return orig(self)
+
+    monkeypatch.setattr(TruncatedRMatrix, "intertwiner_residuals", counted)
+    for check_id, want in (("prop-casimir-clifford", 0), ("prop-cas-general", 1)):
+        calls.clear()
+        assert run_check(check_id, Context()).status == "pass"
+        assert len(calls) == want, check_id
+    calls.clear()
+    out = tmp_path / "report.md"
+    assert cli.main(["verify", "--check", "all", "--out", str(out)]) == cli.EXIT_PASS
+    assert len(calls) == 1
 
 
 def test_kron_mixed_product():

@@ -48,6 +48,9 @@ import outputs
 
 # definitions that no run above reaches, kept on purpose, each with its reason
 EXCEPTIONS = {
+    "cli.py:_cannot_write":
+        "failure path of an output file that cannot be opened, written or closed; "
+        "tests/test_cli.py runs it",
     "linalg.py:Combination.__rsub__":
         "number protocol beside __sub__; test_combination_laws asserts (1 - x) + x == 1",
     "linalg.py:Matrix.__repr__": "debugging printer",
