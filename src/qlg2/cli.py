@@ -3,10 +3,18 @@ prints the exact eigenvalue table.
 
 Exit codes: 0 all selected checks pass, 1 verification failure, 2 usage
 error, 3 internal engine error.  A check that raises is reported with status
-"error" and `verify` exits 3 after writing the report.  Output into a pipe
-whose reader has closed (BrokenPipeError) exits 3 with nothing on stderr.
-An output file that cannot be opened, written or closed exits 2 with one
-line on stderr.
+"error" and `verify` exits 3 after writing the report.  Output errors, the
+same for both commands:
+
+    output        fails to open, write or close      fails as a closed pipe
+    PATH          2, "cannot write PATH: <reason>"   3, nothing on stderr
+    stdout        2, "cannot write stdout: <reason>" 3, nothing on stderr
+
+PATH is the file of --out/--csv.  The two summary lines that `spectrum`
+prints after its CSV are stdout's.  Each command flushes stdout before it
+returns, so that an error its buffer holds shows then and not at
+interpreter exit, and an error on stdout closes it, so that nothing is left
+to flush at exit (a failed flush there would exit 120).
 """
 
 from __future__ import annotations
@@ -66,12 +74,18 @@ def _open_out(path):
 
 
 def _cannot_write(path, exc):
-    """EXIT_USAGE after printing why the file at `path` failed; a closed pipe
-    (BrokenPipeError), or an error on stdout (no path), is raised again.  The
-    engine opens no file, so an OSError inside `with out` is the output's."""
-    if not path or isinstance(exc, BrokenPipeError):
-        raise exc
-    print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    """EXIT_USAGE after printing why the output failed, the file at `path`
+    or stdout without one; EXIT_INTERNAL, silently, for a pipe whose reader
+    has closed (BrokenPipeError).  The engine opens no file, so an OSError
+    inside `with out` is the output's."""
+    if isinstance(exc, BrokenPipeError):
+        return EXIT_INTERNAL
+    if not path:
+        # stdout keeps what it could not write: closed, it is not flushed
+        # again at interpreter exit
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+    print(f"cannot write {path or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
     return EXIT_USAGE
 
 
@@ -94,6 +108,9 @@ def _cmd_verify(args):
             results = run_suite(ids, ctx)
             fh.write(_render_json(results, ctx, args.timings) if args.report == "json"
                      else _render_md(results, args.timings))
+            # stdout is not closed here: a write error that its buffer holds
+            # shows now, not at interpreter exit
+            fh.flush()
     except OSError as exc:
         return _cannot_write(args.out, exc)
     statuses = {r.status for r in results}
@@ -129,10 +146,12 @@ def _cmd_spectrum(args):
                           for n1, n2, num, den in sp.rows)
     except OSError as exc:
         return _cannot_write(args.csv, exc)
-    mins = ", ".join(f"s={s}: {float(v):.6g}"
-                     for s, v in sorted(sp.shell_minima.items()))
+    mins = ", ".join(f"s={s}: {float(v):.6g}" for s, v in sorted(sp.shell_minima.items()))
     print(f"# shell minima: {mins}")
-    print(f"# strictly increasing: {sp.monotone}; all positive: {sp.positive}")
+    # flushed: a write error that stdout's buffer holds shows here, not at
+    # interpreter exit
+    print(f"# strictly increasing: {sp.monotone}; all positive: {sp.positive}",
+          flush=True)
     return EXIT_PASS if (sp.monotone and sp.positive) else EXIT_FAIL
 
 
@@ -170,8 +189,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except BrokenPipeError:
-        return EXIT_INTERNAL
+    except OSError as exc:
+        # each command answers for its output file, and the engine opens no
+        # file: this is stdout's, from the summary lines after spectrum's CSV
+        return _cannot_write(None, exc)
     except Exception:
         import traceback
 

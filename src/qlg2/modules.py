@@ -1,9 +1,15 @@
-"""Finite-dimensional modules: the fundamental module of U_q(sp4) and the
-quantum exterior algebra of the nilradical dual.
+"""Finite-dimensional modules: the fundamental module of U_q(sp4), its
+tensor products, and the quantum exterior algebra of the nilradical dual.
 
 The fundamental module V has dimension 4 with weight basis v_1..v_4; the
 generator matrices are the standard ones (E_1 v_2 = q^(1/2) v_1 and so on),
 and every defining relation of the algebra holds for them exactly.
+TensorModule(W, V) is W (x) V, rows indexed dim(V) i + k, with the pairwise
+sums as weights and the generators acting through their coproducts, built
+by `Matrix.kron` from the generator matrices of W and V; V and its tensor
+products share the root matrices (`_root_matrices`, multiplied out of the
+pbw expansion tables) and the relation residuals (`relation_residuals`), so
+V (x) V, the R-matrix's tensor square, is a module like V.
 
 The exterior algebra Lambda has graded dimensions (1, 3, 3, 1) over the
 basis
@@ -21,7 +27,7 @@ Every matrix here is a sparse `linalg.Matrix`.  Operators on Lambda with
 KScalar entries are its 8x8 subclass ModuleOperator, graded by the degree
 vector (0,1,1,1,2,2,2,3): the wedge operators gamma(y_i), their adjoints,
 rho(x) of a Levi element and the golden gamma tables.  The Scalar matrices
-E1, F1, K and `rep` of both modules, and the Levi table, are plain Matrix
+E1, F1, K and `rep` of every module, and the Levi table, are plain Matrix
 instances, printed with numeric [row,column] labels.
 """
 
@@ -32,18 +38,20 @@ from .scalar import (
     BR2, KONE, ONE, ZERO, KScalar, Scalar, kappa, Q_SC as _Q, q_power as _qp,
     v_power as _v,
 )
-from .weights import ALPHA1, LAMBDA_V, W_ZERO, XI, Weight
+from .weights import ALPHA1, LAMBDA_V, SIMPLE, W_ZERO, XI, Weight
 from . import pbw
 
 
 # ---------------------------------------------------------------------------
-# fundamental module
+# the fundamental module and its tensor products
 # ---------------------------------------------------------------------------
 
 class _WeightModule:
     """A module with a weight basis (`weights`), generator matrices `_gen`
     keyed by token name, and root-vector matrices `_root_e`/`_root_f` keyed
-    by j for E_{beta_j}/F_{beta_j}."""
+    by j for E_{beta_j}/F_{beta_j}.  Where all four of E1, E2, F1, F2 act,
+    `_root_matrices` multiplies the root matrices out of `_gen` and
+    `relation_residuals` checks every relation on it."""
 
     def K(self, lam):
         lam = Weight(*lam)
@@ -81,6 +89,29 @@ class _WeightModule:
                 accumulate(out, rc, y)
         return Matrix(out, (self.dim, self.dim))
 
+    def _root_matrices(self, side, expand):
+        """{j: matrix of the root vector} on `side` "E" or "F": letters 1 and
+        4 are the simple generators, and each composite letter is its
+        simple-letter expansion in pbw, the one source of the closed forms,
+        multiplied out in generator matrices."""
+        gens = {1: f"{side}1", 4: f"{side}2"}
+        roots = {j: self._gen[tok] for j, tok in gens.items()}
+        for j, rule in expand.items():
+            roots[j] = sum((self.rep_word([gens[x] for x in letters]).scale(c)
+                            for c, letters in rule), Matrix({}, (self.dim, self.dim)))
+        return roots
+
+    def relation_residuals(self):
+        """Residual matrices of every defining relation, from raw matrix
+        products of the generator matrices (independent of the PBW engine)."""
+        res = {}
+        for prefix, rels in (("rel", pbw.defining_relator_words()),
+                             ("serre", pbw.serre_relator_words())):
+            for idx, rel in enumerate(rels):
+                res[f"{prefix}-{idx}"] = sum((self.rep_word(w).scale(c) for c, w in rel),
+                                             Matrix({}, (self.dim, self.dim)))
+        return res
+
 
 class FundamentalModule(_WeightModule):
     """The 4-dimensional module with weights (lambda_1..lambda_4)."""
@@ -97,31 +128,8 @@ class FundamentalModule(_WeightModule):
         self._root_e = self._root_matrices("E", pbw._EXPAND_E)
         self._root_f = self._root_matrices("F", pbw._EXPAND_F)
 
-    def _root_matrices(self, side, expand):
-        """{j: matrix of the root vector} on `side` "E" or "F": letters 1 and
-        4 are the simple generators, and each composite letter is its
-        simple-letter expansion in pbw, the one source of the closed forms,
-        multiplied out in generator matrices."""
-        gens = {1: f"{side}1", 4: f"{side}2"}
-        roots = {j: self._gen[tok] for j, tok in gens.items()}
-        for j, rule in expand.items():
-            roots[j] = sum((self.rep_word([gens[x] for x in letters]).scale(c)
-                            for c, letters in rule), Matrix({}, (4, 4)))
-        return roots
-
     def root_F(self, j):
         return self._root_f[j]
-
-    def relation_residuals(self):
-        """Residual matrices of every defining relation, from raw matrix
-        products of the generator matrices (independent of the PBW engine)."""
-        res = {}
-        for prefix, rels in (("rel", pbw.defining_relator_words()),
-                             ("serre", pbw.serre_relator_words())):
-            for idx, rel in enumerate(rels):
-                res[f"{prefix}-{idx}"] = sum(
-                    (self.rep_word(w).scale(c) for c, w in rel), Matrix({}, (4, 4)))
-        return res
 
     def f_vanish_report(self):
         """Nilpotency pattern of the negative root vectors in this module."""
@@ -135,6 +143,25 @@ class FundamentalModule(_WeightModule):
         for a, b in ((3, 1), (4, 1)):
             report[f"F{a}F{b}-nonzero"] = not (f[a] @ f[b]).is_zero
         return report
+
+
+class TensorModule(_WeightModule):
+    """W (x) V with rows indexed dim(V) i + k and the pairwise sums as
+    weights; E_i and F_i act by their coproducts E_i (x) 1 + K_alpha_i (x) E_i
+    and F_i (x) K_-alpha_i + 1 (x) F_i, built from the generator matrices of
+    W and V alone, never the PBW engine."""
+
+    def __init__(self, W, V):
+        self.dim = W.dim * V.dim
+        self.weights = tuple(w + u for w in W.weights for u in V.weights)
+        self._gen = {}
+        for i, alpha in SIMPLE.items():
+            e, f = f"E{i}", f"F{i}"
+            # the unit is K_0
+            self._gen[e] = W._gen[e].kron(V.K(W_ZERO)) + W.K(alpha).kron(V._gen[e])
+            self._gen[f] = W._gen[f].kron(V.K(-alpha)) + W.K(W_ZERO).kron(V._gen[f])
+        self._root_e = self._root_matrices("E", pbw._EXPAND_E)
+        self._root_f = self._root_matrices("F", pbw._EXPAND_F)
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,9 @@ from __future__ import annotations
 
 from .linalg import Matrix, accumulate
 from .scalar import BR2, ONE, ZERO, Q_SC as _Q, q_factorial, q_power as _qp
-from .weights import BETA, LAMBDA_V, RHO, SIMPLE, Weight
-from .pbw import (
-    AE_ONE, AE_ZERO, K, normal_form, root_E, star, token_name, token_weight,
-)
-from .modules import FUND
+from .weights import BETA, LAMBDA_V, RHO, Weight
+from .pbw import AE_ONE, AE_ZERO, K, normal_form, root_E, star, token_name
+from .modules import FUND, TensorModule
 
 # root lengths along w0 = s1 s2 s1 s2: bases of the rank-one sl2 factors
 _ROOT_BASE = {j: BETA[j].pair(BETA[j]) // 2 for j in BETA}
@@ -94,32 +92,16 @@ class TruncatedRMatrix:
                        for (i, j), y in FUND.rep(x).terms.items()}, (16, 16))
 
     def intertwiner_residuals(self):
-        """R Delta(X) - Delta_op(X) R on the tensor square, per generator."""
+        """R Delta(X) - Delta_op(X) R on the tensor square, per generator:
+        Delta(X) is X acting on V (x) V, and Delta_op(X) = P Delta(X) P with
+        P the flip of the two legs."""
         R16 = self.represented()
-        res = {}
-        for name, tok in zip(("E1", "E2", "F1", "F2", "K1", "K2"),
-                             GENERATOR_TOKENS):
-            pairs = coproduct_matrices(tok)
-            zero = Matrix({}, (16, 16))
-            dlt = sum((a.kron(b) for a, b in pairs), zero)
-            dop = sum((b.kron(a) for a, b in pairs), zero)
-            res[name] = R16 @ dlt - dop @ R16
-        return res
-
-
-def coproduct_matrices(tok):
-    """Delta of a generator token on V (x) V as (left, right) pairs of 4x4
-    matrices, from the generator matrices alone and never the PBW engine:
-    E_i (x) 1 + K_i (x) E_i, F_i (x) K_i^-1 + 1 (x) F_i, K_lam (x) K_lam."""
-    lam = token_weight(tok)
-    if lam is not None:
-        k = FUND.K(lam)
-        return ((k, k),)
-    g, alpha = FUND.rep_token(tok), SIMPLE[int(tok[1])]
-    eye4 = Matrix.identity(4, ONE)
-    if tok[0] == "E":
-        return ((g, eye4), (FUND.K(alpha), g))
-    return ((g, FUND.K(-alpha)), (eye4, g))
+        VV = TensorModule(FUND, FUND)
+        P = Matrix({(4 * i + k, 4 * k + i): ONE for i in range(4) for k in range(4)},
+                   (16, 16))
+        return {name: R16 @ VV.rep_token(tok) - P @ VV.rep_token(tok) @ P @ R16
+                for name, tok in zip(("E1", "E2", "F1", "F2", "K1", "K2"),
+                                     GENERATOR_TOKENS)}
 
 
 def quantum_trace_pairing(R):

@@ -2,6 +2,7 @@
 registry covering every named statement."""
 
 import errno
+import io
 import json
 import os
 import subprocess
@@ -320,3 +321,105 @@ def test_frozen_output_set_on_a_file_path_is_usage_error(where, tmp_path, capsys
     assert err.err.startswith("usage: python tools/outputs.py DIR")
     assert err.out == ""
     assert path.read_text(encoding="utf-8") == "kept\n"
+
+
+class _Failing(io.StringIO):
+    """A text stream whose first call of `method` (write, flush or close)
+    raises `exc`; later calls succeed, so that it still closes."""
+
+    def __init__(self, method, exc):
+        super().__init__()
+        self._fail = {method: exc}
+
+    def _maybe_fail(self, method):
+        exc = self._fail.pop(method, None)
+        if exc is not None:
+            raise exc
+
+    def write(self, s):
+        self._maybe_fail("write")
+        return super().write(s)
+
+    def flush(self):
+        self._maybe_fail("flush")
+        super().flush()
+
+    def close(self):
+        self._maybe_fail("close")
+        super().close()
+
+
+_ARGV = {
+    "verify": ["verify", "--check", "lem-f-vanish"],
+    "spectrum": ["spectrum", "--v-num", "1", "--v-den", "2", "--shell-max", "3"],
+}
+_PATH_FLAG = {"verify": "--out", "spectrum": "--csv"}
+
+
+# (command, output, what fails): the file of --out/--csv is opened, written
+# and closed; stdout is written and flushed, never opened or closed by the
+# command, so those two cases cannot occur there; "csv+stdout" is spectrum's
+# CSV file written and its two summary lines on stdout failing (verify
+# prints nothing on stdout after its --out file)
+_OUTPUT_ERRORS = [(command, output, fails) for command in ("verify", "spectrum")
+                  for output, fails in (
+                      ("file", "open"), ("file", "write"), ("file", "close"),
+                      ("file", "pipe"), ("stdout", "write"), ("stdout", "flush"),
+                      ("stdout", "pipe"), ("csv+stdout", "write"),
+                      ("csv+stdout", "flush"), ("csv+stdout", "pipe"))
+                  if not (command == "verify" and output == "csv+stdout")]
+
+
+@pytest.mark.parametrize("command, output, fails", _OUTPUT_ERRORS,
+                         ids=["-".join(case) for case in _OUTPUT_ERRORS])
+def test_output_error_exit_code_table(command, output, fails, tmp_path, capsys,
+                                      monkeypatch):
+    enospc = os.strerror(errno.ENOSPC)
+    exc = (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)) if fails == "pipe"
+           else OSError(errno.ENOSPC, enospc))
+    stream = _Failing("write" if fails == "pipe" else fails, exc)
+    argv = list(_ARGV[command])
+    path = tmp_path / ("no-such-dir" if fails == "open" else "") / "out.txt"
+    if output == "file":
+        argv += [_PATH_FLAG[command], str(path)]
+        if fails != "open":
+            monkeypatch.setattr(cli, "open", lambda *a, **k: stream, raising=False)
+    else:
+        if output == "csv+stdout":
+            argv += ["--csv", str(path)]
+        monkeypatch.setattr(sys, "stdout", stream)
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if fails == "pipe":
+        assert (rc, err) == (cli.EXIT_INTERNAL, "")
+        return
+    assert rc == cli.EXIT_USAGE
+    assert err.count("\n") == 1
+    if fails == "open":
+        assert err.startswith(f"cannot write {path}: ")
+        return
+    name = path if output == "file" else "stdout"
+    assert err == f"cannot write {name}: {enospc}\n"
+    if output != "file":
+        # closed after its error, stdout has nothing left to flush at exit
+        assert stream.closed
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    _ARGV["verify"], _ARGV["spectrum"], _ARGV["spectrum"] + ["--csv", "CSV"],
+], ids=["verify", "spectrum", "spectrum-csv"])
+def test_stdout_on_a_full_device_is_one_line_in_a_fresh_process(argv, tmp_path):
+    # stdout block-buffered, as on a terminal-less run without
+    # PYTHONUNBUFFERED: the report sits in the buffer until a flush, and a
+    # flush that first fails at interpreter exit would exit 120
+    argv = [str(tmp_path / "s.csv") if a == "CSV" else a for a in argv]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = subprocess.run([sys.executable, "-m", "qlg2.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+    assert proc.stderr == f"cannot write stdout: {os.strerror(errno.ENOSPC)}\n".encode()
+    assert proc.returncode == cli.EXIT_USAGE

@@ -8,8 +8,9 @@ import pytest
 from qlg2 import pbw, rmatrix
 from qlg2.linalg import Matrix
 from qlg2.scalar import BR2, ONE, Q_SC as Q, KScalar, q_power as _qp
+from qlg2.weights import LAMBDA_V
 from qlg2.modules import (
-    BASIS_INDEX, BASIS_NAMES, DEGREES, EXT, FUND, ModuleOperator,
+    BASIS_INDEX, BASIS_NAMES, DEGREES, EXT, FUND, ModuleOperator, TensorModule,
     canonical_element_invariance_residuals, gamma_equivariance_residuals,
     golden_action_gamma, golden_gamma_star, golden_levi_Lq, iso_exterior_map,
     quadratic_dual, span_equal, sq_relation_vectors, wedge_relation_vectors,
@@ -38,6 +39,29 @@ def test_fundamental_cartan_weights():
 def test_fundamental_all_relations():
     for name, m in FUND.relation_residuals().items():
         assert m.is_zero, name
+
+
+def test_relations_on_tensor_powers():
+    """Every defining and Serre relation holds on V (x) V and on V^(x)4
+    through the shared `relation_residuals`, and the flip P moves Delta(X) of
+    each E_i and F_i: the intertwiner rows of prop-cas-general cannot pass
+    against a flip-symmetric Delta."""
+    VV = TensorModule(FUND, FUND)
+    V4 = TensorModule(TensorModule(VV, FUND), FUND)
+    assert VV.weights == tuple(a + b for a in LAMBDA_V for b in LAMBDA_V)
+    for mod, dim in ((VV, 16), (V4, 256)):
+        res = mod.relation_residuals()
+        assert len(res) == 16
+        for name, m in res.items():
+            assert m.shape == (dim, dim) and m.is_zero, name
+    P = Matrix({(4 * i + k, 4 * k + i): ONE for i in range(4) for k in range(4)},
+               (16, 16))
+    moved = [t for t in ("E1", "E2", "F1", "F2", ("K", 2, -1), ("K", -2, 2))
+             if P @ VV.rep_token(t) @ P != VV.rep_token(t)]
+    assert moved == ["E1", "E2", "F1", "F2"]
+    # rep through the shared root matrices agrees with the word products
+    for w in (("F1", "E2", "E1"), ("E2", "E1", "E1", "F2"), (("K", 1, 0), "F2", "F1")):
+        assert VV.rep(pbw.normal_form(w)) == VV.rep_word(w), w
 
 
 def test_representation_faithfulness_probe():

@@ -11,10 +11,10 @@ from qlg2 import cli
 from qlg2.checks import Context, run_check
 from qlg2.linalg import Matrix
 from qlg2.scalar import BR2, ONE, Q_SC as Q, ZERO, laurent_q, q_power as _qp
-from qlg2.modules import FUND
+from qlg2.modules import FUND, TensorModule
 from qlg2.pbw import coproduct, normal_form, root_E, star
 from qlg2.rmatrix import (
-    TruncatedRMatrix, casimir_eigenvalue, casimir_explicit, coproduct_matrices,
+    TruncatedRMatrix, casimir_eigenvalue, casimir_explicit,
     casimir_quantum_parts, casimir_right_form, centrality_residuals,
     factor_coefficient, quantum_trace_pairing,
 )
@@ -190,11 +190,12 @@ def test_eigenvalue_monotone_numeric():
 def test_coproduct_on_v_tensor_v_matches_the_matrix_table():
     """Every word of length <= 3 over the probe tokens of eq-comm-rel-uqg:
     the PBW coproduct represented leg by leg on V (x) V equals the product of
-    the engine-free 16x16 coproduct matrices of its letters."""
+    the engine-free generator matrices of V (x) V (`TensorModule`)."""
     toks = ("E1", "E2", "F1", "F2", ("K", 1, 0), ("K", -1, 1), ("K", 0, -1))
+    VV = TensorModule(FUND, FUND)
     zero = Matrix({}, (16, 16))
-    delta = {t: sum((a.kron(b) for a, b in coproduct_matrices(t)), zero)
-             for t in toks}
+    delta = {t: VV.rep_token(t) for t in toks}
+    words = 0
     for n in range(4):
         for word in itertools.product(toks, repeat=n):
             want = Matrix.identity(16, ONE)
@@ -203,6 +204,8 @@ def test_coproduct_on_v_tensor_v_matches_the_matrix_table():
             got = sum((FUND.rep(a).kron(FUND.rep(b)) for a, b in coproduct_word(word)),
                       zero)
             assert got == want, word
+            words += 1
+    assert words == 1 + 7 + 49 + 343
 
 
 @pytest.mark.parametrize("tok", [
@@ -210,13 +213,13 @@ def test_coproduct_on_v_tensor_v_matches_the_matrix_table():
     ["E1"], {"E1"}, ("K", (2, -1)),
 ], ids=repr)
 def test_bad_token_is_a_value_error_as_in_pbw_coproduct(tok):
-    """normal_form, coproduct_matrices and FUND.rep_token read tokens through
+    """normal_form and rep_token on V and on V (x) V read tokens through
     pbw.token_weight and reject what pbw.coproduct rejects."""
     with pytest.raises(ValueError):
         coproduct(tok)
     with pytest.raises(ValueError):
         normal_form((tok,))
     with pytest.raises(ValueError):
-        coproduct_matrices(tok)
+        TensorModule(FUND, FUND).rep_token(tok)
     with pytest.raises(ValueError):
         FUND.rep_token(tok)
