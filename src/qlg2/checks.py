@@ -7,10 +7,8 @@ doubles as a verification index.  `@check(id, statement)` registers each
 check beside its code.  A check passes exactly when its residual
 serialization is empty; a check that raises gets the status "error" and the
 exception as its residual, and the other checks still run.  A check states
-its verdict as rows (ok, shown, passed, failed), which `_verdict` turns into
-the residual and the details; only eq-comm-rel-uqg, def-dolb-dirac and
-eq-relation-cliff, whose details are fixed notes, join their residual
-themselves.
+its verdict as rows (ok, shown, passed, failed), which `run_check` alone
+turns into the residual and the details through `_verdict`.
 """
 
 from __future__ import annotations
@@ -123,7 +121,7 @@ class Context:
                          lambda: casimir_in_M(self.casimir, self.degree_cap))
 
 
-# each check returns (lhs_str, rhs_str, residual_str, details)
+# each check returns (lhs_str, rhs_str, rows), rows as `_verdict` reads them
 
 CHECKS = {}
 
@@ -147,10 +145,9 @@ def _verdict(rows):
 
 
 def _tally(rows, bad="NO"):
-    """_verdict over rows (label, ok, shown): one detail "label: ok" or
-    "label: <bad>" per row."""
-    return _verdict((ok, shown, f"{label}: ok", f"{label}: {bad}")
-                    for label, ok, shown in rows)
+    """The `_verdict` rows of rows (label, ok, shown), whose detail is
+    "label: ok" or "label: <bad>"."""
+    return [(ok, shown, f"{label}: ok", f"{label}: {bad}") for label, ok, shown in rows]
 
 
 def _nonzero_str(x):
@@ -164,7 +161,7 @@ def _nonzero_str(x):
 
 
 def _zero_residuals(named):
-    """_tally over (name, value) pairs whose values must vanish."""
+    """The _tally rows of (name, value) pairs whose values must vanish."""
     return _tally(((name, x.is_zero, f"{name}: {_nonzero_str(x)}")
                    for name, x in named), "NONZERO")
 
@@ -172,8 +169,8 @@ def _zero_residuals(named):
 def _same(lhs, rhs, agree):
     """The check tuple of the identity lhs == rhs between PBW elements."""
     diff = lhs - rhs
-    return lhs.canon_str(), rhs.canon_str(), \
-        *_verdict([(diff.is_zero, diff.canon_str(), agree, "MISMATCH")])
+    return lhs.canon_str(), rhs.canon_str(), [
+        (diff.is_zero, diff.canon_str(), agree, "MISMATCH")]
 
 
 @check("uqg-relations",
@@ -193,9 +190,9 @@ def check_uqg_relations(ctx):
         g = normal_form((tok,))
         named.append((f"antipode-axiom-{tok}", total - counit(g) * unit()))
         named.append((f"star-involution-{tok}", star(star(g)) - g))
-    residual, details = _zero_residuals(named)
+    rows = _zero_residuals(named)
     lhs = "; ".join(x.canon_str() for _n, x in named)
-    return lhs, "0", residual, details
+    return lhs, "0", rows
 
 
 # the generator tokens the probes of eq-comm-rel-uqg draw their words from
@@ -207,69 +204,66 @@ PROBE_TOKENS = ("E1", "E2", "F1", "F2", ("K", 1, 0), ("K", -1, 1), ("K", 0, -1))
        "probes for the straightening rules")
 def check_comm_rel(ctx):
     rng = random.Random(ctx.seed)
-    failures = []
     n_assoc = 1000
+    # the fixed notes, then one row per failing probe
+    rows = [(True, "", note, None) for note in (
+        f"{n_assoc} associativity triples", "50 relator insertions",
+        "100 representation words")]
     for k in range(n_assoc):
         a = normal_form(tuple(rng.choice(PROBE_TOKENS) for _ in range(3)))
         b = normal_form(tuple(rng.choice(PROBE_TOKENS) for _ in range(3)))
         c = normal_form(tuple(rng.choice(PROBE_TOKENS) for _ in range(2)))
         if (a * b) * c != a * (b * c):
-            failures.append(f"assoc-{k}")
+            rows.append((False, f"assoc-{k}", None, None))
     rels = pbw.serre_relators()
     for k in range(50):
         a = normal_form(tuple(rng.choice(PROBE_TOKENS) for _ in range(2)))
         b = normal_form(tuple(rng.choice(PROBE_TOKENS) for _ in range(2)))
         if not (a * rels[k % 4] * b).is_zero:
-            failures.append(f"relator-insertion-{k}")
+            rows.append((False, f"relator-insertion-{k}", None, None))
     # representation probe: each word's normal form acts on the fundamental
     # module as the product of its letters' matrices
     for k in range(100):
         w = tuple(rng.choice(PROBE_TOKENS) for _ in range(4))
         if FUND.rep(normal_form(w)) != FUND.rep_word(w):
-            failures.append(f"rep-{k}")
-    residual = "; ".join(failures)
-    details = (f"{n_assoc} associativity triples", "50 relator insertions",
-               "100 representation words")
-    return f"probes(seed={ctx.seed})", "no failures", residual, details
+            rows.append((False, f"rep-{k}", None, None))
+    return f"probes(seed={ctx.seed})", "no failures", rows
 
 
 @check("eq-condition-i",
        "the canonical element is invariant under the Levi generators")
 def check_condition_i(ctx):
-    residual, details = _zero_residuals(
-        canonical_element_invariance_residuals().items())
-    return "ad_X on radical roots", "transpose of S(X) on dual basis", residual, details
+    return "ad_X on radical roots", "transpose of S(X) on dual basis", \
+        _zero_residuals(canonical_element_invariance_residuals().items())
 
 
 @check("lem-equiv-maps",
        "the wedge operators are equivariant for the twisted adjoint action")
 def check_equiv_maps(ctx):
-    residual, details = _zero_residuals(
+    return "twisted adjoint of gamma", "gamma of Levi action", _zero_residuals(
         (f"{t}:gamma(y{i})", m)
         for (t, i), m in gamma_equivariance_residuals().items())
-    return "twisted adjoint of gamma", "gamma of Levi action", residual, details
 
 
 @check("lem-canonical-square",
        "the Dolbeault element and its adjoint square to zero")
 def check_canonical_square(ctx):
-    residual, details = _zero_residuals(
+    return "squares of the (co)boundary", "0", _zero_residuals(
         zip(("dolbeault^2", "dolbeault-star^2"), dolbeault_squares()))
-    return "squares of the (co)boundary", "0", residual, details
 
 
 @check("def-dolb-dirac", "the Dirac element is formally self-adjoint")
 def check_dolb_dirac(ctx):
-    ok = dirac_self_adjoint()
-    residual = "" if ok else "D* - D nonzero"
-    return "star-and-Gram adjoint of D", "D", residual, ("formal self-adjointness",)
+    note = "formal self-adjointness"
+    return "star-and-Gram adjoint of D", "D", \
+        [(dirac_self_adjoint(), "D* - D nonzero", note, note)]
 
 
 @check("prop-dolbeault-invariant",
        "the Dolbeault element preserves the invariant-forms model")
 def check_dolbeault_invariant(ctx):
-    residual, details = _zero_residuals(dolbeault_invariance_residuals().items())
-    return "(ad(X) (x) id) d", "(id (x) ad~(S(X))) d", residual, details
+    return "(ad(X) (x) id) d", "(id (x) ad~(S(X))) d", \
+        _zero_residuals(dolbeault_invariance_residuals().items())
 
 
 @check("lem-fundamental-c2",
@@ -277,9 +271,9 @@ def check_dolbeault_invariant(ctx):
        "including both Serre relations")
 def check_fundamental(ctx):
     named = list(FUND.relation_residuals().items())
-    residual, details = _zero_residuals(named)
+    rows = _zero_residuals(named)
     lhs = "; ".join(n for n, _m in named)
-    return lhs, "0", residual, details
+    return lhs, "0", rows
 
 
 @check("lem-root-e",
@@ -293,8 +287,7 @@ def check_root_vectors(ctx):
             form = sum((prod(map(letter, letters), start=c * unit())
                         for c, letters in rule), AE_ZERO)
             named.append((f"{side}-beta{j}", form - letter(j)))
-    residual, details = _zero_residuals(named)
-    return "closed-form root vectors", "PBW letters", residual, details
+    return "closed-form root vectors", "PBW letters", _zero_residuals(named)
 
 
 @check("prop-sq-relations",
@@ -307,8 +300,8 @@ def check_sq_relations(ctx):
         pairs = [(k // 3 + 1, k % 3 + 1, c) for k, c in enumerate(X) if c]
         rel = sum((c * (xi_E(i) * xi_E(j)) for i, j, c in pairs), AE_ZERO)
         named.append(("xi{}-xi{}".format(*pairs[0][:2]), rel))
-    residual, details = _zero_residuals(named)
-    return "quadratic relations of the radical subalgebra", "0", residual, details
+    return "quadratic relations of the radical subalgebra", "0", \
+        _zero_residuals(named)
 
 
 # (Levi token, i, X |> xi_i)
@@ -326,10 +319,9 @@ LEVI_UP_GOLDEN = (
        "the adjoint action on the radical roots matches the table "
        "(12 entries)")
 def check_levi_up(ctx):
-    residual, details = _zero_residuals(
+    return "adjoint action on radical roots (12 entries)", "table", _zero_residuals(
         (f"{token_name(tok)}|>xi{i}", pbw.adjoint_action(tok, xi_E(i)) - want)
         for tok, i, want in LEVI_UP_GOLDEN)
-    return "adjoint action on radical roots (12 entries)", "table", residual, details
 
 
 @check("lem-levi-um",
@@ -345,8 +337,7 @@ def check_levi_um(ctx):
             off = [f"({i},{j})" for i in (1, 2, 3)
                    if m.terms.get((i, j)) != table[tok].terms.get((i, j))]
             rows.append((f"{tok}.y{j}", not off, f"{tok}.y{j}: {','.join(off)}"))
-    residual, details = _tally(rows, "NONZERO")
-    return "dual-basis Levi action (12 entries)", "table", residual, details
+    return "dual-basis Levi action (12 entries)", "table", _tally(rows, "NONZERO")
 
 
 @check("prop-lq-relations",
@@ -364,24 +355,23 @@ def check_lq_relations(ctx):
         ("y3y3", w(v(3), v(3)), {}),
         ("y2y2", w(v(2), v(2)), {5: -(_Q * _qp(1) / BR2)}),
     ]
-    return "quadratic dual of radical relations", "wedge relations", *_verdict([
+    return "quadratic dual of radical relations", "wedge relations", [
         (len(basis) == 6, dim, dim, dim),
         (span_equal(basis, wedge_relation_vectors()),
          "complement span differs from wedge relations",
          "complement spans the six wedge relations", None),
         (dims == [1, 3, 3, 1], f"graded dimensions {dims}", graded, graded),
-    ] + [(got == want, name, f"{name} ok", None) for name, got, want in pairs])
+    ] + [(got == want, name, f"{name} ok", None) for name, got, want in pairs]
 
 
 @check("lem-levi-lq",
        "the Levi action on the full exterior module matches the table")
 def check_levi_lq(ctx):
     g = golden_levi_Lq()
-    residual, details = _zero_residuals([
+    return "module-algebra extension of the Levi action", "table", _zero_residuals([
         ("E1", EXT.E1 - g["E1"]), ("F1", EXT.F1 - g["F1"]),
         ("K1", EXT.K((2, -1)) - g["K1"]), ("K2", EXT.K((-2, 2)) - g["K2"]),
     ])
-    return "module-algebra extension of the Levi action", "table", residual, details
 
 
 @check("cor-iso-exterior",
@@ -398,9 +388,8 @@ def check_iso_exterior(ctx):
              token_name(tok)) for tok in ("E1", "F1", ("K", 2, -1))]
     rows.append(("fails for K2 as required", not intertwines(EXT.K((-2, 2))),
                  "K2 unexpectedly intertwined"))
-    residual, details = _tally(rows)
     return "degree 1 <-> degree 2 comparison map", \
-        "semisimple-Levi isomorphism only", residual, details
+        "semisimple-Levi isomorphism only", _tally(rows)
 
 
 @check("lem-inner-prod",
@@ -421,24 +410,22 @@ def check_inner_prod(ctx):
         off = [(i, j) for i, j in sorted(blocks[deg].terms) if i != j]
         rows.append((not off, f"deg{deg} off-diagonal {off}", None, None))
     rows.append((True, "", "one free constant per degree", None))
-    return "invariant-form solve", "stated diagonal values", *_verdict(rows)
+    return "invariant-form solve", "stated diagonal values", rows
 
 
 @check("lem-action-gamma", "right wedge multiplication matches the table")
 def check_action_gamma(ctx):
     g = golden_action_gamma()
-    residual, details = _zero_residuals(
+    return "right wedge multiplication", "table", _zero_residuals(
         (f"gamma(y{i})", EXT.gamma(i) - g[i]) for i in (1, 2, 3))
-    return "right wedge multiplication", "table", residual, details
 
 
 @check("lem-gamma-star",
        "the Gram adjoints of the wedge operators match the table")
 def check_gamma_star(ctx):
     g = golden_gamma_star()
-    residual, details = _zero_residuals(
+    return "Gram adjoints of the wedge operators", "table", _zero_residuals(
         (f"gamma(y{i})*", EXT.gamma_star(i) - g[i]) for i in (1, 2, 3))
-    return "Gram adjoints of the wedge operators", "table", residual, details
 
 
 # (i, j) -> {radical monomial of E_{xi_i} E*_{xi_j}: its coefficient}
@@ -466,9 +453,8 @@ def check_rel_xi_xis(ctx):
         levi = parts.pop(_U_ZERO, AE_ZERO)
         ok = parts == {u: w * unit() for u, w in want.items()} and levi.is_levi()
         rows.append((f"xi{i} xi{j}*", ok, f"({i},{j})"))
-    residual, details = _tally(rows)
     return "mod-Levi commutation decompositions", "six stated relations", \
-        residual, details
+        _tally(rows)
 
 
 @check("prop-d-squared",
@@ -483,19 +469,17 @@ def check_d_squared(ctx):
             diff = d2m.component(_u_key(i, j)) - gamma_pair_formula(i, j)
             rows.append((f"component ({i},{j})", diff.is_zero,
                          f"({i},{j}): {diff.entries_str()}"))
-    residual, details = _tally(rows)
     return "Dirac square reduced in the quotient", "stated Gamma components", \
-        residual, details
+        _tally(rows)
 
 
 @check("lem-f-vanish",
        "nilpotency pattern of the represented negative root vectors "
        "(11 vanishing, 2 non-vanishing)")
 def check_f_vanish(ctx):
-    residual, details = _tally(
-        (name, ok, name) for name, ok in FUND.f_vanish_report().items())
     return "nilpotency pattern of negative root vectors", \
-        "11 vanishing products, 2 non-vanishing", residual, details
+        "11 vanishing products, 2 non-vanishing", _tally(
+            (name, ok, name) for name, ok in FUND.f_vanish_report().items())
 
 
 @check("prop-cas-general",
@@ -509,8 +493,7 @@ def check_cas_general(ctx):
     rows += [(f"central against {name}", r.is_zero,
               f"centrality-{name}: {r.canon_str()}")
              for name, r in centrality_residuals(ctx.casimir).items()]
-    residual, details = _tally(rows)
-    return "R-matrix trace construction", "central element", residual, details
+    return "R-matrix trace construction", "central element", _tally(rows)
 
 
 @check("prop-casimir-rmatrix",
@@ -524,11 +507,11 @@ def check_casimir_rmatrix(ctx):
     scalar_ok = FUND.rep(C) == Matrix.identity(4, c)
     acts = ("acts as c_omega1 on the fundamental module: "
             f"{'ok' if scalar_ok else 'NO'}")
-    return C.canon_str(), Cx.canon_str(), *_verdict([
+    return C.canon_str(), Cx.canon_str(), [
         (diff.is_zero, diff.canon_str(), "constructed equals explicit form",
          "MISMATCH"),
         (scalar_ok, "fundamental eigenvalue", acts, acts),
-    ])
+    ]
 
 
 @check("cor-value-casimir",
@@ -542,18 +525,18 @@ def check_value_casimir(ctx):
     vals = [casimir_eigenvalue((n, n % 2)).evaluate(v0) for n in range(5)]
     pos = all(v > 0 for v in vals)
     positivity = f"positivity at v=1/3 on 5 samples: {'ok' if pos else 'NO'}"
-    return "eigenvalue formula", "pairing oracles", *_verdict([
+    return "eigenvalue formula", "pairing oracles", [
         (c0 == want0, "c at weight 0", "weight 0 value ok", "weight 0 MISMATCH"),
         (c1 == want1, "c at omega1", "omega1 value ok", "omega1 MISMATCH"),
         (pos, "positivity", positivity, positivity),
-    ])
+    ]
 
 
 @check("lem-rel-e-es",
        "the four commutation relations with the starred Levi root vector")
 def check_rel_e_es(ctx):
     Eb1s = star(root_E(1))
-    residual, details = _zero_residuals([
+    return "commutators with the starred Levi root vector", "0", _zero_residuals([
         ("e1*e1", Eb1s * root_E(1) - _qp(2) * (root_E(1) * Eb1s)
          + (_qp(2) / _Q) * (K(4, -2) - unit())),
         ("e1*e2", Eb1s * root_E(2) - _qp(2) * (root_E(2) * Eb1s)
@@ -561,7 +544,6 @@ def check_rel_e_es(ctx):
         ("e1*e3", Eb1s * root_E(3) - root_E(3) * Eb1s - BR2 * root_E(4)),
         ("e1*e4", Eb1s * root_E(4) - _qp(-2) * (root_E(4) * Eb1s)),
     ])
-    return "commutators with the starred Levi root vector", "0", residual, details
 
 
 @check("lem-rel-rewrite-cas",
@@ -569,7 +551,7 @@ def check_rel_e_es(ctx):
 def check_rel_rewrite_cas(ctx):
     E = {j: root_E(j) for j in (1, 2, 3, 4)}
     Es = {j: star(root_E(j)) for j in (1, 2, 3, 4)}
-    residual, details = _zero_residuals([
+    return "rewriting identities for the quantum part", "0", _zero_residuals([
         ("id-1", star(E[3] * E[1]) * E[2]
          - _qp(2) * (Es[3] * E[2] * Es[1]) - _qp(2) * (Es[3] * E[3])
          + BR2 * (Es[2] * E[2])),
@@ -582,7 +564,6 @@ def check_rel_rewrite_cas(ctx):
         ("id-4", star(E[4] * E[1]) * E[4] * E[1]
          - Es[4] * E[4] * Es[1] * E[1] + _qp(2) * (Es[3] * E[4] * E[1])),
     ])
-    return "rewriting identities for the quantum part", "0", residual, details
 
 
 @check("lem-quantum-casimir",
@@ -601,9 +582,9 @@ def check_cas_to_the_right(ctx):
        "the quotient-module reduction is well defined (randomized probe)")
 def check_relation_cliff(ctx):
     failures = m_well_definedness_probe(ctx.seed, M_PROBE_TRIALS, ctx.degree_cap)
-    residual = "" if failures == 0 else f"{failures} probe failures"
-    return "reduce(t (Y (x) 1))", "reduce(t (1 (x) rho(S(Y))))", residual, \
-        (f"{M_PROBE_TRIALS} randomized probes",)
+    note = f"{M_PROBE_TRIALS} randomized probes"
+    return "reduce(t (Y (x) 1))", "reduce(t (1 (x) rho(S(Y))))", \
+        [(failures == 0, f"{failures} probe failures", note, note)]
 
 
 @check("prop-casimir-clifford",
@@ -628,8 +609,7 @@ def check_casimir_clifford(ctx):
     for u, w in sorted(want.items()):
         diff = cm.component(u) - w
         rows.append((f"component {u}", diff.is_zero, f"{u}: {diff.entries_str()}"))
-    residual, details = _tally(rows)
-    return "Casimir reduced in the quotient", "stated components", residual, details
+    return "Casimir reduced in the quotient", "stated components", _tally(rows)
 
 
 @check("lem-kappa-constraints",
@@ -646,11 +626,9 @@ def check_kappa_constraints(ctx):
          "degree 0/3 constraints"),
     ]
     return "vanishing of the mixed (1,3) component", "unique ratio solution", \
-        *_verdict([(ok, shown, f"{label}: ok", f"{label}: NO")
-                   for label, ok, shown in rows]
-                  + [(g13.substitute_ratios(s2, s3).is_zero,
-                      "mixed component after substitution",
-                      "mixed component vanishes on all eight vectors", None)])
+        _tally(rows) + [(g13.substitute_ratios(s2, s3).is_zero,
+                         "mixed component after substitution",
+                         "mixed component vanishes on all eight vectors", None)]
 
 
 @check("lem-clifford-off",
@@ -658,11 +636,9 @@ def check_kappa_constraints(ctx):
        "substitution")
 def check_clifford_off(ctx):
     res = gamma_identities_after_kappa(ctx.d2m)
-    residual, details = _zero_residuals(
-        (f"Gamma{i}{j}", res[(i, j)])
-        for (i, j) in ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)))
     return "off-diagonal components after substitution", "closed forms", \
-        residual, details
+        _zero_residuals((f"Gamma{i}{j}", res[(i, j)])
+                        for (i, j) in ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)))
 
 
 @check("lem-clifford-diag",
@@ -670,10 +646,8 @@ def check_clifford_off(ctx):
        "substitution")
 def check_clifford_diag(ctx):
     res = gamma_identities_after_kappa(ctx.d2m)
-    residual, details = _zero_residuals(
-        (f"Gamma{i}{i}", res[(i, i)]) for i in (1, 2, 3))
     return "diagonal components after substitution", "closed forms", \
-        residual, details
+        _zero_residuals((f"Gamma{i}{i}", res[(i, i)]) for i in (1, 2, 3))
 
 
 @check("thm-parthasarathy",
@@ -705,7 +679,7 @@ def check_parthasarathy(ctx):
                      f"dropping quantum term {k} fails to break the identity",
                      f"negative control: dropped quantum term {k} breaks it", None))
     return "Dirac square minus scaled Casimir in the quotient", \
-        "pure Levi element", *_verdict(rows)
+        "pure Levi element", rows
 
 
 @check("thm-spectral-triple",
@@ -714,20 +688,22 @@ def check_parthasarathy(ctx):
 def check_spectral_triple(ctx):
     sp = spectrum_growth(Fraction(1, 2), 20)
     return "eigenvalue growth at v = 1/2 up to shell 20", \
-        "strictly increasing shell minima", *_verdict([
+        "strictly increasing shell minima", [
             (True, "", f"{len(sp.rows)} dominant weights, shells 0..20", None),
             (sp.positive, "nonpositive eigenvalue",
              "all eigenvalues positive (exact comparisons)", None),
             (sp.monotone, "shell minima not strictly increasing",
              "per-shell minima strictly increasing", None),
-        ])
+        ]
 
 
 def run_check(check_id, ctx):
     statement, fn = CHECKS[check_id]
     t0 = time.perf_counter()
     try:
-        lhs, rhs, residual, details = fn(ctx)
+        lhs, rhs, rows = fn(ctx)
+        residual, details = _verdict(rows)
+        lhs_digest, rhs_digest = digest(lhs), digest(rhs)
     except Exception as exc:
         return CheckResult(check_id, "error", statement,
                            residual=f"{type(exc).__name__}: {exc}",
@@ -738,8 +714,8 @@ def run_check(check_id, ctx):
         check_id=check_id,
         status="pass" if not residual else "fail",
         statement=statement,
-        lhs_digest=digest(lhs),
-        rhs_digest=digest(rhs),
+        lhs_digest=lhs_digest,
+        rhs_digest=rhs_digest,
         residual=residual,
         details=details,
         elapsed_ms=elapsed,

@@ -64,7 +64,7 @@ def _render_json(results, ctx, timings):
 def _open_out(path):
     """Open the output file before any work runs (stdout without a path);
     None, after printing the reason, when it cannot be opened."""
-    if not path:
+    if path is None:
         return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, "w", encoding="utf-8", newline="\n")
@@ -80,12 +80,13 @@ def _cannot_write(path, exc):
     inside `with out` is the output's."""
     if isinstance(exc, BrokenPipeError):
         return EXIT_INTERNAL
-    if not path:
+    if path is None:
         # stdout keeps what it could not write: closed, it is not flushed
         # again at interpreter exit
         with contextlib.suppress(OSError):
             sys.stdout.close()
-    print(f"cannot write {path or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+    print(f"cannot write {'stdout' if path is None else path}: "
+          f"{exc.strerror or exc}", file=sys.stderr)
     return EXIT_USAGE
 
 

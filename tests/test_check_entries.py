@@ -5,11 +5,11 @@ gates only require them to pass; their full entries are pinned here at both
 golden seeds.  The failure-path tests perturb one or two names the check
 reads from `qlg2.checks` and pin the entry of the failing check, so the
 detail and residual texts of a failure are fixed as well as those of a
-pass.  Between them they reach every failing row of the checks that build
-their own rows for `checks._verdict`; a case id is the check id, or the
-check id and the perturbation when a check has more than one case.  A
-wrong R-matrix is built in `qlg2.rmatrix`, so its pin perturbs a name there
-and keeps a stage cache of its own."""
+pass.  Between them they reach every failing row that a check writes as
+(ok, shown, passed, failed) itself, not through `checks._tally`; a case id
+is the check id, or the check id and the perturbation when a check has more
+than one case.  A wrong R-matrix is built in `qlg2.rmatrix`, so its pin
+perturbs a name there and keeps a stage cache of its own."""
 
 import hashlib
 from fractions import Fraction

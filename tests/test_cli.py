@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from qlg2 import cli
-from qlg2.checks import CHECKS, DEGREE_CAP, Context, run_check, run_suite
+from qlg2.checks import CHECKS, DEGREE_CAP, Context, digest, run_check, run_suite
+from qlg2.modules import FUND
 from qlg2.rmatrix import casimir_eigenvalue
 
 import memos
@@ -83,7 +84,7 @@ def test_digests_canonical():
 
 def test_failing_check_exit_code(tmp_path):
     def broken(ctx):
-        return "lhs", "rhs", "forced residual", ("detail",)
+        return "lhs", "rhs", [(False, "forced residual", None, "detail")]
 
     CHECKS["tmp-broken"] = ("always fails", broken)
     try:
@@ -236,7 +237,7 @@ def test_markdown_report_lists_errors(tmp_path, suite_with_raising_check):
 
 def test_error_outranks_failure(tmp_path, suite_with_raising_check):
     def broken(ctx):
-        return "lhs", "rhs", "forced residual", ()
+        return "lhs", "rhs", [(False, "forced residual", None, None)]
 
     suite_with_raising_check["tmp-broken"] = ("always fails", broken)
     out = tmp_path / "r.md"
@@ -249,6 +250,31 @@ def test_error_outranks_failure(tmp_path, suite_with_raising_check):
 def test_run_suite_continues_after_an_error(suite_with_raising_check):
     results = run_suite(sorted(suite_with_raising_check), Context())
     assert [r.status for r in results] == ["error", "pass", "pass"]
+
+
+def test_a_broken_check_contract_is_an_error(monkeypatch):
+    # a check returns (lhs, rhs, rows), each row (ok, shown, passed, failed):
+    # the old (lhs, rhs, residual, details) return, a three-field row and an
+    # lhs that is no string are errors of the check, not verdicts, and the
+    # other checks still run
+    broken = {
+        "tmp-old-shape": (lambda ctx: ("lhs", "rhs", "forced residual", ()),
+                          "ValueError"),
+        "tmp-short-row": (lambda ctx: ("lhs", "rhs", [(False, "forced", None)]),
+                          "ValueError"),
+        "tmp-no-lhs": (lambda ctx: (None, "rhs", []), "AttributeError"),
+    }
+    for cid, (fn, _exc) in broken.items():
+        monkeypatch.setitem(CHECKS, cid, ("broken contract", fn))
+    results = {r.check_id: r for r in run_suite([*broken, "lem-f-vanish"], Context())}
+    for cid, (_fn, exc) in broken.items():
+        assert results[cid].status == "error"
+        assert results[cid].residual.startswith(f"{exc}: ")
+        assert results[cid].details == ()
+    entry = results["lem-f-vanish"].as_dict()
+    assert (entry["status"], entry["residual"]) == ("pass", "")
+    assert entry["details"] == [f"{name}: ok" for name in FUND.f_vanish_report()]
+    assert entry["rhs_digest"] == digest("11 vanishing products, 2 non-vanishing")
 
 
 # each argv ends in the flag that names the output file
@@ -267,13 +293,15 @@ def test_unwritable_output_is_usage_error_before_any_work(argv, tmp_path, capsys
     monkeypatch.setattr(cli, "run_suite", no_work)
     monkeypatch.setattr(cli, "spectrum_growth", no_work)
     path = tmp_path / "no-such-dir" / "out.txt"
-    rc = cli.main(argv + [str(path)])
-    assert rc == cli.EXIT_USAGE
-    err = capsys.readouterr()
-    # one line naming the path and the reason, no traceback
-    assert err.err.startswith(f"cannot write {path}: ")
-    assert err.err.count("\n") == 1
-    assert err.out == ""
+    # an empty path is a path that cannot be opened, not stdout
+    for name in (str(path), ""):
+        rc = cli.main(argv + [name])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr()
+        # one line naming the path and the reason, no traceback
+        assert err.err.startswith(f"cannot write {name}: ")
+        assert err.err.count("\n") == 1
+        assert err.out == ""
     assert not path.parent.exists()
 
 

@@ -151,6 +151,25 @@ def test_every_check_function_is_registered():
     assert registered == sorted(fn.name for fn in functions)
 
 
+def test_only_run_check_builds_a_verdict():
+    # a check returns (lhs, rhs, rows) and run_check alone turns the rows
+    # into the residual and the details, so a check cannot state a residual
+    # that its rows do not
+    tree = ast.parse((SRC / "checks.py").read_text(encoding="utf-8"))
+    callers = [top.name for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "_verdict"]
+    assert callers == ["run_check"]
+    checks = importlib.import_module("qlg2.checks")
+    registered = {fn.__name__ for _statement, fn in checks.CHECKS.values()}
+    bound = [f"{top.name}: {node.id}" for top in tree.body
+             if isinstance(top, ast.FunctionDef) and top.name in registered
+             for node in ast.walk(top)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+             and node.id in ("residual", "details")]
+    assert not bound, f"checks that bind a residual or details: {bound}"
+
+
 def _unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     bound = {}
