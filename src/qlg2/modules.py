@@ -7,8 +7,9 @@ and every defining relation of the algebra holds for them exactly.
 TensorModule(W, V) is W (x) V, rows indexed dim(V) i + k, with the pairwise
 sums as weights and the generators acting through their coproducts, built
 by `Matrix.kron` from the generator matrices of W and V; V and its tensor
-products share the root matrices (`_root_matrices`, multiplied out of the
-pbw expansion tables) and the relation residuals (`relation_residuals`), so
+products share the root matrices (`_roots`, multiplied out of the pbw
+expansion tables on first read, so a module that only serves `rep_token`
+multiplies nothing) and the relation residuals (`relation_residuals`), so
 V (x) V, the R-matrix's tensor square, is a module like V.
 
 The exterior algebra Lambda has graded dimensions (1, 3, 3, 1) over the
@@ -33,6 +34,8 @@ instances, printed with numeric [row,column] labels.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .linalg import Matrix, accumulate, nullspace, rewrite
 from .scalar import (
     BR2, KONE, ONE, ZERO, KScalar, Scalar, kappa, Q_SC as _Q, q_power as _qp,
@@ -48,10 +51,11 @@ from . import pbw
 
 class _WeightModule:
     """A module with a weight basis (`weights`), generator matrices `_gen`
-    keyed by token name, and root-vector matrices `_root_e`/`_root_f` keyed
-    by j for E_{beta_j}/F_{beta_j}.  Where all four of E1, E2, F1, F2 act,
-    `_root_matrices` multiplies the root matrices out of `_gen` and
-    `relation_residuals` checks every relation on it."""
+    keyed by token name, and root-vector matrices `_roots`, {"E": {j:
+    E_{beta_j}}, "F": {j: F_{beta_j}}}.  Where all four of E1, E2, F1, F2
+    act, `_roots` multiplies the root matrices out of `_gen` on its first
+    read, by `rep`, `root_F` or `f_vanish_report`, and `relation_residuals`
+    checks every relation on it."""
 
     def K(self, lam):
         lam = Weight(*lam)
@@ -82,23 +86,26 @@ class _WeightModule:
         for (fexp, lam, eexp), c in x.terms.items():
             m = Matrix.diagonal([c * _qp(w.pair(lam)) for w in self.weights])
             for j in reversed(pbw._f_letters(fexp)):
-                m = self._root_f[j] @ m
+                m = self._roots["F"][j] @ m
             for j in pbw._e_letters(eexp):
-                m = m @ self._root_e[j]
+                m = m @ self._roots["E"][j]
             for rc, y in m.terms.items():
                 accumulate(out, rc, y)
         return Matrix(out, (self.dim, self.dim))
 
-    def _root_matrices(self, side, expand):
-        """{j: matrix of the root vector} on `side` "E" or "F": letters 1 and
-        4 are the simple generators, and each composite letter is its
+    @cached_property
+    def _roots(self):
+        """{side: {j: matrix of the root vector}} for side "E" and "F": letters
+        1 and 4 are the simple generators, and each composite letter is its
         simple-letter expansion in pbw, the one source of the closed forms,
-        multiplied out in generator matrices."""
-        gens = {1: f"{side}1", 4: f"{side}2"}
-        roots = {j: self._gen[tok] for j, tok in gens.items()}
-        for j, rule in expand.items():
-            roots[j] = sum((self.rep_word([gens[x] for x in letters]).scale(c)
-                            for c, letters in rule), Matrix({}, (self.dim, self.dim)))
+        multiplied out in generator matrices on the first read."""
+        roots = {}
+        for side, expand in (("E", pbw._EXPAND_E), ("F", pbw._EXPAND_F)):
+            gens = {1: f"{side}1", 4: f"{side}2"}
+            roots[side] = {j: self._gen[tok] for j, tok in gens.items()}
+            for j, rule in expand.items():
+                roots[side][j] = sum((self.rep_word([gens[x] for x in w]).scale(c)
+                                      for c, w in rule), Matrix({}, (self.dim, self.dim)))
         return roots
 
     def relation_residuals(self):
@@ -125,15 +132,13 @@ class FundamentalModule(_WeightModule):
         self.F1 = Matrix({(1, 0): _v(-1), (3, 2): _v(-1)}, (4, 4))
         self.F2 = Matrix({(2, 1): _qp(-1)}, (4, 4))
         self._gen = {"E1": self.E1, "E2": self.E2, "F1": self.F1, "F2": self.F2}
-        self._root_e = self._root_matrices("E", pbw._EXPAND_E)
-        self._root_f = self._root_matrices("F", pbw._EXPAND_F)
 
     def root_F(self, j):
-        return self._root_f[j]
+        return self._roots["F"][j]
 
     def f_vanish_report(self):
         """Nilpotency pattern of the negative root vectors in this module."""
-        f = self._root_f
+        f = self._roots["F"]
         report = {f"F{j}^2": (f[j] @ f[j]).is_zero for j in (1, 2, 3, 4)}
         for spec in ((2, 1), (3, 2), (4, 2), (4, 3), (3, 2, 1), (4, 2, 1), (4, 3, 2)):
             m = Matrix.identity(4, ONE)
@@ -149,7 +154,8 @@ class TensorModule(_WeightModule):
     """W (x) V with rows indexed dim(V) i + k and the pairwise sums as
     weights; E_i and F_i act by their coproducts E_i (x) 1 + K_alpha_i (x) E_i
     and F_i (x) K_-alpha_i + 1 (x) F_i, built from the generator matrices of
-    W and V alone, never the PBW engine."""
+    W and V alone, never the PBW engine.  The constructor multiplies no
+    matrix: the root matrices wait for the first `rep`."""
 
     def __init__(self, W, V):
         self.dim = W.dim * V.dim
@@ -160,8 +166,6 @@ class TensorModule(_WeightModule):
             # the unit is K_0
             self._gen[e] = W._gen[e].kron(V.K(W_ZERO)) + W.K(alpha).kron(V._gen[e])
             self._gen[f] = W._gen[f].kron(V.K(-alpha)) + W.K(W_ZERO).kron(V._gen[f])
-        self._root_e = self._root_matrices("E", pbw._EXPAND_E)
-        self._root_f = self._root_matrices("F", pbw._EXPAND_F)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +242,7 @@ class ExteriorModule(_WeightModule):
         self.E1 = self._module_algebra_extend("E1")
         self.F1 = self._module_algebra_extend("F1")
         self._gen = {"E1": self.E1, "F1": self.F1}
-        self._root_e, self._root_f = {1: self.E1}, {1: self.F1}
+        self._roots = {"E": {1: self.E1}, "F": {1: self.F1}}
         self._gram_hat = self._normalized_gram()
 
     # --- wedge ---------------------------------------------------------

@@ -57,8 +57,9 @@ _MAX_ORDER = 2
 class TruncatedRMatrix:
     """(id (x) rho)(R) as a 4x4 Matrix of PBW elements.  `build` returns R
     and its truncation checks only; prop-cas-general calls
-    `intertwiner_residuals` and reports them, and nothing raises on a
-    nonzero one."""
+    `intertwiner_residuals`, which represents both legs on V and reports
+    the braided matrix's commutators, and nothing raises on a nonzero
+    one."""
 
     def __init__(self, mat, truncation_checks):
         self.mat = mat
@@ -85,21 +86,21 @@ class TruncatedRMatrix:
         # Cartan correction: right multiplication by diag(K_{-lambda_nu})
         return cls(A @ Matrix.diagonal([K(-lam) for lam in LAMBDA_V]), checks)
 
-    def represented(self):
-        """(rho (x) rho)(R) as a 16x16 Scalar Matrix, rows indexed 4i + k."""
-        return Matrix({(4 * i + k, 4 * j + l): y
-                       for (k, l), x in self.mat.terms.items()
-                       for (i, j), y in FUND.rep(x).terms.items()}, (16, 16))
-
     def intertwiner_residuals(self):
-        """R Delta(X) - Delta_op(X) R on the tensor square, per generator:
-        Delta(X) is X acting on V (x) V, and Delta_op(X) = P Delta(X) P with
-        P the flip of the two legs."""
-        R16 = self.represented()
+        """R Delta(X) = Delta_op(X) R on the tensor square, per generator, as
+        the commutator Rb Delta(X) - Delta(X) Rb of the braided matrix Rb =
+        P (rho (x) rho)(R), P the flip of the two legs, and Delta(X) the
+        matrix of X on V (x) V, rows indexed 4i + k.  Entry (k, l) of `mat`
+        is the first leg beside the unit matrix e_kl of the second, so Rb
+        holds rho(R[k, l])[i, j] at (4k + i, 4j + l).  The commutator is P
+        (R Delta(X) - Delta_op(X) R), as Delta_op(X) = P Delta(X) P, so it
+        vanishes exactly when the intertwiner identity holds (Jantzen,
+        Lectures on Quantum Groups, 1996)."""
+        Rb = Matrix({(4 * k + i, 4 * j + l): y
+                     for (k, l), x in self.mat.terms.items()
+                     for (i, j), y in FUND.rep(x).terms.items()}, (16, 16))
         VV = TensorModule(FUND, FUND)
-        P = Matrix({(4 * i + k, 4 * k + i): ONE for i in range(4) for k in range(4)},
-                   (16, 16))
-        return {name: R16 @ VV.rep_token(tok) - P @ VV.rep_token(tok) @ P @ R16
+        return {name: Rb @ VV.rep_token(tok) - VV.rep_token(tok) @ Rb
                 for name, tok in zip(("E1", "E2", "F1", "F2", "K1", "K2"),
                                      GENERATOR_TOKENS)}
 

@@ -89,8 +89,7 @@ def test_f_expansions_are_the_omega_image_of_the_e_expansions():
 
 def test_fundamental_root_matrices_multiply_out_the_expansions():
     root_e, root_f = fundamental_root_matrices_literal()
-    assert FUND._root_e == root_e
-    assert FUND._root_f == root_f
+    assert FUND._roots == {"E": root_e, "F": root_f}
     assert all(not m.is_zero for m in (*root_e.values(), *root_f.values()))
 
 

@@ -7,14 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from qlg2 import cli
+from qlg2 import cli, rmatrix
 from qlg2.checks import Context, run_check
 from qlg2.linalg import Matrix
 from qlg2.scalar import BR2, ONE, Q_SC as Q, ZERO, laurent_q, q_power as _qp
 from qlg2.modules import FUND, TensorModule
 from qlg2.pbw import coproduct, normal_form, root_E, star
 from qlg2.rmatrix import (
-    TruncatedRMatrix, casimir_eigenvalue, casimir_explicit,
+    GENERATOR_TOKENS, TruncatedRMatrix, casimir_eigenvalue, casimir_explicit,
     casimir_quantum_parts, casimir_right_form, centrality_residuals,
     factor_coefficient, quantum_trace_pairing,
 )
@@ -69,6 +69,60 @@ def test_only_prop_cas_general_computes_the_residuals(monkeypatch, tmp_path):
     out = tmp_path / "report.md"
     assert cli.main(["verify", "--check", "all", "--out", str(out)]) == cli.EXIT_PASS
     assert len(calls) == 1
+
+
+def _flip_residuals(R):
+    """The residuals in their textbook form R Delta(X) - Delta_op(X) R,
+    with (rho (x) rho)(R) and the flip P written out and Delta_op(X) = P
+    Delta(X) P."""
+    R16 = Matrix({(4 * i + k, 4 * j + l): y
+                  for (k, l), x in R.mat.terms.items()
+                  for (i, j), y in FUND.rep(x).terms.items()}, (16, 16))
+    P = Matrix({(4 * i + k, 4 * k + i): ONE for i in range(4) for k in range(4)},
+               (16, 16))
+    VV = TensorModule(FUND, FUND)
+    return P, {name: R16 @ VV.rep_token(tok) - P @ VV.rep_token(tok) @ P @ R16
+               for name, tok in zip(("E1", "E2", "F1", "F2", "K1", "K2"),
+                                    GENERATOR_TOKENS)}
+
+
+@pytest.mark.parametrize("doubled", [None, (4, 1), (1, 1)], ids=str)
+def test_braided_commutators_are_the_flipped_residuals(doubled, monkeypatch):
+    # each commutator of Rb = P (rho (x) rho)(R) is P times the textbook
+    # residual, for R and for two wrong R-matrices, whose E and F residuals
+    # are nonzero
+    if doubled is not None:
+        def factor(j, r, orig=rmatrix.factor_coefficient):
+            return orig(j, r) * 2 if (j, r) == doubled else orig(j, r)
+        monkeypatch.setattr(rmatrix, "factor_coefficient", factor)
+    R = TruncatedRMatrix.build()
+    P, want = _flip_residuals(R)
+    got = R.intertwiner_residuals()
+    assert list(got) == list(want)
+    for name, m in got.items():
+        assert m == P @ want[name], name
+        assert m.is_zero == (doubled is None or name in ("K1", "K2")), name
+
+
+def test_residuals_multiply_twelve_16x16_matrices(monkeypatch):
+    # V (x) V multiplies nothing until its first `rep`; the residuals take
+    # two products of 16x16 matrices per generator, with V (x) V and the
+    # braided matrix built inside the call, whose other products are the
+    # 4x4 ones of FUND.rep
+    R = TruncatedRMatrix.build()
+    shapes = []
+
+    def counted(a, b, orig=Matrix.__matmul__):
+        shapes.append((a.shape, b.shape))
+        return orig(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    VV = TensorModule(FUND, FUND)
+    for tok in GENERATOR_TOKENS:
+        VV.rep_token(tok)
+    assert shapes == []
+    R.intertwiner_residuals()
+    assert [s for s in shapes if s != ((4, 4), (4, 4))] == [((16, 16), (16, 16))] * 12
 
 
 def test_kron_mixed_product():

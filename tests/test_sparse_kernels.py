@@ -100,9 +100,9 @@ def _rep(mod, x):
     letters multiplied out."""
     out = _mzeros(mod.dim, mod.dim, ZERO)
     for (fexp, lam, eexp), c in x.terms.items():
-        ms = [_dense(mod._root_f[4 - k]) for k in range(4) for _ in range(fexp[k])]
+        ms = [_dense(mod._roots["F"][4 - k]) for k in range(4) for _ in range(fexp[k])]
         ms.append(_dense(mod.K(lam)))
-        ms += [_dense(mod._root_e[k + 1]) for k in range(4) for _ in range(eexp[k])]
+        ms += [_dense(mod._roots["E"][k + 1]) for k in range(4) for _ in range(eexp[k])]
         out = _madd(out, _mscale(c, _dense_chain(ms)))
     return out
 
@@ -239,10 +239,11 @@ def test_rep_of_every_small_fundamental_word():
     oracle's product of a word is its F block, K and E block multiplied
     out, with the 81 blocks of each side formed once."""
     exps = list(itertools.product(range(3), repeat=4))
+    root_e, root_f = FUND._roots["E"], FUND._roots["F"]
     f_block = {f: _dense_chain([_meye(4)] + [
-        _dense(FUND._root_f[4 - k]) for k in range(4) for _ in range(f[k])]) for f in exps}
+        _dense(root_f[4 - k]) for k in range(4) for _ in range(f[k])]) for f in exps}
     e_block = {e: _dense_chain([_meye(4)] + [
-        _dense(FUND._root_e[k + 1]) for k in range(4) for _ in range(e[k])]) for e in exps}
+        _dense(root_e[k + 1]) for k in range(4) for _ in range(e[k])]) for e in exps}
     f_zero = {f for f, m in f_block.items() if _miszero(m)}
     e_zero = {e for e, m in e_block.items() if _miszero(m)}
     zero = _mzeros(4, 4, ZERO)
